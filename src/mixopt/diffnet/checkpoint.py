@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
 
 import numpy as np
@@ -15,7 +17,12 @@ FORMAT_VERSION = 1
 
 
 def save_params(params: ParameterSet, path, role=None, seed=None) -> None:
-    """Write a checkpoint; the payload reproduces params.flat bit for bit."""
+    """Write a checkpoint; the payload reproduces params.flat bit for bit.
+
+    The bytes go to a temporary file beside ``path``, are fsynced, and then
+    replace ``path`` in one step, so an interrupted save leaves either the
+    old file or the new one, never a torn one.
+    """
     header = {
         "format_version": FORMAT_VERSION,
         "spec": {
@@ -33,12 +40,22 @@ def save_params(params: ParameterSet, path, role=None, seed=None) -> None:
         "seed": seed,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(params.flat.astype("<f8", copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_params(path):
@@ -77,4 +94,7 @@ def load_params(path):
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True)
     if count != spec.param_count:
         raise CheckpointError("parameter count does not match the architecture")
+    if not (np.all(np.isfinite(flat)) and np.all(np.isfinite(norm.center))
+            and np.all(np.isfinite(norm.halfspan))):
+        raise CheckpointError("checkpoint holds non-finite values")
     return ParameterSet(spec=spec, norm=norm, flat=flat), header

@@ -19,8 +19,8 @@ from .tape import Node
 
 class _Tanh:
     @staticmethod
-    def value(z):
-        return np.tanh(z)
+    def value(z, out=None):
+        return np.tanh(z, out=out)
 
     @staticmethod
     def first(z, f):
@@ -33,8 +33,8 @@ class _Tanh:
 
 class _Softplus:
     @staticmethod
-    def value(z):
-        return np.logaddexp(0.0, z)
+    def value(z, out=None):
+        return np.logaddexp(0.0, z, out=out)
 
     @staticmethod
     def first(z, f):
@@ -79,10 +79,21 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class InputNorm:
-    """Affine input map (x - center) / halfspan; halfspan 0 pins a dimension to 0."""
+    """Affine input map (x - center) / halfspan; halfspan 0 pins a dimension to 0.
+
+    The reciprocal half-span is computed once, here, and kept read-only.
+    """
 
     center: np.ndarray
     halfspan: np.ndarray
+    inv_halfspan: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inv = np.zeros_like(self.halfspan)
+        nonzero = self.halfspan != 0.0
+        inv[nonzero] = 1.0 / self.halfspan[nonzero]
+        inv.flags.writeable = False
+        object.__setattr__(self, "inv_halfspan", inv)
 
     @classmethod
     def from_bounds(cls, pairs) -> "InputNorm":
@@ -94,15 +105,11 @@ class InputNorm:
     def identity(cls, dim: int) -> "InputNorm":
         return cls(center=np.zeros(dim), halfspan=np.ones(dim))
 
-    @property
-    def inv_halfspan(self) -> np.ndarray:
-        inv = np.zeros_like(self.halfspan)
-        nonzero = self.halfspan != 0.0
-        inv[nonzero] = 1.0 / self.halfspan[nonzero]
-        return inv
-
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.center) * self.inv_halfspan
+        """Normalized copy of X (never written in place)."""
+        h = X - self.center
+        h *= self.inv_halfspan
+        return h
 
 
 @dataclass(frozen=True)
@@ -150,67 +157,85 @@ def init_params(spec: NetworkSpec, norm: InputNorm | None = None, seed=None) -> 
 
 
 class _Cache:
-    """Everything the fused reverse pass needs from one forward evaluation."""
+    """Everything the fused reverse pass needs from one forward evaluation.
 
-    __slots__ = ("pset", "views", "inputs", "zs", "tin", "ztan", "out", "jac")
+    ``record`` is called by the layer loop once per hidden layer; the
+    tangent lists stay empty unless tangent seeds were given.
+    """
 
-    def __init__(self, pset, views, inputs, zs, tin, ztan, out, jac):
+    __slots__ = ("pset", "views", "act", "inputs", "zs", "tin", "ztan", "out", "jac")
+
+    def __init__(self, pset, views, act, h, tangent_seeds):
         self.pset = pset
         self.views = views
-        self.inputs = inputs
-        self.zs = zs
-        self.tin = tin
-        self.ztan = ztan
-        self.out = out
-        self.jac = jac
+        self.act = act
+        self.inputs = [h]
+        self.zs = []
+        self.tin = [] if tangent_seeds is None else [tangent_seeds]
+        self.ztan = []
+        self.out = None
+        self.jac = None
+
+    def record(self, W, z, f):
+        self.zs.append(z)
+        self.inputs.append(f)
+        if self.tin:
+            d1 = self.act.first(z, f)
+            zd = [t @ W.T for t in self.tin[-1]]
+            self.ztan.append(zd)
+            self.tin.append([d1 * t for t in zd])
 
 
-def _forward_cache(pset: ParameterSet, X, need_tangent: bool, tangent_dims=(0, 1)) -> _Cache:
+def _prepare(pset: ParameterSet, X):
     spec = pset.spec
-    act = ACTIVATIONS[spec.activation]
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise DomainError(f"expected input shape (batch, {spec.input_dim})")
-    views = pset.views()
-    h = pset.norm.apply(X)
-    inputs = [h]
-    zs: list = []
-    tin: list = []
-    ztan: list = []
+    return ACTIVATIONS[spec.activation], pset.views(), pset.norm.apply(X)
+
+
+def _layers(views, act, h, cache: _Cache | None = None) -> np.ndarray:
+    """The one layer loop: z = h W^T, z += b, then the activation.
+
+    Without a cache the activation runs in place and nothing per layer is
+    kept; with one, z is kept for the reverse pass and ``cache.record``
+    receives each hidden layer. Returns the output layer's z.
+    """
+    last = len(views) - 1
+    for l, (W, b) in enumerate(views):
+        z = h @ W.T
+        z += b
+        if l == last:
+            return z
+        if cache is None:
+            h = act.value(z, out=z)
+        else:
+            h = act.value(z)
+            cache.record(W, z, h)
+
+
+def _forward_cache(pset: ParameterSet, X, need_tangent: bool, tangent_dims=(0, 1)) -> _Cache:
+    act, views, h = _prepare(pset, X)
+    seeds = None
     if need_tangent:
         scale = pset.norm.inv_halfspan
-        first = []
+        seeds = []
         for d in tangent_dims:
             t = np.zeros_like(h)
             t[:, d] = scale[d]
-            first.append(t)
-        tin.append(first)
-    out = None
-    jac = None
-    last = len(views) - 1
-    for l, (W, b) in enumerate(views):
-        z = h @ W.T + b
-        if l < last:
-            f = act.value(z)
-            zs.append(z)
-            if need_tangent:
-                d1 = act.first(z, f)
-                zd = [t @ W.T for t in tin[-1]]
-                ztan.append(zd)
-                tin.append([d1 * t for t in zd])
-            h = f
-            inputs.append(h)
-        else:
-            out = z
-            if need_tangent:
-                jac = np.stack([t @ W.T for t in tin[-1]], axis=2)
-    return _Cache(pset, views, inputs, zs, tin, ztan, out, jac)
+            seeds.append(t)
+    cache = _Cache(pset, views, act, h, seeds)
+    cache.out = _layers(views, act, h, cache)
+    if need_tangent:
+        W_last, _ = views[-1]
+        cache.jac = np.stack([t @ W_last.T for t in cache.tin[-1]], axis=2)
+    return cache
 
 
 def _backward(cache: _Cache, gy, gjac) -> np.ndarray:
     """Cotangents of (outputs, spatial jacobian) back to the flat parameters."""
     views = cache.views
-    act = ACTIVATIONS[cache.pset.spec.activation]
+    act = cache.act
     nlayers = len(views)
     with_tangent = cache.jac is not None and gjac is not None
     B, out_dim = cache.out.shape
@@ -265,8 +290,13 @@ def _backward(cache: _Cache, gy, gjac) -> np.ndarray:
 
 
 def forward(params: ParameterSet, X) -> np.ndarray:
-    """Plain evaluation: (batch, input_dim) -> (batch, output_dim)."""
-    return _forward_cache(params, X, need_tangent=False).out
+    """Plain evaluation: (batch, input_dim) -> (batch, output_dim).
+
+    Runs the same layer loop as the tape path and returns the same bits,
+    but keeps no per-layer arrays. X is not modified.
+    """
+    act, views, h = _prepare(params, X)
+    return _layers(views, act, h)
 
 
 def spatial_jacobian(params: ParameterSet, X, dims=(0, 1)) -> np.ndarray:

@@ -68,7 +68,8 @@ def _evaluate(env, genomes: np.ndarray, sc: float) -> np.ndarray:
     for i, g in enumerate(genomes):
         r = env.evaluate(DesignCandidate(g[0], g[1], g[2], g[3]), sc)
         if not np.isfinite(r):
-            log.warning("non-finite fitness for genome %s at sc=%s; assigning -inf", g, sc)
+            # the environment has already reported why; one line per design
+            log.debug("non-finite fitness for genome %s at sc=%s; assigning -inf", g, sc)
             r = -np.inf
         out[i] = r
     return out

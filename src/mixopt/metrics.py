@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,43 +82,49 @@ def mixing_efficiency(mi: float, cp: float, mi0: float, cp0: float) -> float:
 
 def _clamp_concentration(c: np.ndarray) -> np.ndarray:
     clipped = np.clip(c, 0.0, 1.0)
-    n_out = int(np.count_nonzero(clipped != c))
-    if n_out:
-        log.debug("clamped %d of %d outlet concentration samples into [0, 1]", n_out, c.size)
+    if log.isEnabledFor(logging.DEBUG):
+        n_out = int(np.count_nonzero(clipped != c))
+        if n_out:
+            log.debug("clamped %d of %d outlet concentration samples into [0, 1]", n_out, c.size)
     return clipped
+
+
+@lru_cache(maxsize=16)
+def _sample_grids(n: int, dims: ChannelDims | None) -> tuple:
+    """Read-only network inputs for the outlet line (n rows) and the two
+    inlet mouths (2n rows, upper mouth first). The spatial columns are
+    filled in; the five design columns are zero."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    dims = dims or ChannelDims()
+    outlet = np.zeros((n, 7))
+    outlet[:, 0] = dims.L / dims.H
+    outlet[:, 1] = np.linspace(0.0, 1.0, n)
+    inlet = np.zeros((2 * n, 7))
+    inlet[:, 0] = np.tile(np.linspace(0.0, dims.W / dims.H, n), 2)
+    inlet[:n, 1] = 1.0
+    for grid in (outlet, inlet):
+        grid.flags.writeable = False
+    return outlet, inlet
+
+
+def _design_rows(grid: np.ndarray, design: DesignCandidate, sc: float) -> np.ndarray:
+    X = grid.copy()
+    X[:, 2:] = (design.cp1, design.cp2, design.cp3, design.re, sc)
+    return X
 
 
 def outlet_concentration(params: ParameterSet, design: DesignCandidate, sc: float,
                          n: int = 101, dims: ChannelDims | None = None) -> np.ndarray:
     """c* along the outlet, clamped to [0, 1]."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    dims = dims or ChannelDims()
-    y = np.linspace(0.0, 1.0, n)
-    X = np.column_stack([
-        np.full(n, dims.L / dims.H), y,
-        np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
-        np.full(n, design.re), np.full(n, sc),
-    ])
+    X = _design_rows(_sample_grids(n, dims)[0], design, sc)
     return _clamp_concentration(forward(params, X)[:, 6])
 
 
 def inlet_pressure(params: ParameterSet, design: DesignCandidate, sc: float,
                    n: int = 101, dims: ChannelDims | None = None) -> np.ndarray:
     """p* sampled across both inlet mouths."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    dims = dims or ChannelDims()
-    w = dims.W / dims.H
-    x = np.linspace(0.0, w, n)
-    rows = []
-    for y in (1.0, 0.0):
-        rows.append(np.column_stack([
-            x, np.full(n, y),
-            np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
-            np.full(n, design.re), np.full(n, sc),
-        ]))
-    X = np.vstack(rows)
+    X = _design_rows(_sample_grids(n, dims)[1], design, sc)
     return forward(params, X)[:, 2]
 
 
@@ -161,10 +168,10 @@ class BaselineTable:
 
     def lookup(self, re: float, sc: float):
         """Bilinear interpolation; off-grid queries clamp to the hull."""
-        re = float(np.clip(re, self.re_values[0], self.re_values[-1]))
-        sc = float(np.clip(sc, self.sc_values[0], self.sc_values[-1]))
-        i = int(np.clip(np.searchsorted(self.re_values, re) - 1, 0, len(self.re_values) - 2))
-        j = int(np.clip(np.searchsorted(self.sc_values, sc) - 1, 0, len(self.sc_values) - 2))
+        re = min(max(float(re), float(self.re_values[0])), float(self.re_values[-1]))
+        sc = min(max(float(sc), float(self.sc_values[0])), float(self.sc_values[-1]))
+        i = min(max(int(np.searchsorted(self.re_values, re)) - 1, 0), len(self.re_values) - 2)
+        j = min(max(int(np.searchsorted(self.sc_values, sc)) - 1, 0), len(self.sc_values) - 2)
         r0, r1 = self.re_values[i], self.re_values[i + 1]
         s0, s1 = self.sc_values[j], self.sc_values[j + 1]
         tr = 0.0 if r1 == r0 else (re - r0) / (r1 - r0)

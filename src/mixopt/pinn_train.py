@@ -72,13 +72,6 @@ class TrainHistory:
     def totals(self) -> np.ndarray:
         return np.array([r.total for r in self.reports])
 
-    def moving_average(self, window: int = 100) -> np.ndarray:
-        t = self.totals()
-        if len(t) < window:
-            return t.copy()
-        kernel = np.full(window, 1.0 / window)
-        return np.convolve(t, kernel, mode="valid")
-
 
 def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
     """Run the configured training; returns (parameters, history).

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mixopt.diffnet import (
     NetworkSpec,
     ParameterSet,
     adam_step,
+    checkpoint,
     forward,
     init_adam,
     init_params,
@@ -17,6 +20,7 @@ from mixopt.diffnet import (
     spatial_jacobian,
     tape,
 )
+from mixopt.diffnet.network import _forward_cache
 from mixopt.errors import CheckpointError, DomainError, NumericalError
 
 
@@ -172,6 +176,39 @@ def test_batch_permutation_equivariance():
     jac = spatial_jacobian(params, X)
     assert np.allclose(out[perm], forward(params, X[perm]), atol=1e-14)
     assert np.allclose(jac[perm], spatial_jacobian(params, X[perm]), atol=1e-14)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+def test_forward_and_tape_path_return_identical_bits(activation):
+    norm = InputNorm.from_bounds([(0.0, 7.0), (0.0, 1.0), (-0.5, 0.5), (-0.5, 0.5),
+                                  (-0.5, 0.5), (5.0, 40.0), (1.0, 100.0)])
+    spec = NetworkSpec(hidden=(16, 12, 8), activation=activation)
+    params = init_params(spec, norm=norm, seed=21)
+    X = np.random.default_rng(4).uniform(-3.0, 50.0, size=(37, 7))
+    X_before = X.copy()
+    out = forward(params, X)
+    assert np.array_equal(X, X_before)  # forward works on its own copy
+    via_tape, _ = net_apply(tape.leaf(params.flat), params, X, need_jac=False)
+    assert np.array_equal(out, via_tape.value)
+    assert np.array_equal(out, _forward_cache(params, X, True).out)
+    assert np.array_equal(X, X_before)
+
+    # the arithmetic itself is pinned: multiply by the reciprocal half-span,
+    # then h @ W.T + b and the activation, layer by layer
+    h = (X - norm.center) * (1.0 / norm.halfspan)
+    views = params.views()
+    for W, b in views[:-1]:
+        z = h @ W.T + b
+        h = np.tanh(z) if activation == "tanh" else np.logaddexp(0.0, z)
+    W, b = views[-1]
+    assert np.array_equal(out, h @ W.T + b)
+
+
+def test_input_norm_reciprocal_is_fixed_at_construction():
+    norm = InputNorm.from_bounds([(0.0, 4.0), (3.0, 3.0)])
+    assert np.array_equal(norm.inv_halfspan, [0.5, 0.0])
+    with pytest.raises(ValueError):
+        norm.inv_halfspan[0] = 1.0
 
 
 def rel_linf(got, want):
@@ -343,3 +380,58 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "header.ckpt").write_bytes(data[:20] + b"\x00" + data[21:])
     with pytest.raises(CheckpointError):
         load_params(tmp_path / "header.ckpt")
+
+
+def test_checkpoint_save_failure_keeps_old_file(tmp_path, monkeypatch):
+    old = make_params(input_dim=2, output_dim=1, hidden=(2,), seed=0)
+    new = make_params(input_dim=2, output_dim=1, hidden=(2,), seed=1)
+    path = tmp_path / "net.ckpt"
+    save_params(old, path)
+    before = path.read_bytes()
+
+    def fail_replace(src, dst):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail_replace)
+    with pytest.raises(OSError, match="disk went away"):
+        save_params(new, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.ckpt"]
+
+    monkeypatch.undo()
+    save_params(new, path)
+    assert np.array_equal(load_params(path)[0].flat, new.flat)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.ckpt"]
+
+
+def test_checkpoint_fsyncs_a_sibling_file_then_replaces(tmp_path, monkeypatch):
+    params = make_params(input_dim=2, output_dim=1, hidden=(2,), seed=0)
+    calls = []
+    real_fsync, real_replace = checkpoint.os.fsync, checkpoint.os.replace
+
+    def fsync(fd):
+        calls.append(("fsync",))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+    path = tmp_path / "net.ckpt"
+    save_params(params, path)
+    assert [c[0] for c in calls] == ["fsync", "replace"]
+    src, dst = calls[1][1], calls[1][2]
+    assert os.path.dirname(src) == str(tmp_path) and dst == str(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_rejects_non_finite_payload(tmp_path, bad):
+    params = make_params(input_dim=2, output_dim=1, hidden=(2,), seed=0)
+    flat = params.flat.copy()
+    flat[3] = bad
+    path = tmp_path / "net.ckpt"
+    save_params(params.with_flat(flat), path)
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_params(path)

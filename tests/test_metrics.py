@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixopt.diffnet import NetworkSpec, init_params
+from mixopt import metrics
+from mixopt.diffnet import InputNorm, NetworkSpec, init_params
+from mixopt.diffnet.network import _forward_cache
 from mixopt.errors import DomainError
+from mixopt.geometry import ChannelDims
 from mixopt.metrics import (
     BaselineTable,
     DesignCandidate,
@@ -223,3 +226,96 @@ def test_report_json_fields():
     assert payload["design"]["cp3"] == -0.3
     assert payload["n"] == 101
     assert set(payload) == {"mi", "cp", "mi0", "cp0", "me", "n", "sc", "design", "note"}
+
+
+# Reference scoring built the way the rows were first assembled: fresh
+# column_stack rows per design, evaluated through the tape path's forward.
+
+
+def reference_outlet(params, design, sc, n, dims):
+    X = np.column_stack([
+        np.full(n, dims.L / dims.H), np.linspace(0.0, 1.0, n),
+        np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
+        np.full(n, design.re), np.full(n, sc),
+    ])
+    return np.clip(_forward_cache(params, X, False).out[:, 6], 0.0, 1.0)
+
+
+def reference_inlet(params, design, sc, n, dims):
+    x = np.linspace(0.0, dims.W / dims.H, n)
+    X = np.vstack([np.column_stack([
+        x, np.full(n, y), np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
+        np.full(n, design.re), np.full(n, sc),
+    ]) for y in (1.0, 0.0)])
+    return _forward_cache(params, X, False).out[:, 2]
+
+
+def reference_scores(params, design, sc, n, dims):
+    return (mixing_index(reference_outlet(params, design, sc, n, dims)),
+            pressure_cost(reference_inlet(params, design, sc, n, dims)))
+
+
+def field_net(seed=3):
+    # default 64x4 field architecture with the training input normalization,
+    # output layer nudged so p stays positive and c inside (0, 1)
+    norm = InputNorm.from_bounds([(0.0, 7.0), (0.0, 1.0), (-0.5, 0.5), (-0.5, 0.5),
+                                  (-0.5, 0.5), (5.0, 40.0), (1.0, 100.0)])
+    params = init_params(NetworkSpec(), norm=norm, seed=seed)
+    params = params.with_flat(params.flat.copy())
+    W, b = params.views()[-1]
+    W *= 0.05
+    b[2] = 2.0
+    b[6] = 0.55
+    return params
+
+
+def test_scoring_is_bit_identical_to_reference_rows():
+    params = field_net()
+    dims = ChannelDims()
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        cps = rng.uniform(-0.5, 0.5, 3)
+        design = DesignCandidate(cps[0], cps[1], cps[2], rng.uniform(5.0, 40.0))
+        sc = rng.uniform(1.0, 100.0)
+        mi, cp = reference_scores(params, design, sc, 101, dims)
+        mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, design.re),
+                                    sc, 101, dims)
+        report = compute_mixing_report(params, design, sc)
+        assert np.array_equal(report.me, mixing_efficiency(mi, cp, mi0, cp0))
+
+    re_values, sc_values = [5.0, 17.5, 40.0], [1.0, 30.0, 100.0]
+    table = baseline_table(params, re_values=re_values, sc_values=sc_values, n=33)
+    for i, re in enumerate(re_values):
+        for j, sc in enumerate(sc_values):
+            mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, re),
+                                        sc, 33, dims)
+            assert np.array_equal(table.mi0[i, j], mi0)
+            assert np.array_equal(table.cp0[i, j], cp0)
+
+
+def test_second_score_leaves_first_results_and_grid_alone():
+    params = field_net(seed=4)
+    first = DesignCandidate(0.3, -0.2, 0.1, 12.0)
+    c1 = outlet_concentration(params, first, 20.0, n=41)
+    p1 = inlet_pressure(params, first, 20.0, n=41)
+    kept_c, kept_p = c1.copy(), p1.copy()
+    grids = [g.copy() for g in metrics._sample_grids(41, None)]
+
+    second = DesignCandidate(-0.4, 0.4, -0.1, 33.0)
+    c2 = outlet_concentration(params, second, 80.0, n=41)
+    p2 = inlet_pressure(params, second, 80.0, n=41)
+    assert np.array_equal(c1, kept_c) and np.array_equal(p1, kept_p)
+    assert not np.array_equal(c1, c2) and not np.array_equal(p1, p2)
+    for cached, before in zip(metrics._sample_grids(41, None), grids):
+        assert np.array_equal(cached, before)
+        assert not cached.flags.writeable
+    assert np.array_equal(c1, reference_outlet(params, first, 20.0, 41, ChannelDims()))
+
+
+def test_sample_count_must_be_positive():
+    params = make_params(seed=2)
+    d = DesignCandidate(0.0, 0.0, 0.0, 10.0)
+    with pytest.raises(DomainError):
+        outlet_concentration(params, d, sc=10.0, n=0)
+    with pytest.raises(DomainError):
+        inlet_pressure(params, d, sc=10.0, n=0)
