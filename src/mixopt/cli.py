@@ -219,15 +219,18 @@ def _parse_sc_list(raw) -> list:
         raise ConfigError(f"bad Schmidt-number list {raw!r}: {exc}") from exc
     if not values:
         raise ConfigError("Schmidt-number list is empty")
+    for v in values:
+        if not 0.0 < v < float("inf"):
+            raise ConfigError(f"Schmidt number {v!r} in {raw!r} must be finite and positive")
     return values
 
 
 def cmd_query(args, cfg: RunConfig) -> int:
+    sc_values = _parse_sc_list(args.sc)
     actor, header = load_params(args.policy)
     if header.get("role") not in (None, "actor"):
         raise CheckpointError(f"{args.policy} holds a {header.get('role')!r} network, "
                               "expected an actor")
-    sc_values = _parse_sc_list(args.sc)
     field_params = load_checkpoint(args.checkpoint) if args.checkpoint else None
     rows = []
     for sc in sc_values:
@@ -248,12 +251,12 @@ def cmd_query(args, cfg: RunConfig) -> int:
 
 
 def cmd_compare(args, cfg: RunConfig) -> int:
+    sc_values = _parse_sc_list(args.sc)
     env = _environment(args, cfg)
     actor, header = load_params(args.policy)
     if header.get("role") not in (None, "actor"):
         raise CheckpointError(f"{args.policy} holds a {header.get('role')!r} network, "
                               "expected an actor")
-    sc_values = _parse_sc_list(args.sc)
     table = compare_timing(env, sc_values, cfg.ga, actor, repeats=args.repeats)
     table.to_csv(args.out)
     _emit({"command": "compare", "out": args.out, "m": table.m})

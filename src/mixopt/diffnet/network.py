@@ -4,7 +4,9 @@ Forward evaluation, forward-mode spatial tangents (for first derivatives of
 outputs w.r.t. the two spatial inputs), and a fused reverse pass that also
 backpropagates through those tangents. The reverse pass plugs into the tape
 as a single primitive, so one backward sweep covers losses built from both
-outputs and spatial derivatives.
+outputs and spatial derivatives. Every pass runs over the rows in blocks of
+at most ``ROW_BLOCK`` rows, and the reverse pass sums the blocks' gradients
+in block order.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ class _Tanh:
         return 1.0 - f * f
 
     @staticmethod
-    def second(z, f):
-        return -2.0 * f * (1.0 - f * f)
+    def second(f, d1):
+        return -2.0 * f * d1
 
 
 class _Softplus:
@@ -41,9 +43,8 @@ class _Softplus:
         return 1.0 / (1.0 + np.exp(-z))
 
     @staticmethod
-    def second(z, f):
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s * (1.0 - s)
+    def second(f, d1):
+        return d1 * (1.0 - d1)
 
 
 ACTIVATIONS = {"tanh": _Tanh, "softplus": _Softplus}
@@ -119,6 +120,7 @@ class ParameterSet:
     spec: NetworkSpec
     norm: InputNorm
     flat: np.ndarray
+    _views: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flat.dtype != np.float64 or self.flat.ndim != 1:
@@ -128,17 +130,23 @@ class ParameterSet:
         if len(self.norm.center) != self.spec.input_dim:
             raise DomainError("input normalization length does not match input_dim")
 
-    def views(self) -> list:
-        """(W, b) numpy views into the flat vector, in layer order."""
-        out = []
-        offset = 0
-        for (wr, wc), (bn,) in self.spec.layer_shapes():
-            W = self.flat[offset:offset + wr * wc].reshape(wr, wc)
-            offset += wr * wc
-            b = self.flat[offset:offset + bn]
-            offset += bn
-            out.append((W, b))
-        return out
+    def views(self) -> tuple:
+        """(W, b) numpy views into the flat vector, in layer order.
+
+        Built on the first call and returned as the same arrays after that;
+        writing to them writes to ``flat``.
+        """
+        if self._views is None:
+            out = []
+            offset = 0
+            for (wr, wc), (bn,) in self.spec.layer_shapes():
+                W = self.flat[offset:offset + wr * wc].reshape(wr, wc)
+                offset += wr * wc
+                b = self.flat[offset:offset + bn]
+                offset += bn
+                out.append((W, b))
+            object.__setattr__(self, "_views", tuple(out))
+        return self._views
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         return replace(self, flat=np.ascontiguousarray(flat, dtype=np.float64))
@@ -156,34 +164,76 @@ def init_params(spec: NetworkSpec, norm: InputNorm | None = None, seed=None) -> 
     return ParameterSet(spec=spec, norm=norm, flat=np.concatenate(chunks))
 
 
-class _Cache:
-    """Everything the fused reverse pass needs from one forward evaluation.
+ROW_BLOCK = 208
+"""Rows per block of every network pass.
 
-    ``record`` is called by the layer loop once per hidden layer; the
-    tangent lists stay empty unless tangent seeds were given.
+A block's 64-wide float64 layer array is 104 KiB: it and its tangents stay
+in a 2 MiB L2, and it is under glibc's 128 KiB mmap threshold, so per-layer
+arrays come from the heap rather than from freshly faulted pages. It is at
+least 202 rows, so a design score's passes (101 outlet rows, 202 inlet rows),
+PPO batches and policy queries are each one block.
+"""
+
+
+def _row_blocks(n: int) -> list:
+    """Row slices of at most ROW_BLOCK rows covering range(n), in order."""
+    return [slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK)] or [slice(0, 0)]
+
+
+class _Cache:
+    """Everything the fused reverse pass needs from one row block.
+
+    ``record`` activates each hidden layer for the layer loop. With tangent
+    seeds it keeps the activation slope, which the tangents need at once;
+    without, it keeps z and the reverse pass takes the slope from that.
     """
 
-    __slots__ = ("pset", "views", "act", "inputs", "zs", "tin", "ztan", "out", "jac")
+    __slots__ = ("act", "inputs", "zs", "slopes", "tin", "ztan", "out", "jac")
 
-    def __init__(self, pset, views, act, h, tangent_seeds):
-        self.pset = pset
-        self.views = views
+    def __init__(self, act, h, tangent_seeds):
         self.act = act
         self.inputs = [h]
         self.zs = []
+        self.slopes = []
         self.tin = [] if tangent_seeds is None else [tangent_seeds]
         self.ztan = []
         self.out = None
         self.jac = None
 
-    def record(self, W, z, f):
-        self.zs.append(z)
+    def record(self, W, z):
+        f = self.act.value(z)
         self.inputs.append(f)
         if self.tin:
             d1 = self.act.first(z, f)
+            self.slopes.append(d1)
             zd = [t @ W.T for t in self.tin[-1]]
             self.ztan.append(zd)
             self.tin.append([d1 * t for t in zd])
+        else:
+            self.zs.append(z)
+        return f
+
+    def slope(self, l):
+        """df/dz of hidden layer l."""
+        if self.slopes:
+            return self.slopes[l]
+        return self.act.first(self.zs[l], self.inputs[l + 1])
+
+
+class _Pass:
+    """One tape-path evaluation: a cache per row block, outputs stacked."""
+
+    __slots__ = ("views", "rows", "blocks", "out", "jac")
+
+    def __init__(self, views, rows, blocks):
+        self.views = views
+        self.rows = rows
+        self.blocks = blocks
+        if len(blocks) == 1:
+            self.out, self.jac = blocks[0].out, blocks[0].jac
+        else:
+            self.out = np.concatenate([c.out for c in blocks])
+            self.jac = None if blocks[0].jac is None else np.concatenate([c.jac for c in blocks])
 
 
 def _prepare(pset: ParameterSet, X):
@@ -198,8 +248,8 @@ def _layers(views, act, h, cache: _Cache | None = None) -> np.ndarray:
     """The one layer loop: z = h W^T, z += b, then the activation.
 
     Without a cache the activation runs in place and nothing per layer is
-    kept; with one, z is kept for the reverse pass and ``cache.record``
-    receives each hidden layer. Returns the output layer's z.
+    kept; with one, ``cache.record`` activates each hidden layer and keeps
+    what the reverse pass needs. Returns the output layer's z.
     """
     last = len(views) - 1
     for l, (W, b) in enumerate(views):
@@ -210,77 +260,74 @@ def _layers(views, act, h, cache: _Cache | None = None) -> np.ndarray:
         if cache is None:
             h = act.value(z, out=z)
         else:
-            h = act.value(z)
-            cache.record(W, z, h)
+            h = cache.record(W, z)
 
 
-def _forward_cache(pset: ParameterSet, X, need_tangent: bool, tangent_dims=(0, 1)) -> _Cache:
+def _forward_cache(pset: ParameterSet, X, need_tangent: bool, tangent_dims=(0, 1)) -> _Pass:
     act, views, h = _prepare(pset, X)
-    seeds = None
-    if need_tangent:
-        scale = pset.norm.inv_halfspan
-        seeds = []
-        for d in tangent_dims:
-            t = np.zeros_like(h)
-            t[:, d] = scale[d]
-            seeds.append(t)
-    cache = _Cache(pset, views, act, h, seeds)
-    cache.out = _layers(views, act, h, cache)
-    if need_tangent:
-        W_last, _ = views[-1]
-        cache.jac = np.stack([t @ W_last.T for t in cache.tin[-1]], axis=2)
-    return cache
+    scale = pset.norm.inv_halfspan
+    W_last, _ = views[-1]
+    rows = _row_blocks(len(h))
+    blocks = []
+    for s in rows:
+        hb = h[s]
+        seeds = None
+        if need_tangent:
+            seeds = []
+            for d in tangent_dims:
+                t = np.zeros_like(hb)
+                t[:, d] = scale[d]
+                seeds.append(t)
+        cache = _Cache(act, hb, seeds)
+        cache.out = _layers(views, act, hb, cache)
+        if need_tangent:
+            cache.jac = np.stack([t @ W_last.T for t in cache.tin[-1]], axis=2)
+        blocks.append(cache)
+    return _Pass(views, rows, blocks)
 
 
-def _backward(cache: _Cache, gy, gjac) -> np.ndarray:
-    """Cotangents of (outputs, spatial jacobian) back to the flat parameters."""
-    views = cache.views
-    act = cache.act
+def _block_backward(views, cache: _Cache, gy, gjac) -> np.ndarray:
+    """One row block's cotangents of (outputs, jacobian) to the flat parameters."""
     nlayers = len(views)
-    with_tangent = cache.jac is not None and gjac is not None
-    B, out_dim = cache.out.shape
-    if gy is None:
-        gy = np.zeros_like(cache.out)
     gW_list = [None] * nlayers
     gb_list = [None] * nlayers
 
     W_last, _ = views[-1]
-    h_in = cache.inputs[-1]
-    gW = gy.T @ h_in
+    gW = gy.T @ cache.inputs[-1]
     gb = gy.sum(axis=0)
     gh = gy @ W_last
     ghd = None
-    if with_tangent:
-        ndir = gjac.shape[2]
-        ghd = [gjac[:, :, d] @ W_last for d in range(ndir)]
-        for d in range(ndir):
+    if gjac is not None:
+        ghd = [gjac[:, :, d] @ W_last for d in range(gjac.shape[2])]
+        for d in range(len(ghd)):
             gW += gjac[:, :, d].T @ cache.tin[-1][d]
     gW_list[-1] = gW
     gb_list[-1] = gb
 
     for l in range(nlayers - 2, -1, -1):
-        z = cache.zs[l]
-        f = cache.inputs[l + 1]
-        d1 = act.first(z, f)
+        d1 = cache.slope(l)
         gz = gh * d1
         gzd = None
-        if with_tangent:
-            d2 = act.second(z, f)
-            for d in range(len(ghd)):
-                gz = gz + ghd[d] * d2 * cache.ztan[l][d]
-            gzd = [ghd[d] * d1 for d in range(len(ghd))]
+        if ghd is not None:
+            d2 = cache.act.second(cache.inputs[l + 1], d1)
+            for gd, zd in zip(ghd, cache.ztan[l]):
+                term = gd * d2
+                term *= zd
+                gz += term
+            gzd = [gd * d1 for gd in ghd]
         W, _ = views[l]
         h_in = cache.inputs[l]
         gW = gz.T @ h_in
         gb = gz.sum(axis=0)
-        if with_tangent:
+        if gzd is not None:
             for d in range(len(gzd)):
                 gW += gzd[d].T @ cache.tin[l][d]
         gW_list[l] = gW
         gb_list[l] = gb
-        gh = gz @ W
-        if with_tangent:
-            ghd = [gzd[d] @ W for d in range(len(gzd))]
+        if l:  # the input layer's gradient w.r.t. its inputs is never used
+            gh = gz @ W
+            if gzd is not None:
+                ghd = [g @ W for g in gzd]
 
     chunks = []
     for l in range(nlayers):
@@ -289,14 +336,35 @@ def _backward(cache: _Cache, gy, gjac) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _backward(fp: _Pass, gy, gjac) -> np.ndarray:
+    """Cotangents of (outputs, spatial jacobian) back to the flat parameters.
+
+    Each row block runs its own reverse pass; their gradients are summed in
+    block order, so the result is deterministic.
+    """
+    if gy is None:
+        gy = np.zeros_like(fp.out)
+    total = None
+    for s, cache in zip(fp.rows, fp.blocks):
+        g = _block_backward(fp.views, cache, gy[s], None if gjac is None else gjac[s])
+        if total is None:
+            total = g
+        else:
+            total += g
+    return total
+
+
 def forward(params: ParameterSet, X) -> np.ndarray:
     """Plain evaluation: (batch, input_dim) -> (batch, output_dim).
 
-    Runs the same layer loop as the tape path and returns the same bits,
-    but keeps no per-layer arrays. X is not modified.
+    Runs the same layer loop over the same row blocks as the tape path and
+    returns the same bits, but keeps no per-layer arrays. X is not modified.
     """
     act, views, h = _prepare(params, X)
-    return _layers(views, act, h)
+    rows = _row_blocks(len(h))
+    if len(rows) == 1:
+        return _layers(views, act, h)
+    return np.concatenate([_layers(views, act, h[s]) for s in rows])
 
 
 def spatial_jacobian(params: ParameterSet, X, dims=(0, 1)) -> np.ndarray:
@@ -315,16 +383,16 @@ def net_apply(param_leaf: Node, template: ParameterSet, X, need_jac: bool = Fals
     backpropagate to it through one fused reverse pass.
     """
     pset = template.with_flat(np.asarray(param_leaf.value, dtype=np.float64))
-    cache = _forward_cache(pset, X, need_tangent=need_jac)
+    fp = _forward_cache(pset, X, need_tangent=need_jac)
 
     def bundle_vjp(g):
-        return _backward(cache, g[0], g[1] if need_jac else None)
+        return _backward(fp, g[0], g[1] if need_jac else None)
 
-    bundle = Node((cache.out, cache.jac), (param_leaf,), (bundle_vjp,))
-    out = Node(cache.out, (bundle,), (lambda g: (g, None),))
+    bundle = Node((fp.out, fp.jac), (param_leaf,), (bundle_vjp,))
+    out = Node(fp.out, (bundle,), (lambda g: (g, None),))
     if not need_jac:
         return out, None
-    jac = Node(cache.jac, (bundle,), (lambda g: (None, g),))
+    jac = Node(fp.jac, (bundle,), (lambda g: (None, g),))
     return out, jac
 
 

@@ -36,11 +36,12 @@ class DesignCandidate:
     re: float
 
     def __post_init__(self):
+        # NaN fails every comparison, so the range tests also reject it
         for name in ("cp1", "cp2", "cp3"):
             v = getattr(self, name)
-            if not np.isfinite(v) or not (CP_MIN <= v <= CP_MAX):
+            if not (CP_MIN <= v <= CP_MAX):
                 raise DomainError(f"{name}={v!r} outside [{CP_MIN}, {CP_MAX}]")
-        if not np.isfinite(self.re) or not (RE_MIN <= self.re <= RE_MAX):
+        if not (RE_MIN <= self.re <= RE_MAX):
             raise DomainError(f"re={self.re!r} outside [{RE_MIN}, {RE_MAX}]")
 
     @property

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from .diffnet import net_apply
-from .diffnet.tape import Node, col, nsum, pick, square
+from .diffnet.tape import Node, nsum, pick, square
 from .errors import DomainError, NumericalError
 from .sampling import CollocationSet
 
@@ -33,8 +33,8 @@ RESIDUAL_NAMES = (
 )
 
 
-def _column(mat, j):
-    return col(mat, j) if isinstance(mat, Node) else mat[:, j]
+def _column(mat, j, rows=slice(None)):
+    return pick(mat, (rows, j)) if isinstance(mat, Node) else mat[rows, j]
 
 
 def _jac_col(jac, j, d):
@@ -80,8 +80,9 @@ class FieldSample:
     jy_y: object = None
 
     @classmethod
-    def from_net(cls, out, jac=None) -> "FieldSample":
-        values = {name: _column(out, idx) for name, idx in FIELD_INDEX.items()}
+    def from_net(cls, out, jac=None, rows=slice(None)) -> "FieldSample":
+        """Fields of the given rows of a network output (jacobian: all rows)."""
+        values = {name: _column(out, idx, rows) for name, idx in FIELD_INDEX.items()}
         grads = {}
         if jac is not None:
             for name, idx in FIELD_INDEX.items():
@@ -241,12 +242,17 @@ def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossW
             count += len(interior)
         families["pde"] = acc * (1.0 / count)
 
-    for kind in sorted(colloc.boundary):
-        group = colloc.boundary[kind]
-        if not len(group.X):
-            continue
-        out, _ = net_apply(param_leaf, template, group.X, need_jac=False)
-        sample = FieldSample.from_net(out)
+    # one value-only pass: the boundary kinds (sorted), then the slices
+    groups = [(kind, colloc.boundary[kind]) for kind in sorted(colloc.boundary)
+              if len(colloc.boundary[kind].X)]
+    value_rows = [group.X for _, group in groups] + [sl.X for sl in colloc.slices]
+    if value_rows:
+        out, _ = net_apply(param_leaf, template, np.concatenate(value_rows), need_jac=False)
+    start = 0
+    for kind, group in groups:
+        rows = slice(start, start + len(group.X))
+        start = rows.stop
+        sample = FieldSample.from_net(out, rows=rows)
         residuals = boundary_residuals(sample, kind, group.normals, group.targets)
         acc = None
         for r in residuals:
@@ -257,8 +263,9 @@ def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossW
     if colloc.slices:
         acc = None
         for sl in colloc.slices:
-            out, _ = net_apply(param_leaf, template, sl.X, need_jac=False)
-            u = _column(out, FIELD_INDEX["u"])
+            rows = slice(start, start + len(sl.X))
+            start = rows.stop
+            u = _column(out, FIELD_INDEX["u"], rows)
             term = massflow_penalty(u, sl.weights, sl.target)
             acc = term if acc is None else acc + term
         families["massflow"] = acc * (1.0 / len(colloc.slices))

@@ -168,8 +168,7 @@ def scale_action(raw) -> DesignCandidate:
     if raw.shape != (ACTION_DIM,):
         raise DomainError(f"expected a {ACTION_DIM}-vector, got shape {raw.shape}")
     a = np.clip(raw, -1.0, 1.0)
-    phys = _ACTION_CENTER + _ACTION_HALFSPAN * a
-    return DesignCandidate(phys[0], phys[1], phys[2], phys[3])
+    return DesignCandidate(*(_ACTION_CENTER + _ACTION_HALFSPAN * a).tolist())
 
 
 def normalize_design(design: DesignCandidate) -> np.ndarray:
@@ -331,5 +330,5 @@ def query_policy(actor: ParameterSet, sc: float) -> DesignCandidate:
     """Deterministic greedy design: the policy mean, scaled to bounds."""
     if not (SC_LO <= sc <= SC_HI):
         warnings.warn(f"Sc={sc} outside the trained range [{SC_LO}, {SC_HI}]; extrapolating")
-    mu, _ = policy_forward(actor, [sc])
-    return scale_action(mu[0])
+    out = forward(actor, [[sc]])
+    return scale_action(out[0, :ACTION_DIM])

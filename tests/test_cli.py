@@ -264,6 +264,34 @@ def test_query_and_compare_reject_critic_checkpoint(tmp_path, capsys):
     assert err["error"] == "CheckpointError"
 
 
+@pytest.fixture(scope="module")
+def tiny_actor(tmp_path_factory):
+    d = tmp_path_factory.mktemp("actor")
+    cfg = write_config(d, {"ppo": {"episodes": 2, "batch_size": 8,
+                                   "actor_hidden": [8], "critic_hidden": [8]},
+                           "ga": {"population": 6, "generations": 3}})
+    actor = d / "actor.ckpt"
+    assert main(["--config", cfg, "optimize-rl", "--synthetic", "--out", str(actor)]) == 0
+    return str(actor), cfg
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "0", "-3", "-inf"])
+@pytest.mark.parametrize("command", ["query", "compare"])
+def test_query_and_compare_reject_bad_schmidt_numbers(tiny_actor, tmp_path, capsys,
+                                                      command, bad):
+    actor, cfg = tiny_actor
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    argv = ["--config", cfg, command, "--policy", actor, "--sc", f"10,{bad}", "--out", str(out)]
+    if command == "compare":
+        argv.append("--synthetic")
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert f"Schmidt number {float(bad)!r}" in err["message"]
+    assert not out.exists()
+
+
 def test_optimize_rl_requires_an_environment(tmp_path, capsys):
     rc = main(["optimize-rl", "--out", str(tmp_path / "a.ckpt")])
     assert rc == 2

@@ -20,6 +20,7 @@ from mixopt.diffnet import (
     spatial_jacobian,
     tape,
 )
+from mixopt.diffnet import network
 from mixopt.diffnet.network import _forward_cache
 from mixopt.errors import CheckpointError, DomainError, NumericalError
 
@@ -274,6 +275,75 @@ def test_param_gradient_matches_central_differences():
         want[i] = (composite_loss_value(params.with_flat(fp), X)
                    - composite_loss_value(params.with_flat(fm), X)) / (2.0 * h)
     assert rel_linf(got, want) < 1e-5
+
+
+FIELD_NORM = [(0.0, 7.0), (0.0, 1.0), (-0.5, 0.5), (-0.5, 0.5),
+              (-0.5, 0.5), (5.0, 40.0), (1.0, 100.0)]
+
+
+def field_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([
+        rng.uniform(0, 7, n), rng.uniform(0, 1, n),
+        rng.uniform(-0.5, 0.5, (n, 3)), rng.uniform(5, 40, n), rng.uniform(1, 100, n),
+    ])
+
+
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+def test_forward_and_tape_path_agree_over_several_row_blocks(activation):
+    spec = NetworkSpec(hidden=(32, 32), activation=activation)
+    params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=8)
+    X = field_rows(700, seed=1)
+    assert len(network._row_blocks(len(X))) > 2
+    out = forward(params, X)
+    via_tape, jac = net_apply(tape.leaf(params.flat), params, X, need_jac=True)
+    assert np.array_equal(out, via_tape.value)
+    # each block alone gives the same bits as its rows of the full pass
+    for s in network._row_blocks(len(X)):
+        assert np.array_equal(out[s], forward(params, X[s]))
+    assert jac.value.shape == (700, 9, 2)
+
+
+def _jac_and_gradient(params, X):
+    leaf_node = tape.leaf(params.flat)
+    root = composite_loss_node(leaf_node, params, X)
+    return spatial_jacobian(params, X), param_gradient(root, leaf_node)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+def test_row_blocks_match_a_single_block_reference(activation, monkeypatch):
+    spec = NetworkSpec(hidden=(32, 32), activation=activation)
+    params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=9)
+    X = field_rows(700, seed=2)
+    jac, grad = _jac_and_gradient(params, X)
+    monkeypatch.setattr(network, "ROW_BLOCK", 10 ** 6)
+    assert len(network._row_blocks(len(X))) == 1
+    ref_jac, ref_grad = _jac_and_gradient(params, X)
+    assert np.max(np.abs(jac - ref_jac)) <= 1e-12 * np.max(np.abs(ref_jac))
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_row_blocks_cover_every_row_once():
+    block = network.ROW_BLOCK
+    for n in (0, 1, block - 1, block, block + 1, 3 * block, 3 * block + 5):
+        rows = network._row_blocks(n)
+        covered = np.concatenate([np.arange(n)[s] for s in rows])
+        assert np.array_equal(covered, np.arange(n))
+        assert all(s.stop - s.start <= block for s in rows)
+    assert len(network._row_blocks(202)) == 1  # a design score's inlet pass
+
+
+def test_views_are_built_once_and_write_through():
+    params = make_params(seed=4)
+    first = params.views()
+    second = params.views()
+    assert first is second
+    for (W1, b1), (W2, b2) in zip(first, second):
+        assert W1 is W2 and b1 is b2
+        assert np.shares_memory(W1, params.flat) and np.shares_memory(b1, params.flat)
+    first[-1][1][:] = 7.0
+    assert np.all(params.flat[-params.spec.output_dim:] == 7.0)
+    assert params.with_flat(params.flat).views() is not first
 
 
 def test_net_apply_without_jacobian_gradients():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixopt.diffnet import NetworkSpec, forward, init_params, spatial_jacobian
+from mixopt.diffnet import NetworkSpec, forward, init_params, param_gradient, spatial_jacobian
 from mixopt.diffnet.tape import leaf
 from mixopt.errors import DomainError, NumericalError
 from mixopt.geometry import ChannelDims
@@ -288,3 +288,52 @@ def test_loss_node_hand_check_two_points():
 def test_loss_report_json_stable():
     report = LossReport(total=1.5, families={"pde": 0.5, "wall": 1.0}, step=3)
     assert report.to_json() == '{"pde": 0.5, "step": 3, "total": 1.5, "wall": 1.0}'
+
+
+def test_stacked_loss_node_matches_per_family_numpy_sums():
+    """All five boundary kinds and the slices share one value-only pass;
+    each family must still equal its own numpy mean square."""
+    colloc = generate_collocation(ChannelDims(), SampleBounds(),
+                                  CollocationCounts(interior=300, per_boundary=30, per_slice=16),
+                                  seed=4)
+    assert sorted(colloc.boundary) == ["baffle", "inlet_bottom", "inlet_top", "outlet", "wall"]
+    params = init_params(NetworkSpec(hidden=(16, 16)), seed=7)
+    node, report = loss_node(colloc, leaf(params.flat), params, LossWeights())
+
+    want = {}
+    I = colloc.interior
+    sample = FieldSample.from_net(forward(params, I), spatial_jacobian(params, I))
+    res = pde_residuals(sample, I[:, 5], I[:, 6])
+    want["pde"] = sum(np.sum(res[name] ** 2) for name in RESIDUAL_NAMES) / (9 * len(I))
+    for kind, group in colloc.boundary.items():
+        res = boundary_residuals(FieldSample.from_net(forward(params, group.X)), kind,
+                                 group.normals, group.targets)
+        want[kind] = sum(np.sum(r ** 2) for r in res) / (len(res) * len(group.X))
+    want["massflow"] = np.mean([
+        (np.sum(forward(params, sl.X)[:, 0] * sl.weights) - sl.target) ** 2
+        for sl in colloc.slices])
+
+    assert set(report.families) == set(want)
+    for name, value in want.items():
+        assert abs(report.families[name] - value) <= 1e-12 * abs(value), name
+    weights = LossWeights().as_dict()
+    want_total = sum(weights[name] * value for name, value in want.items())
+    assert abs(report.total - want_total) <= 1e-12 * want_total
+    assert float(node.value) == report.total
+
+
+def test_stacked_loss_node_gradient_matches_central_difference():
+    colloc = generate_collocation(ChannelDims(), SampleBounds(),
+                                  CollocationCounts(interior=300, per_boundary=30, per_slice=16),
+                                  seed=5)
+    params = init_params(NetworkSpec(hidden=(16, 16)), seed=8)
+    p_leaf = leaf(params.flat)
+    node, _ = loss_node(colloc, p_leaf, params)
+    rng = np.random.default_rng(0)
+    direction = rng.normal(size=params.flat.size)
+    direction /= np.linalg.norm(direction)
+    exact = float(np.dot(param_gradient(node, p_leaf), direction))
+    h = 1e-5
+    plus = total_loss(colloc, params.with_flat(params.flat + h * direction)).total
+    minus = total_loss(colloc, params.with_flat(params.flat - h * direction)).total
+    assert abs((plus - minus) / (2.0 * h) - exact) <= 1e-6 * abs(exact)
