@@ -8,6 +8,7 @@ from .network import (
     NetworkSpec,
     ParameterSet,
     forward,
+    forward_vjp,
     init_params,
     net_apply,
     param_gradient,
@@ -23,6 +24,7 @@ __all__ = [
     "ParameterSet",
     "adam_step",
     "forward",
+    "forward_vjp",
     "init_adam",
     "init_params",
     "load_params",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +33,30 @@ def init_adam(n: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999
 def adam_step(params: ParameterSet, grad: np.ndarray, state: AdamState):
     """One update; returns (new params, new state) without mutating inputs.
 
-    Refuses to step on a non-finite gradient.
+    Refuses to step on a non-finite gradient. The arithmetic is the textbook
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p - lr m_hat / (sqrt(v_hat) + eps), evaluated in that operand order on
+    fresh arrays that are then updated in place.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.flat.shape:
         raise DomainError(f"gradient shape {grad.shape} does not match parameters {params.flat.shape}")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_flat = params.flat - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params.with_flat(new_flat), replace(state, m=m, v=v, step=t)
+    beta1, beta2 = state.beta1, state.beta2
+    m = state.m * beta1
+    m += grad * (1.0 - beta1)
+    v = state.v * beta2
+    sq = grad * (1.0 - beta2)
+    sq *= grad
+    v += sq
+    delta = m / (1.0 - beta1 ** t)
+    delta *= state.lr
+    den = np.divide(v, 1.0 - beta2 ** t, out=sq)
+    np.sqrt(den, out=den)
+    den += state.eps
+    delta /= den
+    new_flat = params.flat - delta
+    return (ParameterSet(params.spec, params.norm, new_flat),
+            AdamState(m, v, t, state.lr, beta1, beta2, state.eps))

@@ -11,7 +11,8 @@ in block order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +74,7 @@ class NetworkSpec:
         sizes = [self.input_dim, *self.hidden, self.output_dim]
         return [((sizes[i + 1], sizes[i]), (sizes[i + 1],)) for i in range(len(sizes) - 1)]
 
-    @property
+    @functools.cached_property
     def param_count(self) -> int:
         return sum(w[0] * w[1] + b[0] for w, b in self.layer_shapes())
 
@@ -149,7 +150,7 @@ class ParameterSet:
         return self._views
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
-        return replace(self, flat=np.ascontiguousarray(flat, dtype=np.float64))
+        return ParameterSet(self.spec, self.norm, np.ascontiguousarray(flat, dtype=np.float64))
 
 
 def init_params(spec: NetworkSpec, norm: InputNorm | None = None, seed=None) -> ParameterSet:
@@ -376,23 +377,37 @@ def spatial_jacobian(params: ParameterSet, X, dims=(0, 1)) -> np.ndarray:
     return _forward_cache(params, X, need_tangent=True, tangent_dims=dims).jac
 
 
+def forward_vjp(params: ParameterSet, X, need_jac: bool = False):
+    """Outputs, spatial jacobian (None unless ``need_jac``) and their pullback.
+
+    ``vjp(gy, gjac=None)`` takes cotangents of the outputs and of the
+    jacobian to the flat parameter gradient through one fused reverse pass.
+    """
+    fp = _forward_cache(params, X, need_tangent=need_jac)
+
+    def vjp(gy, gjac=None):
+        return _backward(fp, gy, gjac)
+
+    return fp.out, fp.jac, vjp
+
+
 def net_apply(param_leaf: Node, template: ParameterSet, X, need_jac: bool = False):
     """Tape primitive: network evaluation as a node pair (outputs, jacobian).
 
     ``param_leaf`` carries the flat parameter vector; the returned nodes
-    backpropagate to it through one fused reverse pass.
+    backpropagate to it through ``forward_vjp``'s reverse pass.
     """
     pset = template.with_flat(np.asarray(param_leaf.value, dtype=np.float64))
-    fp = _forward_cache(pset, X, need_tangent=need_jac)
+    y, dy, vjp = forward_vjp(pset, X, need_jac)
 
     def bundle_vjp(g):
-        return _backward(fp, g[0], g[1] if need_jac else None)
+        return vjp(g[0], g[1] if need_jac else None)
 
-    bundle = Node((fp.out, fp.jac), (param_leaf,), (bundle_vjp,))
-    out = Node(fp.out, (bundle,), (lambda g: (g, None),))
+    bundle = Node((y, dy), (param_leaf,), (bundle_vjp,))
+    out = Node(y, (bundle,), (lambda g: (g, None),))
     if not need_jac:
         return out, None
-    jac = Node(fp.jac, (bundle,), (lambda g: (None, g),))
+    jac = Node(dy, (bundle,), (lambda g: (None, g),))
     return out, jac
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,12 +24,10 @@ from .diffnet import (
     ParameterSet,
     adam_step,
     forward,
+    forward_vjp,
     init_adam,
     init_params,
-    net_apply,
 )
-from .diffnet.tape import clip as tclip
-from .diffnet.tape import col, exp, gradient, leaf, minimum, nmean, nsum, pick, square
 from .errors import DomainError
 from .metrics import BaselineTable, DesignCandidate, compute_mixing_report
 
@@ -65,10 +64,20 @@ class PPOConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise DomainError("gamma must be in (0, 1]")
-        if self.clip_eps <= 0:
+        if not self.clip_eps > 0:
             raise DomainError("clip_eps must be positive")
-        if self.epochs < 1 or self.batch_size < 1 or self.episodes < 0:
-            raise DomainError("epochs and batch_size must be >= 1, episodes >= 0")
+        if self.epochs < 1 or self.episodes < 0:
+            raise DomainError("epochs must be >= 1 and episodes >= 0")
+        if self.batch_size < 2:
+            raise DomainError("batch_size must be >= 2: advantages are standardized per batch")
+        for name in ("actor_lr", "critic_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("value_coef", "entropy_coef"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass
@@ -162,13 +171,18 @@ def sample_actions(mu, sigma, rng) -> tuple:
     return actions, gaussian_logp(actions, mu, sigma)
 
 
+def _scale_actions(raw: np.ndarray) -> np.ndarray:
+    """Clip raw actions to [-1, 1] and map them affinely onto the physical
+    bounds, elementwise over any leading shape."""
+    return _ACTION_CENTER + _ACTION_HALFSPAN * np.clip(raw, -1.0, 1.0)
+
+
 def scale_action(raw) -> DesignCandidate:
     """Clip to [-1, 1], then map affinely onto the physical bounds."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (ACTION_DIM,):
         raise DomainError(f"expected a {ACTION_DIM}-vector, got shape {raw.shape}")
-    a = np.clip(raw, -1.0, 1.0)
-    return DesignCandidate(*(_ACTION_CENTER + _ACTION_HALFSPAN * a).tolist())
+    return DesignCandidate(*_scale_actions(raw).tolist())
 
 
 def normalize_design(design: DesignCandidate) -> np.ndarray:
@@ -188,6 +202,19 @@ def compute_advantages(rewards, values, eps: float = 1e-8) -> np.ndarray:
     return (adv - adv.mean()) / (adv.std() + eps)
 
 
+def _clipped_surrogate(old_logp, new_logp, advantages, clip_eps: float) -> tuple:
+    """Per-row ratio r, surrogate min(r A, clip(r) A) and its slope in r.
+
+    The slope is A where the unclipped term is the minimum, ties included
+    (every r inside the clip interval ties), and 0 where the clipped term is
+    strictly smaller.
+    """
+    ratio = np.exp(new_logp - old_logp)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
+    return ratio, np.minimum(unclipped, clipped), advantages * (unclipped <= clipped)
+
+
 def ppo_losses(old_logp, new_logp, advantages, rewards, values, cfg: PPOConfig,
                log_sigma=None) -> tuple:
     """(L_clip, L_vf, entropy, L_total) on plain arrays.
@@ -199,9 +226,8 @@ def ppo_losses(old_logp, new_logp, advantages, rewards, values, cfg: PPOConfig,
     old_logp = np.asarray(old_logp, dtype=np.float64)
     new_logp = np.asarray(new_logp, dtype=np.float64)
     advantages = np.asarray(advantages, dtype=np.float64)
-    ratio = np.exp(new_logp - old_logp)
-    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-    l_clip = float(np.mean(np.minimum(ratio * advantages, clipped * advantages)))
+    _, surrogate, _ = _clipped_surrogate(old_logp, new_logp, advantages, cfg.clip_eps)
+    l_clip = float(np.mean(surrogate))
     l_vf = float(np.mean((np.asarray(values) - np.asarray(rewards)) ** 2))
     if log_sigma is not None and not cfg.sampled_entropy:
         entropy = float(np.mean(np.sum(0.5 * (1.0 + LOG_2PI) + np.asarray(log_sigma), axis=1)))
@@ -211,28 +237,40 @@ def ppo_losses(old_logp, new_logp, advantages, rewards, values, cfg: PPOConfig,
     return l_clip, l_vf, entropy, total
 
 
-def _loss_node(actor_leaf, critic_leaf, actor_tpl, critic_tpl, batch: Batch, cfg: PPOConfig):
-    """Negated PPO objective as a tape scalar (minimized by Adam)."""
+def gradient(actor: ParameterSet, critic: ParameterSet, batch: Batch, cfg: PPOConfig) -> tuple:
+    """(actor, critic) flat gradients of the negated PPO objective -L_total.
+
+    The cotangents of -L_total with respect to the actor's (mu, log-std)
+    outputs and the critic's value output are formed in closed form and
+    pulled back through each network's fused reverse pass. Every operation
+    is the one a reverse sweep over the objective's graph would perform, in
+    the same order, so the gradients carry the same bits as tape autodiff.
+    """
     states = batch.states.reshape(-1, 1)
-    out, _ = net_apply(actor_leaf, actor_tpl, states)
-    mu = pick(out, (slice(None), slice(0, ACTION_DIM)))
-    log_sigma = pick(out, (slice(None), slice(ACTION_DIM, 2 * ACTION_DIM)))
-    sigma = exp(log_sigma)
-    z = (leaf(batch.actions) - mu) / sigma
-    new_logp = nsum(square(z) * (-0.5) - log_sigma - 0.5 * LOG_2PI, axis=1)
-    ratio = exp(new_logp - batch.logp)
-    adv = batch.advantages
-    surrogate = minimum(ratio * adv, tclip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv)
-    l_clip = nmean(surrogate)
-    vout, _ = net_apply(critic_leaf, critic_tpl, states)
-    v = col(vout, 0)
-    l_vf = nmean(square(v - batch.rewards))
+    n = len(states)
+    out, _, actor_vjp = forward_vjp(actor, states)
+    mu, log_sigma = out[:, :ACTION_DIM], out[:, ACTION_DIM:]
+    sigma = np.exp(log_sigma)
+    diff = batch.actions - mu
+    z = diff / sigma
+    new_logp = np.sum(z * z * (-0.5) - log_sigma - 0.5 * LOG_2PI, axis=1)
+    ratio, _, slope = _clipped_surrogate(batch.logp, new_logp, batch.advantages, cfg.clip_eps)
+    inv_n = 1.0 / n  # each mean over the rows is a sum times 1/n
+    g_entropy = -cfg.entropy_coef * inv_n  # d(-L_total)/d(a row's entropy term)
+    g_logp = (-inv_n * slope) * ratio
     if cfg.sampled_entropy:
-        entropy = nmean(-new_logp)
-    else:
-        entropy = nmean(nsum(log_sigma + 0.5 * (1.0 + LOG_2PI), axis=1))
-    total = l_clip - cfg.value_coef * l_vf + cfg.entropy_coef * entropy
-    return -total, (l_clip, l_vf, entropy)
+        g_logp = g_logp - g_entropy
+    g_logp = g_logp[:, None]
+    g_z = (g_logp * (-0.5)) * (2.0 * z)
+    g_sigma = (-g_z * diff) / (sigma * sigma)
+    g_log_sigma = -g_logp + g_sigma * sigma
+    if not cfg.sampled_entropy:
+        g_log_sigma = g_log_sigma + g_entropy
+    g_out = np.concatenate([-(g_z / sigma), g_log_sigma], axis=1)
+
+    v, _, critic_vjp = forward_vjp(critic, states)
+    g_v = (cfg.value_coef * inv_n) * (2.0 * (v[:, 0] - batch.rewards))
+    return actor_vjp(g_out), critic_vjp(g_v[:, None])
 
 
 class QuadraticEnv:
@@ -283,7 +321,7 @@ def rollout(env, actor: ParameterSet, critic: ParameterSet, cfg: PPOConfig, rng)
     states = rng.uniform(SC_LO, SC_HI, cfg.batch_size)
     mu, sigma = policy_forward(actor, states)
     actions, logp = sample_actions(mu, sigma, rng)
-    designs = [scale_action(a) for a in actions]
+    designs = [DesignCandidate(*row) for row in _scale_actions(actions).tolist()]
     rewards = np.array([env.evaluate(d, float(sc)) for d, sc in zip(designs, states)])
     values = forward(critic, states.reshape(-1, 1))[:, 0]
     advantages = (compute_advantages(rewards, values)
@@ -316,10 +354,7 @@ def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
             history.append(np.nan)
             continue
         for _ in range(cfg.epochs):
-            actor_leaf = leaf(actor.flat)
-            critic_leaf = leaf(critic.flat)
-            loss, _ = _loss_node(actor_leaf, critic_leaf, actor, critic, batch, cfg)
-            g_actor, g_critic = gradient(loss, [actor_leaf, critic_leaf])
+            g_actor, g_critic = gradient(actor, critic, batch, cfg)
             actor, actor_opt = adam_step(actor, g_actor, actor_opt)
             critic, critic_opt = adam_step(critic, g_critic, critic_opt)
         history.append(batch.rewards.mean())

@@ -299,6 +299,22 @@ def test_optimize_rl_requires_an_environment(tmp_path, capsys):
     assert "synthetic" in err["message"]
 
 
+@pytest.mark.parametrize("bad", [
+    {"batch_size": 1}, {"actor_lr": 0.0}, {"critic_lr": float("nan")},
+    {"value_coef": -0.5}, {"entropy_coef": float("inf")},
+])
+def test_bad_ppo_values_exit_2_before_loading_anything(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, {"ppo": bad})
+    out = tmp_path / "a.ckpt"
+    rc = main(["--config", cfg, "optimize-rl", "--checkpoint", str(tmp_path / "missing.ckpt"),
+               "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("config.ppo: ") and next(iter(bad)) in err["message"]
+    assert not out.exists()
+
+
 def test_compare_synthetic(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "ppo": {"episodes": 2, "batch_size": 8, "actor_hidden": [8], "critic_hidden": [8]},

@@ -11,6 +11,7 @@ from mixopt.diffnet import (
     adam_step,
     checkpoint,
     forward,
+    forward_vjp,
     init_adam,
     init_params,
     load_params,
@@ -346,6 +347,29 @@ def test_views_are_built_once_and_write_through():
     assert params.with_flat(params.flat).views() is not first
 
 
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("need_jac", [False, True])
+def test_forward_vjp_equals_net_apply_and_param_gradient(activation, need_jac):
+    spec = NetworkSpec(hidden=(16, 12), activation=activation)
+    params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=13)
+    X = field_rows(300, seed=5)  # two row blocks
+    rng = np.random.default_rng(6)
+    gy = rng.normal(size=(300, 9))
+    gjac = rng.normal(size=(300, 9, 2)) if need_jac else None
+
+    out, jac, vjp = forward_vjp(params, X, need_jac=need_jac)
+    leaf_node = tape.leaf(params.flat)
+    out_node, jac_node = net_apply(leaf_node, params, X, need_jac=need_jac)
+    assert np.array_equal(out, out_node.value)
+    root = tape.nsum(out_node * gy)
+    if need_jac:
+        assert np.array_equal(jac, jac_node.value)
+        root = root + tape.nsum(jac_node * gjac)
+    else:
+        assert jac is None and jac_node is None
+    assert np.array_equal(vjp(gy, gjac), param_gradient(root, leaf_node))
+
+
 def test_net_apply_without_jacobian_gradients():
     params = make_params(input_dim=3, output_dim=2, hidden=(4,), seed=2)
     X = np.random.default_rng(1).normal(size=(5, 3))
@@ -399,6 +423,24 @@ def test_adam_pure_and_deterministic():
     assert np.array_equal(a1.flat, a2.flat)
     assert np.array_equal(s1.m, s2.m) and s1.step == s2.step
     assert np.all(state.m == 0.0)  # inputs untouched
+
+
+def test_adam_matches_textbook_reference_bit_for_bit():
+    params = make_params(input_dim=2, output_dim=3, hidden=(5,), seed=1)
+    state = init_adam(params.flat.size, lr=0.02, beta1=0.85, beta2=0.995, eps=1e-7)
+    flat, m, v = params.flat.copy(), np.zeros(params.flat.size), np.zeros(params.flat.size)
+    rng = np.random.default_rng(8)
+    for t in range(1, 8):
+        grad = rng.normal(size=params.flat.size) * 10.0 ** rng.uniform(-3, 1)
+        params, state = adam_step(params, grad, state)
+        m = 0.85 * m + (1.0 - 0.85) * grad
+        v = 0.995 * v + (1.0 - 0.995) * grad * grad
+        m_hat = m / (1.0 - 0.85 ** t)
+        v_hat = v / (1.0 - 0.995 ** t)
+        flat = flat - 0.02 * m_hat / (np.sqrt(v_hat) + 1e-7)
+        assert np.array_equal(params.flat, flat)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert state.step == t
 
 
 def test_adam_refuses_non_finite_gradient():

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from mixopt.diffnet import NetworkSpec, forward, init_params, load_params, save_params
-from mixopt.diffnet.tape import gradient, leaf
+from mixopt import rl
+from mixopt.diffnet import NetworkSpec, forward, init_params, load_params, net_apply, save_params
+from mixopt.diffnet.tape import clip as tclip
+from mixopt.diffnet.tape import col, exp, gradient, leaf, minimum, nmean, nsum, pick, square
 from mixopt.errors import DomainError
 from mixopt.metrics import BaselineTable, DesignCandidate
 from mixopt.rl import (
+    ACTION_DIM,
     LOG_2PI,
     Batch,
     PinnEnv,
     PPOConfig,
     QuadraticEnv,
     RewardHistory,
-    _loss_node,
     compute_advantages,
     gaussian_logp,
     init_actor,
@@ -32,6 +34,43 @@ def small_cfg(**kw):
     base = dict(episodes=3, batch_size=8, epochs=2, actor_hidden=(8,), critic_hidden=(8,))
     base.update(kw)
     return PPOConfig(**base)
+
+
+def tape_objective(actor_leaf, critic_leaf, actor_tpl, critic_tpl, batch, cfg):
+    """Negated PPO objective built on the autodiff tape: the reference that
+    rl.gradient must reproduce bit for bit."""
+    states = batch.states.reshape(-1, 1)
+    out, _ = net_apply(actor_leaf, actor_tpl, states)
+    mu = pick(out, (slice(None), slice(0, ACTION_DIM)))
+    log_sigma = pick(out, (slice(None), slice(ACTION_DIM, 2 * ACTION_DIM)))
+    sigma = exp(log_sigma)
+    z = (leaf(batch.actions) - mu) / sigma
+    new_logp = nsum(square(z) * (-0.5) - log_sigma - 0.5 * LOG_2PI, axis=1)
+    ratio = exp(new_logp - batch.logp)
+    adv = batch.advantages
+    surrogate = minimum(ratio * adv, tclip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv)
+    l_clip = nmean(surrogate)
+    vout, _ = net_apply(critic_leaf, critic_tpl, states)
+    v = col(vout, 0)
+    l_vf = nmean(square(v - batch.rewards))
+    if cfg.sampled_entropy:
+        entropy = nmean(-new_logp)
+    else:
+        entropy = nmean(nsum(log_sigma + 0.5 * (1.0 + LOG_2PI), axis=1))
+    total = l_clip - cfg.value_coef * l_vf + cfg.entropy_coef * entropy
+    return -total, (l_clip, l_vf, entropy)
+
+
+def tape_gradient(actor, critic, batch, cfg):
+    a_leaf, c_leaf = leaf(actor.flat), leaf(critic.flat)
+    loss, _ = tape_objective(a_leaf, c_leaf, actor, critic, batch, cfg)
+    return gradient(loss, [a_leaf, c_leaf])
+
+
+def with_fields(batch, **kw):
+    fields = dict(vars(batch))
+    fields.update(kw)
+    return Batch(**fields)
 
 
 def make_batch(cfg, seed=0, env=None, actor=None, critic=None):
@@ -198,7 +237,7 @@ def test_training_loss_matches_plain_route():
     actor0, critic, batch = make_batch(cfg, seed=20)
     rng = np.random.default_rng(99)
     actor1 = actor0.with_flat(actor0.flat + 0.05 * rng.normal(size=actor0.flat.size))
-    loss, _ = _loss_node(leaf(actor1.flat), leaf(critic.flat), actor1, critic, batch, cfg)
+    loss, _ = tape_objective(leaf(actor1.flat), leaf(critic.flat), actor1, critic, batch, cfg)
     mu, sigma = policy_forward(actor1, batch.states)
     new_logp = gaussian_logp(batch.actions, mu, sigma)
     values = forward(critic, batch.states.reshape(-1, 1))[:, 0]
@@ -210,31 +249,130 @@ def test_training_loss_matches_plain_route():
 def test_zero_advantage_moves_actor_only_through_entropy():
     cfg = small_cfg(batch_size=16)
     actor, critic, batch = make_batch(cfg, seed=30)
-    flat_batch = Batch(states=batch.states, actions=batch.actions, logp=batch.logp,
-                       designs=batch.designs, rewards=batch.rewards, values=batch.values,
-                       advantages=np.zeros_like(batch.advantages))
+    flat_batch = with_fields(batch, advantages=np.zeros_like(batch.advantages))
     # no entropy bonus: actor gradient is exactly zero
     cfg0 = small_cfg(batch_size=16, entropy_coef=0.0)
-    a_leaf, c_leaf = leaf(actor.flat), leaf(critic.flat)
-    loss, _ = _loss_node(a_leaf, c_leaf, actor, critic, flat_batch, cfg0)
-    g_actor, g_critic = gradient(loss, [a_leaf, c_leaf])
+    g_actor, g_critic = rl.gradient(actor, critic, flat_batch, cfg0)
     assert np.array_equal(g_actor, np.zeros_like(g_actor))
     assert np.any(g_critic != 0)
     # with the bonus, the actor gradient is proportional to c2 (entropy only)
-    a_leaf2 = leaf(actor.flat)
-    loss2, _ = _loss_node(a_leaf2, leaf(critic.flat), actor, critic, flat_batch, cfg)
-    g2 = gradient(loss2, a_leaf2)
+    g2, _ = rl.gradient(actor, critic, flat_batch, cfg)
     assert np.any(g2 != 0)
     cfg_double = small_cfg(batch_size=16, entropy_coef=2 * cfg.entropy_coef)
-    a_leaf3 = leaf(actor.flat)
-    loss3, _ = _loss_node(a_leaf3, leaf(critic.flat), actor, critic, flat_batch, cfg_double)
-    g3 = gradient(loss3, a_leaf3)
+    g3, _ = rl.gradient(actor, critic, flat_batch, cfg_double)
     assert np.allclose(g3, 2.0 * g2, rtol=1e-12, atol=1e-18)
+
+
+def _moved(actor, scale, seed):
+    rng = np.random.default_rng(seed)
+    return actor.with_flat(actor.flat + scale * rng.normal(size=actor.flat.size))
+
+
+def _on_bound_logp(actor, batch, bound):
+    """Old log-densities that put the ratio of some rows exactly on a clip
+    bound, found by stepping each old log-density one ulp at a time."""
+    out = forward(actor, batch.states.reshape(-1, 1))
+    log_sigma = out[:, ACTION_DIM:]
+    z = (batch.actions - out[:, :ACTION_DIM]) / np.exp(log_sigma)
+    new_logp = np.sum(z * z * (-0.5) - log_sigma - 0.5 * LOG_2PI, axis=1)
+    old = new_logp - np.log(bound)
+    for i in range(len(old)):
+        for _ in range(64):
+            r = np.exp(new_logp[i] - old[i])
+            if r == bound:
+                break
+            old[i] = np.nextafter(old[i], np.inf if r > bound else -np.inf)
+    assert np.count_nonzero(np.exp(new_logp - old) == bound) >= 4
+    return old
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("case", ["behavior", "moved", "clipped", "zero_adv", "on_bound"])
+def test_gradient_equals_tape_oracle_bit_for_bit(case, sampled):
+    cfg = PPOConfig(batch_size=32, sampled_entropy=sampled, entropy_coef=0.05,
+                    value_coef=0.7, clip_eps=0.05 if case == "clipped" else 0.2)
+    actor, critic, batch = make_batch(cfg, seed=70)
+    if case == "behavior":  # ratio exactly 1: both surrogate terms tie on every row
+        pass
+    elif case == "moved":
+        actor = _moved(actor, 0.02, seed=71)
+    elif case == "clipped":
+        actor = _moved(actor, 0.02, seed=72)
+        mu, sigma = policy_forward(actor, batch.states)
+        ratio = np.exp(gaussian_logp(batch.actions, mu, sigma) - batch.logp)
+        adv = batch.advantages
+        assert np.any((ratio > 1.05) & (adv > 0)), "the clip never binds above"
+        assert np.any((ratio < 0.95) & (adv < 0)), "the clip never binds below"
+    elif case == "zero_adv":
+        actor = _moved(actor, 0.02, seed=73)
+        batch = with_fields(batch, advantages=np.zeros_like(batch.advantages))
+    else:  # a ratio exactly on the clip bound: both terms tie
+        batch = with_fields(batch, logp=_on_bound_logp(actor, batch, 1.2))
+    want = tape_gradient(actor, critic, batch, cfg)
+    got = rl.gradient(actor, critic, batch, cfg)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_gradient_matches_central_difference_of_ppo_losses(sampled):
+    cfg = small_cfg(batch_size=16, sampled_entropy=sampled, entropy_coef=0.1, value_coef=0.5)
+    actor, critic, batch = make_batch(cfg, seed=80)
+    actor = _moved(actor, 0.05, seed=81)
+
+    def objective(actor_flat, critic_flat):
+        mu, sigma = policy_forward(actor.with_flat(actor_flat), batch.states)
+        values = forward(critic.with_flat(critic_flat), batch.states.reshape(-1, 1))[:, 0]
+        new_logp = gaussian_logp(batch.actions, mu, sigma)
+        return -ppo_losses(batch.logp, new_logp, batch.advantages, batch.rewards, values,
+                           cfg, log_sigma=np.log(sigma))[3]
+
+    g_actor, g_critic = rl.gradient(actor, critic, batch, cfg)
+    rng = np.random.default_rng(82)
+    h = 1e-6
+    for which, grad in (("actor", g_actor), ("critic", g_critic)):
+        for _ in range(3):
+            d = rng.normal(size=grad.size)
+            d /= np.linalg.norm(d)
+            da = d if which == "actor" else 0.0
+            dc = d if which == "critic" else 0.0
+            fd = (objective(actor.flat + h * da, critic.flat + h * dc)
+                  - objective(actor.flat - h * da, critic.flat - h * dc)) / (2.0 * h)
+            assert fd == pytest.approx(float(grad @ d), rel=1e-6, abs=1e-9)
+
+
+def test_train_agent_updates_equal_the_tape_oracle(monkeypatch):
+    cfg = small_cfg(episodes=4, batch_size=16, epochs=3, seed=5, sampled_entropy=True)
+    got = train_agent(QuadraticEnv(), cfg)
+    monkeypatch.setattr(rl, "gradient", tape_gradient)
+    want = train_agent(QuadraticEnv(), cfg)
+    assert np.array_equal(got[0].flat, want[0].flat)
+    assert np.array_equal(got[1].flat, want[1].flat)
+    assert got[2].mean_rewards == want[2].mean_rewards
+
+
+@pytest.mark.parametrize("bad", [
+    {"batch_size": 1}, {"batch_size": 0},
+    {"actor_lr": 0.0}, {"critic_lr": -1e-3}, {"actor_lr": float("nan")}, {"critic_lr": float("inf")},
+    {"value_coef": -1.0}, {"value_coef": float("nan")},
+    {"entropy_coef": -0.01}, {"entropy_coef": float("inf")},
+    {"clip_eps": float("nan")},
+])
+def test_ppo_config_rejects_values_that_would_fail_or_train_wrong(bad):
+    with pytest.raises(DomainError, match=next(iter(bad))):
+        PPOConfig(**bad)
+
+
+def test_ppo_config_accepts_the_smallest_valid_values():
+    cfg = small_cfg(batch_size=2, episodes=2, value_coef=0.0, entropy_coef=0.0)
+    _, _, history = train_agent(QuadraticEnv(), cfg)
+    assert len(history.mean_rewards) == 2 and np.all(np.isfinite(history.mean_rewards))
 
 
 def test_rollout_designs_respect_bounds():
     cfg = small_cfg(batch_size=32)
     _, _, batch = make_batch(cfg, seed=40)
+    assert batch.designs == [scale_action(a) for a in batch.actions]
     for d in batch.designs:
         assert -0.5 <= d.cp1 <= 0.5 and -0.5 <= d.cp2 <= 0.5 and -0.5 <= d.cp3 <= 0.5
         assert 5.0 <= d.re <= 40.0
