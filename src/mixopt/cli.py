@@ -118,6 +118,8 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_geometry(args, cfg: RunConfig) -> int:
+    if args.points < 2:
+        raise ConfigError(f"--points {args.points} must be at least 2")
     polygon = ControlPolygon(args.cp[0], args.cp[1], args.cp[2])
     layout = build_layout(polygon, cfg.train.dims)
     rows = list(polyline_rows(layout, points_per_segment=args.points))
@@ -164,8 +166,9 @@ def _design_from_args(args) -> DesignCandidate:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    params = load_checkpoint(args.checkpoint)
+    _check_sc(args.sc, "--sc")
     design = _design_from_args(args)
+    params = load_checkpoint(args.checkpoint)
     table = evaluate_fields(params, design.polygon, design.re, args.sc, dims=cfg.train.dims)
     table.to_csv(args.fields)
     report = compute_mixing_report(params, design, args.sc,
@@ -220,9 +223,13 @@ def _parse_sc_list(raw) -> list:
     if not values:
         raise ConfigError("Schmidt-number list is empty")
     for v in values:
-        if not 0.0 < v < float("inf"):
-            raise ConfigError(f"Schmidt number {v!r} in {raw!r} must be finite and positive")
+        _check_sc(v, raw)
     return values
+
+
+def _check_sc(value: float, where: str) -> None:
+    if not 0.0 < value < float("inf"):
+        raise ConfigError(f"Schmidt number {value!r} in {where!r} must be finite and positive")
 
 
 def cmd_query(args, cfg: RunConfig) -> int:
@@ -251,12 +258,14 @@ def cmd_query(args, cfg: RunConfig) -> int:
 
 
 def cmd_compare(args, cfg: RunConfig) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats {args.repeats} must be at least 1")
     sc_values = _parse_sc_list(args.sc)
-    env = _environment(args, cfg)
     actor, header = load_params(args.policy)
     if header.get("role") not in (None, "actor"):
         raise CheckpointError(f"{args.policy} holds a {header.get('role')!r} network, "
                               "expected an actor")
+    env = _environment(args, cfg)
     table = compare_timing(env, sc_values, cfg.ga, actor, repeats=args.repeats)
     table.to_csv(args.out)
     _emit({"command": "compare", "out": args.out, "m": table.m})

@@ -60,8 +60,11 @@ def save_params(params: ParameterSet, path, role=None, seed=None) -> None:
 
 def load_params(path):
     """Read a checkpoint; returns (ParameterSet, header dict)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
     if len(data) < 16 or data[:4] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = struct.unpack("<I", data[4:8])[0]

@@ -195,6 +195,8 @@ def compare_timing(env, sc_values, cfg: GAConfig, actor, repeats: int = 3) -> Sc
     sc_values = [float(s) for s in sc_values]
     if not sc_values:
         raise DomainError("need at least one Schmidt number")
+    if repeats < 1:
+        raise DomainError(f"repeats={repeats} must be at least 1")
     ga_times = []
     ga_fitness = []
     for i, sc in enumerate(sc_values):

@@ -18,12 +18,6 @@ KNOT_SPACING = 0.125
 CP_MIN = -0.5
 CP_MAX = 0.5
 
-# Interior second-derivative system for a natural cubic on the fixed uniform
-# knots: tridiagonal [[4,1,0],[1,4,1],[0,1,4]] after dividing out the spacing.
-_INTERIOR_MATRIX = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
-_INTERIOR_INVERSE = np.linalg.inv(_INTERIOR_MATRIX)
-
-
 @dataclass(frozen=True)
 class ControlPolygon:
     """Heights of the three free spline control points, in channel heights."""
@@ -68,48 +62,27 @@ class SplineCurve:
         return KNOTS
 
 
-def _solve_tridiagonal(sub, diag, sup, rhs):
-    """Thomas algorithm for a tridiagonal system; O(n), no pivoting."""
-    n = len(diag)
-    c = np.zeros(n)
-    d = np.zeros(n)
-    c[0] = sup[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - sub[i - 1] * c[i - 1]
-        if i < n - 1:
-            c[i] = sup[i] / denom
-        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / denom
-    x = np.zeros(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
-
-
-def _coeffs_from_heights(y: np.ndarray) -> np.ndarray:
-    """Spline coefficients (4, 4) from the 5 knot heights."""
-    h = KNOT_SPACING
-    rhs = 6.0 / (h * h) * (y[2:] - 2.0 * y[1:-1] + y[:-2])
-    m_interior = _solve_tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2), rhs)
-    m = np.concatenate([[0.0], m_interior, [0.0]])  # natural ends
-    a = y[:-1]
-    b = (y[1:] - y[:-1]) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
-    c = m[:-1] / 2.0
-    d = (m[1:] - m[:-1]) / (6.0 * h)
-    return np.stack([a, b, c, d], axis=1)
-
-
 def _coeffs_batch(cps: np.ndarray) -> np.ndarray:
-    """Vectorized ``_coeffs_from_heights`` for an (n, 3) block of control heights."""
+    """Spline coefficients (n, 4, 4) for an (n, 3) block of control heights.
+
+    The interior second derivatives solve the natural-spline system
+    [[4,1,0],[1,4,1],[0,1,4]] m = rhs by an unrolled Thomas sweep; its
+    operation order fixes the coefficients' bits for every row.
+    """
     cps = np.atleast_2d(np.asarray(cps, dtype=float))
     n = cps.shape[0]
     h = KNOT_SPACING
     y = np.zeros((n, 5))
     y[:, 1:4] = cps
     rhs = 6.0 / (h * h) * (y[:, 2:] - 2.0 * y[:, 1:-1] + y[:, :-2])
+    c0 = 1.0 / 4.0
+    c1 = 1.0 / (4.0 - c0)
+    d0 = rhs[:, 0] / 4.0
+    d1 = (rhs[:, 1] - d0) / (4.0 - c0)
     m = np.zeros((n, 5))
-    m[:, 1:4] = rhs @ _INTERIOR_INVERSE.T
+    m[:, 3] = (rhs[:, 2] - d1) / (4.0 - c1)
+    m[:, 2] = d1 - c1 * m[:, 3]
+    m[:, 1] = d0 - c0 * m[:, 2]
     a = y[:, :-1]
     b = (y[:, 1:] - y[:, :-1]) / h - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
     c = m[:, :-1] / 2.0
@@ -119,13 +92,23 @@ def _coeffs_batch(cps: np.ndarray) -> np.ndarray:
 
 def build_spline(cp: ControlPolygon) -> SplineCurve:
     """Natural cubic through (knots, [0, cp1, cp2, cp3, 0])."""
-    coeffs = _coeffs_from_heights(cp.heights())
+    coeffs = _coeffs_batch(cp.as_array())[0]
     coeffs.setflags(write=False)
     return SplineCurve(coeffs=coeffs)
 
 
 def _segment_index(x: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(KNOTS, x, side="right") - 1, 0, 3)
+
+
+def _eval_batch(coeffs: np.ndarray, x: np.ndarray):
+    """Evaluate row i's spline coeffs[i] (n, 4, 4) at x[i] (n, m); returns (value, slope)."""
+    seg = _segment_index(x)
+    t = x - KNOTS[seg]
+    a, b, c, d = np.moveaxis(coeffs[np.arange(len(coeffs))[:, None], seg], -1, 0)
+    value = a + t * (b + t * (c + t * d))
+    slope = b + t * (2.0 * c + 3.0 * d * t)
+    return value, slope
 
 
 def eval_spline(curve: SplineCurve, x):
@@ -136,28 +119,10 @@ def eval_spline(curve: SplineCurve, x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < KNOTS[0]) or np.any(xa > KNOTS[-1]):
         raise DomainError(f"spline argument outside [{KNOTS[0]}, {KNOTS[-1]}]")
-    seg = _segment_index(xa)
-    t = xa - KNOTS[seg]
-    a, b, c, d = (curve.coeffs[seg, k] for k in range(4))
-    value = a + t * (b + t * (c + t * d))
-    slope = b + t * (2.0 * c + 3.0 * d * t)
+    value, slope = _eval_batch(curve.coeffs[None], xa.reshape(1, -1))
     if np.isscalar(x):
-        return float(value), float(slope)
-    return value, slope
-
-
-def _eval_batch(coeffs: np.ndarray, x: np.ndarray):
-    """Per-row spline eval: coeffs (n, 4, 4), x (n,). Returns (value, slope)."""
-    seg = _segment_index(x)
-    t = x - KNOTS[seg]
-    rows = np.arange(len(x))
-    a = coeffs[rows, seg, 0]
-    b = coeffs[rows, seg, 1]
-    c = coeffs[rows, seg, 2]
-    d = coeffs[rows, seg, 3]
-    value = a + t * (b + t * (c + t * d))
-    slope = b + t * (2.0 * c + 3.0 * d * t)
-    return value, slope
+        return float(value[0, 0]), float(slope[0, 0])
+    return value.reshape(xa.shape), slope.reshape(xa.shape)
 
 
 def unit_normal(curve: SplineCurve, x):
@@ -189,6 +154,68 @@ class ChannelDims:
         for name in ("L", "L0", "L1", "H", "W", "d", "h_d", "l_d"):
             if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
                 raise DomainError(f"dimension {name} must be positive")
+
+
+def wall_heights(dims: ChannelDims, coeffs: np.ndarray, x_mm: np.ndarray):
+    """(lower, upper) fluid-boundary y in mm at x_mm (n, m), row i shaped by coeffs[i] (n, 4, 4).
+
+    The upper baffle hangs from y = H starting at x = L0, the lower one stands
+    on y = 0 starting at L0 + d; elsewhere the walls are flat.
+    """
+    H = dims.H
+    walls = []
+    for start, base, sign in ((dims.L0 + dims.d, 0.0, 1), (dims.L0, H, -1)):
+        on = (x_mm >= start) & (x_mm <= start + 0.5 * H)
+        value, _ = _eval_batch(coeffs, np.clip((x_mm - start) / H, 0.0, 0.5))
+        walls.append(np.where(on, base + sign * H * value, base))
+    return walls[0], walls[1]
+
+
+def _surface(value, slope, xhat, start_x, base, sign, H):
+    """Baffle wall points and outward normals (..., 2) at spline abscissae xhat.
+
+    The wetted surface sits at ``base + sign * H * s(xhat)``; the normal is
+    (s', 1) rotated onto the wall, pointing away from the fluid.
+    """
+    scale = 1.0 / np.sqrt(1.0 + slope * slope)
+    points = np.stack([start_x + xhat * H, base + sign * H * value], axis=-1)
+    return points, np.stack([slope * scale, -sign * scale], axis=-1)
+
+
+def _arc_table(coeffs, xhat, start_x, base, sign, H):
+    """Surface points, normals and cumulative arc length per row of coeffs at xhat (m,)."""
+    xhat = np.broadcast_to(xhat, (len(coeffs), len(xhat)))
+    value, slope = _eval_batch(coeffs, xhat)
+    points, normals = _surface(value, slope, xhat, start_x, base, sign, H)
+    seg = np.linalg.norm(np.diff(points, axis=-2), axis=-1)
+    cumlen = np.concatenate([np.zeros((len(coeffs), 1)), np.cumsum(seg, axis=-1)], axis=-1)
+    return points, normals, cumlen
+
+
+def _interp_rows(s: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(s[i], xp[i], fp)`` for every row i, with its bits.
+
+    xp is (n, m) or one shared (m,) table, strictly increasing from xp[..., 0] <= s.
+    """
+    xp = np.broadcast_to(xp, (len(s), len(fp)))
+    j = np.clip(np.count_nonzero(xp <= s[:, None], axis=1) - 1, 0, len(fp) - 2)
+    rows = np.arange(len(s))
+    x0, x1 = xp[rows, j], xp[rows, j + 1]
+    slope = (fp[j + 1] - fp[j]) / (x1 - x0)
+    return np.where(s >= xp[:, -1], fp[-1], slope * (s - x0) + fp[j])
+
+
+def baffle_points(coeffs, t, start_x, base, sign, H, samples):
+    """Points and outward normals (n, 2) at arc parameters t (n,) on row i's baffle coeffs[i].
+
+    Arc length is tabulated at ``samples`` abscissae only to invert t; the
+    points then come from the exact curve, so they sit on it to roundoff.
+    """
+    xhat_grid = np.linspace(0.0, 0.5, samples)
+    _, _, cumlen = _arc_table(coeffs, xhat_grid, start_x, base, sign, H)
+    xhat = _interp_rows(t * cumlen[:, -1], cumlen, xhat_grid)
+    value, slope = _eval_batch(coeffs, xhat[:, None])
+    return _surface(value[:, 0], slope[:, 0], xhat, start_x, base, sign, H)
 
 
 @dataclass(frozen=True)
@@ -243,14 +270,9 @@ class BoundarySegment:
             ny = np.interp(s, self.cumlen, self.normals[:, 1])
             norm = np.hypot(nx, ny)
             return np.stack([x, y], axis=1), np.stack([nx / norm, ny / norm], axis=1)
-        xhat = np.interp(s, self.cumlen, self.xhat_grid)
+        xhat = _interp_rows(s, self.cumlen, self.xhat_grid)
         value, slope = eval_spline(self.curve, xhat)
-        x = self.start_x + xhat * self.height
-        y = self.base_y + self.sign * self.height * value
-        scale = 1.0 / np.sqrt(1.0 + slope * slope)
-        nx = slope * scale
-        ny = -self.sign * scale
-        return np.stack([x, y], axis=1), np.stack([nx, ny], axis=1)
+        return _surface(value, slope, xhat, self.start_x, self.base_y, self.sign, self.height)
 
 
 def _line_segment(kind, name, p0, p1, normal, samples=2) -> BoundarySegment:
@@ -264,24 +286,15 @@ def _line_segment(kind, name, p0, p1, normal, samples=2) -> BoundarySegment:
 
 def _baffle_segment(name, placement: BafflePlacement, dims: ChannelDims, samples=513) -> BoundarySegment:
     xhat = np.linspace(0.0, 0.5, samples)
-    value, slope = eval_spline(placement.curve, xhat)
     base = dims.H if placement.sign < 0 else 0.0
-    x = placement.start_x + xhat * dims.H
-    y = base + placement.sign * dims.H * value
-    # Outward normal: (s', 1) rotated onto the wall; points away from the fluid.
-    scale = 1.0 / np.sqrt(1.0 + slope * slope)
-    ny = -placement.sign * np.ones_like(slope) * scale
-    nx = slope * scale
-    pts = np.stack([x, y], axis=1)
-    nrm = np.stack([nx, ny], axis=1)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    pts, nrm, cum = _arc_table(placement.curve.coeffs[None], xhat, placement.start_x,
+                               base, placement.sign, dims.H)
     return BoundarySegment(
         kind="baffle",
         name=name,
-        points=pts,
-        normals=nrm,
-        cumlen=cum,
+        points=pts[0],
+        normals=nrm[0],
+        cumlen=cum[0],
         curve=placement.curve,
         xhat_grid=xhat,
         start_x=placement.start_x,
@@ -308,47 +321,27 @@ class ChannelLayout:
     baffles: tuple
     arm_length: float
 
-    def _baffle_for(self, wall: str) -> BafflePlacement:
-        return self.baffles[0] if wall == "upper" else self.baffles[1]
+    def _walls(self, x):
+        x = np.asarray(x, dtype=float)
+        lower, upper = wall_heights(self.dims, self.baffles[0].curve.coeffs[None], x.reshape(1, -1))
+        return lower.reshape(x.shape), upper.reshape(x.shape)
 
     def upper_wall_y(self, x):
         """y of the upper fluid boundary at x (mm); vectorized."""
-        x = np.asarray(x, dtype=float)
-        up = self._baffle_for("upper")
-        y = np.full(x.shape, self.dims.H)
-        span = 0.5 * self.dims.H
-        mask = (x >= up.start_x) & (x <= up.start_x + span)
-        if np.any(mask):
-            xhat = np.clip((x[mask] - up.start_x) / self.dims.H, 0.0, 0.5)
-            value, _ = eval_spline(up.curve, xhat)
-            y[mask] = self.dims.H - self.dims.H * value
+        y = self._walls(x)[1]
         return y if y.shape else float(y)
 
     def lower_wall_y(self, x):
         """y of the lower fluid boundary at x (mm); vectorized."""
-        x = np.asarray(x, dtype=float)
-        lo = self._baffle_for("lower")
-        y = np.zeros(x.shape)
-        span = 0.5 * self.dims.H
-        mask = (x >= lo.start_x) & (x <= lo.start_x + span)
-        if np.any(mask):
-            xhat = np.clip((x[mask] - lo.start_x) / self.dims.H, 0.0, 0.5)
-            value, _ = eval_spline(lo.curve, xhat)
-            y[mask] = self.dims.H * value
+        y = self._walls(x)[0]
         return y if y.shape else float(y)
 
     def contains(self, x, y) -> np.ndarray:
         """True where (x, y) in mm lies in the fluid (channel minus baffles, plus arms)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         d = self.dims
-        in_channel = (x >= 0.0) & (x <= d.L)
-        if np.any(in_channel):
-            xc = np.where(in_channel, x, 0.0)
-            lower = np.asarray(self.lower_wall_y(xc))
-            upper = np.asarray(self.upper_wall_y(xc))
-            in_channel &= (y >= lower) & (y <= upper)
+        lower, upper = self._walls(x)
+        in_channel = (x >= 0.0) & (x <= d.L) & (y >= lower) & (y <= upper)
         in_arms = (x >= 0.0) & (x <= d.W) & (
             ((y >= d.H) & (y <= d.H + self.arm_length))
             | ((y >= -self.arm_length) & (y <= 0.0))
@@ -363,8 +356,7 @@ class ChannelLayout:
         containment, not in the boundary set.
         """
         d = self.dims
-        up = self._baffle_for("upper")
-        lo = self._baffle_for("lower")
+        up, lo = self.baffles
         span = 0.5 * d.H
         segs = [
             _line_segment("inlet_top", "inlet_top", (0.0, d.H), (d.W, d.H), (0.0, 1.0)),

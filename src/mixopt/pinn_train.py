@@ -185,8 +185,8 @@ def evaluate_fields(params: ParameterSet, cp, re: float, sc: float,
                     dims: ChannelDims | None = None, grid=(141, 41)) -> FieldTable:
     """Evaluate the trained fields on a regular grid over the channel."""
     dims = dims or ChannelDims()
-    if re <= 0 or sc <= 0:
-        raise DomainError("re and sc must be positive")
+    if not (0.0 < re < np.inf and 0.0 < sc < np.inf):
+        raise DomainError("re and sc must be finite and positive")
     polygon = cp if isinstance(cp, ControlPolygon) else ControlPolygon.from_iterable(cp)
     layout = build_layout(polygon, dims)
     nx, ny = grid

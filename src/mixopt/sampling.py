@@ -16,15 +16,14 @@ from .errors import DomainError, GeometryError, SamplingError
 from .geometry import (
     CP_MAX,
     CP_MIN,
-    BafflePlacement,
     ChannelDims,
     ChannelLayout,
     ControlPolygon,
-    _baffle_segment,
     _coeffs_batch,
-    _eval_batch,
+    baffle_points,
     build_layout,
-    build_spline,
+    build_spline,  # noqa: F401  (unused here; the benchmark tracer wraps sampling.build_spline)
+    wall_heights,
 )
 
 log = logging.getLogger(__name__)
@@ -129,26 +128,10 @@ def lhs_sample(n: int, bounds: SampleBounds, seed=None) -> np.ndarray:
 
 def _inside_rect(dims: ChannelDims, pts: np.ndarray) -> np.ndarray:
     """Vectorized fluid-rectangle test for dimensionless (x, y, cp...) rows."""
-    H = dims.H
-    x = pts[:, 0] * H
-    y = pts[:, 1] * H
-    ok = (x >= 0.0) & (x <= dims.L)
-    upper = np.full(x.shape, dims.H)
-    lower = np.zeros(x.shape)
-    span = 0.5 * H
-    m_up = (x >= dims.L0) & (x <= dims.L0 + span)
-    m_lo = (x >= dims.L0 + dims.d) & (x <= dims.L0 + dims.d + span)
-    if np.any(m_up) or np.any(m_lo):
-        coeffs = _coeffs_batch(pts[:, 2:5])
-        if np.any(m_up):
-            xh = np.clip((x[m_up] - dims.L0) / H, 0.0, 0.5)
-            value, _ = _eval_batch(coeffs[m_up], xh)
-            upper[m_up] = dims.H - H * value
-        if np.any(m_lo):
-            xh = np.clip((x[m_lo] - (dims.L0 + dims.d)) / H, 0.0, 0.5)
-            value, _ = _eval_batch(coeffs[m_lo], xh)
-            lower[m_lo] = H * value
-    return ok & (y >= lower) & (y <= upper)
+    x = pts[:, 0] * dims.H
+    y = pts[:, 1] * dims.H
+    lower, upper = wall_heights(dims, _coeffs_batch(pts[:, 2:5]), x[:, None])
+    return (x >= 0.0) & (x <= dims.L) & (y >= lower[:, 0]) & (y <= upper[:, 0])
 
 
 def _repair_interior(rng, n, bounds, dims, max_rounds=300):
@@ -213,17 +196,8 @@ def _boundary_group_rows(rng, seg, n, bounds, dims):
     t = design[:, 0]
     H = dims.H
     if seg.kind == "baffle":
-        pts = np.zeros((n, 2))
-        nrm = np.zeros((n, 2))
-        wall = "upper" if seg.sign < 0 else "lower"
-        for i in range(n):
-            cp = ControlPolygon(*design[i, 1:4])
-            placement = BafflePlacement(wall=wall, start_x=seg.start_x, sign=seg.sign,
-                                        curve=build_spline(cp))
-            row_seg = _baffle_segment(seg.name, placement, dims, samples=129)
-            p, v = row_seg.at(t[i])
-            pts[i] = p[0]
-            nrm[i] = v[0]
+        pts, nrm = baffle_points(_coeffs_batch(design[:, 1:4]), t, seg.start_x, seg.base_y,
+                                 seg.sign, H, samples=129)
     else:
         pts, nrm = seg.at(t)
     X = np.column_stack([pts[:, 0] / H, pts[:, 1] / H, design[:, 1:]])
@@ -282,20 +256,19 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
     interior = _repair_interior(rng, counts.interior, bounds, dims)
 
     canonical = build_layout(ControlPolygon(0.0, 0.0, 0.0), dims)
-    groups: dict = {}
+    parts: dict = {}
     for seg in canonical.segments():
-        X, nrm, targets = _boundary_group_rows(rng, seg, counts.per_boundary, bounds, dims)
-        if seg.kind in groups:
-            g = groups[seg.kind]
-            merged_targets = {k: np.concatenate([g.targets[k], targets[k]]) for k in targets}
-            groups[seg.kind] = BoundaryGroup(
-                kind=seg.kind,
-                X=np.vstack([g.X, X]),
-                normals=np.vstack([g.normals, nrm]),
-                targets=merged_targets,
-            )
-        else:
-            groups[seg.kind] = BoundaryGroup(kind=seg.kind, X=X, normals=nrm, targets=targets)
+        parts.setdefault(seg.kind, []).append(
+            _boundary_group_rows(rng, seg, counts.per_boundary, bounds, dims))
+    groups = {}
+    for kind, rows in parts.items():
+        Xs, normals, targets = zip(*rows)
+        groups[kind] = BoundaryGroup(
+            kind=kind,
+            X=np.concatenate(Xs),
+            normals=np.concatenate(normals),
+            targets={k: np.concatenate([tg[k] for tg in targets]) for k in targets[0]},
+        )
 
     stations = default_slice_stations(dims) if slice_stations is None else list(slice_stations)
     slices = []

@@ -139,6 +139,41 @@ def test_geometry_bad_cp_exits_2(tmp_path, capsys):
     assert "cp1" in err["message"]
 
 
+@pytest.mark.parametrize("points", ["-3", "0", "1"])
+def test_geometry_rejects_fewer_than_two_points(tmp_path, capsys, points):
+    out = tmp_path / "x.csv"
+    rc = main(["geometry", "--cp", "0", "0", "0", "--out", str(out), "--points", points])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "--points" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "0", "-1", "-inf"])
+def test_evaluate_rejects_bad_schmidt_number_before_loading(tmp_path, capsys, bad):
+    fields = tmp_path / "fields.csv"
+    rc = main(["evaluate", "--checkpoint", str(tmp_path / "missing.ckpt"),
+               "--cp", "0", "0", "0", "--re", "10", f"--sc={bad}", "--fields", str(fields)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert f"Schmidt number {float(bad)!r}" in err["message"]
+    assert not fields.exists()
+
+
+def test_missing_checkpoint_files_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "nonexist.ckpt")
+    out = tmp_path / "out.csv"
+    for argv in (["query", "--policy", missing, "--sc", "10", "--out", str(out)],
+                 ["compare", "--policy", missing, "--synthetic", "--sc", "10", "--out", str(out)],
+                 ["evaluate", "--checkpoint", missing, "--cp", "0", "0", "0", "--re", "10",
+                  "--sc", "10", "--fields", str(out)]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CheckpointError" and "nonexist.ckpt" in err["message"]
+        assert not out.exists()
+
+
 def test_missing_required_arg_exits_2(capsys):
     rc = main(["geometry", "--cp", "0", "0", "0"])
     assert rc == 2
@@ -289,6 +324,17 @@ def test_query_and_compare_reject_bad_schmidt_numbers(tiny_actor, tmp_path, caps
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert f"Schmidt number {float(bad)!r}" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_compare_rejects_repeats_below_one_before_loading(tmp_path, capsys, repeats):
+    out = tmp_path / "s.csv"
+    rc = main(["compare", "--policy", str(tmp_path / "missing.ckpt"), "--synthetic",
+               "--sc", "10", "--out", str(out), "--repeats", repeats])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "--repeats" in err["message"]
     assert not out.exists()
 
 

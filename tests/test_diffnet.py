@@ -493,6 +493,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError):
         load_params(tmp_path / "header.ckpt")
 
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_params(tmp_path / "missing.ckpt")
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_params(tmp_path)
+
 
 def test_checkpoint_save_failure_keeps_old_file(tmp_path, monkeypatch):
     old = make_params(input_dim=2, output_dim=1, hidden=(2,), seed=0)

@@ -157,3 +157,6 @@ def test_compare_timing_structure():
 def test_compare_timing_rejects_empty():
     with pytest.raises(DomainError):
         compare_timing(QuadraticEnv(), [], small_cfg(), init_actor(PPOConfig(), seed=0))
+    with pytest.raises(DomainError, match="repeats"):
+        compare_timing(QuadraticEnv(), [10.0], small_cfg(), init_actor(PPOConfig(), seed=0),
+                       repeats=0)

@@ -7,12 +7,16 @@ from mixopt.geometry import (
     KNOTS,
     ChannelDims,
     ControlPolygon,
+    _coeffs_batch,
+    _interp_rows,
+    baffle_points,
     build_layout,
     build_spline,
     contains,
     eval_spline,
     polyline_rows,
     unit_normal,
+    wall_heights,
 )
 
 
@@ -58,6 +62,100 @@ def dense_spline_solve(heights):
     A[r, col(3, 2)] = 2.0
     A[r, col(3, 3)] = 6.0 * h
     return np.linalg.solve(A, rhs).reshape(4, 4)
+
+
+def solve_tridiagonal(sub, diag, sup, rhs):
+    """General Thomas algorithm for a tridiagonal system; O(n), no pivoting."""
+    n = len(diag)
+    c = np.zeros(n)
+    d = np.zeros(n)
+    c[0] = sup[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - sub[i - 1] * c[i - 1]
+        if i < n - 1:
+            c[i] = sup[i] / denom
+        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / denom
+    x = np.zeros(n)
+    x[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
+
+
+def scalar_thomas_coeffs(cps):
+    """Reference coefficients (4, 4) of one polygon: a looped Thomas sweep, one row at a time.
+
+    The batched routine must reproduce it bit for bit; a matrix inverse of the
+    same system differs from it in the last bits in most rows.
+    """
+    h = 0.125
+    y = np.array([0.0, *cps, 0.0])
+    rhs = 6.0 / (h * h) * (y[2:] - 2.0 * y[1:-1] + y[:-2])
+    m = np.concatenate([[0.0], solve_tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2), rhs), [0.0]])
+    a = y[:-1]
+    b = (y[1:] - y[:-1]) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c = m[:-1] / 2.0
+    d = (m[1:] - m[:-1]) / (6.0 * h)
+    return np.stack([a, b, c, d], axis=1)
+
+
+def test_batched_coefficients_equal_scalar_thomas_sweep():
+    rng = np.random.default_rng(11)
+    cps = np.vstack([rng.uniform(-0.5, 0.5, size=(2000, 3)),
+                     [[0.0, 0.0, 0.0], [0.5, -0.5, 0.5], [-0.5, -0.5, -0.5], [1e-17, 0.3, -1e-300]]])
+    batch = _coeffs_batch(cps)
+    assert batch.shape == (len(cps), 4, 4)
+    for row, coeffs in zip(cps, batch):
+        assert np.array_equal(coeffs, scalar_thomas_coeffs(row))
+    for row in cps[:50]:
+        assert np.array_equal(build_spline(ControlPolygon(*row)).coeffs, scalar_thomas_coeffs(row))
+
+
+def test_interp_rows_matches_np_interp_at_ends_and_table_hits():
+    rng = np.random.default_rng(5)
+    xp = np.cumsum(rng.uniform(0.1, 2.0, size=(400, 129)), axis=1)
+    xp[:, 0] = 0.0
+    # the spline abscissae, and a table whose terms are of one size so that
+    # any change in the slope's rounding shows
+    for fp in (np.linspace(0.0, 0.5, 129), rng.normal(size=129)):
+        for t in (np.zeros(400), np.ones(400), rng.random(400)):
+            s = t * xp[:, -1]
+            expect = [np.interp(si, row, fp) for si, row in zip(s, xp)]
+            assert np.array_equal(_interp_rows(s, xp, fp), expect)
+        k = rng.integers(0, 129, size=400)
+        hits = xp[np.arange(400), k]
+        assert np.array_equal(_interp_rows(hits, xp, fp), fp[k])
+        shared = xp[0]
+        s = np.concatenate([shared, [0.0, shared[-1]], rng.random(300) * shared[-1]])
+        assert np.array_equal(_interp_rows(s, shared, fp), np.interp(s, shared, fp))
+
+
+def test_wall_heights_per_row_equal_each_layouts_walls():
+    rng = np.random.default_rng(9)
+    dims = ChannelDims()
+    cps = rng.uniform(-0.5, 0.5, size=(60, 3))
+    x = np.concatenate([rng.uniform(0.8, 1.5, size=55), [0.9, 1.05, 1.2, 1.35, 2.5]])
+    lower, upper = wall_heights(dims, _coeffs_batch(cps), x[:, None])
+    for i, row in enumerate(cps):
+        lay = build_layout(ControlPolygon(*row), dims)
+        assert lower[i, 0] == lay.lower_wall_y(x[i])
+        assert upper[i, 0] == lay.upper_wall_y(x[i])
+
+
+def test_baffle_points_equal_segment_at():
+    rng = np.random.default_rng(4)
+    cps = rng.uniform(-0.5, 0.5, size=3)
+    lay = build_layout(ControlPolygon(*cps))
+    t = np.concatenate([[0.0, 1.0], rng.random(30)])
+    coeffs = np.repeat(_coeffs_batch(cps), len(t), axis=0)
+    for seg in lay.segments():
+        if seg.kind != "baffle":
+            continue
+        pts, nrm = baffle_points(coeffs, t, seg.start_x, seg.base_y, seg.sign, seg.height,
+                                 samples=len(seg.xhat_grid))
+        p, n = seg.at(t)
+        assert np.array_equal(pts, p) and np.array_equal(nrm, n)
 
 
 def test_zero_polygon_gives_zero_curve():

@@ -124,6 +124,9 @@ def test_evaluate_fields_validation():
         evaluate_fields(params, (0.0, 0.0, 0.0), re=-1.0, sc=10.0)
     with pytest.raises(DomainError):
         evaluate_fields(params, (0.9, 0.0, 0.0), re=10.0, sc=10.0)
+    for re, sc in ((np.inf, 10.0), (np.nan, 10.0), (10.0, np.inf), (10.0, np.nan)):
+        with pytest.raises(DomainError, match="finite and positive"):
+            evaluate_fields(params, (0.0, 0.0, 0.0), re=re, sc=sc)
 
 
 def test_field_table_csv_round_trip(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mixopt import sampling
 from mixopt.errors import DomainError, SamplingError
-from mixopt.geometry import ChannelDims, ControlPolygon, build_layout, build_spline, eval_spline
+from mixopt.geometry import KNOTS, ChannelDims, ControlPolygon, build_layout, build_spline, eval_spline
 from mixopt.sampling import (
     DIM_NAMES,
     CollocationCounts,
@@ -12,6 +13,34 @@ from mixopt.sampling import (
     lhs_sample,
     slice_points,
 )
+
+
+def scalar_eval(coeffs, x):
+    """One spline's (value, slope) at x, gathered coefficient by coefficient."""
+    seg = np.clip(np.searchsorted(KNOTS, x, side="right") - 1, 0, 3)
+    t = x - KNOTS[seg]
+    a, b, c, d = (coeffs[seg, k] for k in range(4))
+    return a + t * (b + t * (c + t * d)), b + t * (2.0 * c + 3.0 * d * t)
+
+
+def per_row_baffle_points(coeffs, t, start_x, base, sign, H, samples):
+    """Reference for ``geometry.baffle_points``: one spline, one arc-length
+    table and one ``np.interp`` per row, in a Python loop."""
+    xhat_grid = np.linspace(0.0, 0.5, samples)
+    pts = np.zeros((len(t), 2))
+    nrm = np.zeros((len(t), 2))
+    for i in range(len(t)):
+        # the a-coefficients of segments 1..3 are the control heights exactly
+        curve = build_spline(ControlPolygon(*coeffs[i, 1:, 0]))
+        value, _ = scalar_eval(curve.coeffs, xhat_grid)
+        grid = np.stack([start_x + xhat_grid * H, base + sign * H * value], axis=1)
+        cumlen = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(grid, axis=0), axis=1))])
+        xhat = np.interp(t[i] * cumlen[-1], cumlen, xhat_grid)
+        value, slope = scalar_eval(curve.coeffs, xhat)
+        scale = 1.0 / np.sqrt(1.0 + slope * slope)
+        pts[i] = start_x + xhat * H, base + sign * H * value
+        nrm[i] = slope * scale, -sign * scale
+    return pts, nrm
 
 
 def stratum_ids(values, lo, hi, n):
@@ -112,6 +141,26 @@ def test_collocation_deterministic():
         assert np.array_equal(sa.X, sb.X)
     c = make_set(seed=22)
     assert not np.array_equal(a.interior, c.interior)
+
+
+@pytest.mark.parametrize("seed,per_boundary", [(0, 80), (1, 80), (2, 80), (3, 300), (4, 300)])
+def test_collocation_equals_per_row_baffle_reference(monkeypatch, seed, per_boundary):
+    dims, bounds = ChannelDims(), SampleBounds()
+    counts = CollocationCounts(per_boundary=per_boundary)
+    fast = generate_collocation(dims, bounds, counts, seed=seed)
+    monkeypatch.setattr(sampling, "baffle_points", per_row_baffle_points)
+    slow = generate_collocation(dims, bounds, counts, seed=seed)
+    assert np.array_equal(fast.interior, slow.interior)
+    assert list(fast.boundary) == list(slow.boundary)
+    for kind, grp in fast.boundary.items():
+        ref = slow.boundary[kind]
+        assert np.array_equal(grp.X, ref.X) and np.array_equal(grp.normals, ref.normals)
+        assert grp.targets.keys() == ref.targets.keys()
+        assert all(np.array_equal(grp.targets[k], ref.targets[k]) for k in grp.targets)
+    assert len(fast.slices) == len(slow.slices)
+    for a, b in zip(fast.slices, slow.slices):
+        assert a.station == b.station and a.target == b.target
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.weights, b.weights)
 
 
 def test_boundary_group_shapes():
