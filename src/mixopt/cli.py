@@ -232,12 +232,16 @@ def _check_sc(value: float, where: str) -> None:
         raise ConfigError(f"Schmidt number {value!r} in {where!r} must be finite and positive")
 
 
+def _load_actor(path):
+    actor, header = load_params(path)
+    if header.get("role") not in (None, "actor"):
+        raise CheckpointError(f"{path} holds a {header.get('role')!r} network, expected an actor")
+    return actor
+
+
 def cmd_query(args, cfg: RunConfig) -> int:
     sc_values = _parse_sc_list(args.sc)
-    actor, header = load_params(args.policy)
-    if header.get("role") not in (None, "actor"):
-        raise CheckpointError(f"{args.policy} holds a {header.get('role')!r} network, "
-                              "expected an actor")
+    actor = _load_actor(args.policy)
     field_params = load_checkpoint(args.checkpoint) if args.checkpoint else None
     rows = []
     for sc in sc_values:
@@ -261,10 +265,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats {args.repeats} must be at least 1")
     sc_values = _parse_sc_list(args.sc)
-    actor, header = load_params(args.policy)
-    if header.get("role") not in (None, "actor"):
-        raise CheckpointError(f"{args.policy} holds a {header.get('role')!r} network, "
-                              "expected an actor")
+    actor = _load_actor(args.policy)
     env = _environment(args, cfg)
     table = compare_timing(env, sc_values, cfg.ga, actor, repeats=args.repeats)
     table.to_csv(args.out)

@@ -27,7 +27,9 @@ class _Tanh:
 
     @staticmethod
     def first(z, f):
-        return 1.0 - f * f
+        # 1 - f^2, written over z: the caller no longer needs it
+        d = np.multiply(f, f, out=z)
+        return np.subtract(1.0, d, out=d)
 
     @staticmethod
     def second(f, d1):
@@ -184,17 +186,17 @@ def _row_blocks(n: int) -> list:
 class _Cache:
     """Everything the fused reverse pass needs from one row block.
 
-    ``record`` activates each hidden layer for the layer loop. With tangent
-    seeds it keeps the activation slope, which the tangents need at once;
-    without, it keeps z and the reverse pass takes the slope from that.
+    ``record`` activates each hidden layer for the layer loop and keeps its
+    activation slope, which the tangents need at once and the reverse pass
+    needs later. The slope may take over z's buffer, which is dead once the
+    activation exists.
     """
 
-    __slots__ = ("act", "inputs", "zs", "slopes", "tin", "ztan", "out", "jac")
+    __slots__ = ("act", "inputs", "slopes", "tin", "ztan", "out", "jac")
 
     def __init__(self, act, h, tangent_seeds):
         self.act = act
         self.inputs = [h]
-        self.zs = []
         self.slopes = []
         self.tin = [] if tangent_seeds is None else [tangent_seeds]
         self.ztan = []
@@ -204,21 +206,13 @@ class _Cache:
     def record(self, W, z):
         f = self.act.value(z)
         self.inputs.append(f)
+        d1 = self.act.first(z, f)
+        self.slopes.append(d1)
         if self.tin:
-            d1 = self.act.first(z, f)
-            self.slopes.append(d1)
             zd = [t @ W.T for t in self.tin[-1]]
             self.ztan.append(zd)
             self.tin.append([d1 * t for t in zd])
-        else:
-            self.zs.append(z)
         return f
-
-    def slope(self, l):
-        """df/dz of hidden layer l."""
-        if self.slopes:
-            return self.slopes[l]
-        return self.act.first(self.zs[l], self.inputs[l + 1])
 
 
 class _Pass:
@@ -264,7 +258,7 @@ def _layers(views, act, h, cache: _Cache | None = None) -> np.ndarray:
             h = cache.record(W, z)
 
 
-def _forward_cache(pset: ParameterSet, X, need_tangent: bool, tangent_dims=(0, 1)) -> _Pass:
+def _forward_cache(pset: ParameterSet, X, need_tangent: bool) -> _Pass:
     act, views, h = _prepare(pset, X)
     scale = pset.norm.inv_halfspan
     W_last, _ = views[-1]
@@ -275,7 +269,7 @@ def _forward_cache(pset: ParameterSet, X, need_tangent: bool, tangent_dims=(0, 1
         seeds = None
         if need_tangent:
             seeds = []
-            for d in tangent_dims:
+            for d in (0, 1):
                 t = np.zeros_like(hb)
                 t[:, d] = scale[d]
                 seeds.append(t)
@@ -306,7 +300,7 @@ def _block_backward(views, cache: _Cache, gy, gjac) -> np.ndarray:
     gb_list[-1] = gb
 
     for l in range(nlayers - 2, -1, -1):
-        d1 = cache.slope(l)
+        d1 = cache.slopes[l]
         gz = gh * d1
         gzd = None
         if ghd is not None:
@@ -368,13 +362,13 @@ def forward(params: ParameterSet, X) -> np.ndarray:
     return np.concatenate([_layers(views, act, h[s]) for s in rows])
 
 
-def spatial_jacobian(params: ParameterSet, X, dims=(0, 1)) -> np.ndarray:
-    """First derivatives of every output w.r.t. the spatial inputs.
+def spatial_jacobian(params: ParameterSet, X) -> np.ndarray:
+    """First derivatives of every output w.r.t. the spatial inputs x and y.
 
-    Returns (batch, output_dim, len(dims)); derivatives are taken w.r.t. the
-    raw (un-normalized) inputs.
+    Returns (batch, output_dim, 2); derivatives are taken w.r.t. the raw
+    (un-normalized) inputs.
     """
-    return _forward_cache(params, X, need_tangent=True, tangent_dims=dims).jac
+    return _forward_cache(params, X, need_tangent=True).jac
 
 
 def forward_vjp(params: ParameterSet, X, need_jac: bool = False):

@@ -13,7 +13,11 @@ from ..errors import DomainError, NumericalError
 
 
 class Node:
-    """One value in the computation graph."""
+    """One value in the computation graph.
+
+    Besides arithmetic, a node indexes (basic slices and integers), sums and
+    squares like an array, so the same formula runs on arrays and on nodes.
+    """
 
     __slots__ = ("value", "parents", "vjps")
 
@@ -57,6 +61,17 @@ class Node:
         if k != 2:
             raise DomainError("only squaring is supported")
         return square(self)
+
+    def __getitem__(self, idx):
+        return pick(self, idx)
+
+    def sum(self):
+        return nsum(self)
+
+    # a property, not __len__: with __len__, a truth test on a 0-d node raises TypeError
+    @property
+    def size(self):
+        return self.value.size
 
 
 def leaf(value) -> Node:
@@ -193,7 +208,14 @@ def nmean(a, axis=None):
 
 
 def pick(a, idx):
-    """Basic-slice indexing; cotangent scatters back into a zero array."""
+    """Basic-slice indexing; cotangent scatters back into a zero array.
+
+    Only slices and integers are accepted: with a repeated array index the
+    scatter would keep one cotangent per position and silently drop the rest.
+    """
+    for i in idx if isinstance(idx, tuple) else (idx,):
+        if not isinstance(i, (slice, int, np.integer)) or isinstance(i, bool):
+            raise DomainError(f"tape indexing takes slices and integers, not {type(i).__name__}")
     av = _val(a)
     out = av[idx]
     if not isinstance(a, Node):

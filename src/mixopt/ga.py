@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -50,8 +51,10 @@ class GAConfig:
             raise DomainError("elitism must lie in [0, population]")
         if self.tournament < 1 or self.generations < 0:
             raise DomainError("tournament >= 1 and generations >= 0 required")
-        if self.mutation_scale < 0 or self.blend_alpha < 0:
-            raise DomainError("mutation_scale and blend_alpha must be >= 0")
+        for name in ("mutation_scale", "blend_alpha"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass

@@ -311,7 +311,7 @@ class ChannelLayout:
     The two baffles share one spline curve and are staggered along x: the
     upper one starts at L0, the lower one at L0 + d. Positive control heights
     protrude into the channel; negative ones carve cavities into the walls.
-    Inlet arms of length ``arm_length`` attach above and below the junction
+    Inlet arms of length ``dims.L1`` attach above and below the junction
     square x in [0, W]; they count as fluid for containment and their mouths
     (y = H and y = 0) carry the inlet boundary segments.
     """
@@ -319,7 +319,6 @@ class ChannelLayout:
     dims: ChannelDims
     cp: ControlPolygon
     baffles: tuple
-    arm_length: float
 
     def _walls(self, x):
         x = np.asarray(x, dtype=float)
@@ -343,8 +342,8 @@ class ChannelLayout:
         lower, upper = self._walls(x)
         in_channel = (x >= 0.0) & (x <= d.L) & (y >= lower) & (y <= upper)
         in_arms = (x >= 0.0) & (x <= d.W) & (
-            ((y >= d.H) & (y <= d.H + self.arm_length))
-            | ((y >= -self.arm_length) & (y <= 0.0))
+            ((y >= d.H) & (y <= d.H + d.L1))
+            | ((y >= -d.L1) & (y <= 0.0))
         )
         result = in_channel | in_arms
         return result if result.shape else bool(result)
@@ -373,13 +372,9 @@ class ChannelLayout:
         return segs
 
 
-def build_layout(cp: ControlPolygon, dims: ChannelDims | None = None, arm_length: float | None = None) -> ChannelLayout:
+def build_layout(cp: ControlPolygon, dims: ChannelDims | None = None) -> ChannelLayout:
     """Construct the channel layout for one control polygon."""
     dims = dims or ChannelDims()
-    if arm_length is None:
-        arm_length = dims.L1
-    if arm_length <= 0:
-        raise DomainError("arm_length must be positive")
     span = 0.5 * dims.H
     if abs(dims.l_d - span) > 1e-12:
         raise GeometryError(f"baffle length l_d={dims.l_d} must equal 0.5*H={span}")
@@ -391,7 +386,7 @@ def build_layout(cp: ControlPolygon, dims: ChannelDims | None = None, arm_length
             raise GeometryError(f"{b.wall} baffle extent [{b.start_x}, {b.start_x + span}] exceeds channel [0, {dims.L}]")
     if dims.W > dims.L0:
         raise GeometryError("junction square overlaps the upper baffle")
-    return ChannelLayout(dims=dims, cp=cp, baffles=(upper, lower), arm_length=arm_length)
+    return ChannelLayout(dims=dims, cp=cp, baffles=(upper, lower))
 
 
 def contains(layout: ChannelLayout, point) -> np.ndarray:

@@ -227,26 +227,28 @@ def baseline_table(params: ParameterSet, re_values=None, sc_values=None, n: int 
     cp0 = np.zeros_like(mi0)
     for i, re in enumerate(re_values):
         for j, sc in enumerate(sc_values):
-            design = DesignCandidate(0.0, 0.0, 0.0, float(re))
-            mi0[i, j] = mixing_index(outlet_concentration(params, design, float(sc), n=n, dims=dims))
-            cp0[i, j] = pressure_cost(inlet_pressure(params, design, float(sc), n=n, dims=dims))
+            mi0[i, j], cp0[i, j] = _flat_wall(params, float(re), float(sc), n, dims)
     return BaselineTable(re_values=re_values, sc_values=sc_values, mi0=mi0, cp0=cp0)
 
 
+def _flat_wall(params: ParameterSet, re: float, sc: float, n: int, dims: ChannelDims | None):
+    """(mi0, cp0) of the flat-wall design, evaluated directly."""
+    flat = DesignCandidate(0.0, 0.0, 0.0, re)
+    mi0 = mixing_index(outlet_concentration(params, flat, sc, n=n, dims=dims))
+    cp0 = pressure_cost(inlet_pressure(params, flat, sc, n=n, dims=dims))
+    return mi0, cp0
+
+
 def compute_mixing_report(params: ParameterSet, design: DesignCandidate, sc: float,
-                          baseline: BaselineTable | tuple | None = None, n: int = 101,
+                          baseline: BaselineTable | None = None, n: int = 101,
                           dims: ChannelDims | None = None) -> MixingReport:
     """Metrics for one design; the baseline defaults to a direct flat-wall
     evaluation at the same (Re, Sc) and checkpoint."""
     mi = mixing_index(outlet_concentration(params, design, sc, n=n, dims=dims))
     cp = pressure_cost(inlet_pressure(params, design, sc, n=n, dims=dims))
     if baseline is None:
-        flat = DesignCandidate(0.0, 0.0, 0.0, design.re)
-        mi0 = mixing_index(outlet_concentration(params, flat, sc, n=n, dims=dims))
-        cp0 = pressure_cost(inlet_pressure(params, flat, sc, n=n, dims=dims))
-    elif isinstance(baseline, BaselineTable):
-        mi0, cp0 = baseline.lookup(design.re, sc)
+        mi0, cp0 = _flat_wall(params, design.re, sc, n, dims)
     else:
-        mi0, cp0 = baseline
+        mi0, cp0 = baseline.lookup(design.re, sc)
     me = mixing_efficiency(mi, cp, mi0, cp0)
     return MixingReport(mi=mi, cp=cp, mi0=mi0, cp0=cp0, me=me, n=n, sc=sc, design=design)

@@ -2,19 +2,23 @@
 
 The field network predicts nine outputs per point; stresses and species
 fluxes are outputs in their own right, so every residual below needs only
-first derivatives of network outputs. Residual formulas accept numpy arrays
-and tape nodes interchangeably.
+first derivatives of network outputs. Each residual, the mass-flow penalty
+and the loss assembly are written once against indexing, ``.sum()``,
+``** 2`` and arithmetic, which numpy arrays and tape nodes both provide; the
+loss runs them on the nodes ``net_apply`` returns, the tests on arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields as dc_fields
+import operator
+from dataclasses import dataclass, fields as dc_fields
+from functools import reduce
 
 import numpy as np
 
 from .diffnet import net_apply
-from .diffnet.tape import Node, nsum, pick, square
+from .diffnet.tape import Node, leaf
 from .errors import DomainError, NumericalError
 from .sampling import CollocationSet
 
@@ -31,16 +35,6 @@ RESIDUAL_NAMES = (
     "flux_x",
     "flux_y",
 )
-
-
-def _column(mat, j, rows=slice(None)):
-    return pick(mat, (rows, j)) if isinstance(mat, Node) else mat[rows, j]
-
-
-def _jac_col(jac, j, d):
-    if isinstance(jac, Node):
-        return pick(jac, (slice(None), j, d))
-    return jac[:, j, d]
 
 
 @dataclass
@@ -82,12 +76,12 @@ class FieldSample:
     @classmethod
     def from_net(cls, out, jac=None, rows=slice(None)) -> "FieldSample":
         """Fields of the given rows of a network output (jacobian: all rows)."""
-        values = {name: _column(out, idx, rows) for name, idx in FIELD_INDEX.items()}
+        values = {name: out[rows, idx] for name, idx in FIELD_INDEX.items()}
         grads = {}
         if jac is not None:
             for name, idx in FIELD_INDEX.items():
-                gx = _jac_col(jac, idx, 0)
-                gy = _jac_col(jac, idx, 1)
+                gx = jac[:, idx, 0]
+                gy = jac[:, idx, 1]
                 if len(name) == 1:
                     grads[f"{name}x"] = gx
                     grads[f"{name}y"] = gy
@@ -99,7 +93,7 @@ class FieldSample:
     def _check_finite(self):
         for f in dc_fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, np.ndarray) and not np.all(np.isfinite(v)):
+            if v is not None and not np.all(np.isfinite(v)):
                 raise NumericalError(f"non-finite field value in {f.name}")
 
 
@@ -114,12 +108,17 @@ def pde_residuals(s: FieldSample, re, sc) -> dict:
     """The nine interior residuals; zero identically for an exact solution.
 
     re and sc may be scalars or per-row arrays; they are data, never
-    differentiated.
+    differentiated. A non-finite field value raises NumericalError.
     """
+    s._check_finite()
+    return _pde_residuals(s, re, sc)
+
+
+def _pde_residuals(s: FieldSample, re, sc) -> dict:
+    """pde_residuals without the finite check: the training loss lets a
+    non-finite field through to a NaN total, which aborts the run."""
     re = _as_positive("re", re)
     sc = _as_positive("sc", sc)
-    if isinstance(s.u, np.ndarray):
-        s._check_finite()
     if s.ux is None:
         raise DomainError("pde_residuals needs a sample built with spatial derivatives")
     two_over_re = 2.0 / re
@@ -161,24 +160,14 @@ def boundary_residuals(s: FieldSample, kind: str, normals=None, targets=None) ->
     raise DomainError(f"unknown boundary kind {kind!r}")
 
 
-def _total(x):
-    return nsum(x) if isinstance(x, Node) else np.sum(x)
-
-
-def _sq(x):
-    return square(x) if isinstance(x, Node) else x * x
-
-
 def massflow_penalty(u_values, weights, target: float):
     """Squared defect of the quadrature flux against its target."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size < 2:
         raise DomainError("a flux slice needs at least 2 quadrature points")
-    n = u_values.value.size if isinstance(u_values, Node) else np.asarray(u_values).size
-    if n != weights.size:
+    if u_values.size != weights.size:
         raise DomainError("velocity and weight lengths differ")
-    flux = _total(u_values * weights)
-    return _sq(flux - target)
+    return ((u_values * weights).sum() - target) ** 2
 
 
 @dataclass(frozen=True)
@@ -233,14 +222,9 @@ def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossW
     if interior is not None and len(interior):
         out, jac = net_apply(param_leaf, template, interior, need_jac=True)
         sample = FieldSample.from_net(out, jac)
-        residuals = pde_residuals(sample, interior[:, 5], interior[:, 6])
-        acc = None
-        count = 0
-        for name in RESIDUAL_NAMES:
-            term = nsum(square(residuals[name]))
-            acc = term if acc is None else acc + term
-            count += len(interior)
-        families["pde"] = acc * (1.0 / count)
+        residuals = _pde_residuals(sample, interior[:, 5], interior[:, 6])
+        acc = reduce(operator.add, [(residuals[name] ** 2).sum() for name in RESIDUAL_NAMES])
+        families["pde"] = acc * (1.0 / (len(RESIDUAL_NAMES) * len(interior)))
 
     # one value-only pass: the boundary kinds (sorted), then the slices
     groups = [(kind, colloc.boundary[kind]) for kind in sorted(colloc.boundary)
@@ -254,31 +238,21 @@ def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossW
         start = rows.stop
         sample = FieldSample.from_net(out, rows=rows)
         residuals = boundary_residuals(sample, kind, group.normals, group.targets)
-        acc = None
-        for r in residuals:
-            term = nsum(square(r))
-            acc = term if acc is None else acc + term
+        acc = reduce(operator.add, [(r ** 2).sum() for r in residuals])
         families[kind] = acc * (1.0 / (len(residuals) * len(group.X)))
 
     if colloc.slices:
-        acc = None
+        terms = []
         for sl in colloc.slices:
             rows = slice(start, start + len(sl.X))
             start = rows.stop
-            u = _column(out, FIELD_INDEX["u"], rows)
-            term = massflow_penalty(u, sl.weights, sl.target)
-            acc = term if acc is None else acc + term
-        families["massflow"] = acc * (1.0 / len(colloc.slices))
+            terms.append(massflow_penalty(out[rows, FIELD_INDEX["u"]], sl.weights, sl.target))
+        families["massflow"] = reduce(operator.add, terms) * (1.0 / len(colloc.slices))
 
-    total = None
-    for name, node in families.items():
-        w = wdict.get(name, 0.0)
-        if w == 0.0:
-            continue
-        term = node * w
-        total = term if total is None else total + term
-    if total is None:
+    terms = [node * wdict[name] for name, node in families.items() if wdict[name] != 0.0]
+    if not terms:
         raise DomainError("no loss terms: empty collocation set or all weights zero")
+    total = reduce(operator.add, terms)
     report = LossReport(
         total=float(total.value),
         families={k: float(v.value) for k, v in families.items()},
@@ -288,7 +262,5 @@ def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossW
 
 def total_loss(colloc: CollocationSet, params, weights: LossWeights | None = None) -> LossReport:
     """Evaluate the training loss without keeping the graph."""
-    from .diffnet.tape import leaf
-
     _, report = loss_node(colloc, leaf(params.flat), params, weights)
     return report

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -55,8 +56,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 0:
             raise DomainError("steps and batch_size must be >= 0")
-        if self.learning_rate <= 0 or self.log_interval < 1 or self.checkpoint_interval < 0:
-            raise DomainError("invalid training hyperparameters")
+        if self.log_interval < 1 or self.checkpoint_interval < 0:
+            raise DomainError("log_interval must be >= 1 and checkpoint_interval >= 0")
+        # NaN fails every comparison, so these tests also reject it
+        for name in ("learning_rate", "eps"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise DomainError(f"{name} must lie in [0, 1), got {value!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
 

@@ -63,9 +63,6 @@ class SampleBounds:
     def highs(self) -> np.ndarray:
         return np.array([getattr(self, n)[1] for n in DIM_NAMES])
 
-    def spans(self) -> np.ndarray:
-        return self.highs() - self.lows()
-
     def pairs(self) -> list:
         return [tuple(getattr(self, n)) for n in DIM_NAMES]
 

@@ -361,6 +361,34 @@ def test_bad_ppo_values_exit_2_before_loading_anything(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, bad, command", [
+    ("train", {"learning_rate": float("inf")}, "train"),
+    ("train", {"learning_rate": float("nan")}, "train"),
+    ("train", {"eps": float("nan")}, "train"),
+    ("train", {"eps": 0.0}, "train"),
+    ("train", {"beta1": 1.0}, "train"),
+    ("train", {"beta2": float("nan")}, "train"),
+    ("ga", {"blend_alpha": float("nan")}, "compare"),
+    ("ga", {"blend_alpha": float("inf")}, "compare"),
+    ("ga", {"mutation_scale": float("nan")}, "compare"),
+    ("ga", {"mutation_scale": float("inf")}, "compare"),
+])
+def test_bad_train_and_ga_values_exit_2_before_running(tmp_path, capsys, section, bad, command):
+    cfg = write_config(tmp_path, {section: bad})
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--out", str(out), "--steps", "2"]
+    else:
+        argv = ["compare", "--policy", str(tmp_path / "missing.ckpt"), "--sc", "10",
+                "--synthetic", "--out", str(out)]
+    rc = main(["--config", cfg, *argv])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"config.{section}: ") and next(iter(bad)) in err["message"]
+    assert not out.exists()
+
+
 def test_compare_synthetic(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "ppo": {"episodes": 2, "batch_size": 8, "actor_hidden": [8], "critic_hidden": [8]},

@@ -55,6 +55,8 @@ def fd_scalar(fn, x, h=1e-6):
         lambda a: tape.nmean(tape.col(a, 1) / (tape.col(a, 0) + 4.0)),
         lambda a: tape.nsum((2.0 - a) * (1.0 / (a + 3.0))),
         lambda a: tape.nmean(-a + a * a * 0.5),
+        lambda a: (a[1:3, 0] * a[0, 2]).sum() + a[-1].sum(),
+        lambda a: (a[:, 1:] ** 2).sum() * (1.0 / a.size),
     ],
 )
 def test_tape_ops_match_finite_differences(build):
@@ -81,6 +83,15 @@ def test_tape_mean_axis_gradient():
     root = tape.nsum(tape.nmean(a, axis=0))
     g = tape.gradient(root, a)
     assert np.allclose(g, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("idx", [np.array([0, 0]), [1, 2], (slice(None), np.array([1, 1])),
+                                 True, (0, None), Ellipsis])
+def test_node_indexing_rejects_array_and_other_indices(idx):
+    """A repeated array index would drop all but one cotangent in the scatter."""
+    a = tape.leaf(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(DomainError):
+        a[idx]
 
 
 def test_gradient_requires_scalar_root():

@@ -44,6 +44,10 @@ def test_config_validation():
         GAConfig(elitism=33, population=32)
     with pytest.raises(DomainError):
         GAConfig(tournament=0)
+    for name in ("mutation_scale", "blend_alpha"):
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match=name):
+                GAConfig(**{name: value})
     GAConfig(elitism=32, population=32)  # degenerate all-elite config is legal
 
 

@@ -76,11 +76,33 @@ def test_abort_on_non_finite_loss_returns_finite_params():
     assert history.reports == []
 
 
+def test_non_finite_network_output_aborts_without_raising():
+    """A NaN input row gives NaN outputs; the loss must come out NaN, not raise."""
+    from mixopt.sampling import CollocationSet, generate_collocation
+
+    cfg = tiny_config(steps=5)
+    colloc = generate_collocation(ChannelDims(), cfg.bounds, cfg.counts, seed=0)
+    interior = colloc.interior.copy()
+    interior[0, 0] = np.nan
+    poisoned = CollocationSet(interior=interior, boundary=colloc.boundary, slices=colloc.slices)
+    params, history = train(cfg, colloc=poisoned)
+    assert history.aborted_at is not None
+    assert np.all(np.isfinite(params.flat))
+    assert np.isnan(history.initial.total)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         tiny_config(steps=-1)
     with pytest.raises(DomainError):
         tiny_config(learning_rate=0.0)
+    for name, values in (("learning_rate", (float("inf"), float("nan"))),
+                         ("eps", (0.0, float("inf"), float("nan"))),
+                         ("beta1", (-0.1, 1.0, float("nan"))),
+                         ("beta2", (1.0, float("nan")))):
+        for value in values:
+            with pytest.raises(DomainError, match=name):
+                tiny_config(**{name: value})
 
 
 def test_checkpoint_wrappers_round_trip(tmp_path):
