@@ -4,8 +4,10 @@ Subcommands cover the whole pipeline: geometry export, field-network
 training, design evaluation, PPO optimization, policy queries, and the
 GA-vs-policy timing comparison. A JSON config file (schema_version 1)
 overrides the documented defaults; unknown keys are rejected. Exit codes:
-0 success, 1 numerical failure, 2 invalid input or config. Errors go to
-stderr as one JSON object per failure.
+0 success, 1 numerical failure, 2 invalid input or config. Each command
+prints one JSON object to stdout, and errors go to stderr as one JSON
+object per failure; both are strict RFC 8259 JSON, with a non-finite
+number written as null.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonout
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -114,7 +117,7 @@ def load_config(path=None) -> RunConfig:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(jsonout.dumps(payload))
 
 
 def cmd_geometry(args, cfg: RunConfig) -> int:
@@ -277,7 +280,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors emit JSON and exit code 2."""
 
     def error(self, message):
-        print(json.dumps({"error": "ArgumentError", "message": message}), file=sys.stderr)
+        print(jsonout.dumps({"error": "ArgumentError", "message": message}), file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -347,11 +350,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         return args.func(args, cfg)
     except (ConfigError, CheckpointError, DomainError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+        print(jsonout.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
     except (NumericalError, SamplingError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+        print(jsonout.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ from .network import (
     NetworkSpec,
     ParameterSet,
     forward,
+    forward_jac,
     forward_vjp,
     init_params,
     net_apply,
@@ -24,6 +25,7 @@ __all__ = [
     "ParameterSet",
     "adam_step",
     "forward",
+    "forward_jac",
     "forward_vjp",
     "init_adam",
     "init_params",

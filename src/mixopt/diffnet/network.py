@@ -7,6 +7,12 @@ as a single primitive, so one backward sweep covers losses built from both
 outputs and spatial derivatives. Every pass runs over the rows in blocks of
 at most ``ROW_BLOCK`` rows, and the reverse pass sums the blocks' gradients
 in block order.
+
+The value-only passes keep no per-layer arrays past their block: ``forward``
+keeps none at all, and ``forward_jac`` runs each block through the same
+routine as the tape path, so it returns the same bits, then keeps only the
+block's outputs and jacobian. Only ``forward_vjp`` (and ``net_apply`` on it)
+holds every block's reverse cache, for as long as its pullback lives.
 """
 
 from __future__ import annotations
@@ -224,11 +230,15 @@ class _Pass:
         self.views = views
         self.rows = rows
         self.blocks = blocks
-        if len(blocks) == 1:
-            self.out, self.jac = blocks[0].out, blocks[0].jac
-        else:
-            self.out = np.concatenate([c.out for c in blocks])
-            self.jac = None if blocks[0].jac is None else np.concatenate([c.jac for c in blocks])
+        self.out, self.jac = _stack([(c.out, c.jac) for c in blocks])
+
+
+def _stack(pairs):
+    """The whole pass's (out, jac) from each row block's, in row order."""
+    if len(pairs) == 1:
+        return pairs[0]
+    outs, jacs = zip(*pairs)
+    return np.concatenate(outs), None if jacs[0] is None else np.concatenate(jacs)
 
 
 def _prepare(pset: ParameterSet, X):
@@ -258,27 +268,35 @@ def _layers(views, act, h, cache: _Cache | None = None) -> np.ndarray:
             h = cache.record(W, z)
 
 
-def _forward_cache(pset: ParameterSet, X, need_tangent: bool) -> _Pass:
+def _block(views, act, h, scale, need_tangent: bool) -> _Cache:
+    """One row block through the layer loop; its cache holds out and jac."""
+    seeds = None
+    if need_tangent:
+        seeds = []
+        for d in (0, 1):
+            t = np.zeros_like(h)
+            t[:, d] = scale[d]
+            seeds.append(t)
+    cache = _Cache(act, h, seeds)
+    cache.out = _layers(views, act, h, cache)
+    if need_tangent:
+        W_last, _ = views[-1]
+        cache.jac = np.stack([t @ W_last.T for t in cache.tin[-1]], axis=2)
+    return cache
+
+
+def _map_blocks(pset: ParameterSet, X, need_tangent: bool, keep):
+    """The one block loop of the cached passes: ``keep`` takes each block's
+    cache as soon as it is built and returns what the caller holds on to.
+    Returns (views, row slices, kept values)."""
     act, views, h = _prepare(pset, X)
     scale = pset.norm.inv_halfspan
-    W_last, _ = views[-1]
     rows = _row_blocks(len(h))
-    blocks = []
-    for s in rows:
-        hb = h[s]
-        seeds = None
-        if need_tangent:
-            seeds = []
-            for d in (0, 1):
-                t = np.zeros_like(hb)
-                t[:, d] = scale[d]
-                seeds.append(t)
-        cache = _Cache(act, hb, seeds)
-        cache.out = _layers(views, act, hb, cache)
-        if need_tangent:
-            cache.jac = np.stack([t @ W_last.T for t in cache.tin[-1]], axis=2)
-        blocks.append(cache)
-    return _Pass(views, rows, blocks)
+    return views, rows, [keep(_block(views, act, h[s], scale, need_tangent)) for s in rows]
+
+
+def _forward_cache(pset: ParameterSet, X, need_tangent: bool) -> _Pass:
+    return _Pass(*_map_blocks(pset, X, need_tangent, lambda cache: cache))
 
 
 def _block_backward(views, cache: _Cache, gy, gjac) -> np.ndarray:
@@ -362,13 +380,23 @@ def forward(params: ParameterSet, X) -> np.ndarray:
     return np.concatenate([_layers(views, act, h[s]) for s in rows])
 
 
+def forward_jac(params: ParameterSet, X):
+    """Outputs and spatial jacobian, (batch, output_dim) and (batch, output_dim, 2).
+
+    A value-only tangent pass: each row block runs the tape path's routine,
+    so both arrays carry its bits, but only the block's outputs and jacobian
+    are kept; its reverse caches are dropped before the next block starts.
+    """
+    return _stack(_map_blocks(params, X, True, lambda cache: (cache.out, cache.jac))[2])
+
+
 def spatial_jacobian(params: ParameterSet, X) -> np.ndarray:
     """First derivatives of every output w.r.t. the spatial inputs x and y.
 
     Returns (batch, output_dim, 2); derivatives are taken w.r.t. the raw
     (un-normalized) inputs.
     """
-    return _forward_cache(params, X, need_tangent=True).jac
+    return forward_jac(params, X)[1]
 
 
 def forward_vjp(params: ParameterSet, X, need_jac: bool = False):

@@ -9,13 +9,13 @@ baseline at the same (Re, Sc).
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import jsonout
 from .diffnet import ParameterSet, forward
 from .errors import DomainError
 from .geometry import CP_MAX, CP_MIN, ChannelDims, ControlPolygon
@@ -155,7 +155,7 @@ class MixingReport:
             "design": {"cp1": d.cp1, "cp2": d.cp2, "cp3": d.cp3, "re": d.re},
             "note": self.note,
         }
-        return json.dumps(payload, sort_keys=True)
+        return jsonout.dumps(payload)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,24 @@ The field network predicts nine outputs per point; stresses and species
 fluxes are outputs in their own right, so every residual below needs only
 first derivatives of network outputs. Each residual, the mass-flow penalty
 and the loss assembly are written once against indexing, ``.sum()``,
-``** 2`` and arithmetic, which numpy arrays and tape nodes both provide; the
-loss runs them on the nodes ``net_apply`` returns, the tests on arrays.
+``** 2`` and arithmetic, which numpy arrays and tape nodes both provide.
+``loss_node`` runs the assembly on the nodes ``net_apply`` returns, for the
+gradient; ``total_loss`` runs it on the arrays of the value-only passes
+``forward_jac`` and ``forward``, which keep no reverse caches, and gets the
+same bits.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, fields as dc_fields
 from functools import reduce
 
 import numpy as np
 
-from .diffnet import net_apply
-from .diffnet.tape import Node, leaf
+from . import jsonout
+from .diffnet import forward, forward_jac, net_apply
+from .diffnet.tape import Node
 from .errors import DomainError, NumericalError
 from .sampling import CollocationSet
 
@@ -167,7 +170,10 @@ def massflow_penalty(u_values, weights, target: float):
         raise DomainError("a flux slice needs at least 2 quadrature points")
     if u_values.size != weights.size:
         raise DomainError("velocity and weight lengths differ")
-    return ((u_values * weights).sum() - target) ** 2
+    # d * d, not d ** 2: numpy squares a float64 scalar with pow, which is one
+    # ulp off for some inputs; on a node, mul's cotangent equals square's
+    d = (u_values * weights).sum() - target
+    return d * d
 
 
 @dataclass(frozen=True)
@@ -204,23 +210,24 @@ class LossReport:
 
     def to_json(self) -> str:
         payload = {"step": self.step, "total": self.total, **self.families}
-        return json.dumps(payload, sort_keys=True)
+        return jsonout.dumps(payload)
 
 
-def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossWeights | None = None):
-    """Assemble the weighted loss as a tape node; returns (node, LossReport).
+def _assemble(colloc: CollocationSet, evaluate, weights: LossWeights):
+    """The weighted loss and its families, as (total, {family: value}).
 
+    ``evaluate(X, need_jac) -> (out, jac)`` evaluates the network: tape nodes
+    for ``loss_node``, arrays for ``total_loss``; the arithmetic is the same.
     Each family value is the plain mean of squared residuals over all its
     rows and components, so with a single nonzero unit weight the total
     equals that family's mean square.
     """
-    weights = weights or LossWeights()
     wdict = weights.as_dict()
     families = {}
 
     interior = colloc.interior
     if interior is not None and len(interior):
-        out, jac = net_apply(param_leaf, template, interior, need_jac=True)
+        out, jac = evaluate(interior, True)
         sample = FieldSample.from_net(out, jac)
         residuals = _pde_residuals(sample, interior[:, 5], interior[:, 6])
         acc = reduce(operator.add, [(residuals[name] ** 2).sum() for name in RESIDUAL_NAMES])
@@ -231,7 +238,7 @@ def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossW
               if len(colloc.boundary[kind].X)]
     value_rows = [group.X for _, group in groups] + [sl.X for sl in colloc.slices]
     if value_rows:
-        out, _ = net_apply(param_leaf, template, np.concatenate(value_rows), need_jac=False)
+        out, _ = evaluate(np.concatenate(value_rows), False)
     start = 0
     for kind, group in groups:
         rows = slice(start, start + len(group.X))
@@ -249,10 +256,19 @@ def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossW
             terms.append(massflow_penalty(out[rows, FIELD_INDEX["u"]], sl.weights, sl.target))
         families["massflow"] = reduce(operator.add, terms) * (1.0 / len(colloc.slices))
 
-    terms = [node * wdict[name] for name, node in families.items() if wdict[name] != 0.0]
+    terms = [value * wdict[name] for name, value in families.items() if wdict[name] != 0.0]
     if not terms:
         raise DomainError("no loss terms: empty collocation set or all weights zero")
-    total = reduce(operator.add, terms)
+    return reduce(operator.add, terms), families
+
+
+def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossWeights | None = None):
+    """Assemble the weighted loss as a tape node; returns (node, LossReport)."""
+
+    def evaluate(X, need_jac):
+        return net_apply(param_leaf, template, X, need_jac=need_jac)
+
+    total, families = _assemble(colloc, evaluate, weights or LossWeights())
     report = LossReport(
         total=float(total.value),
         families={k: float(v.value) for k, v in families.items()},
@@ -261,6 +277,11 @@ def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossW
 
 
 def total_loss(colloc: CollocationSet, params, weights: LossWeights | None = None) -> LossReport:
-    """Evaluate the training loss without keeping the graph."""
-    _, report = loss_node(colloc, leaf(params.flat), params, weights)
-    return report
+    """The training loss from value-only passes: ``loss_node``'s report, bit
+    for bit, without a graph or any reverse cache."""
+
+    def evaluate(X, need_jac):
+        return forward_jac(params, X) if need_jac else (forward(params, X), None)
+
+    total, families = _assemble(colloc, evaluate, weights or LossWeights())
+    return LossReport(total=float(total), families={k: float(v) for k, v in families.items()})

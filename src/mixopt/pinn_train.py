@@ -122,17 +122,15 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
                                  slices=colloc.slices)
         else:
             sub = colloc
-        param_leaf = leaf(params.flat)
-        node, report = loss_node(sub, param_leaf, params, cfg.weights)
+        report, grad = _loss_and_gradient(sub, params, cfg.weights)
         report.step = step
-        if not np.isfinite(report.total):
+        if grad is None:
             log.warning("training aborted at step %d: non-finite loss", step)
             history.aborted_at = step
             params = last_finite
             break
         last_finite = params
         try:
-            grad = param_gradient(node, param_leaf)
             params, state = adam_step(params, grad, state)
         except NumericalError as exc:
             log.warning("training aborted at step %d: %s", step, exc)
@@ -152,6 +150,20 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
         os.makedirs(cfg.checkpoint_dir, exist_ok=True)
         save_checkpoint(params, os.path.join(cfg.checkpoint_dir, "final.ckpt"), seed=cfg.seed)
     return params, history
+
+
+def _loss_and_gradient(sub: CollocationSet, params: ParameterSet, weights: LossWeights):
+    """One step's loss report and parameter gradient (None for a non-finite loss).
+
+    The step's tape graph, whose network nodes hold every row block's reverse
+    cache, lives only inside this call, so it is freed before the next step
+    builds its own.
+    """
+    param_leaf = leaf(params.flat)
+    node, report = loss_node(sub, param_leaf, params, weights)
+    if not np.isfinite(report.total):
+        return report, None
+    return report, param_gradient(node, param_leaf)
 
 
 def save_checkpoint(params: ParameterSet, path, seed=None) -> None:

@@ -93,6 +93,12 @@ class Batch:
     advantages: np.ndarray
 
 
+def _check_window(name: str, value: int) -> None:
+    # r[-0:] is all of r, and a window of 0 averages nothing
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value!r}")
+
+
 @dataclass
 class RewardHistory:
     """Per-episode mean rewards; aborted episodes hold nan."""
@@ -104,6 +110,7 @@ class RewardHistory:
 
     def smoothed(self, window: int = 50) -> np.ndarray:
         """Trailing arithmetic mean, window truncated at the start, nan-aware."""
+        _check_window("window", window)
         r = np.asarray(self.mean_rewards, dtype=np.float64)
         out = np.full(r.size, np.nan)
         for i in range(r.size):
@@ -114,6 +121,8 @@ class RewardHistory:
         return out
 
     def tail_mean(self, n: int = 20) -> float:
+        """Mean of the finite rewards among the last n episodes (nan if none)."""
+        _check_window("n", n)
         r = np.asarray(self.mean_rewards, dtype=np.float64)
         good = r[-n:][np.isfinite(r[-n:])]
         return float(good.mean()) if good.size else float("nan")

@@ -338,6 +338,38 @@ def test_compare_rejects_repeats_below_one_before_loading(tmp_path, capsys, repe
     assert not out.exists()
 
 
+def reject_constant(name):
+    raise ValueError(f"stdout holds the non-standard JSON constant {name}")
+
+
+def test_optimize_rl_with_every_episode_skipped_prints_strict_json(tmp_path, capsys):
+    # negative inlet pressure everywhere: every design score is degenerate
+    # (nan), so every episode is skipped and the smoothed reward is nan
+    from mixopt.diffnet import InputNorm, NetworkSpec, init_params
+    from mixopt.pinn_train import save_checkpoint
+    from mixopt.sampling import SampleBounds
+
+    params = init_params(NetworkSpec(hidden=(8,)), norm=InputNorm.from_bounds(SampleBounds().pairs()),
+                         seed=3)
+    params = params.with_flat(params.flat.copy())
+    W, b = params.views()[-1]
+    W *= 0.0
+    b[2] = -1.0  # p
+    b[6] = 0.5   # c
+    ckpt = str(tmp_path / "field.ckpt")
+    save_checkpoint(params, ckpt)
+    cfg = write_config(tmp_path, {"ppo": {"episodes": 2, "batch_size": 8, "actor_hidden": [8],
+                                          "critic_hidden": [8]},
+                                  "metrics": {"outlet_samples": 5, "baseline_grid": 2}})
+    capsys.readouterr()
+    rc = main(["--config", cfg, "optimize-rl", "--checkpoint", ckpt, "--episodes", "2",
+               "--out", str(tmp_path / "a.ckpt")])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out.strip(), parse_constant=reject_constant)
+    assert payload["episodes"] == 2
+    assert payload["final_smoothed"] is None
+
+
 def test_optimize_rl_requires_an_environment(tmp_path, capsys):
     rc = main(["optimize-rl", "--out", str(tmp_path / "a.ckpt")])
     assert rc == 2

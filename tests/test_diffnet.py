@@ -11,6 +11,7 @@ from mixopt.diffnet import (
     adam_step,
     checkpoint,
     forward,
+    forward_jac,
     forward_vjp,
     init_adam,
     init_params,
@@ -379,6 +380,25 @@ def test_forward_vjp_equals_net_apply_and_param_gradient(activation, need_jac):
     else:
         assert jac is None and jac_node is None
     assert np.array_equal(vjp(gy, gjac), param_gradient(root, leaf_node))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+def test_forward_jac_is_the_tape_paths_outputs_and_jacobian(activation):
+    spec = NetworkSpec(hidden=(32, 32), activation=activation)
+    params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=14)
+    X = field_rows(700, seed=7)
+    assert len(network._row_blocks(len(X))) == 4
+    X_before = X.copy()
+    out, jac = forward_jac(params, X)
+    assert np.array_equal(X, X_before)
+    ref_out, ref_jac, _ = forward_vjp(params, X, need_jac=True)
+    assert out.shape == (700, 9) and jac.shape == (700, 9, 2)
+    assert np.array_equal(out, ref_out) and np.array_equal(jac, ref_jac)
+    assert np.array_equal(spatial_jacobian(params, X), ref_jac)
+    assert np.array_equal(out, forward(params, X))
+    one_out, one_jac = forward_jac(params, X[:50])  # a single block
+    ref_out, ref_jac, _ = forward_vjp(params, X[:50], need_jac=True)
+    assert np.array_equal(one_out, ref_out) and np.array_equal(one_jac, ref_jac)
 
 
 def test_net_apply_without_jacobian_gradients():

@@ -13,6 +13,7 @@ from mixopt.geometry import ChannelDims
 from mixopt.metrics import (
     BaselineTable,
     DesignCandidate,
+    MixingReport,
     baseline_table,
     compute_mixing_report,
     inlet_pressure,
@@ -226,6 +227,18 @@ def test_report_json_fields():
     assert payload["design"]["cp3"] == -0.3
     assert payload["n"] == 101
     assert set(payload) == {"mi", "cp", "mi0", "cp0", "me", "n", "sc", "design", "note"}
+
+
+def test_report_json_writes_non_finite_values_as_null():
+    report = MixingReport(mi=float("nan"), cp=-float("inf"), mi0=0.5, cp0=1.0, me=float("nan"),
+                          n=3, sc=2.0, design=DesignCandidate(0.1, 0.2, -0.3, 12.0))
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(report.to_json(), parse_constant=reject)
+    assert payload["mi"] is None and payload["cp"] is None and payload["me"] is None
+    assert payload["mi0"] == 0.5 and payload["design"]["re"] == 12.0
 
 
 # Reference scoring built the way the rows were first assembled: fresh

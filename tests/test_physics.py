@@ -1,7 +1,17 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mixopt.diffnet import NetworkSpec, forward, init_params, param_gradient, spatial_jacobian
+from mixopt.diffnet import (
+    InputNorm,
+    NetworkSpec,
+    forward,
+    init_params,
+    param_gradient,
+    spatial_jacobian,
+)
 from mixopt.diffnet.tape import leaf
 from mixopt.errors import DomainError, NumericalError
 from mixopt.geometry import ChannelDims
@@ -337,3 +347,80 @@ def test_stacked_loss_node_gradient_matches_central_difference():
     plus = total_loss(colloc, params.with_flat(params.flat + h * direction)).total
     minus = total_loss(colloc, params.with_flat(params.flat - h * direction)).total
     assert abs((plus - minus) / (2.0 * h) - exact) <= 1e-6 * abs(exact)
+
+
+def assert_reports_equal(report, ref):
+    assert np.array_equal(report.total, ref.total)
+    assert list(report.families) == list(ref.families)
+    for name, value in ref.families.items():
+        assert np.array_equal(report.families[name], value), name
+
+
+def tape_report(colloc, params, weights=None):
+    return loss_node(colloc, leaf(params.flat), params, weights)[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+def test_value_only_total_loss_is_the_tape_report_bit_for_bit(seed, activation):
+    colloc = generate_collocation(ChannelDims(), SampleBounds(), CollocationCounts(), seed=seed)
+    norm = InputNorm.from_bounds(SampleBounds().pairs())
+    params = init_params(NetworkSpec(activation=activation), norm=norm, seed=40 + seed)
+    assert_reports_equal(total_loss(colloc, params), tape_report(colloc, params))
+    weights = LossWeights(pde=0.5, wall=3.0, massflow=0.0)
+    assert_reports_equal(total_loss(colloc, params, weights), tape_report(colloc, params, weights))
+
+
+# numpy squares a float64 scalar with pow; for this input pow(x, 2) is one ulp
+# above x * x on glibc, so a penalty written as defect ** 2 leaves the tape's bits
+POW_ULP_DEFECT = 0.687611213910762
+
+
+def test_massflow_penalty_squares_by_multiplication_on_arrays_and_nodes():
+    x = POW_ULP_DEFECT
+    u, w = np.array([x, 0.0]), np.array([1.0, 0.5])
+    want = np.float64(x) * np.float64(x)
+    assert massflow_penalty(u, w, 0.0) == want
+    node_u = leaf(u)
+    penalty = massflow_penalty(node_u, w, 0.0)
+    assert penalty.value == want
+    # mul's cotangent g*d + g*d is square's g * (2 d), bit for bit
+    assert np.array_equal(param_gradient(penalty, node_u), np.array([2.0 * x, x]))
+
+    # a zero network makes every slice's defect -target
+    colloc = tiny_colloc(seed=6)
+    sl = colloc.slices[0]
+    slices = (PenaltySlice(station=sl.station, X=sl.X, weights=sl.weights, target=x),)
+    colloc = CollocationSet(interior=colloc.interior, boundary=colloc.boundary, slices=slices)
+    params = init_params(NetworkSpec(), seed=0)
+    params = params.with_flat(np.zeros_like(params.flat))
+    report = total_loss(colloc, params)
+    assert report.families["massflow"] == want
+    assert_reports_equal(report, tape_report(colloc, params))
+
+
+def test_total_loss_keeps_no_reverse_caches():
+    """The value-only loss peaks below a quarter of the tape path's memory."""
+    colloc = generate_collocation(ChannelDims(), SampleBounds(), CollocationCounts(), seed=3)
+    params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(SampleBounds().pairs()), seed=3)
+    peaks = {}
+    for name, fn in (("value", total_loss), ("tape", tape_report)):
+        tracemalloc.start()
+        try:
+            fn(colloc, params)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["value"] < peaks["tape"] / 4, peaks
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_loss_report_json_writes_non_finite_values_as_null():
+    report = LossReport(total=float("nan"), families={"pde": float("inf"), "wall": 1.0}, step=2)
+    text = report.to_json()
+    assert json.loads(text, parse_constant=reject_constant) == {
+        "pde": None, "step": 2, "total": None, "wall": 1.0}
+

@@ -1,10 +1,14 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mixopt.diffnet import InputNorm, NetworkSpec, adam_step, init_adam, init_params, param_gradient
+from mixopt.diffnet.tape import leaf
 from mixopt.errors import CheckpointError, DomainError
 from mixopt.geometry import ChannelDims
+from mixopt.physics import loss_node
 from mixopt.pinn_train import (
     TrainConfig,
     evaluate_fields,
@@ -12,7 +16,7 @@ from mixopt.pinn_train import (
     save_checkpoint,
     train,
 )
-from mixopt.sampling import CollocationCounts, SampleBounds
+from mixopt.sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
 
 
 def tiny_config(**kwargs):
@@ -164,3 +168,77 @@ def test_field_table_csv_round_trip(tmp_path):
     iy = 13 // 9
     assert abs(float(probe["u"]) - table.u[iy, ix]) < 1e-8
     assert probe["inside"] in ("0", "1")
+
+
+def graph_keeping_train(cfg, colloc):
+    """The training loop as it was before graph release and the value-only
+    full-set loss: the full-set loss is the tape report, and each step's graph
+    stays referenced until the next step has built its own."""
+    root = np.random.SeedSequence(cfg.seed)
+    _, ss_init, ss_batch = root.spawn(3)
+    spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden, activation=cfg.activation)
+    params = init_params(spec, norm=InputNorm.from_bounds(cfg.bounds.pairs()), seed=ss_init)
+    state = init_adam(params.flat.size, lr=cfg.learning_rate, beta1=cfg.beta1,
+                      beta2=cfg.beta2, eps=cfg.eps)
+    initial = loss_node(colloc, leaf(params.flat), params, cfg.weights)[1]
+    rng = np.random.default_rng(ss_batch)
+    n = len(colloc.interior)
+    batch = cfg.batch_size if 0 < cfg.batch_size < n else n
+    perm = rng.permutation(n)
+    cursor = 0
+    reports = []
+    for step in range(1, cfg.steps + 1):
+        if cursor + batch > n:
+            perm = rng.permutation(n)
+            cursor = 0
+        idx = perm[cursor:cursor + batch]
+        cursor += batch
+        sub = CollocationSet(interior=colloc.interior[idx], boundary=colloc.boundary,
+                             slices=colloc.slices)
+        param_leaf = leaf(params.flat)
+        node, report = loss_node(sub, param_leaf, params, cfg.weights)
+        params, state = adam_step(params, param_gradient(node, param_leaf), state)
+        if step % cfg.log_interval == 0 or step == cfg.steps:
+            reports.append(report)
+    final = loss_node(colloc, leaf(params.flat), params, cfg.weights)[1]
+    return params, [initial, *reports, final]
+
+
+def test_seeded_training_reproduces_the_graph_keeping_loop_bit_for_bit():
+    cfg = TrainConfig(steps=30, seed=5, log_interval=1)
+    colloc = generate_collocation(cfg.dims, cfg.bounds, cfg.counts, seed=9)
+    params, history = train(cfg, colloc)
+    ref_params, ref_reports = graph_keeping_train(cfg, colloc)
+    assert params.flat.tobytes() == ref_params.flat.tobytes()
+    got = [history.initial, *history.reports, history.final]
+    assert len(got) == len(ref_reports) == 32
+    for r, ref in zip(got, ref_reports):
+        assert r.total == ref.total and r.families == ref.families
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_one_step_graph_at_a_time():
+    """Six steps peak near one loss-plus-gradient step on the same minibatch,
+    not near two steps' reverse caches."""
+    cfg = TrainConfig(steps=6, seed=4)
+    colloc = generate_collocation(cfg.dims, cfg.bounds, cfg.counts, seed=10)
+    sub = CollocationSet(interior=colloc.interior[:cfg.batch_size], boundary=colloc.boundary,
+                         slices=colloc.slices)
+    params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(cfg.bounds.pairs()), seed=4)
+
+    def one_step():
+        param_leaf = leaf(params.flat)
+        node, _ = loss_node(sub, param_leaf, params, cfg.weights)
+        param_gradient(node, param_leaf)
+
+    step_peak = traced_peak(one_step)
+    train_peak = traced_peak(lambda: train(cfg, colloc))
+    assert train_peak <= 1.3 * step_peak, (train_peak, step_peak)

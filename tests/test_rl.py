@@ -424,6 +424,20 @@ def test_reward_history_smoothing_is_trailing_mean():
     assert np.allclose(s2, [1.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [0, -1, -20])
+def test_reward_history_rejects_windows_below_one(bad):
+    h = RewardHistory()
+    for r in [1.0, 2.0, 3.0]:
+        h.append(r)
+    with pytest.raises(DomainError):
+        h.tail_mean(bad)
+    with pytest.raises(DomainError):
+        h.smoothed(window=bad)
+    assert h.tail_mean(1) == 3.0
+    assert h.tail_mean(2) == 2.5
+    assert np.array_equal(h.smoothed(window=1), [1.0, 2.0, 3.0])
+
+
 def test_reward_history_csv(tmp_path):
     h = RewardHistory()
     for r in [0.1, 0.5, 0.9]:
