@@ -13,6 +13,9 @@ keeps none at all, and ``forward_jac`` runs each block through the same
 routine as the tape path, so it returns the same bits, then keeps only the
 block's outputs and jacobian. Only ``forward_vjp`` (and ``net_apply`` on it)
 holds every block's reverse cache, for as long as its pullback lives.
+``forward`` alone adds each bias from a copy tiled to ``ROW_BLOCK`` rows,
+built once per ``ParameterSet``; the tape and ``forward_vjp`` keep the
+broadcast add and build no copies.
 """
 
 from __future__ import annotations
@@ -130,6 +133,7 @@ class ParameterSet:
     norm: InputNorm
     flat: np.ndarray
     _views: tuple = field(default=None, init=False, repr=False, compare=False)
+    _tiled: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flat.dtype != np.float64 or self.flat.ndim != 1:
@@ -143,7 +147,8 @@ class ParameterSet:
         """(W, b) numpy views into the flat vector, in layer order.
 
         Built on the first call and returned as the same arrays after that;
-        writing to them writes to ``flat``.
+        writing to them writes to ``flat`` until the first ``forward``, which
+        makes both read-only.
         """
         if self._views is None:
             out = []
@@ -156,6 +161,30 @@ class ParameterSet:
                 out.append((W, b))
             object.__setattr__(self, "_views", tuple(out))
         return self._views
+
+    def tiled_layers(self) -> tuple:
+        """(W, b tiled to ``ROW_BLOCK`` rows) per layer, for ``forward``.
+
+        Adding a bias from a row-tiled copy is about twice as fast as numpy's
+        broadcast add at a design score's 101 and 202 rows, with equal bits.
+        Built on the first call, which also makes ``flat`` and ``views()``
+        read-only: the tiled biases are copies, so a later write to the
+        parameters would leave them stale. ``with_flat(flat.copy())`` gives
+        a writable set.
+        """
+        if self._tiled is None:
+            views = self.views()
+            self.flat.flags.writeable = False
+            layers = []
+            for W, b in views:
+                W.flags.writeable = False
+                b.flags.writeable = False
+                tile = np.empty((ROW_BLOCK, b.size))
+                tile[:] = b
+                tile.flags.writeable = False
+                layers.append((W, tile))
+            object.__setattr__(self, "_tiled", tuple(layers))
+        return self._tiled
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         return ParameterSet(self.spec, self.norm, np.ascontiguousarray(flat, dtype=np.float64))
@@ -242,24 +271,29 @@ def _stack(pairs):
 
 
 def _prepare(pset: ParameterSet, X):
+    """The activation and the normalized inputs of one pass."""
     spec = pset.spec
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise DomainError(f"expected input shape (batch, {spec.input_dim})")
-    return ACTIVATIONS[spec.activation], pset.views(), pset.norm.apply(X)
+    return ACTIVATIONS[spec.activation], pset.norm.apply(X)
 
 
-def _layers(views, act, h, cache: _Cache | None = None) -> np.ndarray:
+def _layers(layers, act, h, cache: _Cache | None = None) -> np.ndarray:
     """The one layer loop: z = h W^T, z += b, then the activation.
 
-    Without a cache the activation runs in place and nothing per layer is
-    kept; with one, ``cache.record`` activates each hidden layer and keeps
-    what the reverse pass needs. Returns the output layer's z.
+    ``layers`` is either ``views()``, whose 1-D biases are broadcast over
+    the rows, or ``tiled_layers()``, whose biases are cut to the block's
+    rows; both adds give the same bits. Without a cache the activation runs
+    in place and nothing per layer is kept; with one, ``cache.record``
+    activates each hidden layer and keeps what the reverse pass needs.
+    Returns the output layer's z.
     """
-    last = len(views) - 1
-    for l, (W, b) in enumerate(views):
+    last = len(layers) - 1
+    n = len(h)
+    for l, (W, b) in enumerate(layers):
         z = h @ W.T
-        z += b
+        z += b[:n] if b.ndim == 2 else b
         if l == last:
             return z
         if cache is None:
@@ -289,7 +323,8 @@ def _map_blocks(pset: ParameterSet, X, need_tangent: bool, keep):
     """The one block loop of the cached passes: ``keep`` takes each block's
     cache as soon as it is built and returns what the caller holds on to.
     Returns (views, row slices, kept values)."""
-    act, views, h = _prepare(pset, X)
+    act, h = _prepare(pset, X)
+    views = pset.views()
     scale = pset.norm.inv_halfspan
     rows = _row_blocks(len(h))
     return views, rows, [keep(_block(views, act, h[s], scale, need_tangent)) for s in rows]
@@ -371,13 +406,15 @@ def forward(params: ParameterSet, X) -> np.ndarray:
     """Plain evaluation: (batch, input_dim) -> (batch, output_dim).
 
     Runs the same layer loop over the same row blocks as the tape path and
-    returns the same bits, but keeps no per-layer arrays. X is not modified.
+    returns the same bits, but keeps no per-layer arrays and adds each bias
+    from ``tiled_layers()``, so ``params`` is read-only from here on. X is
+    not modified.
     """
-    act, views, h = _prepare(params, X)
-    rows = _row_blocks(len(h))
-    if len(rows) == 1:
-        return _layers(views, act, h)
-    return np.concatenate([_layers(views, act, h[s]) for s in rows])
+    act, h = _prepare(params, X)
+    layers = params.tiled_layers()
+    if len(h) <= ROW_BLOCK:
+        return _layers(layers, act, h)
+    return np.concatenate([_layers(layers, act, h[s]) for s in _row_blocks(len(h))])
 
 
 def forward_jac(params: ParameterSet, X):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from .metrics import DesignCandidate
+from .metrics import DesignCandidate, check_schmidt
 from .rl import query_policy
 
 log = logging.getLogger(__name__)
@@ -68,12 +68,12 @@ class GAResult:
 
 def _evaluate(env, genomes: np.ndarray, sc: float) -> np.ndarray:
     out = np.empty(len(genomes))
-    for i, g in enumerate(genomes):
-        r = env.evaluate(DesignCandidate(g[0], g[1], g[2], g[3]), sc)
-        if not np.isfinite(r):
+    for i, g in enumerate(genomes.tolist()):
+        r = env.evaluate(DesignCandidate(*g), sc)
+        if not math.isfinite(r):
             # the environment has already reported why; one line per design
             log.debug("non-finite fitness for genome %s at sc=%s; assigning -inf", g, sc)
-            r = -np.inf
+            r = -math.inf
         out[i] = r
     return out
 
@@ -92,6 +92,7 @@ def _blend(p1: np.ndarray, p2: np.ndarray, alpha: float, rng) -> np.ndarray:
 
 def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
     """Tournament selection, blend crossover, Gaussian mutation, elitism."""
+    check_schmidt(sc)
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     pop = rng.uniform(GENE_LO, GENE_HI, size=(cfg.population, 4))
@@ -129,7 +130,7 @@ def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
             best_genome = pop[gen_best].copy()
         history.append(best_fitness)
 
-    best = DesignCandidate(best_genome[0], best_genome[1], best_genome[2], best_genome[3])
+    best = DesignCandidate(*best_genome.tolist())
     return GAResult(best=best, best_fitness=best_fitness, evaluations=evaluations,
                     wall_time=time.perf_counter() - t0, best_per_generation=history)
 

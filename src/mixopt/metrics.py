@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,14 +53,28 @@ class DesignCandidate:
         return np.array([self.cp1, self.cp2, self.cp3, self.re])
 
 
+def check_schmidt(sc) -> None:
+    """Raise DomainError unless the Schmidt number is finite and positive."""
+    if not 0.0 < sc < math.inf:
+        raise DomainError(f"Schmidt number {sc!r} must be finite and positive")
+
+
+def _mean(x: np.ndarray) -> float:
+    # np.mean's own sum and divide, without its dispatch
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
 def mixing_index(c) -> float:
     """1 - rms deviation of c from the perfect-mix value 0.5, scaled by 0.5."""
     c = np.asarray(c, dtype=np.float64)
     if c.size == 0:
         raise DomainError("mixing_index needs at least one sample")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise DomainError("mixing_index input must be finite")
-    return float(1.0 - np.sqrt(np.mean(((c - 0.5) / 0.5) ** 2)))
+    d = c - 0.5
+    d /= 0.5
+    d *= d
+    return 1.0 - math.sqrt(_mean(d))
 
 
 def pressure_cost(p) -> float:
@@ -67,22 +82,28 @@ def pressure_cost(p) -> float:
     p = np.asarray(p, dtype=np.float64)
     if p.size == 0:
         raise DomainError("pressure_cost needs at least one sample")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise DomainError("pressure_cost input must be finite")
-    return float(np.mean(p))
+    return _mean(p)
+
+
+def _check_guards(cp: float, mi0: float, cp0: float) -> None:
+    """The efficiency ratio's guards: cp, cp0 and mi0 finite and positive."""
+    if not (0.0 < cp < math.inf and 0.0 < cp0 < math.inf):
+        raise DomainError(f"pressure costs must be finite and positive, got cp={cp!r}, cp0={cp0!r}")
+    if not 0.0 < mi0 < math.inf:
+        raise DomainError(f"baseline mixing index must be finite and positive, got {mi0!r}")
 
 
 def mixing_efficiency(mi: float, cp: float, mi0: float, cp0: float) -> float:
     """Relative mixing gain per cube root of relative pumping cost."""
-    if cp <= 0 or cp0 <= 0:
-        raise DomainError("pressure costs must be positive")
-    if mi0 <= 0:
-        raise DomainError("baseline mixing index must be positive")
+    _check_guards(cp, mi0, cp0)
     return (mi / mi0) / ((cp / cp0) ** (1.0 / 3.0))
 
 
 def _clamp_concentration(c: np.ndarray) -> np.ndarray:
-    clipped = np.clip(c, 0.0, 1.0)
+    clipped = np.maximum(c, 0.0)
+    np.minimum(clipped, 1.0, out=clipped)
     if log.isEnabledFor(logging.DEBUG):
         n_out = int(np.count_nonzero(clipped != c))
         if n_out:
@@ -196,18 +217,22 @@ class BaselineTable:
     @classmethod
     def from_csv(cls, path) -> "BaselineTable":
         with open(path) as fh:
-            rows = list(csv.DictReader(fh))
+            rows = [(float(r["re"]), float(r["sc"]), float(r["mi0"]), float(r["cp0"]))
+                    for r in csv.DictReader(fh)]
         if not rows:
             raise DomainError("baseline table file is empty")
-        res = sorted({float(r["re"]) for r in rows})
-        scs = sorted({float(r["sc"]) for r in rows})
+        for row in rows:
+            if not all(map(math.isfinite, row)):
+                raise DomainError(f"baseline table row {row!r} holds a non-finite value")
+        res = sorted({r[0] for r in rows})
+        scs = sorted({r[1] for r in rows})
         mi0 = np.full((len(res), len(scs)), np.nan)
         cp0 = np.full((len(res), len(scs)), np.nan)
-        for r in rows:
-            i = res.index(float(r["re"]))
-            j = scs.index(float(r["sc"]))
-            mi0[i, j] = float(r["mi0"])
-            cp0[i, j] = float(r["cp0"])
+        for re, sc, mi, cp in rows:
+            i = res.index(re)
+            j = scs.index(sc)
+            mi0[i, j] = mi
+            cp0[i, j] = cp
         if np.any(np.isnan(mi0)) or np.any(np.isnan(cp0)):
             raise DomainError("baseline table is not a complete grid")
         return cls(re_values=np.array(res), sc_values=np.array(scs), mi0=mi0, cp0=cp0)
@@ -243,12 +268,18 @@ def compute_mixing_report(params: ParameterSet, design: DesignCandidate, sc: flo
                           baseline: BaselineTable | None = None, n: int = 101,
                           dims: ChannelDims | None = None) -> MixingReport:
     """Metrics for one design; the baseline defaults to a direct flat-wall
-    evaluation at the same (Re, Sc) and checkpoint."""
-    mi = mixing_index(outlet_concentration(params, design, sc, n=n, dims=dims))
+    evaluation at the same (Re, Sc) and checkpoint.
+
+    The inlet pass and the efficiency guards come first, so a design with a
+    non-positive pressure cost is rejected without its outlet pass.
+    """
+    check_schmidt(sc)
     cp = pressure_cost(inlet_pressure(params, design, sc, n=n, dims=dims))
     if baseline is None:
         mi0, cp0 = _flat_wall(params, design.re, sc, n, dims)
     else:
         mi0, cp0 = baseline.lookup(design.re, sc)
+    _check_guards(cp, mi0, cp0)
+    mi = mixing_index(outlet_concentration(params, design, sc, n=n, dims=dims))
     me = mixing_efficiency(mi, cp, mi0, cp0)
     return MixingReport(mi=mi, cp=cp, mi0=mi0, cp0=cp0, me=me, n=n, sc=sc, design=design)

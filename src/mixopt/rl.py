@@ -29,7 +29,7 @@ from .diffnet import (
     init_params,
 )
 from .errors import DomainError
-from .metrics import BaselineTable, DesignCandidate, compute_mixing_report
+from .metrics import BaselineTable, DesignCandidate, check_schmidt, compute_mixing_report
 
 log = logging.getLogger(__name__)
 
@@ -373,6 +373,7 @@ def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
 def query_policy(actor: ParameterSet, sc: float) -> DesignCandidate:
     """Deterministic greedy design: the policy mean, scaled to bounds."""
     if not (SC_LO <= sc <= SC_HI):
+        check_schmidt(sc)
         warnings.warn(f"Sc={sc} outside the trained range [{SC_LO}, {SC_HI}]; extrapolating")
     out = forward(actor, [[sc]])
     return scale_action(out[0, :ACTION_DIM])

@@ -302,6 +302,20 @@ def field_rows(n, seed):
     ])
 
 
+def broadcast_bias_forward(params, X):
+    """Per row block, h @ W.T + b with numpy's broadcast bias add."""
+    act = network.ACTIVATIONS[params.spec.activation]
+    views = params.views()
+    outs = []
+    for s in network._row_blocks(len(X)):
+        h = params.norm.apply(X[s])
+        for W, b in views[:-1]:
+            h = act.value(h @ W.T + b)
+        W, b = views[-1]
+        outs.append(h @ W.T + b)
+    return np.concatenate(outs)
+
+
 @pytest.mark.parametrize("activation", ["tanh", "softplus"])
 def test_forward_and_tape_path_agree_over_several_row_blocks(activation):
     spec = NetworkSpec(hidden=(32, 32), activation=activation)
@@ -315,6 +329,11 @@ def test_forward_and_tape_path_agree_over_several_row_blocks(activation):
     for s in network._row_blocks(len(X)):
         assert np.array_equal(out[s], forward(params, X[s]))
     assert jac.value.shape == (700, 9, 2)
+    # forward's tiled bias adds give the broadcast add's bits at every size,
+    # one row to several blocks, a partial last block included
+    for n in (1, 101, 202, 208, 209, 700):
+        X = field_rows(n, seed=n)
+        assert np.array_equal(forward(params, X), broadcast_bias_forward(params, X))
 
 
 def _jac_and_gradient(params, X):
@@ -357,6 +376,18 @@ def test_views_are_built_once_and_write_through():
     first[-1][1][:] = 7.0
     assert np.all(params.flat[-params.spec.output_dim:] == 7.0)
     assert params.with_flat(params.flat).views() is not first
+
+    # forward's tiled biases are copies, so from then on writes raise
+    forward(params, np.zeros((3, params.spec.input_dim)))
+    W, b = params.views()[-1]
+    for target in (W, b, params.flat):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 1.0
+    fresh = params.with_flat(params.flat.copy())
+    fresh.views()[-1][1][:] = 2.0
+    assert np.all(fresh.flat[-params.spec.output_dim:] == 2.0)
+    assert np.all(forward(fresh, np.zeros((1, params.spec.input_dim)))
+                  != forward(params, np.zeros((1, params.spec.input_dim))))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "softplus"])

@@ -112,6 +112,15 @@ def test_non_finite_fitness_demoted_not_fatal():
     assert res.best.cp1 <= 0
 
 
+@pytest.mark.parametrize("sc", [np.nan, -5.0, 0.0, np.inf])
+def test_run_ga_rejects_bad_schmidt_number_before_scoring(sc):
+    # before, Sc nan returned best_fitness -inf and the others finite fitness
+    env = RecordingEnv(QuadraticEnv())
+    with pytest.raises(DomainError, match="Schmidt number"):
+        run_ga(env, sc, small_cfg())
+    assert env.seen == []
+
+
 def test_linear_r2_exact_line():
     xs = np.arange(10.0)
     assert linear_r2(xs, 3.0 * xs + 1.0) == pytest.approx(1.0, abs=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixopt import metrics
-from mixopt.diffnet import InputNorm, NetworkSpec, init_params
+from mixopt.diffnet import InputNorm, NetworkSpec, forward, init_params
 from mixopt.diffnet.network import _forward_cache
 from mixopt.errors import DomainError
 from mixopt.geometry import ChannelDims
@@ -74,6 +74,16 @@ def test_pressure_cost_means():
         pressure_cost([])
 
 
+def test_reductions_keep_numpy_mean_bits():
+    # the scores' reductions are np.mean's sum and divide, written out
+    rng = np.random.default_rng(3)
+    for shape in [(101,), (202,), (7, 13), (1,)]:
+        c = rng.uniform(-0.2, 1.2, shape)
+        assert mixing_index(c) == float(1.0 - np.sqrt(np.mean(((c - 0.5) / 0.5) ** 2)))
+        p = rng.normal(0.05, 0.2, shape)
+        assert pressure_cost(p) == float(np.mean(p))
+
+
 def test_mixing_efficiency_identities():
     assert mixing_efficiency(0.7, 3.0, 0.7, 3.0) == pytest.approx(1.0, abs=1e-15)
     assert mixing_efficiency(0.8, 8.0, 0.4, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -87,6 +97,12 @@ def test_mixing_efficiency_guards():
         mixing_efficiency(0.5, 1.0, 0.5, -2.0)
     with pytest.raises(DomainError):
         mixing_efficiency(0.5, 1.0, 0.0, 1.0)
+    # non-finite costs and baselines: before, cp0 = inf divided by zero and
+    # mi0 = inf gave 0.0
+    for cp, mi0, cp0 in [(0.5, 0.7, np.inf), (np.inf, 0.7, 0.5), (0.5, np.inf, 0.5),
+                         (np.nan, 0.7, 0.5), (0.5, np.nan, 0.5), (0.5, 0.7, np.nan)]:
+        with pytest.raises(DomainError):
+            mixing_efficiency(0.8, cp, mi0, cp0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,6 +204,15 @@ def test_baseline_csv_rejects_ragged_grid(tmp_path):
     path.write_text("re,sc,mi0,cp0\n5.0,1.0,0.3,2.0\n40.0,100.0,0.4,3.0\n")
     with pytest.raises(DomainError):
         BaselineTable.from_csv(path)
+    # a complete grid with one non-finite cell
+    rows = ["re,sc,mi0,cp0"] + [f"{re},{sc},0.3,2.0" for re in (5.0, 40.0) for sc in (1.0, 100.0)]
+    for bad in ("inf", "nan", "-inf"):
+        for column in range(4):
+            cells = rows[2].split(",")
+            cells[column] = bad
+            path.write_text("\n".join(rows[:2] + [",".join(cells)] + rows[3:]) + "\n")
+            with pytest.raises(DomainError, match="non-finite"):
+                BaselineTable.from_csv(path)
 
 
 def test_baseline_table_finite_positive():
@@ -304,6 +329,47 @@ def test_scoring_is_bit_identical_to_reference_rows():
                                         sc, 33, dims)
             assert np.array_equal(table.mi0[i, j], mi0)
             assert np.array_equal(table.cp0[i, j], cp0)
+
+
+def counting_forward(monkeypatch):
+    calls = []
+
+    def counted(params, X):
+        calls.append(len(X))
+        return forward(params, X)
+
+    monkeypatch.setattr(metrics, "forward", counted)
+    return calls
+
+
+def test_rejected_design_skips_the_outlet_pass(monkeypatch):
+    table = BaselineTable(re_values=np.array([5.0, 40.0]), sc_values=np.array([1.0, 100.0]),
+                          mi0=np.full((2, 2), 0.4), cp0=np.full((2, 2), 2.0))
+    design = DesignCandidate(0.1, 0.0, -0.1, 20.0)
+    good = field_net()
+    bad = good.with_flat(good.flat.copy())
+    bad.views()[-1][1][2] = -2.0  # inlet pressure negative: cp <= 0
+    calls = counting_forward(monkeypatch)
+    report = compute_mixing_report(good, design, 30.0, baseline=table)
+    assert np.isfinite(report.me) and report.cp > 0
+    assert calls == [202, 101]  # inlet, then outlet
+    calls.clear()
+    with pytest.raises(DomainError, match="pressure costs"):
+        compute_mixing_report(bad, design, 30.0, baseline=table)
+    assert calls == [202]
+    calls.clear()
+    bad_baseline = BaselineTable(table.re_values, table.sc_values, table.mi0, -table.cp0)
+    with pytest.raises(DomainError, match="pressure costs"):
+        compute_mixing_report(good, design, 30.0, baseline=bad_baseline)
+    assert calls == [202]
+
+
+@pytest.mark.parametrize("sc", [np.nan, -5.0, 0.0, np.inf, -np.inf])
+def test_report_rejects_bad_schmidt_number_before_scoring(sc, monkeypatch):
+    calls = counting_forward(monkeypatch)
+    with pytest.raises(DomainError, match="Schmidt number"):
+        compute_mixing_report(field_net(), DesignCandidate(0.1, 0.0, -0.1, 20.0), sc)
+    assert calls == []
 
 
 def test_second_score_leaves_first_results_and_grid_alone():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -485,6 +487,12 @@ def test_query_policy_deterministic_and_bounded():
     assert d1 == d2
     with pytest.warns(UserWarning, match="outside"):
         query_policy(actor, 150.0)
+    # an impossible Schmidt number is named, not extrapolated from
+    for sc in (np.nan, np.inf, 0.0, -5.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="Schmidt number"):
+                query_policy(actor, sc)
 
 
 def test_actor_checkpoint_round_trip(tmp_path):
