@@ -16,13 +16,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from .metrics import DesignCandidate, check_schmidt
+from .metrics import DESIGN_HI, DESIGN_LO, DesignCandidate, check_schmidt
 from .rl import query_policy
 
 log = logging.getLogger(__name__)
 
-GENE_LO = np.array([-0.5, -0.5, -0.5, 5.0])
-GENE_HI = np.array([0.5, 0.5, 0.5, 40.0])
+GENE_LO, GENE_HI = DESIGN_LO, DESIGN_HI
 GENE_RANGE = GENE_HI - GENE_LO
 
 

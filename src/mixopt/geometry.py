@@ -17,6 +17,7 @@ KNOTS = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
 KNOT_SPACING = 0.125
 CP_MIN = -0.5
 CP_MAX = 0.5
+BAFFLE_SAMPLES = 513  # arc-length table size of a layout's baffle segments
 
 @dataclass(frozen=True)
 class ControlPolygon:
@@ -56,10 +57,6 @@ class SplineCurve:
     """
 
     coeffs: np.ndarray
-
-    @property
-    def knots(self) -> np.ndarray:
-        return KNOTS
 
 
 def _coeffs_batch(cps: np.ndarray) -> np.ndarray:
@@ -156,19 +153,28 @@ class ChannelDims:
                 raise DomainError(f"dimension {name} must be positive")
 
 
+def baffle_placements(dims: ChannelDims) -> tuple:
+    """(wall, start x, base y, sign) of each baffle in mm, the upper one first.
+
+    The upper baffle hangs from y = H starting at x = L0, the lower one stands
+    on y = 0 starting at L0 + d. A baffle's wetted surface sits at
+    ``base + sign * H * s(xhat)`` over x = start + xhat * H, xhat in [0, 0.5].
+    """
+    return (("upper", dims.L0, dims.H, -1), ("lower", dims.L0 + dims.d, 0.0, 1))
+
+
 def wall_heights(dims: ChannelDims, coeffs: np.ndarray, x_mm: np.ndarray):
     """(lower, upper) fluid-boundary y in mm at x_mm (n, m), row i shaped by coeffs[i] (n, 4, 4).
 
-    The upper baffle hangs from y = H starting at x = L0, the lower one stands
-    on y = 0 starting at L0 + d; elsewhere the walls are flat.
+    Each wall follows its baffle's surface over the baffle and is flat elsewhere.
     """
     H = dims.H
-    walls = []
-    for start, base, sign in ((dims.L0 + dims.d, 0.0, 1), (dims.L0, H, -1)):
+    walls = {}
+    for wall, start, base, sign in baffle_placements(dims):
         on = (x_mm >= start) & (x_mm <= start + 0.5 * H)
         value, _ = _eval_batch(coeffs, np.clip((x_mm - start) / H, 0.0, 0.5))
-        walls.append(np.where(on, base + sign * H * value, base))
-    return walls[0], walls[1]
+        walls[wall] = np.where(on, base + sign * H * value, base)
+    return walls["lower"], walls["upper"]
 
 
 def _surface(value, slope, xhat, start_x, base, sign, H):
@@ -219,60 +225,49 @@ def baffle_points(coeffs, t, start_x, base, sign, H, samples):
 
 
 @dataclass(frozen=True)
-class BafflePlacement:
-    """One baffle: which wall it grows from, start x (mm), and its sign.
-
-    The wetted surface sits at ``base + sign * H * s(xhat)`` where base is H
-    for the upper wall (sign -1) and 0 for the lower wall (sign +1).
-    """
-
-    wall: str
-    start_x: float
-    sign: int
-    curve: SplineCurve
-
-
-@dataclass(frozen=True)
 class BoundarySegment:
     """A boundary piece with an arc-length parameterization t in [0, 1].
 
-    Straight pieces interpolate their endpoints exactly. Baffle pieces keep a
-    dense arc-length table only to invert t -> spline abscissa, then evaluate
-    the exact curve, so returned points sit on the surface to roundoff.
+    Straight pieces interpolate their end points exactly. A baffle piece keeps
+    its spline coefficients and its placement; ``at`` hands them to
+    ``baffle_points`` with BAFFLE_SAMPLES abscissae.
     """
 
     kind: str
     name: str
-    points: np.ndarray
-    normals: np.ndarray
-    cumlen: np.ndarray
-    curve: SplineCurve | None = None
-    xhat_grid: np.ndarray | None = None
+    points: np.ndarray | None = None
+    normals: np.ndarray | None = None
+    cumlen: np.ndarray | None = None
+    coeffs: np.ndarray | None = None
     start_x: float = 0.0
     base_y: float = 0.0
     sign: int = 0
     height: float = 0.0
 
+    def _placement(self):
+        return self.start_x, self.base_y, self.sign, self.height
+
     @property
     def arclength(self) -> float:
-        return float(self.cumlen[-1])
+        if self.coeffs is None:
+            return float(self.cumlen[-1])
+        xhat = np.linspace(0.0, 0.5, BAFFLE_SAMPLES)
+        return float(_arc_table(self.coeffs[None], xhat, *self._placement())[2][0, -1])
 
     def at(self, t):
         """Map arc parameters t in [0, 1] to ((n, 2) points, (n, 2) normals)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < 0.0) or np.any(t > 1.0):
             raise DomainError("arc parameter outside [0, 1]")
+        if self.coeffs is not None:
+            return baffle_points(self.coeffs[None], t, *self._placement(), samples=BAFFLE_SAMPLES)
         s = t * self.arclength
-        if self.curve is None:
-            x = np.interp(s, self.cumlen, self.points[:, 0])
-            y = np.interp(s, self.cumlen, self.points[:, 1])
-            nx = np.interp(s, self.cumlen, self.normals[:, 0])
-            ny = np.interp(s, self.cumlen, self.normals[:, 1])
-            norm = np.hypot(nx, ny)
-            return np.stack([x, y], axis=1), np.stack([nx / norm, ny / norm], axis=1)
-        xhat = _interp_rows(s, self.cumlen, self.xhat_grid)
-        value, slope = eval_spline(self.curve, xhat)
-        return _surface(value, slope, xhat, self.start_x, self.base_y, self.sign, self.height)
+        x = np.interp(s, self.cumlen, self.points[:, 0])
+        y = np.interp(s, self.cumlen, self.points[:, 1])
+        nx = np.interp(s, self.cumlen, self.normals[:, 0])
+        ny = np.interp(s, self.cumlen, self.normals[:, 1])
+        norm = np.hypot(nx, ny)
+        return np.stack([x, y], axis=1), np.stack([nx / norm, ny / norm], axis=1)
 
 
 def _line_segment(kind, name, p0, p1, normal, samples=2) -> BoundarySegment:
@@ -284,45 +279,24 @@ def _line_segment(kind, name, p0, p1, normal, samples=2) -> BoundarySegment:
     return BoundarySegment(kind=kind, name=name, points=pts, normals=nrm, cumlen=cum)
 
 
-def _baffle_segment(name, placement: BafflePlacement, dims: ChannelDims, samples=513) -> BoundarySegment:
-    xhat = np.linspace(0.0, 0.5, samples)
-    base = dims.H if placement.sign < 0 else 0.0
-    pts, nrm, cum = _arc_table(placement.curve.coeffs[None], xhat, placement.start_x,
-                               base, placement.sign, dims.H)
-    return BoundarySegment(
-        kind="baffle",
-        name=name,
-        points=pts[0],
-        normals=nrm[0],
-        cumlen=cum[0],
-        curve=placement.curve,
-        xhat_grid=xhat,
-        start_x=placement.start_x,
-        base_y=base,
-        sign=placement.sign,
-        height=dims.H,
-    )
-
-
 @dataclass(frozen=True)
 class ChannelLayout:
-    """Immutable channel instance: dims, control polygon, baffles, inlet arms.
+    """Immutable channel instance: dims, control polygon, baffle curve, inlet arms.
 
-    The two baffles share one spline curve and are staggered along x: the
-    upper one starts at L0, the lower one at L0 + d. Positive control heights
-    protrude into the channel; negative ones carve cavities into the walls.
-    Inlet arms of length ``dims.L1`` attach above and below the junction
-    square x in [0, W]; they count as fluid for containment and their mouths
-    (y = H and y = 0) carry the inlet boundary segments.
+    The two baffles of ``baffle_placements`` share one spline curve. Positive
+    control heights protrude into the channel; negative ones carve cavities
+    into the walls. Inlet arms of length ``dims.L1`` attach above and below
+    the junction square x in [0, W]; they count as fluid for containment and
+    their mouths (y = H and y = 0) carry the inlet boundary segments.
     """
 
     dims: ChannelDims
     cp: ControlPolygon
-    baffles: tuple
+    curve: SplineCurve
 
     def _walls(self, x):
         x = np.asarray(x, dtype=float)
-        lower, upper = wall_heights(self.dims, self.baffles[0].curve.coeffs[None], x.reshape(1, -1))
+        lower, upper = wall_heights(self.dims, self.curve.coeffs[None], x.reshape(1, -1))
         return lower.reshape(x.shape), upper.reshape(x.shape)
 
     def upper_wall_y(self, x):
@@ -355,17 +329,19 @@ class ChannelLayout:
         containment, not in the boundary set.
         """
         d = self.dims
-        up, lo = self.baffles
+        up, lo = (BoundarySegment("baffle", f"baffle_{wall}", coeffs=self.curve.coeffs, start_x=start,
+                                  base_y=base, sign=sign, height=d.H)
+                  for wall, start, base, sign in baffle_placements(d))
         span = 0.5 * d.H
         segs = [
             _line_segment("inlet_top", "inlet_top", (0.0, d.H), (d.W, d.H), (0.0, 1.0)),
             _line_segment("inlet_bottom", "inlet_bottom", (0.0, 0.0), (d.W, 0.0), (0.0, -1.0)),
             _line_segment("wall", "wall_left", (0.0, 0.0), (0.0, d.H), (-1.0, 0.0)),
             _line_segment("wall", "wall_top_a", (d.W, d.H), (up.start_x, d.H), (0.0, 1.0)),
-            _baffle_segment("baffle_upper", up, d),
+            up,
             _line_segment("wall", "wall_top_b", (up.start_x + span, d.H), (d.L, d.H), (0.0, 1.0)),
             _line_segment("wall", "wall_bottom_a", (d.W, 0.0), (lo.start_x, 0.0), (0.0, -1.0)),
-            _baffle_segment("baffle_lower", lo, d),
+            lo,
             _line_segment("wall", "wall_bottom_b", (lo.start_x + span, 0.0), (d.L, 0.0), (0.0, -1.0)),
             _line_segment("outlet", "outlet", (d.L, 0.0), (d.L, d.H), (1.0, 0.0)),
         ]
@@ -378,23 +354,12 @@ def build_layout(cp: ControlPolygon, dims: ChannelDims | None = None) -> Channel
     span = 0.5 * dims.H
     if abs(dims.l_d - span) > 1e-12:
         raise GeometryError(f"baffle length l_d={dims.l_d} must equal 0.5*H={span}")
-    curve = build_spline(cp)
-    upper = BafflePlacement(wall="upper", start_x=dims.L0, sign=-1, curve=curve)
-    lower = BafflePlacement(wall="lower", start_x=dims.L0 + dims.d, sign=+1, curve=curve)
-    for b in (upper, lower):
-        if b.start_x < 0 or b.start_x + span > dims.L:
-            raise GeometryError(f"{b.wall} baffle extent [{b.start_x}, {b.start_x + span}] exceeds channel [0, {dims.L}]")
-    if dims.W > dims.L0:
-        raise GeometryError("junction square overlaps the upper baffle")
-    return ChannelLayout(dims=dims, cp=cp, baffles=(upper, lower))
-
-
-def contains(layout: ChannelLayout, point) -> np.ndarray:
-    """Module-level containment helper; point is (x, y) in mm or an (n, 2) array."""
-    p = np.asarray(point, dtype=float)
-    if p.ndim == 1:
-        return layout.contains(p[0], p[1])
-    return layout.contains(p[:, 0], p[:, 1])
+    for wall, start, _, _ in baffle_placements(dims):
+        if start < 0 or start + span > dims.L:
+            raise GeometryError(f"{wall} baffle extent [{start}, {start + span}] exceeds channel [0, {dims.L}]")
+        if dims.W > start:
+            raise GeometryError(f"junction square overlaps the {wall} baffle")
+    return ChannelLayout(dims=dims, cp=cp, curve=build_spline(cp))
 
 
 def polyline_rows(layout: ChannelLayout, points_per_segment: int = 64):

@@ -25,6 +25,9 @@ from .sampling import SampleBounds
 log = logging.getLogger(__name__)
 
 RE_MIN, RE_MAX = 5.0, 40.0
+# corners of the (cp1, cp2, cp3, re) design box
+DESIGN_LO = np.array([CP_MIN, CP_MIN, CP_MIN, RE_MIN])
+DESIGN_HI = np.array([CP_MAX, CP_MAX, CP_MAX, RE_MAX])
 
 
 @dataclass(frozen=True)

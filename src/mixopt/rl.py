@@ -29,7 +29,7 @@ from .diffnet import (
     init_params,
 )
 from .errors import DomainError
-from .metrics import BaselineTable, DesignCandidate, check_schmidt, compute_mixing_report
+from .metrics import DESIGN_HI, DESIGN_LO, BaselineTable, DesignCandidate, check_schmidt, compute_mixing_report
 
 log = logging.getLogger(__name__)
 
@@ -38,8 +38,8 @@ ACTION_DIM = 4
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 # raw actions live in [-1, 1]^4; affine map to the physical boxes
-_ACTION_CENTER = np.array([0.0, 0.0, 0.0, 22.5])
-_ACTION_HALFSPAN = np.array([0.5, 0.5, 0.5, 17.5])
+_ACTION_CENTER = 0.5 * (DESIGN_LO + DESIGN_HI)
+_ACTION_HALFSPAN = 0.5 * (DESIGN_HI - DESIGN_LO)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from .geometry import (
     CP_MAX,
     CP_MIN,
     ChannelDims,
-    ChannelLayout,
     ControlPolygon,
     _coeffs_batch,
+    baffle_placements,
     baffle_points,
     build_layout,
     build_spline,  # noqa: F401  (unused here; the benchmark tracer wraps sampling.build_spline)
@@ -212,32 +212,35 @@ def _boundary_group_rows(rng, seg, n, bounds, dims):
     return X, nrm, targets
 
 
-def slice_points(layout: ChannelLayout, x_mm: float, n: int):
-    """n uniformly spaced points spanning the local fluid height at x_mm.
+def slice_points(dims: ChannelDims, cps: np.ndarray, x_mm, n: int):
+    """n uniformly spaced points spanning the local fluid height at each station.
 
-    Returns (y values in mm, trapezoid weights in mm); weights sum to the
-    local fluid height.
+    Station i sits at x_mm[i] (k,) in the channel shaped by control heights
+    cps[i] (k, 3). Returns (y values in mm, trapezoid weights in mm), each
+    (k, n); a row's weights sum to its local fluid height.
     """
     if n < 2:
         raise DomainError("a quadrature slice needs at least 2 points")
-    if not (0.0 <= x_mm <= layout.dims.L):
-        raise DomainError(f"station x={x_mm} outside the channel [0, {layout.dims.L}]")
-    lower = float(layout.lower_wall_y(x_mm))
-    upper = float(layout.upper_wall_y(x_mm))
-    if upper <= lower:
-        raise GeometryError(f"fluid height at x={x_mm} is not positive")
-    y = np.linspace(lower, upper, n)
+    x_mm = np.asarray(x_mm, dtype=float)
+    lower, upper = (wall[:, 0] for wall in wall_heights(dims, _coeffs_batch(cps), x_mm[:, None]))
+    outside = ~((x_mm >= 0.0) & (x_mm <= dims.L))
+    bad = np.flatnonzero(outside | (upper <= lower))
+    if bad.size:
+        i = bad[0]
+        if outside[i]:
+            raise DomainError(f"station x={x_mm[i]} outside the channel [0, {dims.L}]")
+        raise GeometryError(f"fluid height at x={x_mm[i]} is not positive")
+    y = np.linspace(lower, upper, n, axis=-1)
     h = (upper - lower) / (n - 1)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
+    w = np.repeat(h[:, None], n, axis=1)
+    w[:, [0, -1]] = 0.5 * h[:, None]
     return y, w
 
 
 def default_slice_stations(dims: ChannelDims) -> list:
     """Four stations across the baffled reach plus the outlet (dimensionless)."""
-    start = dims.L0 / dims.H
-    end = (dims.L0 + dims.d + 0.5 * dims.H) / dims.H
-    return [*np.linspace(start, end, 4), dims.L / dims.H]
+    (_, first, _, _), (_, last, _, _) = baffle_placements(dims)
+    return [*np.linspace(first / dims.H, (last + 0.5 * dims.H) / dims.H, 4), dims.L / dims.H]
 
 
 def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: CollocationCounts,
@@ -272,15 +275,14 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
     if stations:
         lows5, highs5 = bounds.lows()[2:], bounds.highs()[2:]
         designs, _, _ = _lhs_matrix(rng, len(stations), lows5, highs5)
-        for station, design in zip(stations, designs):
-            layout = build_layout(ControlPolygon(*design[:3]), dims)
-            y_mm, w_mm = slice_points(layout, station * H, counts.per_slice)
-            m = counts.per_slice
+        m = counts.per_slice
+        y_mm, w_mm = slice_points(dims, designs[:, :3], np.asarray(stations) * H, m)
+        for station, design, y, w in zip(stations, designs, y_mm, w_mm):
             X = np.column_stack([
                 np.full(m, station),
-                y_mm / H,
+                y / H,
                 np.tile(design, (m, 1)),
             ])
-            slices.append(PenaltySlice(station=float(station), X=X, weights=w_mm / H, target=1.0))
+            slices.append(PenaltySlice(station=float(station), X=X, weights=w / H, target=1.0))
 
     return CollocationSet(interior=interior, boundary=groups, slices=tuple(slices))

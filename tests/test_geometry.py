@@ -7,12 +7,12 @@ from mixopt.geometry import (
     KNOTS,
     ChannelDims,
     ControlPolygon,
+    _arc_table,
     _coeffs_batch,
     _interp_rows,
-    baffle_points,
+    _surface,
     build_layout,
     build_spline,
-    contains,
     eval_spline,
     polyline_rows,
     unit_normal,
@@ -143,19 +143,33 @@ def test_wall_heights_per_row_equal_each_layouts_walls():
         assert upper[i, 0] == lay.upper_wall_y(x[i])
 
 
-def test_baffle_points_equal_segment_at():
+def former_baffle_at(curve, t, start_x, base, sign, H, samples=513):
+    """Reference for a baffle segment's ``at``: the one-curve arc table a layout
+    used to build with its segments, inverted by ``_interp_rows``, then the
+    exact curve through ``eval_spline``. Also returns the arc length."""
+    xhat_grid = np.linspace(0.0, 0.5, samples)
+    _, _, cumlen = _arc_table(curve.coeffs[None], xhat_grid, start_x, base, sign, H)
+    cumlen = cumlen[0]
+    xhat = _interp_rows(t * float(cumlen[-1]), cumlen, xhat_grid)
+    value, slope = eval_spline(curve, xhat)
+    return _surface(value, slope, xhat, start_x, base, sign, H), float(cumlen[-1])
+
+
+def test_segment_at_equals_former_baffle_branch():
     rng = np.random.default_rng(4)
-    cps = rng.uniform(-0.5, 0.5, size=3)
-    lay = build_layout(ControlPolygon(*cps))
+    dims = ChannelDims()
     t = np.concatenate([[0.0, 1.0], rng.random(30)])
-    coeffs = np.repeat(_coeffs_batch(cps), len(t), axis=0)
-    for seg in lay.segments():
-        if seg.kind != "baffle":
-            continue
-        pts, nrm = baffle_points(coeffs, t, seg.start_x, seg.base_y, seg.sign, seg.height,
-                                 samples=len(seg.xhat_grid))
-        p, n = seg.at(t)
-        assert np.array_equal(pts, p) and np.array_equal(nrm, n)
+    # the former placements: (start x, base y, sign)
+    former = {"baffle_upper": (dims.L0, dims.H, -1), "baffle_lower": (dims.L0 + dims.d, 0.0, 1)}
+    for cps in [np.zeros(3), *rng.uniform(-0.5, 0.5, size=(50, 3))]:
+        lay = build_layout(ControlPolygon(*cps), dims)
+        baffles = [seg for seg in lay.segments() if seg.kind == "baffle"]
+        assert [seg.name for seg in baffles] == list(former)
+        for seg in baffles:
+            (pts, nrm), length = former_baffle_at(build_spline(ControlPolygon(*cps)), t, *former[seg.name], dims.H)
+            p, n = seg.at(t)
+            assert np.array_equal(pts, p) and np.array_equal(nrm, n)
+            assert seg.arclength == length
 
 
 def test_zero_polygon_gives_zero_curve():
@@ -259,7 +273,7 @@ def test_straight_channel_walls():
 
 def test_baffle_walls_follow_curve():
     lay = make_layout(0.3, 0.5, 0.2)
-    curve = lay.baffles[0].curve
+    curve = lay.curve
     xhat = np.array([0.1, 0.25, 0.4])
     value, _ = eval_spline(curve, xhat)
     up = lay.upper_wall_y(0.9 + xhat * 0.3)
@@ -284,6 +298,8 @@ def test_contains_basic_regions():
     assert not lay.contains(2.2, 0.15)
     assert not lay.contains(0.5, 0.45)  # above wall, outside arm square
     assert not lay.contains(0.15, 1.8)  # beyond arm end
+    pts = np.array([[1.0, 0.1], [0.1, 0.5], [3.0, 0.1]])
+    assert make_layout(0.2, -0.2, 0.2).contains(pts[:, 0], pts[:, 1]).tolist() == [True, True, False]
 
 
 def test_contains_flips_at_baffle_surface():
@@ -300,18 +316,11 @@ def test_contains_flips_at_baffle_surface():
         assert not lay.contains(x2, surface2 - eps)
 
 
-def test_contains_module_level_matches_method():
-    lay = make_layout(0.2, -0.2, 0.2)
-    pts = np.array([[1.0, 0.1], [0.1, 0.5], [3.0, 0.1]])
-    got = contains(lay, pts)
-    assert got.tolist() == [True, True, False]
-
-
 def test_zero_polygon_baffle_segments_coincide_with_walls():
     lay = make_layout()
     for seg in lay.segments():
         if seg.kind == "baffle":
-            ys = seg.points[:, 1]
+            ys = seg.at(np.linspace(0.0, 1.0, 513))[0][:, 1]
             assert np.allclose(ys, 0.3) or np.allclose(ys, 0.0)
 
 
@@ -344,6 +353,8 @@ def test_layout_rejects_bad_dims():
         build_layout(ControlPolygon(0.0, 0.0, 0.0), ChannelDims(L=1.0))
     with pytest.raises(GeometryError):
         build_layout(ControlPolygon(0.0, 0.0, 0.0), ChannelDims(l_d=0.2))
+    with pytest.raises(GeometryError, match="junction square overlaps the upper baffle"):
+        build_layout(ControlPolygon(0.0, 0.0, 0.0), ChannelDims(W=1.0))
 
 
 def test_polyline_rows_trace_boundary():

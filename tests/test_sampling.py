@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixopt import sampling
-from mixopt.errors import DomainError, SamplingError
+from mixopt.errors import DomainError, GeometryError, SamplingError
 from mixopt.geometry import KNOTS, ChannelDims, ControlPolygon, build_layout, build_spline, eval_spline
 from mixopt.sampling import (
     DIM_NAMES,
@@ -41,6 +41,31 @@ def per_row_baffle_points(coeffs, t, start_x, base, sign, H, samples):
         pts[i] = start_x + xhat * H, base + sign * H * value
         nrm[i] = slope * scale, -sign * scale
     return pts, nrm
+
+
+def former_slice_points(layout, x_mm, n):
+    """Reference for one station of ``sampling.slice_points``: the wall heights
+    of that station's own layout, one station at a time."""
+    if n < 2:
+        raise DomainError("a quadrature slice needs at least 2 points")
+    if not (0.0 <= x_mm <= layout.dims.L):
+        raise DomainError(f"station x={x_mm} outside the channel [0, {layout.dims.L}]")
+    lower = float(layout.lower_wall_y(x_mm))
+    upper = float(layout.upper_wall_y(x_mm))
+    if upper <= lower:
+        raise GeometryError(f"fluid height at x={x_mm} is not positive")
+    y = np.linspace(lower, upper, n)
+    h = (upper - lower) / (n - 1)
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return y, w
+
+
+def per_station_slice_points(dims, cps, x_mm, n):
+    """``slice_points`` built from one layout and one ``former_slice_points`` per station."""
+    rows = [former_slice_points(build_layout(ControlPolygon(*cp), dims), float(x), n)
+            for cp, x in zip(cps, x_mm)]
+    return np.array([y for y, _ in rows]), np.array([w for _, w in rows])
 
 
 def stratum_ids(values, lo, hi, n):
@@ -149,6 +174,7 @@ def test_collocation_equals_per_row_baffle_reference(monkeypatch, seed, per_boun
     counts = CollocationCounts(per_boundary=per_boundary)
     fast = generate_collocation(dims, bounds, counts, seed=seed)
     monkeypatch.setattr(sampling, "baffle_points", per_row_baffle_points)
+    monkeypatch.setattr(sampling, "slice_points", per_station_slice_points)
     slow = generate_collocation(dims, bounds, counts, seed=seed)
     assert np.array_equal(fast.interior, slow.interior)
     assert list(fast.boundary) == list(slow.boundary)
@@ -188,9 +214,11 @@ def test_inlet_rows_on_mouths_with_profile_targets():
 
 
 def test_inlet_profile_mean_is_half_per_arm():
+    width = 1.7
     xi = np.linspace(0.0, 1.0, 20001)
-    prof = 3.0 * xi * (1.0 - xi)
-    assert abs(np.trapezoid(prof, xi) - 0.5) < 1e-8
+    prof = sampling._inlet_profile(xi, width)
+    mean = np.sum(0.5 * (prof[1:] + prof[:-1]) * np.diff(xi))
+    assert abs(mean * width - 0.5) < 1e-8
 
 
 def test_wall_rows_on_walls():
@@ -233,8 +261,9 @@ def test_outlet_rows_at_exit():
 
 def test_slice_points_uniform_and_weighted():
     layout = build_layout(ControlPolygon(0.3, 0.1, -0.2))
-    y, w = slice_points(layout, 1.0, 11)
-    assert len(y) == 11
+    y, w = slice_points(ChannelDims(), [[0.3, 0.1, -0.2]], [1.0], 11)
+    assert y.shape == w.shape == (1, 11)
+    y, w = y[0], w[0]
     lower = layout.lower_wall_y(1.0)
     upper = layout.upper_wall_y(1.0)
     assert abs(y[0] - lower) < 1e-14 and abs(y[-1] - upper) < 1e-14
@@ -243,11 +272,47 @@ def test_slice_points_uniform_and_weighted():
 
 
 def test_slice_points_validation():
-    layout = build_layout(ControlPolygon(0.0, 0.0, 0.0))
+    dims, flat = ChannelDims(), [[0.0, 0.0, 0.0]]
     with pytest.raises(DomainError):
-        slice_points(layout, -0.1, 8)
+        slice_points(dims, flat, [-0.1], 8)
     with pytest.raises(DomainError):
-        slice_points(layout, 1.0, 1)
+        slice_points(dims, flat, [1.0], 1)
+    with pytest.raises(DomainError):
+        slice_points(dims, flat * 2, [1.0, np.nan], 8)
+    # overlapping baffles close the channel at x = 0.96 mm
+    overlap, tall = ChannelDims(d=0.01), [[0.5, 0.5, 0.5]] * 3
+    with pytest.raises(GeometryError):
+        former_slice_points(build_layout(ControlPolygon(*tall[0]), overlap), 0.96, 8)
+    with pytest.raises(GeometryError):
+        slice_points(overlap, tall, [0.5, 0.96, 3.0], 8)
+    # the first bad station decides the error, as a station-by-station loop would
+    with pytest.raises(DomainError):
+        slice_points(overlap, tall, [0.5, 3.0, 0.96], 8)
+
+
+def test_slice_points_equal_per_station_layouts():
+    rng = np.random.default_rng(17)
+    dims = ChannelDims()
+    x_mm = np.concatenate([[0.0, 0.9, 1.05, 1.2, 2.1], rng.uniform(0.0, 2.1, 60), rng.uniform(0.85, 1.25, 60)])
+    cps = np.vstack([np.zeros((1, 3)), rng.uniform(-0.5, 0.5, size=(len(x_mm) - 1, 3))])
+    for n in (2, 3, 64):
+        y, w = slice_points(dims, cps, x_mm, n)
+        y_ref, w_ref = per_station_slice_points(dims, cps, x_mm, n)
+        assert np.array_equal(y, y_ref) and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_collocation_slices_equal_per_station_reference(monkeypatch, seed):
+    dims = ChannelDims()
+    bounds = SampleBounds(cp1=(0.1, 0.5), cp2=(-0.5, -0.2), cp3=(-0.1, 0.3), re=(10.0, 12.0))
+    counts = CollocationCounts(interior=200, per_boundary=8, per_slice=17)
+    stations = [0.0, 3.05, 3.3, 3.77, 5.5, 7.0]
+    fast = generate_collocation(dims, bounds, counts, seed=seed, slice_stations=stations)
+    monkeypatch.setattr(sampling, "slice_points", per_station_slice_points)
+    slow = generate_collocation(dims, bounds, counts, seed=seed, slice_stations=stations)
+    assert [s.station for s in fast.slices] == stations
+    for a, b in zip(fast.slices, slow.slices, strict=True):
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.weights, b.weights)
 
 
 def test_default_stations_cover_baffles_and_outlet():
