@@ -1,4 +1,4 @@
-"""Latin hypercube collocation over space and design parameters.
+"""Collocation rows over space, design and physics: uniform interior, LHS boundaries and slices.
 
 Rows are ordered (x, y, cp1, cp2, cp3, re, sc); x and y are dimensionless
 channel coordinates (lengths over H). Interior points live in the channel
@@ -7,7 +7,6 @@ rectangle; inlet boundary rows sit on the arm mouths.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +24,6 @@ from .geometry import (
     build_spline,  # noqa: F401  (unused here; the benchmark tracer wraps sampling.build_spline)
     wall_heights,
 )
-
-log = logging.getLogger(__name__)
 
 DIM_NAMES = ("x", "y", "cp1", "cp2", "cp3", "re", "sc")
 
@@ -106,21 +103,11 @@ class CollocationSet:
 
 
 def _lhs_matrix(rng: np.random.Generator, n: int, lows, highs) -> np.ndarray:
-    """One-sample-per-stratum LHS; returns strata ids and uniforms too."""
+    """One-sample-per-stratum Latin hypercube over the (lows, highs) box."""
     k = len(lows)
     strata = np.column_stack([rng.permutation(n) for _ in range(k)])
     u = rng.random((n, k))
-    pts = lows + (strata + u) / n * (highs - lows)
-    return pts, strata, u
-
-
-def lhs_sample(n: int, bounds: SampleBounds, seed=None) -> np.ndarray:
-    """Plain 7-D Latin hypercube sample, no geometry filtering."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts, _, _ = _lhs_matrix(rng, n, bounds.lows(), bounds.highs())
-    return pts
+    return lows + (strata + u) / n * (highs - lows)
 
 
 def _inside_rect(dims: ChannelDims, pts: np.ndarray) -> np.ndarray:
@@ -131,52 +118,25 @@ def _inside_rect(dims: ChannelDims, pts: np.ndarray) -> np.ndarray:
     return (x >= 0.0) & (x <= dims.L) & (y >= lower[:, 0]) & (y <= upper[:, 0])
 
 
-def _repair_interior(rng, n, bounds, dims, max_rounds=300):
-    """LHS over the channel rectangle with geometric rejection repair.
+def _uniform_interior(rng, n, bounds, dims):
+    """n rows drawn uniformly over the bounds box that lie in the fluid, in draw order.
 
-    Invalid rows are first redrawn within their strata; rows that stay blocked
-    trade x/y strata with other rows (a swap keeps every per-dimension
-    marginal exactly one-per-stratum).
+    Rejected rows are redrawn: each later round draws the shortfall scaled by
+    the acceptance seen so far.
     """
-    lows, highs = bounds.lows(), bounds.highs()
-    span7 = highs - lows
-    pts, strata, u = _lhs_matrix(rng, n, lows, highs)
-    ok = _inside_rect(dims, pts)
-    rejected = int(np.count_nonzero(~ok))
-    if n >= 100 and rejected > 0.99 * n:
-        raise SamplingError(f"{rejected}/{n} interior samples rejected; fluid region nearly closed")
-
-    def refresh(rows):
-        pts[rows] = lows + (strata[rows] + u[rows]) / n * span7
-        ok[rows] = _inside_rect(dims, pts[rows])
-
-    for round_no in range(max_rounds):
-        bad = np.flatnonzero(~ok)
-        if bad.size == 0:
-            if rejected:
-                log.debug("interior repair: %d initial rejections healed in %d rounds", rejected, round_no)
-            return pts
-        for _ in range(3):
-            u[bad] = rng.random((bad.size, 7))
-            refresh(bad)
-            bad = bad[~ok[bad]]
-            if bad.size == 0:
-                break
-        if bad.size == 0:
-            continue
-        # swap x (even rounds) or y (odd rounds) strata within a pool of bad
-        # rows padded with random good rows, then redraw uniforms
-        dim = round_no % 2
-        pool = bad
-        good = np.flatnonzero(ok)
-        if good.size:
-            extra = rng.choice(good, size=min(good.size, max(bad.size, 8)), replace=False)
-            pool = np.concatenate([bad, extra])
-        perm = rng.permutation(pool.size)
-        strata[pool, dim] = strata[pool[perm], dim]
-        u[pool] = rng.random((pool.size, 7))
-        refresh(pool)
-    raise SamplingError(f"interior repair did not converge after {max_rounds} rounds")
+    lows, span = bounds.lows(), bounds.highs() - bounds.lows()
+    kept, drawn, accepted, m = [], 0, 0, n
+    while accepted < n:
+        pts = lows + rng.random((m, 7)) * span
+        kept.append(pts[_inside_rect(dims, pts)])
+        drawn += m
+        accepted += len(kept[-1])
+        if drawn >= 100 and accepted <= 0.01 * drawn:
+            raise SamplingError(
+                f"{accepted}/{drawn} interior samples accepted; fluid region nearly closed")
+        # with nothing accepted yet, scale as if one row had been
+        m = int(np.ceil((n - accepted) * drawn / max(accepted, 1)))
+    return np.concatenate(kept)[:n]
 
 
 def _inlet_profile(xi: np.ndarray, width: float) -> np.ndarray:
@@ -189,7 +149,7 @@ def _boundary_group_rows(rng, seg, n, bounds, dims):
     """Rows for one boundary segment: 6-D LHS over (t, cp1..3, re, sc)."""
     lows = np.concatenate([[0.0], bounds.lows()[2:]])
     highs = np.concatenate([[1.0], bounds.highs()[2:]])
-    design, _, _ = _lhs_matrix(rng, n, lows, highs)
+    design = _lhs_matrix(rng, n, lows, highs)
     t = design[:, 0]
     H = dims.H
     if seg.kind == "baffle":
@@ -245,7 +205,7 @@ def default_slice_stations(dims: ChannelDims) -> list:
 
 def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: CollocationCounts,
                          seed=None, slice_stations=None) -> CollocationSet:
-    """Full training point set: interior LHS, per-segment boundary LHS, penalty slices."""
+    """Full training point set: uniform interior, per-segment boundary LHS, penalty slices."""
     H = dims.H
     if bounds.x[0] < 0.0 or bounds.x[1] > dims.L / H + 1e-12:
         raise DomainError(f"x bounds must lie within [0, {dims.L / H}]")
@@ -253,7 +213,7 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
         raise DomainError("y bounds must lie within [0, 1]")
     rng = np.random.default_rng(seed)
 
-    interior = _repair_interior(rng, counts.interior, bounds, dims)
+    interior = _uniform_interior(rng, counts.interior, bounds, dims)
 
     canonical = build_layout(ControlPolygon(0.0, 0.0, 0.0), dims)
     parts: dict = {}
@@ -274,7 +234,7 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
     slices = []
     if stations:
         lows5, highs5 = bounds.lows()[2:], bounds.highs()[2:]
-        designs, _, _ = _lhs_matrix(rng, len(stations), lows5, highs5)
+        designs = _lhs_matrix(rng, len(stations), lows5, highs5)
         m = counts.per_slice
         y_mm, w_mm = slice_points(dims, designs[:, :3], np.asarray(stations) * H, m)
         for station, design, y, w in zip(stations, designs, y_mm, w_mm):

@@ -207,6 +207,28 @@ def test_train_deterministic_checkpoints(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+PINNED_CPS = {"cp1": [0.5, 0.5], "cp2": [0.5, 0.5], "cp3": [0.5, 0.5]}
+
+
+def test_train_on_partly_fluid_bounds(tmp_path, capsys):
+    # the baffled reach x* in [3, 4] with both baffles at full height is 60% fluid
+    section = {**tiny_train_section(), "counts": {"interior": 3000, "per_boundary": 4, "per_slice": 8},
+               "bounds": {"x": [3.0, 4.0], **PINNED_CPS}}
+    cfg = write_config(tmp_path, {"train": section})
+    rc = main(["--config", cfg, "train", "--steps", "0", "--out", str(tmp_path / "net.ckpt")])
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_train_on_closed_fluid_region_exits_1(tmp_path, capsys):
+    section = {**tiny_train_section(), "bounds": {"x": [3.25, 3.25], "y": [0.9, 1.0], **PINNED_CPS}}
+    cfg = write_config(tmp_path, {"train": section})
+    rc = main(["--config", cfg, "train", "--steps", "0", "--out", str(tmp_path / "net.ckpt")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "SamplingError"
+    assert not (tmp_path / "net.ckpt").exists()
+
+
 def test_evaluate_self_baseline_unity(tiny_checkpoint, tmp_path, capsys):
     ckpt, cfg = tiny_checkpoint
     fields = tmp_path / "fields.csv"

@@ -10,7 +10,6 @@ from mixopt.sampling import (
     SampleBounds,
     default_slice_stations,
     generate_collocation,
-    lhs_sample,
     slice_points,
 )
 
@@ -73,39 +72,6 @@ def stratum_ids(values, lo, hi, n):
     return np.clip(ids, 0, n - 1)
 
 
-def test_lhs_one_sample_per_stratum():
-    bounds = SampleBounds()
-    n = 128
-    pts = lhs_sample(n, bounds, seed=3)
-    assert pts.shape == (n, 7)
-    for j, name in enumerate(DIM_NAMES):
-        lo, hi = getattr(bounds, name)
-        ids = stratum_ids(pts[:, j], lo, hi, n)
-        assert np.array_equal(np.sort(ids), np.arange(n))
-
-
-def test_lhs_respects_bounds_and_determinism():
-    bounds = SampleBounds(re=(10.0, 12.0), sc=(50.0, 50.0))
-    a = lhs_sample(64, bounds, seed=11)
-    b = lhs_sample(64, bounds, seed=11)
-    assert np.array_equal(a, b)
-    c = lhs_sample(64, bounds, seed=12)
-    assert not np.array_equal(a, c)
-    assert np.all(a[:, 5] >= 10.0) and np.all(a[:, 5] <= 12.0)
-    assert np.all(a[:, 6] == 50.0)
-
-
-def test_lhs_single_sample():
-    pts = lhs_sample(1, SampleBounds(), seed=0)
-    assert pts.shape == (1, 7)
-    assert 0.0 <= pts[0, 0] <= 7.0
-
-
-def test_lhs_rejects_bad_n():
-    with pytest.raises(DomainError):
-        lhs_sample(0, SampleBounds())
-
-
 def test_bounds_validation():
     with pytest.raises(DomainError):
         SampleBounds(x=(3.0, 1.0))
@@ -124,20 +90,26 @@ def make_set(seed=0, interior=400, per_boundary=16, per_slice=16, bounds=None):
     )
 
 
-def test_interior_rows_inside_fluid_and_stratified():
-    bounds = SampleBounds()
+def test_interior_rows_inside_fluid():
     n = 10000
-    colloc = generate_collocation(ChannelDims(), bounds, CollocationCounts(interior=n), seed=5)
+    colloc = generate_collocation(ChannelDims(), SampleBounds(), CollocationCounts(interior=n), seed=5)
     pts = colloc.interior
     assert pts.shape == (n, 7)
-    for j, name in enumerate(DIM_NAMES):
-        lo, hi = getattr(bounds, name)
-        ids = stratum_ids(pts[:, j], lo, hi, n)
-        assert np.array_equal(np.sort(ids), np.arange(n))
     H = 0.3
     for row in pts[::7]:
         layout = build_layout(ControlPolygon(*row[2:5]))
         assert layout.contains(row[0] * H, row[1] * H)
+
+
+def test_interior_re_and_sc_uniform_over_box():
+    # acceptance depends on (x, y, cp1..3) only, so re and sc keep the box's uniform law
+    n, bounds = 10000, SampleBounds()
+    pts = generate_collocation(ChannelDims(), bounds, CollocationCounts(interior=n), seed=5).interior
+    for name in ("re", "sc"):
+        lo, hi = getattr(bounds, name)
+        cdf = (np.sort(pts[:, DIM_NAMES.index(name)]) - lo) / (hi - lo)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks < 1.63 / np.sqrt(n), (name, ks)
 
 
 def test_interior_all_rows_contained_small():
@@ -148,11 +120,88 @@ def test_interior_all_rows_contained_small():
         assert layout.contains(row[0] * H, row[1] * H)
 
 
-def test_pinned_control_points_triggers_no_repair():
+def test_pinned_control_points_stay_exact():
     bounds = SampleBounds(cp1=(0.0, 0.0), cp2=(0.0, 0.0), cp3=(0.0, 0.0))
     colloc = make_set(seed=2, interior=500, bounds=bounds)
     assert np.all(colloc.interior[:, 2:5] == 0.0)
     assert np.all(colloc.interior[:, 1] >= 0.0) and np.all(colloc.interior[:, 1] <= 1.0)
+
+
+PINNED_CPS = {"cp1": (0.5, 0.5), "cp2": (0.5, 0.5), "cp3": (0.5, 0.5)}
+# fluid shares of the boxes: 60%, 68% and 27%
+BAFFLED_REACH = SampleBounds(x=(3.0, 4.0), **PINNED_CPS)
+TALL_CPS = SampleBounds(x=(3.0, 4.0), cp1=(0.3, 0.5), cp2=(0.3, 0.5), cp3=(0.3, 0.5))
+UPPER_BAFFLE_GAP = SampleBounds(x=(3.0, 3.5), y=(0.45, 1.0), **PINNED_CPS)
+
+
+@pytest.mark.parametrize("bounds,n,seed", [
+    (BAFFLED_REACH, 3000, 0), (BAFFLED_REACH, 3000, 1), (BAFFLED_REACH, 3000, 2),
+    (TALL_CPS, 3000, 0), (UPPER_BAFFLE_GAP, 3000, 0), (UPPER_BAFFLE_GAP, 10, 0),
+], ids=["reach-0", "reach-1", "reach-2", "tall-cps", "upper-gap", "upper-gap-n10"])
+def test_interior_fills_partly_fluid_bounds(bounds, n, seed):
+    pts = generate_collocation(ChannelDims(), bounds, CollocationCounts(interior=n), seed=seed).interior
+    assert pts.shape == (n, 7)
+    lows, highs = bounds.lows(), bounds.highs()
+    assert np.all(pts >= lows) and np.all(pts <= highs)
+    pinned = lows == highs
+    assert np.all(pts[:, pinned] == lows[pinned])
+    H = 0.3
+    for row in pts:
+        layout = build_layout(ControlPolygon(*row[2:5]))
+        assert layout.contains(row[0] * H, row[1] * H)
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_closed_fluid_region_raises(n):
+    inside_upper_baffle = SampleBounds(x=(3.25, 3.25), y=(0.9, 1.0), **PINNED_CPS)
+    with pytest.raises(SamplingError, match="nearly closed"):
+        generate_collocation(ChannelDims(), inside_upper_baffle, CollocationCounts(interior=n))
+
+
+def slice_designs(colloc):
+    return np.array([s.X[0, 2:] for s in colloc.slices])
+
+
+def test_lhs_one_sample_per_stratum():
+    # boundary rows and slice designs stay Latin hypercubes over (cp1..3, re, sc)
+    bounds, n, k = SampleBounds(), 128, 12
+    colloc = generate_collocation(ChannelDims(), bounds, CollocationCounts(interior=10, per_boundary=n),
+                                  seed=3, slice_stations=np.linspace(0.0, 7.0, k))
+    top = colloc.boundary["inlet_top"].X[:, 2:]
+    designs = slice_designs(colloc)
+    assert top.shape == (n, 5) and designs.shape == (k, 5)
+    for j, name in enumerate(DIM_NAMES[2:]):
+        lo, hi = getattr(bounds, name)
+        assert np.array_equal(np.sort(stratum_ids(top[:, j], lo, hi, n)), np.arange(n))
+        assert np.array_equal(np.sort(stratum_ids(designs[:, j], lo, hi, k)), np.arange(k))
+
+
+def boundary_and_slice_rows(colloc):
+    return np.vstack([g.X for g in colloc.boundary.values()] + [s.X for s in colloc.slices])
+
+
+def test_lhs_respects_bounds_and_determinism():
+    bounds = SampleBounds(re=(10.0, 12.0), sc=(50.0, 50.0))
+    a, b, c = (boundary_and_slice_rows(make_set(seed=s, bounds=bounds)) for s in (11, 11, 12))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert np.all(a[:, 5] >= 10.0) and np.all(a[:, 5] <= 12.0)
+    assert np.all(a[:, 6] == 50.0)
+
+
+def test_lhs_single_sample():
+    bounds = SampleBounds()
+    colloc = generate_collocation(ChannelDims(), bounds, CollocationCounts(interior=10),
+                                  seed=0, slice_stations=[3.0])
+    design = slice_designs(colloc)
+    assert design.shape == (1, 5)
+    assert np.all(design >= bounds.lows()[2:]) and np.all(design <= bounds.highs()[2:])
+
+
+def test_lhs_rejects_bad_n():
+    for counts in ({"interior": 0}, {"per_boundary": 0}, {"per_slice": 1}):
+        with pytest.raises(DomainError):
+            CollocationCounts(**counts)
 
 
 def test_collocation_deterministic():
