@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     NumericalError,
     SamplingError,
+    check_ints,
 )
 from .ga import GAConfig, compare_timing
 from .geometry import ChannelDims, ControlPolygon, build_layout, polyline_rows
@@ -47,10 +48,7 @@ class MetricSettings:
     baseline_grid: int = 8
 
     def __post_init__(self):
-        if self.outlet_samples < 1:
-            raise DomainError("outlet_samples must be >= 1")
-        if self.baseline_grid < 2:
-            raise DomainError("baseline_grid must be >= 2")
+        check_ints(self, outlet_samples=1, baseline_grid=2)
 
 
 @dataclass(frozen=True)
@@ -247,20 +245,25 @@ def cmd_query(args, cfg: RunConfig) -> int:
     actor = _load_actor(args.policy)
     field_params = load_checkpoint(args.checkpoint) if args.checkpoint else None
     rows = []
+    degenerate = 0
     for sc in sc_values:
         d = query_policy(actor, sc)
         me = float("nan")
         if field_params is not None:
-            me = compute_mixing_report(field_params, d, sc,
-                                       n=cfg.metrics.outlet_samples,
-                                       dims=cfg.train.dims).me
+            try:
+                me = compute_mixing_report(field_params, d, sc,
+                                           n=cfg.metrics.outlet_samples,
+                                           dims=cfg.train.dims).me
+            except DomainError:
+                # a degenerate flow costs its own row, not the whole table
+                degenerate += 1
         rows.append([sc, d.cp1, d.cp2, d.cp3, d.re, me])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sc", "cp1", "cp2", "cp3", "re", "relative_me"])
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
-    _emit({"command": "query", "out": args.out, "rows": len(rows)})
+    _emit({"command": "query", "out": args.out, "rows": len(rows), "degenerate_rows": degenerate})
     return 0
 
 

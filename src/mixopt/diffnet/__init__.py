@@ -3,7 +3,6 @@
 from .adam import AdamState, adam_step, init_adam
 from .checkpoint import load_params, save_params
 from .network import (
-    ACTIVATIONS,
     InputNorm,
     NetworkSpec,
     ParameterSet,
@@ -13,12 +12,10 @@ from .network import (
     init_params,
     net_apply,
     param_gradient,
-    spatial_jacobian,
 )
 from . import tape
 
 __all__ = [
-    "ACTIVATIONS",
     "AdamState",
     "InputNorm",
     "NetworkSpec",
@@ -33,6 +30,5 @@ __all__ = [
     "net_apply",
     "param_gradient",
     "save_params",
-    "spatial_jacobian",
     "tape",
 ]

@@ -14,6 +14,7 @@ from .network import InputNorm, NetworkSpec, ParameterSet
 
 MAGIC = b"MXNC"
 FORMAT_VERSION = 1
+ACTIVATION = "tanh"  # the header names it; every network here is tanh
 
 
 def save_params(params: ParameterSet, path, role=None, seed=None) -> None:
@@ -29,7 +30,7 @@ def save_params(params: ParameterSet, path, role=None, seed=None) -> None:
             "input_dim": params.spec.input_dim,
             "output_dim": params.spec.output_dim,
             "hidden": list(params.spec.hidden),
-            "activation": params.spec.activation,
+            "activation": ACTIVATION,
         },
         "norm": {
             "center": params.norm.center.tolist(),
@@ -78,11 +79,13 @@ def load_params(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     try:
+        activation = header["spec"]["activation"]
+        if activation != ACTIVATION:
+            raise CheckpointError(f"unsupported activation {activation!r}; expected {ACTIVATION!r}")
         spec = NetworkSpec(
             input_dim=header["spec"]["input_dim"],
             output_dim=header["spec"]["output_dim"],
             hidden=tuple(header["spec"]["hidden"]),
-            activation=header["spec"]["activation"],
         )
         norm = InputNorm(
             center=np.array(header["norm"]["center"], dtype=np.float64),

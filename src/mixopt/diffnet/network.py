@@ -29,47 +29,13 @@ from ..errors import DomainError
 from .tape import Node
 
 
-class _Tanh:
-    @staticmethod
-    def value(z, out=None):
-        return np.tanh(z, out=out)
-
-    @staticmethod
-    def first(z, f):
-        # 1 - f^2, written over z: the caller no longer needs it
-        d = np.multiply(f, f, out=z)
-        return np.subtract(1.0, d, out=d)
-
-    @staticmethod
-    def second(f, d1):
-        return -2.0 * f * d1
-
-
-class _Softplus:
-    @staticmethod
-    def value(z, out=None):
-        return np.logaddexp(0.0, z, out=out)
-
-    @staticmethod
-    def first(z, f):
-        return 1.0 / (1.0 + np.exp(-z))
-
-    @staticmethod
-    def second(f, d1):
-        return d1 * (1.0 - d1)
-
-
-ACTIVATIONS = {"tanh": _Tanh, "softplus": _Softplus}
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture description: layer widths and activation name."""
+    """Architecture description: layer widths; every hidden layer is tanh."""
 
     input_dim: int = 7
     output_dim: int = 9
     hidden: tuple = (64, 64, 64, 64)
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
@@ -77,8 +43,6 @@ class NetworkSpec:
         if any(int(h) < 1 for h in self.hidden):
             raise DomainError("hidden widths must be >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.activation not in ACTIVATIONS:
-            raise DomainError(f"unknown activation {self.activation!r}")
 
     def layer_shapes(self) -> list:
         """[(W shape, b shape)] per layer, output layer last."""
@@ -221,16 +185,15 @@ def _row_blocks(n: int) -> list:
 class _Cache:
     """Everything the fused reverse pass needs from one row block.
 
-    ``record`` activates each hidden layer for the layer loop and keeps its
-    activation slope, which the tangents need at once and the reverse pass
-    needs later. The slope may take over z's buffer, which is dead once the
+    ``record`` applies tanh to each hidden layer for the layer loop and keeps
+    its slope 1 - f^2, which the tangents need at once and the reverse pass
+    needs later. The slope takes over z's buffer, which is dead once the
     activation exists.
     """
 
-    __slots__ = ("act", "inputs", "slopes", "tin", "ztan", "out", "jac")
+    __slots__ = ("inputs", "slopes", "tin", "ztan", "out", "jac")
 
-    def __init__(self, act, h, tangent_seeds):
-        self.act = act
+    def __init__(self, h, tangent_seeds):
         self.inputs = [h]
         self.slopes = []
         self.tin = [] if tangent_seeds is None else [tangent_seeds]
@@ -239,27 +202,16 @@ class _Cache:
         self.jac = None
 
     def record(self, W, z):
-        f = self.act.value(z)
+        f = np.tanh(z)
         self.inputs.append(f)
-        d1 = self.act.first(z, f)
+        d1 = np.multiply(f, f, out=z)
+        np.subtract(1.0, d1, out=d1)
         self.slopes.append(d1)
         if self.tin:
             zd = [t @ W.T for t in self.tin[-1]]
             self.ztan.append(zd)
             self.tin.append([d1 * t for t in zd])
         return f
-
-
-class _Pass:
-    """One tape-path evaluation: a cache per row block, outputs stacked."""
-
-    __slots__ = ("views", "rows", "blocks", "out", "jac")
-
-    def __init__(self, views, rows, blocks):
-        self.views = views
-        self.rows = rows
-        self.blocks = blocks
-        self.out, self.jac = _stack([(c.out, c.jac) for c in blocks])
 
 
 def _stack(pairs):
@@ -271,22 +223,21 @@ def _stack(pairs):
 
 
 def _prepare(pset: ParameterSet, X):
-    """The activation and the normalized inputs of one pass."""
-    spec = pset.spec
+    """The normalized inputs of one pass."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise DomainError(f"expected input shape (batch, {spec.input_dim})")
-    return ACTIVATIONS[spec.activation], pset.norm.apply(X)
+    if X.ndim != 2 or X.shape[1] != pset.spec.input_dim:
+        raise DomainError(f"expected input shape (batch, {pset.spec.input_dim})")
+    return pset.norm.apply(X)
 
 
-def _layers(layers, act, h, cache: _Cache | None = None) -> np.ndarray:
-    """The one layer loop: z = h W^T, z += b, then the activation.
+def _layers(layers, h, cache: _Cache | None = None) -> np.ndarray:
+    """The one layer loop: z = h W^T, z += b, then tanh.
 
     ``layers`` is either ``views()``, whose 1-D biases are broadcast over
     the rows, or ``tiled_layers()``, whose biases are cut to the block's
-    rows; both adds give the same bits. Without a cache the activation runs
-    in place and nothing per layer is kept; with one, ``cache.record``
-    activates each hidden layer and keeps what the reverse pass needs.
+    rows; both adds give the same bits. Without a cache tanh runs in place
+    and nothing per layer is kept; with one, ``cache.record`` activates
+    each hidden layer and keeps what the reverse pass needs.
     Returns the output layer's z.
     """
     last = len(layers) - 1
@@ -297,12 +248,12 @@ def _layers(layers, act, h, cache: _Cache | None = None) -> np.ndarray:
         if l == last:
             return z
         if cache is None:
-            h = act.value(z, out=z)
+            h = np.tanh(z, out=z)
         else:
             h = cache.record(W, z)
 
 
-def _block(views, act, h, scale, need_tangent: bool) -> _Cache:
+def _block(views, h, scale, need_tangent: bool) -> _Cache:
     """One row block through the layer loop; its cache holds out and jac."""
     seeds = None
     if need_tangent:
@@ -311,8 +262,8 @@ def _block(views, act, h, scale, need_tangent: bool) -> _Cache:
             t = np.zeros_like(h)
             t[:, d] = scale[d]
             seeds.append(t)
-    cache = _Cache(act, h, seeds)
-    cache.out = _layers(views, act, h, cache)
+    cache = _Cache(h, seeds)
+    cache.out = _layers(views, h, cache)
     if need_tangent:
         W_last, _ = views[-1]
         cache.jac = np.stack([t @ W_last.T for t in cache.tin[-1]], axis=2)
@@ -323,15 +274,11 @@ def _map_blocks(pset: ParameterSet, X, need_tangent: bool, keep):
     """The one block loop of the cached passes: ``keep`` takes each block's
     cache as soon as it is built and returns what the caller holds on to.
     Returns (views, row slices, kept values)."""
-    act, h = _prepare(pset, X)
+    h = _prepare(pset, X)
     views = pset.views()
     scale = pset.norm.inv_halfspan
     rows = _row_blocks(len(h))
-    return views, rows, [keep(_block(views, act, h[s], scale, need_tangent)) for s in rows]
-
-
-def _forward_cache(pset: ParameterSet, X, need_tangent: bool) -> _Pass:
-    return _Pass(*_map_blocks(pset, X, need_tangent, lambda cache: cache))
+    return views, rows, [keep(_block(views, h[s], scale, need_tangent)) for s in rows]
 
 
 def _block_backward(views, cache: _Cache, gy, gjac) -> np.ndarray:
@@ -357,7 +304,7 @@ def _block_backward(views, cache: _Cache, gy, gjac) -> np.ndarray:
         gz = gh * d1
         gzd = None
         if ghd is not None:
-            d2 = cache.act.second(cache.inputs[l + 1], d1)
+            d2 = -2.0 * cache.inputs[l + 1] * d1  # the slope's derivative
             for gd, zd in zip(ghd, cache.ztan[l]):
                 term = gd * d2
                 term *= zd
@@ -384,24 +331,6 @@ def _block_backward(views, cache: _Cache, gy, gjac) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _backward(fp: _Pass, gy, gjac) -> np.ndarray:
-    """Cotangents of (outputs, spatial jacobian) back to the flat parameters.
-
-    Each row block runs its own reverse pass; their gradients are summed in
-    block order, so the result is deterministic.
-    """
-    if gy is None:
-        gy = np.zeros_like(fp.out)
-    total = None
-    for s, cache in zip(fp.rows, fp.blocks):
-        g = _block_backward(fp.views, cache, gy[s], None if gjac is None else gjac[s])
-        if total is None:
-            total = g
-        else:
-            total += g
-    return total
-
-
 def forward(params: ParameterSet, X) -> np.ndarray:
     """Plain evaluation: (batch, input_dim) -> (batch, output_dim).
 
@@ -410,11 +339,11 @@ def forward(params: ParameterSet, X) -> np.ndarray:
     from ``tiled_layers()``, so ``params`` is read-only from here on. X is
     not modified.
     """
-    act, h = _prepare(params, X)
+    h = _prepare(params, X)
     layers = params.tiled_layers()
     if len(h) <= ROW_BLOCK:
-        return _layers(layers, act, h)
-    return np.concatenate([_layers(layers, act, h[s]) for s in _row_blocks(len(h))])
+        return _layers(layers, h)
+    return np.concatenate([_layers(layers, h[s]) for s in _row_blocks(len(h))])
 
 
 def forward_jac(params: ParameterSet, X):
@@ -427,27 +356,30 @@ def forward_jac(params: ParameterSet, X):
     return _stack(_map_blocks(params, X, True, lambda cache: (cache.out, cache.jac))[2])
 
 
-def spatial_jacobian(params: ParameterSet, X) -> np.ndarray:
-    """First derivatives of every output w.r.t. the spatial inputs x and y.
-
-    Returns (batch, output_dim, 2); derivatives are taken w.r.t. the raw
-    (un-normalized) inputs.
-    """
-    return forward_jac(params, X)[1]
-
-
 def forward_vjp(params: ParameterSet, X, need_jac: bool = False):
     """Outputs, spatial jacobian (None unless ``need_jac``) and their pullback.
 
     ``vjp(gy, gjac=None)`` takes cotangents of the outputs and of the
     jacobian to the flat parameter gradient through one fused reverse pass.
+    Each row block runs its own reverse pass; their gradients are summed in
+    block order, so the result is deterministic.
     """
-    fp = _forward_cache(params, X, need_tangent=need_jac)
+    views, rows, blocks = _map_blocks(params, X, need_jac, lambda cache: cache)
+    out, jac = _stack([(c.out, c.jac) for c in blocks])
 
     def vjp(gy, gjac=None):
-        return _backward(fp, gy, gjac)
+        if gy is None:
+            gy = np.zeros_like(out)
+        total = None
+        for s, cache in zip(rows, blocks):
+            g = _block_backward(views, cache, gy[s], None if gjac is None else gjac[s])
+            if total is None:
+                total = g
+            else:
+                total += g
+        return total
 
-    return fp.out, fp.jac, vjp
+    return out, jac, vjp
 
 
 def net_apply(param_leaf: Node, template: ParameterSet, X, need_jac: bool = False):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-field check."""
+
+import numbers
 
 
 class DomainError(ValueError):
@@ -23,3 +25,14 @@ class CheckpointError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed."""
+
+
+def check_ints(obj, **minimums) -> None:
+    """Raise DomainError unless each named field of ``obj`` is an integer
+    (a bool is not one) no smaller than its given minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise DomainError(f"{name} must be >= {minimum}, got {value!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_ints
 from .metrics import DESIGN_HI, DESIGN_LO, DesignCandidate, check_schmidt
 from .rl import query_policy
 
@@ -40,16 +40,13 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 2:
-            raise DomainError("population must be >= 2")
+        check_ints(self, population=2, generations=0, tournament=1, elitism=0, seed=0)
         if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
             raise DomainError("rates must lie in [0, 1]")
         # elitism == population is allowed: it freezes the population, which
         # is the degenerate fixed-point configuration
-        if not (0 <= self.elitism <= self.population):
+        if self.elitism > self.population:
             raise DomainError("elitism must lie in [0, population]")
-        if self.tournament < 1 or self.generations < 0:
-            raise DomainError("tournament >= 1 and generations >= 0 required")
         for name in ("mutation_scale", "blend_alpha"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

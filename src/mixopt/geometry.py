@@ -134,8 +134,8 @@ def unit_normal(curve: SplineCurve, x):
 class ChannelDims:
     """Channel dimensions in millimetres.
 
-    The baffle x-extent is always 0.5*H (the spline's parametric width); l_d
-    records the nominal value and must agree with it.
+    Each baffle spans 0.5*H in x (the spline's parametric width) and rises
+    H * s(xhat) from its wall; ``baffle_placements`` says where each starts.
     """
 
     L: float = 2.1
@@ -144,11 +144,9 @@ class ChannelDims:
     H: float = 0.3
     W: float = 0.3
     d: float = 0.15
-    h_d: float = 0.3
-    l_d: float = 0.15
 
     def __post_init__(self):
-        for name in ("L", "L0", "L1", "H", "W", "d", "h_d", "l_d"):
+        for name in ("L", "L0", "L1", "H", "W", "d"):
             if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
                 raise DomainError(f"dimension {name} must be positive")
 
@@ -352,8 +350,6 @@ def build_layout(cp: ControlPolygon, dims: ChannelDims | None = None) -> Channel
     """Construct the channel layout for one control polygon."""
     dims = dims or ChannelDims()
     span = 0.5 * dims.H
-    if abs(dims.l_d - span) > 1e-12:
-        raise GeometryError(f"baffle length l_d={dims.l_d} must equal 0.5*H={span}")
     for wall, start, _, _ in baffle_placements(dims):
         if start < 0 or start + span > dims.L:
             raise GeometryError(f"{wall} baffle extent [{start}, {start + span}] exceeds channel [0, {dims.L}]")

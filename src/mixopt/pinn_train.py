@@ -23,7 +23,7 @@ from .diffnet import (
 )
 from .diffnet.adam import adam_step
 from .diffnet.tape import leaf
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_ints
 from .geometry import ChannelDims, ControlPolygon, build_layout
 from .physics import LossReport, LossWeights, loss_node, total_loss
 from .sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
@@ -43,7 +43,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     hidden: tuple = (64, 64, 64, 64)
-    activation: str = "tanh"
     dims: ChannelDims = field(default_factory=ChannelDims)
     bounds: SampleBounds = field(default_factory=SampleBounds)
     counts: CollocationCounts = field(default_factory=CollocationCounts)
@@ -54,10 +53,7 @@ class TrainConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 0:
-            raise DomainError("steps and batch_size must be >= 0")
-        if self.log_interval < 1 or self.checkpoint_interval < 0:
-            raise DomainError("log_interval must be >= 1 and checkpoint_interval >= 0")
+        check_ints(self, steps=0, batch_size=0, seed=0, log_interval=1, checkpoint_interval=0)
         # NaN fails every comparison, so these tests also reject it
         for name in ("learning_rate", "eps"):
             value = getattr(self, name)
@@ -94,7 +90,7 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
     if colloc is None:
         colloc = generate_collocation(cfg.dims, cfg.bounds, cfg.counts, seed=ss_colloc,
                                       slice_stations=cfg.slice_stations)
-    spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden, activation=cfg.activation)
+    spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden)
     norm = InputNorm.from_bounds(cfg.bounds.pairs())
     params = init_params(spec, norm=norm, seed=ss_init)
     state = init_adam(params.flat.size, lr=cfg.learning_rate, beta1=cfg.beta1,

@@ -2,10 +2,9 @@
 
 One-step contextual bandit: each episode draws a batch of Schmidt numbers,
 the Gaussian policy proposes (cp1, cp2, cp3, Re) actions, the environment
-scores them, and a clipped-surrogate update follows. The discount factor
-sits in the config for completeness but no bootstrapping happens, so it is
-never used. A synthetic quadratic-bowl environment with a known optimum
-serves as the test oracle.
+scores them, and a clipped-surrogate update follows. Nothing is
+bootstrapped, so there is no discount factor. A synthetic quadratic-bowl
+environment with a known optimum serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .diffnet import (
     init_adam,
     init_params,
 )
-from .errors import DomainError
+from .errors import DomainError, check_ints
 from .metrics import DESIGN_HI, DESIGN_LO, BaselineTable, DesignCandidate, check_schmidt, compute_mixing_report
 
 log = logging.getLogger(__name__)
@@ -44,10 +43,8 @@ _ACTION_HALFSPAN = 0.5 * (DESIGN_HI - DESIGN_LO)
 
 @dataclass(frozen=True)
 class PPOConfig:
-    """Clipped-surrogate hyperparameters. gamma is kept for completeness but
-    plays no role in the one-step advantage."""
+    """Clipped-surrogate hyperparameters."""
 
-    gamma: float = 0.99
     clip_eps: float = 0.2
     epochs: int = 10
     actor_lr: float = 3e-4
@@ -59,17 +56,12 @@ class PPOConfig:
     seed: int = 0
     actor_hidden: tuple = (32, 32)
     critic_hidden: tuple = (32, 32)
-    sampled_entropy: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise DomainError("gamma must be in (0, 1]")
         if not self.clip_eps > 0:
             raise DomainError("clip_eps must be positive")
-        if self.epochs < 1 or self.episodes < 0:
-            raise DomainError("epochs must be >= 1 and episodes >= 0")
-        if self.batch_size < 2:
-            raise DomainError("batch_size must be >= 2: advantages are standardized per batch")
+        # advantages are standardized per batch, which takes two rows
+        check_ints(self, epochs=1, batch_size=2, episodes=0, seed=0)
         for name in ("actor_lr", "critic_lr"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -225,12 +217,11 @@ def _clipped_surrogate(old_logp, new_logp, advantages, clip_eps: float) -> tuple
 
 
 def ppo_losses(old_logp, new_logp, advantages, rewards, values, cfg: PPOConfig,
-               log_sigma=None) -> tuple:
+               log_sigma) -> tuple:
     """(L_clip, L_vf, entropy, L_total) on plain arrays.
 
-    L_total = L_clip - c1 L_vf + c2 H is the maximized objective. Entropy is
-    the closed-form Gaussian value when log_sigma is given and the sampled
-    -log pi estimator otherwise (or when cfg.sampled_entropy is set).
+    L_total = L_clip - c1 L_vf + c2 H is the maximized objective, with H the
+    closed-form entropy of the diagonal Gaussian whose log-stds are log_sigma.
     """
     old_logp = np.asarray(old_logp, dtype=np.float64)
     new_logp = np.asarray(new_logp, dtype=np.float64)
@@ -238,10 +229,7 @@ def ppo_losses(old_logp, new_logp, advantages, rewards, values, cfg: PPOConfig,
     _, surrogate, _ = _clipped_surrogate(old_logp, new_logp, advantages, cfg.clip_eps)
     l_clip = float(np.mean(surrogate))
     l_vf = float(np.mean((np.asarray(values) - np.asarray(rewards)) ** 2))
-    if log_sigma is not None and not cfg.sampled_entropy:
-        entropy = float(np.mean(np.sum(0.5 * (1.0 + LOG_2PI) + np.asarray(log_sigma), axis=1)))
-    else:
-        entropy = float(np.mean(-new_logp))
+    entropy = float(np.mean(np.sum(0.5 * (1.0 + LOG_2PI) + np.asarray(log_sigma), axis=1)))
     total = l_clip - cfg.value_coef * l_vf + cfg.entropy_coef * entropy
     return l_clip, l_vf, entropy, total
 
@@ -266,15 +254,10 @@ def gradient(actor: ParameterSet, critic: ParameterSet, batch: Batch, cfg: PPOCo
     ratio, _, slope = _clipped_surrogate(batch.logp, new_logp, batch.advantages, cfg.clip_eps)
     inv_n = 1.0 / n  # each mean over the rows is a sum times 1/n
     g_entropy = -cfg.entropy_coef * inv_n  # d(-L_total)/d(a row's entropy term)
-    g_logp = (-inv_n * slope) * ratio
-    if cfg.sampled_entropy:
-        g_logp = g_logp - g_entropy
-    g_logp = g_logp[:, None]
+    g_logp = ((-inv_n * slope) * ratio)[:, None]
     g_z = (g_logp * (-0.5)) * (2.0 * z)
     g_sigma = (-g_z * diff) / (sigma * sigma)
-    g_log_sigma = -g_logp + g_sigma * sigma
-    if not cfg.sampled_entropy:
-        g_log_sigma = g_log_sigma + g_entropy
+    g_log_sigma = -g_logp + g_sigma * sigma + g_entropy
     g_out = np.concatenate([-(g_z / sigma), g_log_sigma], axis=1)
 
     v, _, critic_vjp = forward_vjp(critic, states)

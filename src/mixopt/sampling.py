@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, SamplingError
+from .errors import DomainError, GeometryError, SamplingError, check_ints
 from .geometry import (
     CP_MAX,
     CP_MIN,
@@ -71,8 +71,7 @@ class CollocationCounts:
     per_slice: int = 64
 
     def __post_init__(self):
-        if self.interior < 1 or self.per_boundary < 1 or self.per_slice < 2:
-            raise DomainError("collocation counts must be positive (per_slice >= 2)")
+        check_ints(self, interior=1, per_boundary=1, per_slice=2)
 
 
 @dataclass(frozen=True)

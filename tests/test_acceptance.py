@@ -15,10 +15,10 @@ from mixopt.diffnet import (
     InputNorm,
     NetworkSpec,
     forward,
+    forward_jac,
     init_params,
     net_apply,
     param_gradient,
-    spatial_jacobian,
     tape,
 )
 from mixopt.ga import GAConfig, compare_timing, linear_r2, run_ga
@@ -146,8 +146,7 @@ def _rel_linf(got, want):
 
 
 def _composite_value(params, X):
-    out = forward(params, X)
-    jac = spatial_jacobian(params, X)
+    out, jac = forward_jac(params, X)
     return float(np.mean(out ** 2) + np.mean(jac ** 2) + np.mean(out[:, 0] * jac[:, 1, 0]))
 
 
@@ -175,7 +174,7 @@ def test_network_derivatives_match_central_differences():
         params = init_params(spec, norm=norm, seed=int(rng.integers(1 << 30)))
         X = rng.uniform(lo, hi, size=(batch, 7))
 
-        jac = spatial_jacobian(params, X)
+        _, jac = forward_jac(params, X)
         h = 1e-5
         for d in range(2):
             Xp, Xm = X.copy(), X.copy()
@@ -350,8 +349,8 @@ def test_policy_training_converges_on_synthetic_env(synthetic_policy):
 def test_clipped_surrogate_unit_cases_and_advantages():
     cfg = PPOConfig(clip_eps=0.2)
     zero = np.zeros(1)
-    up, _, _, _ = ppo_losses(zero, np.log([2.0]), np.ones(1), zero, zero, cfg)
-    down, _, _, _ = ppo_losses(zero, np.log([0.5]), -np.ones(1), zero, zero, cfg)
+    up, _, _, _ = ppo_losses(zero, np.log([2.0]), np.ones(1), zero, zero, cfg, np.zeros((1, 4)))
+    down, _, _, _ = ppo_losses(zero, np.log([0.5]), -np.ones(1), zero, zero, cfg, np.zeros((1, 4)))
 
     rng = np.random.default_rng(5)
     adv = compute_advantages(rng.normal(3.0, 2.5, 512), np.zeros(512))

@@ -6,8 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from mixopt.cli import RunConfig, load_config, main
-from mixopt.errors import ConfigError
+from mixopt.cli import MetricSettings, RunConfig, load_config, main
+from mixopt.errors import ConfigError, DomainError
+from mixopt.ga import GAConfig
+from mixopt.pinn_train import TrainConfig
+from mixopt.rl import PPOConfig
+from mixopt.sampling import CollocationCounts
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -302,6 +306,36 @@ def test_query_with_field_checkpoint_fills_me(tiny_checkpoint, tmp_path, capsys)
     capsys.readouterr()
 
 
+def test_query_writes_nan_for_a_degenerate_design(tiny_actor, tmp_path, capsys):
+    # negative inlet pressure: every design's pressure cost is nonpositive,
+    # so each row's score is degenerate and reads nan; the command still succeeds
+    from mixopt.diffnet import InputNorm, NetworkSpec, init_params
+    from mixopt.pinn_train import save_checkpoint
+    from mixopt.sampling import SampleBounds
+
+    params = init_params(NetworkSpec(hidden=(8, 8)), norm=InputNorm.from_bounds(SampleBounds().pairs()),
+                         seed=11)
+    params = params.with_flat(params.flat.copy())
+    W, b = params.views()[-1]
+    W *= 0.05
+    b[2] = -2.0  # p
+    b[6] = 0.55  # c
+    ckpt = str(tmp_path / "field.ckpt")
+    save_checkpoint(params, ckpt)
+    actor, cfg = tiny_actor
+    capsys.readouterr()
+    out = tmp_path / "designs.csv"
+    rc = main(["--config", cfg, "query", "--policy", actor, "--sc", "10,50,90",
+               "--out", str(out), "--checkpoint", ckpt])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out.strip())
+    assert payload["rows"] == 3 and payload["degenerate_rows"] == 3
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["sc"]) for r in rows] == [10.0, 50.0, 90.0]
+    assert all(np.isnan(float(r["relative_me"])) for r in rows)
+
+
 def test_query_and_compare_reject_critic_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path, {"ppo": {"episodes": 2, "batch_size": 8,
                                           "actor_hidden": [8], "critic_hidden": [8]}})
@@ -441,6 +475,72 @@ def test_bad_train_and_ga_values_exit_2_before_running(tmp_path, capsys, section
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(f"config.{section}: ") and next(iter(bad)) in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, argv", [
+    (None, ["train", "--seed", "-1"]),
+    ({"train": {"seed": -1}}, ["train"]),
+    ({"train": {"seed": True}}, ["train"]),
+    ({"train": {"steps": 2.5}}, ["train"]),
+    ({"train": {"counts": {"interior": 10.5}}}, ["train"]),
+    ({"train": {"counts": {"per_slice": 1}}}, ["train"]),
+    ({"ga": {"seed": 1.5}}, ["compare"]),
+    ({"ga": {"population": 6.0}}, ["compare"]),
+    ({"ppo": {"seed": -2}}, ["optimize-rl"]),
+    ({"ppo": {"episodes": 2.0}}, ["optimize-rl"]),
+    (None, ["optimize-rl", "--seed", "-1"]),
+    ({"metrics": {"baseline_grid": 1.5}}, ["optimize-rl"]),
+])
+def test_bad_seeds_and_counts_exit_2_before_running(tmp_path, capsys, config, argv):
+    out = tmp_path / "out"
+    command, *flags = argv
+    args = ["--config", write_config(tmp_path, config)] if config else []
+    args += [command, "--out", str(out), *flags]
+    if command == "compare":
+        args += ["--policy", str(tmp_path / "missing.ckpt"), "--sc", "10", "--synthetic"]
+    if command == "train":  # a missed check then costs no training
+        args += ["--steps", "0"]
+    if command == "optimize-rl":
+        args += ["--synthetic", "--episodes", "0"]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] in ("ConfigError", "DomainError")
+    assert "must be" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cls, name, least", [
+    (TrainConfig, "steps", 0), (TrainConfig, "batch_size", 0), (TrainConfig, "seed", 0),
+    (TrainConfig, "log_interval", 1), (TrainConfig, "checkpoint_interval", 0),
+    (CollocationCounts, "interior", 1), (CollocationCounts, "per_boundary", 1),
+    (CollocationCounts, "per_slice", 2),
+    (PPOConfig, "epochs", 1), (PPOConfig, "batch_size", 2), (PPOConfig, "episodes", 0),
+    (PPOConfig, "seed", 0),
+    (GAConfig, "population", 2), (GAConfig, "generations", 0), (GAConfig, "tournament", 1),
+    (GAConfig, "elitism", 0), (GAConfig, "seed", 0),
+    (MetricSettings, "outlet_samples", 1), (MetricSettings, "baseline_grid", 2),
+])
+def test_seed_and_count_fields_take_integers_from_their_minimum(cls, name, least):
+    for bad in (least - 1, least + 0.5, float(least + 1), True, "3", None):
+        with pytest.raises(DomainError, match=name):
+            cls(**{name: bad})
+    assert getattr(cls(**{name: np.int64(least)}), name) == least
+
+
+def test_removed_config_keys_exit_2(tmp_path, capsys):
+    for payload, where in [
+        ({"train": {"activation": "tanh"}}, "config.train.activation"),
+        ({"ppo": {"gamma": 0.99}}, "config.ppo.gamma"),
+        ({"ppo": {"sampled_entropy": False}}, "config.ppo.sampled_entropy"),
+        ({"train": {"dims": {"h_d": 0.3}}}, "config.train.dims.h_d"),
+        ({"train": {"dims": {"l_d": 0.15}}}, "config.train.dims.l_d"),
+    ]:
+        rc = main(["--config", write_config(tmp_path, payload), "geometry",
+                   "--cp", "0", "0", "0", "--out", str(tmp_path / "g.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ConfigError", "message": f"{where}: unknown key"}
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_compare_synthetic(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -19,11 +21,9 @@ from mixopt.diffnet import (
     net_apply,
     param_gradient,
     save_params,
-    spatial_jacobian,
     tape,
 )
 from mixopt.diffnet import network
-from mixopt.diffnet.network import _forward_cache
 from mixopt.errors import CheckpointError, DomainError, NumericalError
 
 
@@ -123,6 +123,10 @@ def test_unsupported_primitives_fail_at_construction():
 # ---------------------------------------------------------------- network
 
 
+# tanh is the only activation; the parameter keeps these tests' ids
+only_tanh = pytest.mark.parametrize("activation", ["tanh"])
+
+
 def make_params(input_dim=7, output_dim=9, hidden=(6, 5), seed=0, norm=None):
     spec = NetworkSpec(input_dim=input_dim, output_dim=output_dim, hidden=hidden)
     return init_params(spec, norm=norm, seed=seed)
@@ -131,8 +135,6 @@ def make_params(input_dim=7, output_dim=9, hidden=(6, 5), seed=0, norm=None):
 def test_spec_validation_and_param_count():
     spec = NetworkSpec(input_dim=3, output_dim=2, hidden=(4,))
     assert spec.param_count == 3 * 4 + 4 + 4 * 2 + 2
-    with pytest.raises(DomainError):
-        NetworkSpec(activation="relu6")
     with pytest.raises(DomainError):
         NetworkSpec(hidden=(0,))
 
@@ -177,7 +179,7 @@ def test_pinned_dimension_is_ignored():
     X1 = np.array([[1.0, 5.0]])
     X2 = np.array([[1.0, 99.0]])
     assert np.allclose(forward(params, X1), forward(params, X2))
-    jac = spatial_jacobian(params, X1)
+    _, jac = forward_jac(params, X1)
     assert np.all(jac[:, :, 1] == 0.0)
 
 
@@ -187,16 +189,16 @@ def test_batch_permutation_equivariance():
     X = rng.normal(size=(12, 7))
     perm = rng.permutation(12)
     out = forward(params, X)
-    jac = spatial_jacobian(params, X)
+    _, jac = forward_jac(params, X)
     assert np.allclose(out[perm], forward(params, X[perm]), atol=1e-14)
-    assert np.allclose(jac[perm], spatial_jacobian(params, X[perm]), atol=1e-14)
+    assert np.allclose(jac[perm], forward_jac(params, X[perm])[1], atol=1e-14)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@only_tanh
 def test_forward_and_tape_path_return_identical_bits(activation):
     norm = InputNorm.from_bounds([(0.0, 7.0), (0.0, 1.0), (-0.5, 0.5), (-0.5, 0.5),
                                   (-0.5, 0.5), (5.0, 40.0), (1.0, 100.0)])
-    spec = NetworkSpec(hidden=(16, 12, 8), activation=activation)
+    spec = NetworkSpec(hidden=(16, 12, 8))
     params = init_params(spec, norm=norm, seed=21)
     X = np.random.default_rng(4).uniform(-3.0, 50.0, size=(37, 7))
     X_before = X.copy()
@@ -204,16 +206,15 @@ def test_forward_and_tape_path_return_identical_bits(activation):
     assert np.array_equal(X, X_before)  # forward works on its own copy
     via_tape, _ = net_apply(tape.leaf(params.flat), params, X, need_jac=False)
     assert np.array_equal(out, via_tape.value)
-    assert np.array_equal(out, _forward_cache(params, X, True).out)
+    assert np.array_equal(out, forward_vjp(params, X, need_jac=True)[0])
     assert np.array_equal(X, X_before)
 
     # the arithmetic itself is pinned: multiply by the reciprocal half-span,
-    # then h @ W.T + b and the activation, layer by layer
+    # then h @ W.T + b and tanh, layer by layer
     h = (X - norm.center) * (1.0 / norm.halfspan)
     views = params.views()
     for W, b in views[:-1]:
-        z = h @ W.T + b
-        h = np.tanh(z) if activation == "tanh" else np.logaddexp(0.0, z)
+        h = np.tanh(h @ W.T + b)
     W, b = views[-1]
     assert np.array_equal(out, h @ W.T + b)
 
@@ -239,7 +240,7 @@ def test_spatial_jacobian_matches_central_differences():
             rng.uniform(0, 7, 4), rng.uniform(0, 1, 4),
             rng.uniform(-0.5, 0.5, (4, 3)), rng.uniform(5, 40, 4), rng.uniform(1, 100, 4),
         ])
-        jac = spatial_jacobian(params, X)
+        _, jac = forward_jac(params, X)
         h = 1e-5
         for d in range(2):
             Xp, Xm = X.copy(), X.copy()
@@ -251,8 +252,7 @@ def test_spatial_jacobian_matches_central_differences():
 
 def composite_loss_value(params, X):
     """Numpy-only twin of composite_loss_node, for FD cross-checks."""
-    out = forward(params, X)
-    jac = spatial_jacobian(params, X)
+    out, jac = forward_jac(params, X)
     return float(np.mean(out ** 2) + np.mean(jac ** 2) + np.mean(out[:, 0] * jac[:, 1, 0]))
 
 
@@ -304,21 +304,20 @@ def field_rows(n, seed):
 
 def broadcast_bias_forward(params, X):
     """Per row block, h @ W.T + b with numpy's broadcast bias add."""
-    act = network.ACTIVATIONS[params.spec.activation]
     views = params.views()
     outs = []
     for s in network._row_blocks(len(X)):
         h = params.norm.apply(X[s])
         for W, b in views[:-1]:
-            h = act.value(h @ W.T + b)
+            h = np.tanh(h @ W.T + b)
         W, b = views[-1]
         outs.append(h @ W.T + b)
     return np.concatenate(outs)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@only_tanh
 def test_forward_and_tape_path_agree_over_several_row_blocks(activation):
-    spec = NetworkSpec(hidden=(32, 32), activation=activation)
+    spec = NetworkSpec(hidden=(32, 32))
     params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=8)
     X = field_rows(700, seed=1)
     assert len(network._row_blocks(len(X))) > 2
@@ -339,12 +338,12 @@ def test_forward_and_tape_path_agree_over_several_row_blocks(activation):
 def _jac_and_gradient(params, X):
     leaf_node = tape.leaf(params.flat)
     root = composite_loss_node(leaf_node, params, X)
-    return spatial_jacobian(params, X), param_gradient(root, leaf_node)
+    return forward_jac(params, X)[1], param_gradient(root, leaf_node)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@only_tanh
 def test_row_blocks_match_a_single_block_reference(activation, monkeypatch):
-    spec = NetworkSpec(hidden=(32, 32), activation=activation)
+    spec = NetworkSpec(hidden=(32, 32))
     params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=9)
     X = field_rows(700, seed=2)
     jac, grad = _jac_and_gradient(params, X)
@@ -390,10 +389,10 @@ def test_views_are_built_once_and_write_through():
                   != forward(params, np.zeros((1, params.spec.input_dim))))
 
 
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@only_tanh
 @pytest.mark.parametrize("need_jac", [False, True])
 def test_forward_vjp_equals_net_apply_and_param_gradient(activation, need_jac):
-    spec = NetworkSpec(hidden=(16, 12), activation=activation)
+    spec = NetworkSpec(hidden=(16, 12))
     params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=13)
     X = field_rows(300, seed=5)  # two row blocks
     rng = np.random.default_rng(6)
@@ -413,9 +412,9 @@ def test_forward_vjp_equals_net_apply_and_param_gradient(activation, need_jac):
     assert np.array_equal(vjp(gy, gjac), param_gradient(root, leaf_node))
 
 
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@only_tanh
 def test_forward_jac_is_the_tape_paths_outputs_and_jacobian(activation):
-    spec = NetworkSpec(hidden=(32, 32), activation=activation)
+    spec = NetworkSpec(hidden=(32, 32))
     params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=14)
     X = field_rows(700, seed=7)
     assert len(network._row_blocks(len(X))) == 4
@@ -425,7 +424,6 @@ def test_forward_jac_is_the_tape_paths_outputs_and_jacobian(activation):
     ref_out, ref_jac, _ = forward_vjp(params, X, need_jac=True)
     assert out.shape == (700, 9) and jac.shape == (700, 9, 2)
     assert np.array_equal(out, ref_out) and np.array_equal(jac, ref_jac)
-    assert np.array_equal(spatial_jacobian(params, X), ref_jac)
     assert np.array_equal(out, forward(params, X))
     one_out, one_jac = forward_jac(params, X[:50])  # a single block
     ref_out, ref_jac, _ = forward_vjp(params, X[:50], need_jac=True)
@@ -445,21 +443,6 @@ def test_net_apply_without_jacobian_gradients():
 
     want = fd_scalar(value, params.flat.copy(), h=1e-6)
     assert rel_linf(got, want) < 1e-6
-
-
-def test_softplus_activation_gradients():
-    spec = NetworkSpec(input_dim=2, output_dim=2, hidden=(5,), activation="softplus")
-    params = init_params(spec, seed=4)
-    X = np.random.default_rng(2).normal(size=(4, 2))
-    leaf_node = tape.leaf(params.flat)
-    root = composite_loss_node(leaf_node, params, X)
-
-    def value(flat):
-        return composite_loss_value(params.with_flat(flat), X)
-
-    want = fd_scalar(value, params.flat.copy(), h=1e-6)
-    got = param_gradient(root, leaf_node)
-    assert rel_linf(got, want) < 1e-5
 
 
 # ---------------------------------------------------------------- adam
@@ -614,3 +597,41 @@ def test_checkpoint_rejects_non_finite_payload(tmp_path, bad):
     save_params(params.with_flat(flat), path)
     with pytest.raises(CheckpointError, match="non-finite"):
         load_params(path)
+
+
+def _with_header(data, edit):
+    """Checkpoint bytes whose JSON header has been passed through ``edit``."""
+    n = struct.unpack("<Q", data[8:16])[0]
+    header = json.loads(data[16:16 + n])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + n:]
+
+
+@pytest.mark.parametrize("activation", ["softplus", None])
+def test_checkpoint_rejects_any_activation_but_tanh(tmp_path, activation):
+    params = make_params(input_dim=2, output_dim=1, hidden=(2,), seed=0)
+    path = tmp_path / "net.ckpt"
+    save_params(params, path)
+
+    def edit(header):
+        if activation is None:
+            del header["spec"]["activation"]
+        else:
+            header["spec"]["activation"] = activation
+
+    path.write_bytes(_with_header(path.read_bytes(), edit))
+    with pytest.raises(CheckpointError, match="activation"):
+        load_params(path)
+
+
+SURROGATE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "data", "field_surrogate.ckpt")
+
+
+def test_pinned_surrogate_saves_back_to_its_own_bytes(tmp_path):
+    params, header = load_params(SURROGATE)
+    again = tmp_path / "again.ckpt"
+    save_params(params, again, role=header["role"], seed=header["seed"])
+    with open(SURROGATE, "rb") as fh:
+        assert again.read_bytes() == fh.read()

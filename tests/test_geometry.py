@@ -351,8 +351,6 @@ def test_layout_rejects_bad_dims():
         ChannelDims(H=-0.3)
     with pytest.raises(GeometryError):
         build_layout(ControlPolygon(0.0, 0.0, 0.0), ChannelDims(L=1.0))
-    with pytest.raises(GeometryError):
-        build_layout(ControlPolygon(0.0, 0.0, 0.0), ChannelDims(l_d=0.2))
     with pytest.raises(GeometryError, match="junction square overlaps the upper baffle"):
         build_layout(ControlPolygon(0.0, 0.0, 0.0), ChannelDims(W=1.0))
 

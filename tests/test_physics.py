@@ -8,9 +8,9 @@ from mixopt.diffnet import (
     InputNorm,
     NetworkSpec,
     forward,
+    forward_jac,
     init_params,
     param_gradient,
-    spatial_jacobian,
 )
 from mixopt.diffnet.tape import leaf
 from mixopt.errors import DomainError, NumericalError
@@ -261,7 +261,7 @@ def test_loss_node_hand_check_two_points():
     node, report = loss_node(colloc, leaf(params.flat), params, LossWeights())
 
     out = forward(params, interior)
-    jac = spatial_jacobian(params, interior)
+    _, jac = forward_jac(params, interior)
     u, v, p = out[:, 0], out[:, 1], out[:, 2]
     txx, tyy, txy, c, jx, jy = out[:, 3], out[:, 4], out[:, 5], out[:, 6], out[:, 7], out[:, 8]
     d = {name: (jac[:, i, 0], jac[:, i, 1]) for i, name in
@@ -312,7 +312,7 @@ def test_stacked_loss_node_matches_per_family_numpy_sums():
 
     want = {}
     I = colloc.interior
-    sample = FieldSample.from_net(forward(params, I), spatial_jacobian(params, I))
+    sample = FieldSample.from_net(forward(params, I), forward_jac(params, I)[1])
     res = pde_residuals(sample, I[:, 5], I[:, 6])
     want["pde"] = sum(np.sum(res[name] ** 2) for name in RESIDUAL_NAMES) / (9 * len(I))
     for kind, group in colloc.boundary.items():
@@ -361,11 +361,11 @@ def tape_report(colloc, params, weights=None):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("activation", ["tanh"])  # the only one; keeps the test ids
 def test_value_only_total_loss_is_the_tape_report_bit_for_bit(seed, activation):
     colloc = generate_collocation(ChannelDims(), SampleBounds(), CollocationCounts(), seed=seed)
     norm = InputNorm.from_bounds(SampleBounds().pairs())
-    params = init_params(NetworkSpec(activation=activation), norm=norm, seed=40 + seed)
+    params = init_params(NetworkSpec(), norm=norm, seed=40 + seed)
     assert_reports_equal(total_loss(colloc, params), tape_report(colloc, params))
     weights = LossWeights(pde=0.5, wall=3.0, massflow=0.0)
     assert_reports_equal(total_loss(colloc, params, weights), tape_report(colloc, params, weights))

@@ -176,7 +176,7 @@ def graph_keeping_train(cfg, colloc):
     stays referenced until the next step has built its own."""
     root = np.random.SeedSequence(cfg.seed)
     _, ss_init, ss_batch = root.spawn(3)
-    spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden, activation=cfg.activation)
+    spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden)
     params = init_params(spec, norm=InputNorm.from_bounds(cfg.bounds.pairs()), seed=ss_init)
     state = init_adam(params.flat.size, lr=cfg.learning_rate, beta1=cfg.beta1,
                       beta2=cfg.beta2, eps=cfg.eps)

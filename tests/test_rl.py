@@ -55,10 +55,7 @@ def tape_objective(actor_leaf, critic_leaf, actor_tpl, critic_tpl, batch, cfg):
     vout, _ = net_apply(critic_leaf, critic_tpl, states)
     v = col(vout, 0)
     l_vf = nmean(square(v - batch.rewards))
-    if cfg.sampled_entropy:
-        entropy = nmean(-new_logp)
-    else:
-        entropy = nmean(nsum(log_sigma + 0.5 * (1.0 + LOG_2PI), axis=1))
+    entropy = nmean(nsum(log_sigma + 0.5 * (1.0 + LOG_2PI), axis=1))
     total = l_clip - cfg.value_coef * l_vf + cfg.entropy_coef * entropy
     return -total, (l_clip, l_vf, entropy)
 
@@ -180,10 +177,10 @@ def test_advantages_need_two_samples():
 def test_clipped_objective_unit_cases():
     cfg = PPOConfig()
     # ratio 2, advantage +1: clip binds at 1.2
-    l_clip, _, _, _ = ppo_losses([0.0], [np.log(2.0)], [1.0], [0.0], [0.0], cfg)
+    l_clip, _, _, _ = ppo_losses([0.0], [np.log(2.0)], [1.0], [0.0], [0.0], cfg, np.zeros((1, 4)))
     assert l_clip == pytest.approx(1.2, abs=1e-12)
     # ratio 0.5, advantage -1: pessimistic side clips at -0.8
-    l_clip, _, _, _ = ppo_losses([0.0], [np.log(0.5)], [-1.0], [0.0], [0.0], cfg)
+    l_clip, _, _, _ = ppo_losses([0.0], [np.log(0.5)], [-1.0], [0.0], [0.0], cfg, np.zeros((1, 4)))
     assert l_clip == pytest.approx(-0.8, abs=1e-12)
 
 
@@ -191,7 +188,8 @@ def test_unchanged_policy_gives_mean_advantage():
     rng = np.random.default_rng(2)
     logp = rng.normal(size=32)
     adv = rng.normal(size=32)
-    l_clip, _, _, _ = ppo_losses(logp, logp, adv, np.zeros(32), np.zeros(32), PPOConfig())
+    l_clip, _, _, _ = ppo_losses(logp, logp, adv, np.zeros(32), np.zeros(32), PPOConfig(),
+                                 np.zeros((32, 4)))
     assert l_clip == pytest.approx(adv.mean(), abs=1e-12)
 
 
@@ -200,7 +198,8 @@ def test_clip_inactive_for_small_ratio_moves():
     old = rng.normal(size=50)
     new = old + rng.uniform(-1, 1, 50) * 0.9 * np.log(1.2)
     adv = rng.normal(size=50)
-    l_clip, _, _, _ = ppo_losses(old, new, adv, np.zeros(50), np.zeros(50), PPOConfig())
+    l_clip, _, _, _ = ppo_losses(old, new, adv, np.zeros(50), np.zeros(50), PPOConfig(),
+                                 np.zeros((50, 4)))
     assert l_clip == pytest.approx(np.mean(np.exp(new - old) * adv), abs=1e-12)
 
 
@@ -219,10 +218,6 @@ def test_loss_composition_and_entropy_forms():
     # closed-form gaussian entropy
     want = np.mean(np.sum(0.5 * (1 + LOG_2PI) + log_sigma, axis=1))
     assert ent == pytest.approx(want, abs=1e-12)
-    # sampled estimator ignores log_sigma
-    _, _, ent_s, _ = ppo_losses(old, new, adv, rewards, values,
-                                PPOConfig(sampled_entropy=True), log_sigma=log_sigma)
-    assert ent_s == pytest.approx(np.mean(-new), abs=1e-12)
 
 
 def test_unit_sigma_closed_form_entropy_value():
@@ -288,10 +283,14 @@ def _on_bound_logp(actor, batch, bound):
     return old
 
 
-@pytest.mark.parametrize("sampled", [False, True])
+# the entropy is the closed form only; the parameter keeps these tests' ids
+closed_form_entropy = pytest.mark.parametrize("sampled", [False])
+
+
+@closed_form_entropy
 @pytest.mark.parametrize("case", ["behavior", "moved", "clipped", "zero_adv", "on_bound"])
 def test_gradient_equals_tape_oracle_bit_for_bit(case, sampled):
-    cfg = PPOConfig(batch_size=32, sampled_entropy=sampled, entropy_coef=0.05,
+    cfg = PPOConfig(batch_size=32, entropy_coef=0.05,
                     value_coef=0.7, clip_eps=0.05 if case == "clipped" else 0.2)
     actor, critic, batch = make_batch(cfg, seed=70)
     if case == "behavior":  # ratio exactly 1: both surrogate terms tie on every row
@@ -316,9 +315,9 @@ def test_gradient_equals_tape_oracle_bit_for_bit(case, sampled):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("sampled", [False, True])
+@closed_form_entropy
 def test_gradient_matches_central_difference_of_ppo_losses(sampled):
-    cfg = small_cfg(batch_size=16, sampled_entropy=sampled, entropy_coef=0.1, value_coef=0.5)
+    cfg = small_cfg(batch_size=16, entropy_coef=0.1, value_coef=0.5)
     actor, critic, batch = make_batch(cfg, seed=80)
     actor = _moved(actor, 0.05, seed=81)
 
@@ -344,7 +343,7 @@ def test_gradient_matches_central_difference_of_ppo_losses(sampled):
 
 
 def test_train_agent_updates_equal_the_tape_oracle(monkeypatch):
-    cfg = small_cfg(episodes=4, batch_size=16, epochs=3, seed=5, sampled_entropy=True)
+    cfg = small_cfg(episodes=4, batch_size=16, epochs=3, seed=5)
     got = train_agent(QuadraticEnv(), cfg)
     monkeypatch.setattr(rl, "gradient", tape_gradient)
     want = train_agent(QuadraticEnv(), cfg)
