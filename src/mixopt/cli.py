@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -32,23 +33,14 @@ from .errors import (
 )
 from .ga import GAConfig, compare_timing
 from .geometry import ChannelDims, ControlPolygon, build_layout, polyline_rows
-from .metrics import DesignCandidate, baseline_table, compute_mixing_report
+from .metrics import BASELINE_GRID, DesignCandidate, baseline_table, compute_mixing_report
 from .diffnet import load_params, save_params
 from .physics import LossWeights
 from .pinn_train import TrainConfig, evaluate_fields, load_checkpoint, save_checkpoint, train
-from .rl import PinnEnv, PPOConfig, QuadraticEnv, query_policy, train_agent
+from .rl import SC_HI, SC_LO, PinnEnv, PPOConfig, QuadraticEnv, query_policy, train_agent
 from .sampling import CollocationCounts, SampleBounds
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class MetricSettings:
-    outlet_samples: int = 101
-    baseline_grid: int = 8
-
-    def __post_init__(self):
-        check_ints(self, outlet_samples=1, baseline_grid=2)
 
 
 @dataclass(frozen=True)
@@ -57,14 +49,15 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     ppo: PPOConfig = field(default_factory=PPOConfig)
     ga: GAConfig = field(default_factory=GAConfig)
-    metrics: MetricSettings = field(default_factory=MetricSettings)
+
+    def __post_init__(self):
+        check_ints(self, schema_version=1)
 
 
 _NESTED = {
     "train": TrainConfig,
     "ppo": PPOConfig,
     "ga": GAConfig,
-    "metrics": MetricSettings,
     "dims": ChannelDims,
     "bounds": SampleBounds,
     "counts": CollocationCounts,
@@ -162,18 +155,13 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return 0 if history.aborted_at is None else 1
 
 
-def _design_from_args(args) -> DesignCandidate:
-    return DesignCandidate(args.cp[0], args.cp[1], args.cp[2], args.re)
-
-
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     _check_sc(args.sc, "--sc")
-    design = _design_from_args(args)
+    design = DesignCandidate(args.cp[0], args.cp[1], args.cp[2], args.re)
     params = load_checkpoint(args.checkpoint)
     table = evaluate_fields(params, design.polygon, design.re, args.sc, dims=cfg.train.dims)
     table.to_csv(args.fields)
-    report = compute_mixing_report(params, design, args.sc,
-                                   n=cfg.metrics.outlet_samples, dims=cfg.train.dims)
+    report = compute_mixing_report(params, design, args.sc, dims=cfg.train.dims)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.to_json() + "\n")
@@ -188,13 +176,12 @@ def _environment(args, cfg: RunConfig):
     if not args.checkpoint:
         raise ConfigError("either --synthetic or --checkpoint is required")
     params = load_checkpoint(args.checkpoint)
-    grid = cfg.metrics.baseline_grid
     bounds = cfg.train.bounds
     table = baseline_table(params,
-                           re_values=np.linspace(bounds.re[0], bounds.re[1], grid),
-                           sc_values=np.linspace(bounds.sc[0], bounds.sc[1], grid),
-                           n=cfg.metrics.outlet_samples, dims=cfg.train.dims)
-    return PinnEnv(params, table, n=cfg.metrics.outlet_samples)
+                           re_values=np.linspace(bounds.re[0], bounds.re[1], BASELINE_GRID),
+                           sc_values=np.linspace(bounds.sc[0], bounds.sc[1], BASELINE_GRID),
+                           dims=cfg.train.dims)
+    return PinnEnv(params, table, dims=cfg.train.dims)
 
 
 def cmd_optimize_rl(args, cfg: RunConfig) -> int:
@@ -212,6 +199,7 @@ def cmd_optimize_rl(args, cfg: RunConfig) -> int:
         history.to_csv(args.history)
     _emit({"command": "optimize-rl", "actor": args.out,
            "episodes": len(history.mean_rewards),
+           "skipped_episodes": int(np.count_nonzero(np.isnan(history.mean_rewards))),
            "final_smoothed": history.smoothed()[-1] if history.mean_rewards else None})
     return 0
 
@@ -233,37 +221,31 @@ def _check_sc(value: float, where: str) -> None:
         raise ConfigError(f"Schmidt number {value!r} in {where!r} must be finite and positive")
 
 
-def _load_actor(path):
-    actor, header = load_params(path)
-    if header.get("role") not in (None, "actor"):
-        raise CheckpointError(f"{path} holds a {header.get('role')!r} network, expected an actor")
-    return actor
-
-
 def cmd_query(args, cfg: RunConfig) -> int:
     sc_values = _parse_sc_list(args.sc)
-    actor = _load_actor(args.policy)
-    field_params = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    actor, _ = load_params(args.policy, role="actor")
+    env = None
+    if args.checkpoint:
+        # scored against a direct flat-wall evaluation; a degenerate flow
+        # costs its own row (nan), not the whole table
+        env = PinnEnv(load_checkpoint(args.checkpoint), None, dims=cfg.train.dims)
     rows = []
     degenerate = 0
     for sc in sc_values:
         d = query_policy(actor, sc)
         me = float("nan")
-        if field_params is not None:
-            try:
-                me = compute_mixing_report(field_params, d, sc,
-                                           n=cfg.metrics.outlet_samples,
-                                           dims=cfg.train.dims).me
-            except DomainError:
-                # a degenerate flow costs its own row, not the whole table
-                degenerate += 1
+        if env is not None:
+            me = env.evaluate(d, sc)
+            degenerate += math.isnan(me)
         rows.append([sc, d.cp1, d.cp2, d.cp3, d.re, me])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sc", "cp1", "cp2", "cp3", "re", "relative_me"])
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
-    _emit({"command": "query", "out": args.out, "rows": len(rows), "degenerate_rows": degenerate})
+    extrapolated = sum(not SC_LO <= sc <= SC_HI for sc in sc_values)
+    _emit({"command": "query", "out": args.out, "rows": len(rows), "degenerate_rows": degenerate,
+           "extrapolated_rows": extrapolated})
     return 0
 
 
@@ -271,7 +253,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats {args.repeats} must be at least 1")
     sc_values = _parse_sc_list(args.sc)
-    actor = _load_actor(args.policy)
+    actor, _ = load_params(args.policy, role="actor")
     env = _environment(args, cfg)
     table = compare_timing(env, sc_values, cfg.ga, actor, repeats=args.repeats)
     table.to_csv(args.out)

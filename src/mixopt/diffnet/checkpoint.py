@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, DomainError
 from .network import InputNorm, NetworkSpec, ParameterSet
 
 MAGIC = b"MXNC"
@@ -59,8 +59,9 @@ def save_params(params: ParameterSet, path, role=None, seed=None) -> None:
         raise
 
 
-def load_params(path):
-    """Read a checkpoint; returns (ParameterSet, header dict)."""
+def load_params(path, role=None):
+    """Read a checkpoint; returns (ParameterSet, header dict). With a role
+    given, a header naming another role raises CheckpointError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -94,6 +95,8 @@ def load_params(path):
         count = int(header["param_count"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint header missing field: {exc}") from exc
+    except DomainError as exc:
+        raise CheckpointError(f"checkpoint header holds an invalid spec: {exc}") from exc
     payload = data[16 + header_len:]
     if len(payload) != 8 * count:
         raise CheckpointError(f"payload holds {len(payload)} bytes, expected {8 * count}")
@@ -103,4 +106,6 @@ def load_params(path):
     if not (np.all(np.isfinite(flat)) and np.all(np.isfinite(norm.center))
             and np.all(np.isfinite(norm.halfspan))):
         raise CheckpointError("checkpoint holds non-finite values")
+    if role is not None and header.get("role") not in (None, role):
+        raise CheckpointError(f"{path} holds a network of role {header.get('role')!r}, expected {role!r}")
     return ParameterSet(spec=spec, norm=norm, flat=flat), header

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, check_int, check_ints
 from .tape import Node
 
 
@@ -38,10 +38,9 @@ class NetworkSpec:
     hidden: tuple = (64, 64, 64, 64)
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise DomainError("input_dim and output_dim must be >= 1")
-        if any(int(h) < 1 for h in self.hidden):
-            raise DomainError("hidden widths must be >= 1")
+        check_ints(self, input_dim=1, output_dim=1)
+        for i, h in enumerate(self.hidden):
+            check_int(f"hidden[{i}]", h, 1)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def layer_shapes(self) -> list:

@@ -27,12 +27,16 @@ class ConfigError(ValueError):
     """A run configuration is malformed."""
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise DomainError unless ``value`` is an integer (a bool is not one)
+    no smaller than ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def check_ints(obj, **minimums) -> None:
-    """Raise DomainError unless each named field of ``obj`` is an integer
-    (a bool is not one) no smaller than its given minimum."""
+    """check_int on each named field of ``obj`` with its given minimum."""
     for name, minimum in minimums.items():
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
+        check_int(name, getattr(obj, name), minimum)

@@ -8,7 +8,6 @@ pass. compare_timing measures both so the scaling shapes can be compared.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -18,8 +17,6 @@ import numpy as np
 from .errors import DomainError, check_ints
 from .metrics import DESIGN_HI, DESIGN_LO, DesignCandidate, check_schmidt
 from .rl import query_policy
-
-log = logging.getLogger(__name__)
 
 GENE_LO, GENE_HI = DESIGN_LO, DESIGN_HI
 GENE_RANGE = GENE_HI - GENE_LO
@@ -67,9 +64,7 @@ def _evaluate(env, genomes: np.ndarray, sc: float) -> np.ndarray:
     for i, g in enumerate(genomes.tolist()):
         r = env.evaluate(DesignCandidate(*g), sc)
         if not math.isfinite(r):
-            # the environment has already reported why; one line per design
-            log.debug("non-finite fitness for genome %s at sc=%s; assigning -inf", g, sc)
-            r = -math.inf
+            r = -math.inf  # a failed score ranks below every finite one
         out[i] = r
     return out
 
@@ -148,17 +143,6 @@ class ScalingTable:
             for row in zip(self.m, self.ga_seconds, self.rl_seconds, self.ga_fitness_mean):
                 writer.writerow([row[0], repr(float(row[1])), repr(float(row[2])),
                                  repr(float(row[3]))])
-
-    @classmethod
-    def from_csv(cls, path) -> "ScalingTable":
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
-            raise DomainError("scaling table file is empty")
-        return cls(m=[int(r["m"]) for r in rows],
-                   ga_seconds=[float(r["ga_cumulative_seconds"]) for r in rows],
-                   rl_seconds=[float(r["rl_cumulative_seconds"]) for r in rows],
-                   ga_fitness_mean=[float(r["ga_best_fitness_mean"]) for r in rows])
 
 
 def linear_r2(xs, ys) -> float:

@@ -8,8 +8,6 @@ baseline at the same (Re, Sc).
 
 from __future__ import annotations
 
-import csv
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,12 +20,15 @@ from .errors import DomainError
 from .geometry import CP_MAX, CP_MIN, ChannelDims, ControlPolygon
 from .sampling import SampleBounds
 
-log = logging.getLogger(__name__)
-
 RE_MIN, RE_MAX = 5.0, 40.0
 # corners of the (cp1, cp2, cp3, re) design box
 DESIGN_LO = np.array([CP_MIN, CP_MIN, CP_MIN, RE_MIN])
 DESIGN_HI = np.array([CP_MAX, CP_MAX, CP_MAX, RE_MAX])
+# every score samples the outlet line at OUTLET_SAMPLES points and the two
+# inlet mouths at as many each, so each pass fits one diffnet.ROW_BLOCK; the
+# flat-wall baseline grid is BASELINE_GRID x BASELINE_GRID
+OUTLET_SAMPLES = 101
+BASELINE_GRID = 8
 
 
 @dataclass(frozen=True)
@@ -107,20 +108,15 @@ def mixing_efficiency(mi: float, cp: float, mi0: float, cp0: float) -> float:
 def _clamp_concentration(c: np.ndarray) -> np.ndarray:
     clipped = np.maximum(c, 0.0)
     np.minimum(clipped, 1.0, out=clipped)
-    if log.isEnabledFor(logging.DEBUG):
-        n_out = int(np.count_nonzero(clipped != c))
-        if n_out:
-            log.debug("clamped %d of %d outlet concentration samples into [0, 1]", n_out, c.size)
     return clipped
 
 
 @lru_cache(maxsize=16)
-def _sample_grids(n: int, dims: ChannelDims | None) -> tuple:
-    """Read-only network inputs for the outlet line (n rows) and the two
-    inlet mouths (2n rows, upper mouth first). The spatial columns are
-    filled in; the five design columns are zero."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+def _sample_grids(dims: ChannelDims | None) -> tuple:
+    """Read-only network inputs for the outlet line (OUTLET_SAMPLES rows) and
+    the two inlet mouths (twice that, upper mouth first). The spatial columns
+    are filled in; the five design columns are zero."""
+    n = OUTLET_SAMPLES
     dims = dims or ChannelDims()
     outlet = np.zeros((n, 7))
     outlet[:, 0] = dims.L / dims.H
@@ -140,16 +136,16 @@ def _design_rows(grid: np.ndarray, design: DesignCandidate, sc: float) -> np.nda
 
 
 def outlet_concentration(params: ParameterSet, design: DesignCandidate, sc: float,
-                         n: int = 101, dims: ChannelDims | None = None) -> np.ndarray:
+                         dims: ChannelDims | None = None) -> np.ndarray:
     """c* along the outlet, clamped to [0, 1]."""
-    X = _design_rows(_sample_grids(n, dims)[0], design, sc)
+    X = _design_rows(_sample_grids(dims)[0], design, sc)
     return _clamp_concentration(forward(params, X)[:, 6])
 
 
 def inlet_pressure(params: ParameterSet, design: DesignCandidate, sc: float,
-                   n: int = 101, dims: ChannelDims | None = None) -> np.ndarray:
+                   dims: ChannelDims | None = None) -> np.ndarray:
     """p* sampled across both inlet mouths."""
-    X = _design_rows(_sample_grids(n, dims)[1], design, sc)
+    X = _design_rows(_sample_grids(dims)[1], design, sc)
     return forward(params, X)[:, 2]
 
 
@@ -166,7 +162,6 @@ class MixingReport:
     mi0: float
     cp0: float
     me: float
-    n: int
     sc: float
     design: DesignCandidate
     note: str = "cp proxies the inlet-outlet pressure drop (outlet p* = 0)"
@@ -175,7 +170,7 @@ class MixingReport:
         d = self.design
         payload = {
             "mi": self.mi, "cp": self.cp, "mi0": self.mi0, "cp0": self.cp0,
-            "me": self.me, "n": self.n, "sc": self.sc,
+            "me": self.me, "n": OUTLET_SAMPLES, "sc": self.sc,
             "design": {"cp1": d.cp1, "cp2": d.cp2, "cp3": d.cp3, "re": d.re},
             "note": self.note,
         }
@@ -208,67 +203,36 @@ class BaselineTable:
 
         return float(blend(self.mi0)), float(blend(self.cp0))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re", "sc", "mi0", "cp0"])
-            for i, re in enumerate(self.re_values):
-                for j, sc in enumerate(self.sc_values):
-                    writer.writerow([repr(float(re)), repr(float(sc)),
-                                     repr(float(self.mi0[i, j])), repr(float(self.cp0[i, j]))])
 
-    @classmethod
-    def from_csv(cls, path) -> "BaselineTable":
-        with open(path) as fh:
-            rows = [(float(r["re"]), float(r["sc"]), float(r["mi0"]), float(r["cp0"]))
-                    for r in csv.DictReader(fh)]
-        if not rows:
-            raise DomainError("baseline table file is empty")
-        for row in rows:
-            if not all(map(math.isfinite, row)):
-                raise DomainError(f"baseline table row {row!r} holds a non-finite value")
-        res = sorted({r[0] for r in rows})
-        scs = sorted({r[1] for r in rows})
-        mi0 = np.full((len(res), len(scs)), np.nan)
-        cp0 = np.full((len(res), len(scs)), np.nan)
-        for re, sc, mi, cp in rows:
-            i = res.index(re)
-            j = scs.index(sc)
-            mi0[i, j] = mi
-            cp0[i, j] = cp
-        if np.any(np.isnan(mi0)) or np.any(np.isnan(cp0)):
-            raise DomainError("baseline table is not a complete grid")
-        return cls(re_values=np.array(res), sc_values=np.array(scs), mi0=mi0, cp0=cp0)
-
-
-def baseline_table(params: ParameterSet, re_values=None, sc_values=None, n: int = 101,
+def baseline_table(params: ParameterSet, re_values=None, sc_values=None,
                    dims: ChannelDims | None = None) -> BaselineTable:
     """Evaluate the flat-wall design on a (Re, Sc) grid."""
     bounds = SampleBounds()
+    grid = BASELINE_GRID
     re_values = np.asarray(re_values if re_values is not None
-                           else np.linspace(bounds.re[0], bounds.re[1], 8), dtype=np.float64)
+                           else np.linspace(bounds.re[0], bounds.re[1], grid), dtype=np.float64)
     sc_values = np.asarray(sc_values if sc_values is not None
-                           else np.linspace(bounds.sc[0], bounds.sc[1], 8), dtype=np.float64)
+                           else np.linspace(bounds.sc[0], bounds.sc[1], grid), dtype=np.float64)
     if len(re_values) < 2 or len(sc_values) < 2:
         raise DomainError("baseline grid needs at least 2 points per axis")
     mi0 = np.zeros((len(re_values), len(sc_values)))
     cp0 = np.zeros_like(mi0)
     for i, re in enumerate(re_values):
         for j, sc in enumerate(sc_values):
-            mi0[i, j], cp0[i, j] = _flat_wall(params, float(re), float(sc), n, dims)
+            mi0[i, j], cp0[i, j] = _flat_wall(params, float(re), float(sc), dims)
     return BaselineTable(re_values=re_values, sc_values=sc_values, mi0=mi0, cp0=cp0)
 
 
-def _flat_wall(params: ParameterSet, re: float, sc: float, n: int, dims: ChannelDims | None):
+def _flat_wall(params: ParameterSet, re: float, sc: float, dims: ChannelDims | None):
     """(mi0, cp0) of the flat-wall design, evaluated directly."""
     flat = DesignCandidate(0.0, 0.0, 0.0, re)
-    mi0 = mixing_index(outlet_concentration(params, flat, sc, n=n, dims=dims))
-    cp0 = pressure_cost(inlet_pressure(params, flat, sc, n=n, dims=dims))
+    mi0 = mixing_index(outlet_concentration(params, flat, sc, dims=dims))
+    cp0 = pressure_cost(inlet_pressure(params, flat, sc, dims=dims))
     return mi0, cp0
 
 
 def compute_mixing_report(params: ParameterSet, design: DesignCandidate, sc: float,
-                          baseline: BaselineTable | None = None, n: int = 101,
+                          baseline: BaselineTable | None = None,
                           dims: ChannelDims | None = None) -> MixingReport:
     """Metrics for one design; the baseline defaults to a direct flat-wall
     evaluation at the same (Re, Sc) and checkpoint.
@@ -277,12 +241,12 @@ def compute_mixing_report(params: ParameterSet, design: DesignCandidate, sc: flo
     non-positive pressure cost is rejected without its outlet pass.
     """
     check_schmidt(sc)
-    cp = pressure_cost(inlet_pressure(params, design, sc, n=n, dims=dims))
+    cp = pressure_cost(inlet_pressure(params, design, sc, dims=dims))
     if baseline is None:
-        mi0, cp0 = _flat_wall(params, design.re, sc, n, dims)
+        mi0, cp0 = _flat_wall(params, design.re, sc, dims)
     else:
         mi0, cp0 = baseline.lookup(design.re, sc)
     _check_guards(cp, mi0, cp0)
-    mi = mixing_index(outlet_concentration(params, design, sc, n=n, dims=dims))
+    mi = mixing_index(outlet_concentration(params, design, sc, dims=dims))
     me = mixing_efficiency(mi, cp, mi0, cp0)
-    return MixingReport(mi=mi, cp=cp, mi0=mi0, cp0=cp0, me=me, n=n, sc=sc, design=design)
+    return MixingReport(mi=mi, cp=cp, mi0=mi0, cp0=cp0, me=me, sc=sc, design=design)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,8 +26,6 @@ from .errors import DomainError, NumericalError, check_ints
 from .geometry import ChannelDims, ControlPolygon, build_layout
 from .physics import LossReport, LossWeights, loss_node, total_loss
 from .sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,9 @@ class TrainHistory:
 def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
     """Run the configured training; returns (parameters, history).
 
-    A non-finite loss or gradient aborts the run and returns the last
-    parameters that produced a finite loss.
+    A non-finite loss or gradient aborts the run, records the step in
+    history.aborted_at and returns the last parameters that produced a
+    finite loss.
     """
     root = np.random.SeedSequence(cfg.seed)
     ss_colloc, ss_init, ss_batch = root.spawn(3)
@@ -121,15 +119,13 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
         report, grad = _loss_and_gradient(sub, params, cfg.weights)
         report.step = step
         if grad is None:
-            log.warning("training aborted at step %d: non-finite loss", step)
             history.aborted_at = step
             params = last_finite
             break
         last_finite = params
         try:
             params, state = adam_step(params, grad, state)
-        except NumericalError as exc:
-            log.warning("training aborted at step %d: %s", step, exc)
+        except NumericalError:
             history.aborted_at = step
             params = last_finite
             break
@@ -168,7 +164,8 @@ def save_checkpoint(params: ParameterSet, path, seed=None) -> None:
 
 
 def load_checkpoint(path) -> ParameterSet:
-    params, _ = load_params(path)
+    """Read a field-network checkpoint; another role raises CheckpointError."""
+    params, _ = load_params(path, role="field")
     return params
 
 

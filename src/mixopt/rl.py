@@ -10,9 +10,7 @@ environment with a known optimum serves as the test oracle.
 from __future__ import annotations
 
 import csv
-import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +26,8 @@ from .diffnet import (
     init_params,
 )
 from .errors import DomainError, check_ints
+from .geometry import ChannelDims
 from .metrics import DESIGN_HI, DESIGN_LO, BaselineTable, DesignCandidate, check_schmidt, compute_mixing_report
-
-log = logging.getLogger(__name__)
 
 SC_LO, SC_HI = 1.0, 100.0
 ACTION_DIM = 4
@@ -128,21 +125,14 @@ class RewardHistory:
                 writer.writerow([i, repr(float(r)), repr(float(s))])
 
 
-def actor_spec(cfg: PPOConfig) -> NetworkSpec:
-    return NetworkSpec(input_dim=1, output_dim=2 * ACTION_DIM, hidden=cfg.actor_hidden)
-
-
-def critic_spec(cfg: PPOConfig) -> NetworkSpec:
-    return NetworkSpec(input_dim=1, output_dim=1, hidden=cfg.critic_hidden)
-
-
 def _state_norm() -> InputNorm:
     return InputNorm.from_bounds([(SC_LO, SC_HI)])
 
 
 def init_actor(cfg: PPOConfig, seed=None) -> ParameterSet:
     """Fresh actor; log-std head biases start at ln(0.5) for exploration."""
-    params = init_params(actor_spec(cfg), norm=_state_norm(), seed=seed)
+    spec = NetworkSpec(input_dim=1, output_dim=2 * ACTION_DIM, hidden=cfg.actor_hidden)
+    params = init_params(spec, norm=_state_norm(), seed=seed)
     tweaked = params.with_flat(params.flat.copy())
     _, b = tweaked.views()[-1]
     b[ACTION_DIM:] = np.log(0.5)
@@ -150,7 +140,8 @@ def init_actor(cfg: PPOConfig, seed=None) -> ParameterSet:
 
 
 def init_critic(cfg: PPOConfig, seed=None) -> ParameterSet:
-    return init_params(critic_spec(cfg), norm=_state_norm(), seed=seed)
+    spec = NetworkSpec(input_dim=1, output_dim=1, hidden=cfg.critic_hidden)
+    return init_params(spec, norm=_state_norm(), seed=seed)
 
 
 def policy_forward(actor: ParameterSet, states) -> tuple:
@@ -289,21 +280,23 @@ class QuadraticEnv:
 class PinnEnv:
     """Scores designs with the mixing efficiency of a trained field network.
 
-    Degenerate-flow guard failures (nonpositive pressure cost or baseline)
-    come back as nan so the caller can skip the episode instead of dying.
+    A baseline of None scores against a direct flat-wall evaluation at each
+    design's (Re, Sc). Degenerate-flow guard failures (nonpositive pressure
+    cost or baseline) come back as nan, so the caller can count or skip the
+    design instead of dying.
     """
 
-    def __init__(self, params: ParameterSet, baseline: BaselineTable, n: int = 101):
+    def __init__(self, params: ParameterSet, baseline: BaselineTable | None,
+                 dims: ChannelDims | None = None):
         self.params = params
         self.baseline = baseline
-        self.n = n
+        self.dims = dims
 
     def evaluate(self, design: DesignCandidate, sc: float) -> float:
         try:
             report = compute_mixing_report(self.params, design, sc,
-                                           baseline=self.baseline, n=self.n)
-        except DomainError as exc:
-            log.warning("degenerate evaluation at %s sc=%s: %s", design, sc, exc)
+                                           baseline=self.baseline, dims=self.dims)
+        except DomainError:
             return float("nan")
         return report.me
 
@@ -326,8 +319,8 @@ def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
                 critic: ParameterSet | None = None):
     """Run E one-step episodes of PPO; returns (actor, critic, history).
 
-    An episode whose rewards come back non-finite is logged and skipped;
-    training continues with the next episode.
+    An episode whose rewards come back non-finite is skipped and recorded as
+    nan in the history; training continues with the next episode.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.episodes)
     if actor is None:
@@ -342,7 +335,6 @@ def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
         rng = np.random.default_rng(seeds[2 + ep])
         batch = rollout(env, actor, critic, cfg, rng)
         if not np.all(np.isfinite(batch.rewards)):
-            log.warning("episode %d returned non-finite rewards; skipping update", ep)
             history.append(np.nan)
             continue
         for _ in range(cfg.epochs):
@@ -354,9 +346,9 @@ def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
 
 
 def query_policy(actor: ParameterSet, sc: float) -> DesignCandidate:
-    """Deterministic greedy design: the policy mean, scaled to bounds."""
+    """Deterministic greedy design: the policy mean, scaled to bounds; a
+    Schmidt number outside the trained range [SC_LO, SC_HI] extrapolates."""
     if not (SC_LO <= sc <= SC_HI):
         check_schmidt(sc)
-        warnings.warn(f"Sc={sc} outside the trained range [{SC_LO}, {SC_HI}]; extrapolating")
     out = forward(actor, [[sc]])
     return scale_action(out[0, :ACTION_DIM])

@@ -1,12 +1,14 @@
 import csv
 import json
+import logging
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from mixopt.cli import MetricSettings, RunConfig, load_config, main
+from mixopt.cli import RunConfig, load_config, main
 from mixopt.errors import ConfigError, DomainError
 from mixopt.ga import GAConfig
 from mixopt.pinn_train import TrainConfig
@@ -59,7 +61,6 @@ def test_default_config_loads():
     assert cfg.train.steps == 5000
     assert cfg.ppo.episodes == 100
     assert cfg.ga.population == 32
-    assert cfg.metrics.outlet_samples == 101
 
 
 def test_config_overrides_nested(tmp_path):
@@ -68,7 +69,6 @@ def test_config_overrides_nested(tmp_path):
         "train": {"steps": 7, "hidden": [16, 16], "counts": {"interior": 100}},
         "ppo": {"episodes": 5, "actor_hidden": [4]},
         "ga": {"population": 6},
-        "metrics": {"outlet_samples": 11},
     })
     cfg = load_config(path)
     assert cfg.train.steps == 7
@@ -78,7 +78,6 @@ def test_config_overrides_nested(tmp_path):
     assert cfg.ppo.episodes == 5
     assert cfg.ppo.actor_hidden == (4,)
     assert cfg.ga.population == 6
-    assert cfg.metrics.outlet_samples == 11
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -91,6 +90,12 @@ def test_unknown_keys_rejected(tmp_path):
 def test_bad_schema_version(tmp_path):
     with pytest.raises(ConfigError, match="schema_version"):
         load_config(write_config(tmp_path, {"schema_version": 2}))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_schema_version_must_be_an_integer(tmp_path, version):
+    with pytest.raises(ConfigError, match="schema_version must be an integer"):
+        load_config(write_config(tmp_path, {"schema_version": version}))
 
 
 def test_bad_json_and_bad_values(tmp_path):
@@ -415,15 +420,16 @@ def test_optimize_rl_with_every_episode_skipped_prints_strict_json(tmp_path, cap
     ckpt = str(tmp_path / "field.ckpt")
     save_checkpoint(params, ckpt)
     cfg = write_config(tmp_path, {"ppo": {"episodes": 2, "batch_size": 8, "actor_hidden": [8],
-                                          "critic_hidden": [8]},
-                                  "metrics": {"outlet_samples": 5, "baseline_grid": 2}})
+                                          "critic_hidden": [8]}})
     capsys.readouterr()
     rc = main(["--config", cfg, "optimize-rl", "--checkpoint", ckpt, "--episodes", "2",
                "--out", str(tmp_path / "a.ckpt")])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out.strip(), parse_constant=reject_constant)
-    assert payload["episodes"] == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out.strip(), parse_constant=reject_constant)
+    assert payload["episodes"] == 2 and payload["skipped_episodes"] == 2
     assert payload["final_smoothed"] is None
+    assert err == ""
 
 
 def test_optimize_rl_requires_an_environment(tmp_path, capsys):
@@ -489,7 +495,10 @@ def test_bad_train_and_ga_values_exit_2_before_running(tmp_path, capsys, section
     ({"ppo": {"seed": -2}}, ["optimize-rl"]),
     ({"ppo": {"episodes": 2.0}}, ["optimize-rl"]),
     (None, ["optimize-rl", "--seed", "-1"]),
-    ({"metrics": {"baseline_grid": 1.5}}, ["optimize-rl"]),
+    ({"ppo": {"actor_hidden": [8.7]}}, ["optimize-rl"]),
+    ({"ppo": {"critic_hidden": [2.5]}}, ["optimize-rl"]),
+    ({"train": {"hidden": [8.7, 4]}}, ["train"]),
+    ({"train": {"hidden": [True, 4]}}, ["train"]),
 ])
 def test_bad_seeds_and_counts_exit_2_before_running(tmp_path, capsys, config, argv):
     out = tmp_path / "out"
@@ -518,13 +527,45 @@ def test_bad_seeds_and_counts_exit_2_before_running(tmp_path, capsys, config, ar
     (PPOConfig, "seed", 0),
     (GAConfig, "population", 2), (GAConfig, "generations", 0), (GAConfig, "tournament", 1),
     (GAConfig, "elitism", 0), (GAConfig, "seed", 0),
-    (MetricSettings, "outlet_samples", 1), (MetricSettings, "baseline_grid", 2),
 ])
 def test_seed_and_count_fields_take_integers_from_their_minimum(cls, name, least):
     for bad in (least - 1, least + 0.5, float(least + 1), True, "3", None):
         with pytest.raises(DomainError, match=name):
             cls(**{name: bad})
     assert getattr(cls(**{name: np.int64(least)}), name) == least
+
+
+def test_query_and_evaluate_reject_a_non_field_checkpoint(tiny_actor, tmp_path, capsys):
+    actor, _ = tiny_actor
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    for argv in (["query", "--policy", actor, "--sc", "10,50", "--checkpoint", actor,
+                  "--out", str(out)],
+                 ["evaluate", "--checkpoint", actor, "--cp", "0", "0", "0", "--re", "10",
+                  "--sc", "10", "--fields", str(out)]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CheckpointError"
+        assert "role 'actor', expected 'field'" in err["message"]
+        assert not out.exists()
+
+
+def test_query_counts_extrapolated_rows_and_writes_no_stderr(tiny_checkpoint, tiny_actor,
+                                                             tmp_path, capsys, caplog):
+    ckpt, cfg = tiny_checkpoint
+    actor, _ = tiny_actor
+    capsys.readouterr()
+    out = tmp_path / "designs.csv"
+    with caplog.at_level(logging.DEBUG), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--config", cfg, "query", "--policy", actor, "--sc", "10,200",
+                   "--out", str(out), "--checkpoint", ckpt])
+    assert rc == 0
+    stdout, stderr = capsys.readouterr()
+    payload = json.loads(stdout.strip())
+    assert payload["rows"] == 2 and payload["extrapolated_rows"] == 1
+    assert payload["degenerate_rows"] == 0
+    assert stderr == "" and caplog.records == []
 
 
 def test_removed_config_keys_exit_2(tmp_path, capsys):
@@ -534,6 +575,7 @@ def test_removed_config_keys_exit_2(tmp_path, capsys):
         ({"ppo": {"sampled_entropy": False}}, "config.ppo.sampled_entropy"),
         ({"train": {"dims": {"h_d": 0.3}}}, "config.train.dims.h_d"),
         ({"train": {"dims": {"l_d": 0.15}}}, "config.train.dims.l_d"),
+        ({"metrics": {"outlet_samples": 101}}, "config.metrics"),
     ]:
         rc = main(["--config", write_config(tmp_path, payload), "geometry",
                    "--cp", "0", "0", "0", "--out", str(tmp_path / "g.csv")])

@@ -137,6 +137,16 @@ def test_spec_validation_and_param_count():
     assert spec.param_count == 3 * 4 + 4 + 4 * 2 + 2
     with pytest.raises(DomainError):
         NetworkSpec(hidden=(0,))
+    spec = NetworkSpec(input_dim=np.int64(3), hidden=(np.int64(4),))
+    assert spec.hidden == (4,) and type(spec.hidden[0]) is int
+
+
+@pytest.mark.parametrize("bad", [8.7, 8.0, True, 0, -1, "8", None])
+@pytest.mark.parametrize("name", ["input_dim", "output_dim", "hidden"])
+def test_spec_widths_and_dims_take_integers_from_one(name, bad):
+    kwargs = {"hidden": (4, bad)} if name == "hidden" else {name: bad}
+    with pytest.raises(DomainError, match="must be"):
+        NetworkSpec(**kwargs)
 
 
 def test_init_deterministic_zero_bias_unit_fan_in_variance():
@@ -623,6 +633,31 @@ def test_checkpoint_rejects_any_activation_but_tanh(tmp_path, activation):
     path.write_bytes(_with_header(path.read_bytes(), edit))
     with pytest.raises(CheckpointError, match="activation"):
         load_params(path)
+
+
+@pytest.mark.parametrize("key, value", [("hidden", [2.0]), ("hidden", [True, 2]),
+                                        ("input_dim", 2.0), ("output_dim", True)])
+def test_checkpoint_rejects_a_non_integer_width(tmp_path, key, value):
+    params = make_params(input_dim=2, output_dim=1, hidden=(2,), seed=0)
+    path = tmp_path / "net.ckpt"
+    save_params(params, path)
+    path.write_bytes(_with_header(path.read_bytes(),
+                                  lambda header: header["spec"].update({key: value})))
+    with pytest.raises(CheckpointError, match="must be an integer"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("saved, expected", [("critic", "actor"), ("actor", "field")])
+def test_checkpoint_rejects_another_role(tmp_path, saved, expected):
+    params = make_params(input_dim=1, output_dim=1, hidden=(2,), seed=0)
+    path = tmp_path / "net.ckpt"
+    save_params(params, path, role=saved)
+    with pytest.raises(CheckpointError, match=f"role '{saved}', expected '{expected}'"):
+        load_params(path, role=expected)
+    for role in (None, saved):
+        assert np.array_equal(load_params(path, role=role)[0].flat, params.flat)
+    save_params(params, path)  # a header naming no role passes every check
+    assert np.array_equal(load_params(path, role=expected)[0].flat, params.flat)
 
 
 SURROGATE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -6,7 +6,6 @@ from mixopt.ga import (
     GENE_HI,
     GENE_LO,
     GAConfig,
-    ScalingTable,
     _sample_counts,
     compare_timing,
     linear_r2,
@@ -141,18 +140,6 @@ def test_sample_counts_double_then_cap():
     assert _sample_counts(8) == [1, 2, 4, 8]
     assert _sample_counts(6) == [1, 2, 4, 6]
     assert _sample_counts(1) == [1]
-
-
-def test_scaling_table_csv_round_trip(tmp_path):
-    table = ScalingTable(m=[1, 2, 4], ga_seconds=[0.5, 1.0, 2.1],
-                         rl_seconds=[1e-4, 2e-4, 4.2e-4], ga_fitness_mean=[0.99, 0.98, 0.97])
-    path = tmp_path / "scaling.csv"
-    table.to_csv(path)
-    back = ScalingTable.from_csv(path)
-    assert back.m == table.m
-    assert back.ga_seconds == table.ga_seconds
-    assert back.rl_seconds == table.rl_seconds
-    assert back.ga_fitness_mean == table.ga_fitness_mean
 
 
 def test_compare_timing_structure():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixopt import metrics
-from mixopt.diffnet import InputNorm, NetworkSpec, forward, forward_vjp, init_params
+from mixopt.diffnet import InputNorm, NetworkSpec, forward, forward_vjp, init_params, network
 from mixopt.errors import DomainError
 from mixopt.geometry import ChannelDims
 from mixopt.metrics import (
@@ -137,7 +137,7 @@ def test_design_candidate_array_and_polygon():
 def test_outlet_concentration_clamped_unit_interval():
     params = make_params(seed=5)
     d = DesignCandidate(0.2, -0.1, 0.4, 20.0)
-    c = outlet_concentration(params, d, sc=30.0, n=101)
+    c = outlet_concentration(params, d, sc=30.0)
     assert c.shape == (101,)
     assert np.all(c >= 0.0) and np.all(c <= 1.0)
 
@@ -145,8 +145,8 @@ def test_outlet_concentration_clamped_unit_interval():
 def test_inlet_pressure_covers_both_mouths():
     params = make_params(seed=6)
     d = DesignCandidate(0.0, 0.0, 0.0, 10.0)
-    p = inlet_pressure(params, d, sc=10.0, n=31)
-    assert p.shape == (62,)
+    p = inlet_pressure(params, d, sc=10.0)
+    assert p.shape == (202,)
     assert np.all(np.isfinite(p))
 
 
@@ -183,40 +183,9 @@ def test_baseline_lookup_clamps_outside_hull():
     assert table.lookup(20.0, 500.0) == table.lookup(20.0, 100.0)
 
 
-def test_baseline_csv_round_trip(tmp_path):
-    re = np.array([5.0, 40.0])
-    sc = np.array([1.0, 100.0])
-    table = BaselineTable(re_values=re, sc_values=sc,
-                          mi0=np.array([[0.31, 0.44], [0.52, 0.61]]),
-                          cp0=np.array([[2.5, 2.2], [7.1, 6.6]]))
-    path = tmp_path / "baseline.csv"
-    table.to_csv(path)
-    back = BaselineTable.from_csv(path)
-    assert np.array_equal(back.re_values, table.re_values)
-    assert np.array_equal(back.sc_values, table.sc_values)
-    assert np.array_equal(back.mi0, table.mi0)
-    assert np.array_equal(back.cp0, table.cp0)
-
-
-def test_baseline_csv_rejects_ragged_grid(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("re,sc,mi0,cp0\n5.0,1.0,0.3,2.0\n40.0,100.0,0.4,3.0\n")
-    with pytest.raises(DomainError):
-        BaselineTable.from_csv(path)
-    # a complete grid with one non-finite cell
-    rows = ["re,sc,mi0,cp0"] + [f"{re},{sc},0.3,2.0" for re in (5.0, 40.0) for sc in (1.0, 100.0)]
-    for bad in ("inf", "nan", "-inf"):
-        for column in range(4):
-            cells = rows[2].split(",")
-            cells[column] = bad
-            path.write_text("\n".join(rows[:2] + [",".join(cells)] + rows[3:]) + "\n")
-            with pytest.raises(DomainError, match="non-finite"):
-                BaselineTable.from_csv(path)
-
-
 def test_baseline_table_finite_positive():
     params = make_params(seed=7)
-    table = baseline_table(params, re_values=[5.0, 40.0], sc_values=[1.0, 100.0], n=21)
+    table = baseline_table(params, re_values=[5.0, 40.0], sc_values=[1.0, 100.0])
     assert np.all(np.isfinite(table.mi0))
     assert np.all(np.isfinite(table.cp0))
     assert np.all(table.mi0 <= 1.0)
@@ -255,7 +224,7 @@ def test_report_json_fields():
 
 def test_report_json_writes_non_finite_values_as_null():
     report = MixingReport(mi=float("nan"), cp=-float("inf"), mi0=0.5, cp0=1.0, me=float("nan"),
-                          n=3, sc=2.0, design=DesignCandidate(0.1, 0.2, -0.3, 12.0))
+                          sc=2.0, design=DesignCandidate(0.1, 0.2, -0.3, 12.0))
 
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -321,11 +290,11 @@ def test_scoring_is_bit_identical_to_reference_rows():
         assert np.array_equal(report.me, mixing_efficiency(mi, cp, mi0, cp0))
 
     re_values, sc_values = [5.0, 17.5, 40.0], [1.0, 30.0, 100.0]
-    table = baseline_table(params, re_values=re_values, sc_values=sc_values, n=33)
+    table = baseline_table(params, re_values=re_values, sc_values=sc_values)
     for i, re in enumerate(re_values):
         for j, sc in enumerate(sc_values):
             mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, re),
-                                        sc, 33, dims)
+                                        sc, 101, dims)
             assert np.array_equal(table.mi0[i, j], mi0)
             assert np.array_equal(table.cp0[i, j], cp0)
 
@@ -374,26 +343,22 @@ def test_report_rejects_bad_schmidt_number_before_scoring(sc, monkeypatch):
 def test_second_score_leaves_first_results_and_grid_alone():
     params = field_net(seed=4)
     first = DesignCandidate(0.3, -0.2, 0.1, 12.0)
-    c1 = outlet_concentration(params, first, 20.0, n=41)
-    p1 = inlet_pressure(params, first, 20.0, n=41)
+    c1 = outlet_concentration(params, first, 20.0)
+    p1 = inlet_pressure(params, first, 20.0)
     kept_c, kept_p = c1.copy(), p1.copy()
-    grids = [g.copy() for g in metrics._sample_grids(41, None)]
+    grids = [g.copy() for g in metrics._sample_grids(None)]
 
     second = DesignCandidate(-0.4, 0.4, -0.1, 33.0)
-    c2 = outlet_concentration(params, second, 80.0, n=41)
-    p2 = inlet_pressure(params, second, 80.0, n=41)
+    c2 = outlet_concentration(params, second, 80.0)
+    p2 = inlet_pressure(params, second, 80.0)
     assert np.array_equal(c1, kept_c) and np.array_equal(p1, kept_p)
     assert not np.array_equal(c1, c2) and not np.array_equal(p1, p2)
-    for cached, before in zip(metrics._sample_grids(41, None), grids):
+    for cached, before in zip(metrics._sample_grids(None), grids):
         assert np.array_equal(cached, before)
         assert not cached.flags.writeable
-    assert np.array_equal(c1, reference_outlet(params, first, 20.0, 41, ChannelDims()))
+    assert np.array_equal(c1, reference_outlet(params, first, 20.0, 101, ChannelDims()))
 
 
-def test_sample_count_must_be_positive():
-    params = make_params(seed=2)
-    d = DesignCandidate(0.0, 0.0, 0.0, 10.0)
-    with pytest.raises(DomainError):
-        outlet_concentration(params, d, sc=10.0, n=0)
-    with pytest.raises(DomainError):
-        inlet_pressure(params, d, sc=10.0, n=0)
+def test_each_score_pass_is_one_row_block():
+    # the inlet pass (two mouths) is the larger one
+    assert 2 * metrics.OUTLET_SAMPLES <= network.ROW_BLOCK
