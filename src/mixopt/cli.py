@@ -32,8 +32,8 @@ from .errors import (
     check_ints,
 )
 from .ga import GAConfig, compare_timing
-from .geometry import ChannelDims, ControlPolygon, build_layout, polyline_rows
-from .metrics import BASELINE_GRID, DesignCandidate, baseline_table, compute_mixing_report
+from .geometry import ControlPolygon, build_layout, polyline_rows
+from .metrics import DesignCandidate, baseline_table, compute_mixing_report
 from .diffnet import load_params, save_params
 from .physics import LossWeights
 from .pinn_train import TrainConfig, evaluate_fields, load_checkpoint, save_checkpoint, train
@@ -58,7 +58,6 @@ _NESTED = {
     "train": TrainConfig,
     "ppo": PPOConfig,
     "ga": GAConfig,
-    "dims": ChannelDims,
     "bounds": SampleBounds,
     "counts": CollocationCounts,
     "weights": LossWeights,
@@ -115,7 +114,7 @@ def cmd_geometry(args, cfg: RunConfig) -> int:
     if args.points < 2:
         raise ConfigError(f"--points {args.points} must be at least 2")
     polygon = ControlPolygon(args.cp[0], args.cp[1], args.cp[2])
-    layout = build_layout(polygon, cfg.train.dims)
+    layout = build_layout(polygon)
     rows = list(polyline_rows(layout, points_per_segment=args.points))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -159,9 +158,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     _check_sc(args.sc, "--sc")
     design = DesignCandidate(args.cp[0], args.cp[1], args.cp[2], args.re)
     params = load_checkpoint(args.checkpoint)
-    table = evaluate_fields(params, design.polygon, design.re, args.sc, dims=cfg.train.dims)
+    table = evaluate_fields(params, design.polygon, design.re, args.sc)
     table.to_csv(args.fields)
-    report = compute_mixing_report(params, design, args.sc, dims=cfg.train.dims)
+    report = compute_mixing_report(params, design, args.sc)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.to_json() + "\n")
@@ -170,22 +169,17 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _environment(args, cfg: RunConfig):
+def _environment(args):
     if args.synthetic:
         return QuadraticEnv()
     if not args.checkpoint:
         raise ConfigError("either --synthetic or --checkpoint is required")
     params = load_checkpoint(args.checkpoint)
-    bounds = cfg.train.bounds
-    table = baseline_table(params,
-                           re_values=np.linspace(bounds.re[0], bounds.re[1], BASELINE_GRID),
-                           sc_values=np.linspace(bounds.sc[0], bounds.sc[1], BASELINE_GRID),
-                           dims=cfg.train.dims)
-    return PinnEnv(params, table, dims=cfg.train.dims)
+    return PinnEnv(params, baseline_table(params))
 
 
 def cmd_optimize_rl(args, cfg: RunConfig) -> int:
-    env = _environment(args, cfg)
+    env = _environment(args)
     pc = cfg.ppo
     if args.seed is not None:
         pc = dataclasses.replace(pc, seed=args.seed)
@@ -228,7 +222,7 @@ def cmd_query(args, cfg: RunConfig) -> int:
     if args.checkpoint:
         # scored against a direct flat-wall evaluation; a degenerate flow
         # costs its own row (nan), not the whole table
-        env = PinnEnv(load_checkpoint(args.checkpoint), None, dims=cfg.train.dims)
+        env = PinnEnv(load_checkpoint(args.checkpoint), None)
     rows = []
     degenerate = 0
     for sc in sc_values:
@@ -254,7 +248,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         raise ConfigError(f"--repeats {args.repeats} must be at least 1")
     sc_values = _parse_sc_list(args.sc)
     actor, _ = load_params(args.policy, role="actor")
-    env = _environment(args, cfg)
+    env = _environment(args)
     table = compare_timing(env, sc_values, cfg.ga, actor, repeats=args.repeats)
     table.to_csv(args.out)
     _emit({"command": "compare", "out": args.out, "m": table.m})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError, NumericalError
+from ..errors import DomainError
 
 
 class Node:
@@ -47,12 +47,6 @@ class Node:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -126,13 +120,6 @@ def mul(a, b):
                    lambda g: _unbroadcast(g * av, bv.shape))
 
 
-def div(a, b):
-    av, bv = _val(a), _val(b)
-    return _binary(a, b, av / bv,
-                   lambda g: _unbroadcast(g / bv, av.shape),
-                   lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape))
-
-
 def neg(a):
     av = _val(a)
     return Node(-av, (a,), (lambda g: -g,)) if isinstance(a, Node) else Node(-av)
@@ -143,48 +130,6 @@ def square(a):
     if not isinstance(a, Node):
         return Node(av * av)
     return Node(av * av, (a,), (lambda g: g * (2.0 * av),))
-
-
-def exp(a):
-    av = np.exp(_val(a))
-    if not isinstance(a, Node):
-        return Node(av)
-    return Node(av, (a,), (lambda g: g * av,))
-
-
-def log(a):
-    av = _val(a)
-    if np.any(av <= 0.0):
-        raise NumericalError("log of a non-positive value")
-    if not isinstance(a, Node):
-        return Node(np.log(av))
-    return Node(np.log(av), (a,), (lambda g: g / av,))
-
-
-def clip(a, lo, hi):
-    """Clamp with zero gradient outside [lo, hi]."""
-    av = _val(a)
-    out = np.clip(av, lo, hi)
-    if not isinstance(a, Node):
-        return Node(out)
-    inside = ((av >= lo) & (av <= hi)).astype(np.float64)
-    return Node(out, (a,), (lambda g: g * inside,))
-
-
-def minimum(a, b):
-    av, bv = _val(a), _val(b)
-    take_a = (av <= bv).astype(np.float64)
-    return _binary(a, b, np.minimum(av, bv),
-                   lambda g: _unbroadcast(g * take_a, av.shape),
-                   lambda g: _unbroadcast(g * (1.0 - take_a), bv.shape))
-
-
-def maximum(a, b):
-    av, bv = _val(a), _val(b)
-    take_a = (av >= bv).astype(np.float64)
-    return _binary(a, b, np.maximum(av, bv),
-                   lambda g: _unbroadcast(g * take_a, av.shape),
-                   lambda g: _unbroadcast(g * (1.0 - take_a), bv.shape))
 
 
 def nsum(a, axis=None):
@@ -199,12 +144,6 @@ def nsum(a, axis=None):
         return np.broadcast_to(np.expand_dims(g, axis), av.shape).copy()
 
     return Node(out, (a,), (vjp,))
-
-
-def nmean(a, axis=None):
-    av = _val(a)
-    count = av.size if axis is None else av.shape[axis]
-    return nsum(a, axis=axis) * (1.0 / count)
 
 
 def pick(a, idx):
@@ -229,11 +168,6 @@ def pick(a, idx):
     return Node(out, (a,), (vjp,))
 
 
-def col(a, j):
-    """Column j of a 2-D (or trailing-axis of a 3-D) value."""
-    return pick(a, (slice(None), j))
-
-
 def _accumulate(acc, contrib):
     if acc is None:
         return contrib
@@ -244,12 +178,10 @@ def _accumulate(acc, contrib):
     return acc + contrib
 
 
-def gradient(root: Node, wrt):
-    """Cotangent of a scalar root w.r.t. one node or a list of nodes."""
+def gradient(root: Node, wrt: Node):
+    """Cotangent of a scalar root w.r.t. the node ``wrt``."""
     if np.size(root.value) != 1:
         raise DomainError("gradient root must be scalar")
-    single = isinstance(wrt, Node)
-    targets = [wrt] if single else list(wrt)
 
     order = []
     seen = set()
@@ -272,15 +204,12 @@ def gradient(root: Node, wrt):
         g = cotangents.pop(id(node), None)
         if g is None:
             continue
+        # reverse topological order: every consumer of wrt has already added its share
+        if node is wrt:
+            return g
         for parent, vjp in zip(node.parents, node.vjps):
             contrib = vjp(g)
             if contrib is None:
                 continue
             cotangents[id(parent)] = _accumulate(cotangents.get(id(parent)), contrib)
-        if node in targets:
-            cotangents[id(node)] = g  # keep for readout
-    out = []
-    for t in targets:
-        g = cotangents.get(id(t))
-        out.append(np.zeros_like(t.value) if g is None else g)
-    return out[0] if single else out
+    return np.zeros_like(wrt.value)

@@ -7,10 +7,6 @@ class DomainError(ValueError):
     """An argument value is outside its documented domain."""
 
 
-class GeometryError(DomainError):
-    """A geometric construction is impossible or self-intersecting."""
-
-
 class SamplingError(RuntimeError):
     """Sample generation could not satisfy its constraints."""
 
@@ -40,3 +36,13 @@ def check_ints(obj, **minimums) -> None:
     """check_int on each named field of ``obj`` with its given minimum."""
     for name, minimum in minimums.items():
         check_int(name, getattr(obj, name), minimum)
+
+
+def check_widths(obj, *names) -> None:
+    """check_int (minimum 1) on each layer width of the named fields of a
+    frozen ``obj``, and store each field as a tuple."""
+    for name in names:
+        widths = tuple(getattr(obj, name))
+        for i, width in enumerate(widths):
+            check_int(f"{name}[{i}]", width, 1)
+        object.__setattr__(obj, name, widths)

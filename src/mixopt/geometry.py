@@ -1,17 +1,17 @@
 """Channel geometry: spline baffle curves, wall positions, containment, boundary segments.
 
-Lengths carried by ``ChannelDims``/``ChannelLayout`` are millimetres; the
-spline itself lives in channel-height units (x in [0, 0.5], heights in
-[-0.5, 0.5]).
+The channel is fixed: its lengths, ``CHANNEL``, are millimetres, and only
+the baffle shape varies. The spline itself lives in channel-height units
+(x in [0, 0.5], heights in [-0.5, 0.5]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError
 
 KNOTS = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
 KNOT_SPACING = 0.125
@@ -132,43 +132,37 @@ def unit_normal(curve: SplineCurve, x):
 
 @dataclass(frozen=True)
 class ChannelDims:
-    """Channel dimensions in millimetres.
+    """The channel's dimensions in millimetres; there is one channel, ``CHANNEL``.
 
     Each baffle spans 0.5*H in x (the spline's parametric width) and rises
-    H * s(xhat) from its wall; ``baffle_placements`` says where each starts.
+    H * s(xhat) from its wall; ``BAFFLES`` says where each starts.
     """
 
-    L: float = 2.1
-    L0: float = 0.9
-    L1: float = 1.3
-    H: float = 0.3
-    W: float = 0.3
-    d: float = 0.15
-
-    def __post_init__(self):
-        for name in ("L", "L0", "L1", "H", "W", "d"):
-            if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
-                raise DomainError(f"dimension {name} must be positive")
+    L: float = field(default=2.1, init=False)
+    L0: float = field(default=0.9, init=False)
+    L1: float = field(default=1.3, init=False)
+    H: float = field(default=0.3, init=False)
+    W: float = field(default=0.3, init=False)
+    d: float = field(default=0.15, init=False)
 
 
-def baffle_placements(dims: ChannelDims) -> tuple:
-    """(wall, start x, base y, sign) of each baffle in mm, the upper one first.
+CHANNEL = ChannelDims()
 
-    The upper baffle hangs from y = H starting at x = L0, the lower one stands
-    on y = 0 starting at L0 + d. A baffle's wetted surface sits at
-    ``base + sign * H * s(xhat)`` over x = start + xhat * H, xhat in [0, 0.5].
-    """
-    return (("upper", dims.L0, dims.H, -1), ("lower", dims.L0 + dims.d, 0.0, 1))
+# (wall, start x, base y, sign) of each baffle in mm, the upper one first.
+# The upper baffle hangs from y = H starting at x = L0, the lower one stands
+# on y = 0 starting at L0 + d. A baffle's wetted surface sits at
+# ``base + sign * H * s(xhat)`` over x = start + xhat * H, xhat in [0, 0.5].
+BAFFLES = (("upper", CHANNEL.L0, CHANNEL.H, -1), ("lower", CHANNEL.L0 + CHANNEL.d, 0.0, 1))
 
 
-def wall_heights(dims: ChannelDims, coeffs: np.ndarray, x_mm: np.ndarray):
+def wall_heights(coeffs: np.ndarray, x_mm: np.ndarray):
     """(lower, upper) fluid-boundary y in mm at x_mm (n, m), row i shaped by coeffs[i] (n, 4, 4).
 
     Each wall follows its baffle's surface over the baffle and is flat elsewhere.
     """
-    H = dims.H
+    H = CHANNEL.H
     walls = {}
-    for wall, start, base, sign in baffle_placements(dims):
+    for wall, start, base, sign in BAFFLES:
         on = (x_mm >= start) & (x_mm <= start + 0.5 * H)
         value, _ = _eval_batch(coeffs, np.clip((x_mm - start) / H, 0.0, 0.5))
         walls[wall] = np.where(on, base + sign * H * value, base)
@@ -279,22 +273,21 @@ def _line_segment(kind, name, p0, p1, normal, samples=2) -> BoundarySegment:
 
 @dataclass(frozen=True)
 class ChannelLayout:
-    """Immutable channel instance: dims, control polygon, baffle curve, inlet arms.
+    """Immutable channel instance: control polygon, baffle curve, inlet arms.
 
-    The two baffles of ``baffle_placements`` share one spline curve. Positive
-    control heights protrude into the channel; negative ones carve cavities
-    into the walls. Inlet arms of length ``dims.L1`` attach above and below
-    the junction square x in [0, W]; they count as fluid for containment and
+    The two baffles of ``BAFFLES`` share one spline curve. Positive control
+    heights protrude into the channel; negative ones carve cavities into the
+    walls. Inlet arms of length ``CHANNEL.L1`` attach above and below the
+    junction square x in [0, W]; they count as fluid for containment and
     their mouths (y = H and y = 0) carry the inlet boundary segments.
     """
 
-    dims: ChannelDims
     cp: ControlPolygon
     curve: SplineCurve
 
     def _walls(self, x):
         x = np.asarray(x, dtype=float)
-        lower, upper = wall_heights(self.dims, self.curve.coeffs[None], x.reshape(1, -1))
+        lower, upper = wall_heights(self.curve.coeffs[None], x.reshape(1, -1))
         return lower.reshape(x.shape), upper.reshape(x.shape)
 
     def upper_wall_y(self, x):
@@ -310,7 +303,7 @@ class ChannelLayout:
     def contains(self, x, y) -> np.ndarray:
         """True where (x, y) in mm lies in the fluid (channel minus baffles, plus arms)."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        d = self.dims
+        d = CHANNEL
         lower, upper = self._walls(x)
         in_channel = (x >= 0.0) & (x <= d.L) & (y >= lower) & (y <= upper)
         in_arms = (x >= 0.0) & (x <= d.W) & (
@@ -326,10 +319,10 @@ class ChannelLayout:
         Inlets sit at the arm mouths; the arms themselves only participate in
         containment, not in the boundary set.
         """
-        d = self.dims
+        d = CHANNEL
         up, lo = (BoundarySegment("baffle", f"baffle_{wall}", coeffs=self.curve.coeffs, start_x=start,
                                   base_y=base, sign=sign, height=d.H)
-                  for wall, start, base, sign in baffle_placements(d))
+                  for wall, start, base, sign in BAFFLES)
         span = 0.5 * d.H
         segs = [
             _line_segment("inlet_top", "inlet_top", (0.0, d.H), (d.W, d.H), (0.0, 1.0)),
@@ -346,16 +339,9 @@ class ChannelLayout:
         return segs
 
 
-def build_layout(cp: ControlPolygon, dims: ChannelDims | None = None) -> ChannelLayout:
+def build_layout(cp: ControlPolygon) -> ChannelLayout:
     """Construct the channel layout for one control polygon."""
-    dims = dims or ChannelDims()
-    span = 0.5 * dims.H
-    for wall, start, _, _ in baffle_placements(dims):
-        if start < 0 or start + span > dims.L:
-            raise GeometryError(f"{wall} baffle extent [{start}, {start + span}] exceeds channel [0, {dims.L}]")
-        if dims.W > start:
-            raise GeometryError(f"junction square overlaps the {wall} baffle")
-    return ChannelLayout(dims=dims, cp=cp, curve=build_spline(cp))
+    return ChannelLayout(cp=cp, curve=build_spline(cp))
 
 
 def polyline_rows(layout: ChannelLayout, points_per_segment: int = 64):

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import jsonout
 from .diffnet import ParameterSet, forward
 from .errors import DomainError
-from .geometry import CP_MAX, CP_MIN, ChannelDims, ControlPolygon
-from .sampling import SampleBounds
+from .geometry import CHANNEL, CP_MAX, CP_MIN, ControlPolygon
 
 RE_MIN, RE_MAX = 5.0, 40.0
 # corners of the (cp1, cp2, cp3, re) design box
@@ -111,22 +109,23 @@ def _clamp_concentration(c: np.ndarray) -> np.ndarray:
     return clipped
 
 
-@lru_cache(maxsize=16)
-def _sample_grids(dims: ChannelDims | None) -> tuple:
+def _sample_grids() -> tuple:
     """Read-only network inputs for the outlet line (OUTLET_SAMPLES rows) and
     the two inlet mouths (twice that, upper mouth first). The spatial columns
     are filled in; the five design columns are zero."""
     n = OUTLET_SAMPLES
-    dims = dims or ChannelDims()
     outlet = np.zeros((n, 7))
-    outlet[:, 0] = dims.L / dims.H
+    outlet[:, 0] = CHANNEL.L / CHANNEL.H
     outlet[:, 1] = np.linspace(0.0, 1.0, n)
     inlet = np.zeros((2 * n, 7))
-    inlet[:, 0] = np.tile(np.linspace(0.0, dims.W / dims.H, n), 2)
+    inlet[:, 0] = np.tile(np.linspace(0.0, CHANNEL.W / CHANNEL.H, n), 2)
     inlet[:n, 1] = 1.0
     for grid in (outlet, inlet):
         grid.flags.writeable = False
     return outlet, inlet
+
+
+OUTLET_ROWS, INLET_ROWS = _sample_grids()
 
 
 def _design_rows(grid: np.ndarray, design: DesignCandidate, sc: float) -> np.ndarray:
@@ -135,17 +134,15 @@ def _design_rows(grid: np.ndarray, design: DesignCandidate, sc: float) -> np.nda
     return X
 
 
-def outlet_concentration(params: ParameterSet, design: DesignCandidate, sc: float,
-                         dims: ChannelDims | None = None) -> np.ndarray:
+def outlet_concentration(params: ParameterSet, design: DesignCandidate, sc: float) -> np.ndarray:
     """c* along the outlet, clamped to [0, 1]."""
-    X = _design_rows(_sample_grids(dims)[0], design, sc)
+    X = _design_rows(OUTLET_ROWS, design, sc)
     return _clamp_concentration(forward(params, X)[:, 6])
 
 
-def inlet_pressure(params: ParameterSet, design: DesignCandidate, sc: float,
-                   dims: ChannelDims | None = None) -> np.ndarray:
+def inlet_pressure(params: ParameterSet, design: DesignCandidate, sc: float) -> np.ndarray:
     """p* sampled across both inlet mouths."""
-    X = _design_rows(_sample_grids(dims)[1], design, sc)
+    X = _design_rows(INLET_ROWS, design, sc)
     return forward(params, X)[:, 2]
 
 
@@ -204,36 +201,34 @@ class BaselineTable:
         return float(blend(self.mi0)), float(blend(self.cp0))
 
 
-def baseline_table(params: ParameterSet, re_values=None, sc_values=None,
-                   dims: ChannelDims | None = None) -> BaselineTable:
-    """Evaluate the flat-wall design on a (Re, Sc) grid."""
-    bounds = SampleBounds()
-    grid = BASELINE_GRID
-    re_values = np.asarray(re_values if re_values is not None
-                           else np.linspace(bounds.re[0], bounds.re[1], grid), dtype=np.float64)
-    sc_values = np.asarray(sc_values if sc_values is not None
-                           else np.linspace(bounds.sc[0], bounds.sc[1], grid), dtype=np.float64)
-    if len(re_values) < 2 or len(sc_values) < 2:
-        raise DomainError("baseline grid needs at least 2 points per axis")
-    mi0 = np.zeros((len(re_values), len(sc_values)))
+def baseline_table(params: ParameterSet) -> BaselineTable:
+    """Evaluate the flat-wall design on a BASELINE_GRID x BASELINE_GRID (Re, Sc)
+    grid spanning the ranges the network was trained on: center +- halfspan
+    of its input normalization for Re (input 5) and Sc (input 6)."""
+    if params.spec.input_dim != 7:
+        raise DomainError(f"a field network takes 7 inputs, this one takes {params.spec.input_dim}")
+    norm = params.norm
+    re_values, sc_values = (np.linspace(norm.center[k] - norm.halfspan[k],
+                                        norm.center[k] + norm.halfspan[k], BASELINE_GRID)
+                            for k in (5, 6))
+    mi0 = np.zeros((BASELINE_GRID, BASELINE_GRID))
     cp0 = np.zeros_like(mi0)
     for i, re in enumerate(re_values):
         for j, sc in enumerate(sc_values):
-            mi0[i, j], cp0[i, j] = _flat_wall(params, float(re), float(sc), dims)
+            mi0[i, j], cp0[i, j] = _flat_wall(params, float(re), float(sc))
     return BaselineTable(re_values=re_values, sc_values=sc_values, mi0=mi0, cp0=cp0)
 
 
-def _flat_wall(params: ParameterSet, re: float, sc: float, dims: ChannelDims | None):
+def _flat_wall(params: ParameterSet, re: float, sc: float):
     """(mi0, cp0) of the flat-wall design, evaluated directly."""
     flat = DesignCandidate(0.0, 0.0, 0.0, re)
-    mi0 = mixing_index(outlet_concentration(params, flat, sc, dims=dims))
-    cp0 = pressure_cost(inlet_pressure(params, flat, sc, dims=dims))
+    mi0 = mixing_index(outlet_concentration(params, flat, sc))
+    cp0 = pressure_cost(inlet_pressure(params, flat, sc))
     return mi0, cp0
 
 
 def compute_mixing_report(params: ParameterSet, design: DesignCandidate, sc: float,
-                          baseline: BaselineTable | None = None,
-                          dims: ChannelDims | None = None) -> MixingReport:
+                          baseline: BaselineTable | None = None) -> MixingReport:
     """Metrics for one design; the baseline defaults to a direct flat-wall
     evaluation at the same (Re, Sc) and checkpoint.
 
@@ -241,12 +236,12 @@ def compute_mixing_report(params: ParameterSet, design: DesignCandidate, sc: flo
     non-positive pressure cost is rejected without its outlet pass.
     """
     check_schmidt(sc)
-    cp = pressure_cost(inlet_pressure(params, design, sc, dims=dims))
+    cp = pressure_cost(inlet_pressure(params, design, sc))
     if baseline is None:
-        mi0, cp0 = _flat_wall(params, design.re, sc, dims)
+        mi0, cp0 = _flat_wall(params, design.re, sc)
     else:
         mi0, cp0 = baseline.lookup(design.re, sc)
     _check_guards(cp, mi0, cp0)
-    mi = mixing_index(outlet_concentration(params, design, sc, dims=dims))
+    mi = mixing_index(outlet_concentration(params, design, sc))
     me = mixing_efficiency(mi, cp, mi0, cp0)
     return MixingReport(mi=mi, cp=cp, mi0=mi0, cp0=cp0, me=me, sc=sc, design=design)

@@ -22,8 +22,8 @@ from .diffnet import (
 )
 from .diffnet.adam import adam_step
 from .diffnet.tape import leaf
-from .errors import DomainError, NumericalError, check_ints
-from .geometry import ChannelDims, ControlPolygon, build_layout
+from .errors import DomainError, NumericalError, check_ints, check_widths
+from .geometry import CHANNEL, ControlPolygon, build_layout
 from .physics import LossReport, LossWeights, loss_node, total_loss
 from .sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
 
@@ -40,7 +40,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     hidden: tuple = (64, 64, 64, 64)
-    dims: ChannelDims = field(default_factory=ChannelDims)
     bounds: SampleBounds = field(default_factory=SampleBounds)
     counts: CollocationCounts = field(default_factory=CollocationCounts)
     weights: LossWeights = field(default_factory=LossWeights)
@@ -60,7 +59,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise DomainError(f"{name} must lie in [0, 1), got {value!r}")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        check_widths(self, "hidden")
 
 
 @dataclass
@@ -86,7 +85,7 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
     root = np.random.SeedSequence(cfg.seed)
     ss_colloc, ss_init, ss_batch = root.spawn(3)
     if colloc is None:
-        colloc = generate_collocation(cfg.dims, cfg.bounds, cfg.counts, seed=ss_colloc,
+        colloc = generate_collocation(CHANNEL, cfg.bounds, cfg.counts, seed=ss_colloc,
                                       slice_stations=cfg.slice_stations)
     spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden)
     norm = InputNorm.from_bounds(cfg.bounds.pairs())
@@ -196,19 +195,17 @@ class FieldTable:
                     ])
 
 
-def evaluate_fields(params: ParameterSet, cp, re: float, sc: float,
-                    dims: ChannelDims | None = None, grid=(141, 41)) -> FieldTable:
+def evaluate_fields(params: ParameterSet, cp, re: float, sc: float, grid=(141, 41)) -> FieldTable:
     """Evaluate the trained fields on a regular grid over the channel."""
-    dims = dims or ChannelDims()
     if not (0.0 < re < np.inf and 0.0 < sc < np.inf):
         raise DomainError("re and sc must be finite and positive")
     polygon = cp if isinstance(cp, ControlPolygon) else ControlPolygon.from_iterable(cp)
-    layout = build_layout(polygon, dims)
+    layout = build_layout(polygon)
     nx, ny = grid
     if nx < 2 or ny < 2:
         raise DomainError("grid must be at least 2x2")
-    H = dims.H
-    x = np.linspace(0.0, dims.L / H, nx)
+    H = CHANNEL.H
+    x = np.linspace(0.0, CHANNEL.L / H, nx)
     y = np.linspace(0.0, 1.0, ny)
     XX, YY = np.meshgrid(x, y)
     mask = layout.contains(XX.ravel() * H, YY.ravel() * H).reshape(ny, nx)

@@ -25,8 +25,7 @@ from .diffnet import (
     init_adam,
     init_params,
 )
-from .errors import DomainError, check_ints
-from .geometry import ChannelDims
+from .errors import DomainError, check_ints, check_widths
 from .metrics import DESIGN_HI, DESIGN_LO, BaselineTable, DesignCandidate, check_schmidt, compute_mixing_report
 
 SC_LO, SC_HI = 1.0, 100.0
@@ -59,6 +58,7 @@ class PPOConfig:
             raise DomainError("clip_eps must be positive")
         # advantages are standardized per batch, which takes two rows
         check_ints(self, epochs=1, batch_size=2, episodes=0, seed=0)
+        check_widths(self, "actor_hidden", "critic_hidden")
         for name in ("actor_lr", "critic_lr"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -286,16 +286,13 @@ class PinnEnv:
     design instead of dying.
     """
 
-    def __init__(self, params: ParameterSet, baseline: BaselineTable | None,
-                 dims: ChannelDims | None = None):
+    def __init__(self, params: ParameterSet, baseline: BaselineTable | None):
         self.params = params
         self.baseline = baseline
-        self.dims = dims
 
     def evaluate(self, design: DesignCandidate, sc: float) -> float:
         try:
-            report = compute_mixing_report(self.params, design, sc,
-                                           baseline=self.baseline, dims=self.dims)
+            report = compute_mixing_report(self.params, design, sc, baseline=self.baseline)
         except DomainError:
             return float("nan")
         return report.me

@@ -11,14 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, SamplingError, check_ints
+from .errors import DomainError, SamplingError, check_ints
 from .geometry import (
+    BAFFLES,
+    CHANNEL,
     CP_MAX,
     CP_MIN,
     ChannelDims,
     ControlPolygon,
     _coeffs_batch,
-    baffle_placements,
     baffle_points,
     build_layout,
     build_spline,  # noqa: F401  (unused here; the benchmark tracer wraps sampling.build_spline)
@@ -109,15 +110,15 @@ def _lhs_matrix(rng: np.random.Generator, n: int, lows, highs) -> np.ndarray:
     return lows + (strata + u) / n * (highs - lows)
 
 
-def _inside_rect(dims: ChannelDims, pts: np.ndarray) -> np.ndarray:
+def _inside_rect(pts: np.ndarray) -> np.ndarray:
     """Vectorized fluid-rectangle test for dimensionless (x, y, cp...) rows."""
-    x = pts[:, 0] * dims.H
-    y = pts[:, 1] * dims.H
-    lower, upper = wall_heights(dims, _coeffs_batch(pts[:, 2:5]), x[:, None])
-    return (x >= 0.0) & (x <= dims.L) & (y >= lower[:, 0]) & (y <= upper[:, 0])
+    x = pts[:, 0] * CHANNEL.H
+    y = pts[:, 1] * CHANNEL.H
+    lower, upper = wall_heights(_coeffs_batch(pts[:, 2:5]), x[:, None])
+    return (x >= 0.0) & (x <= CHANNEL.L) & (y >= lower[:, 0]) & (y <= upper[:, 0])
 
 
-def _uniform_interior(rng, n, bounds, dims):
+def _uniform_interior(rng, n, bounds):
     """n rows drawn uniformly over the bounds box that lie in the fluid, in draw order.
 
     Rejected rows are redrawn: each later round draws the shortfall scaled by
@@ -127,7 +128,7 @@ def _uniform_interior(rng, n, bounds, dims):
     kept, drawn, accepted, m = [], 0, 0, n
     while accepted < n:
         pts = lows + rng.random((m, 7)) * span
-        kept.append(pts[_inside_rect(dims, pts)])
+        kept.append(pts[_inside_rect(pts)])
         drawn += m
         accepted += len(kept[-1])
         if drawn >= 100 and accepted <= 0.01 * drawn:
@@ -144,13 +145,13 @@ def _inlet_profile(xi: np.ndarray, width: float) -> np.ndarray:
     return 6.0 * mean * xi * (1.0 - xi)
 
 
-def _boundary_group_rows(rng, seg, n, bounds, dims):
+def _boundary_group_rows(rng, seg, n, bounds):
     """Rows for one boundary segment: 6-D LHS over (t, cp1..3, re, sc)."""
     lows = np.concatenate([[0.0], bounds.lows()[2:]])
     highs = np.concatenate([[1.0], bounds.highs()[2:]])
     design = _lhs_matrix(rng, n, lows, highs)
     t = design[:, 0]
-    H = dims.H
+    H = CHANNEL.H
     if seg.kind == "baffle":
         pts, nrm = baffle_points(_coeffs_batch(design[:, 1:4]), t, seg.start_x, seg.base_y,
                                  seg.sign, H, samples=129)
@@ -159,7 +160,7 @@ def _boundary_group_rows(rng, seg, n, bounds, dims):
     X = np.column_stack([pts[:, 0] / H, pts[:, 1] / H, design[:, 1:]])
     targets = {}
     if seg.kind in ("inlet_top", "inlet_bottom"):
-        width = dims.W / H
+        width = CHANNEL.W / H
         xi = np.clip(X[:, 0] / width, 0.0, 1.0)
         speed = _inlet_profile(xi, width)
         sign = -1.0 if seg.kind == "inlet_top" else 1.0
@@ -171,24 +172,23 @@ def _boundary_group_rows(rng, seg, n, bounds, dims):
     return X, nrm, targets
 
 
-def slice_points(dims: ChannelDims, cps: np.ndarray, x_mm, n: int):
+def slice_points(cps: np.ndarray, x_mm, n: int):
     """n uniformly spaced points spanning the local fluid height at each station.
 
     Station i sits at x_mm[i] (k,) in the channel shaped by control heights
     cps[i] (k, 3). Returns (y values in mm, trapezoid weights in mm), each
-    (k, n); a row's weights sum to its local fluid height.
+    (k, n); a row's weights sum to its local fluid height. That height is at
+    least 0.35 H: the two baffles span disjoint x ranges, and the spline,
+    linear in the control heights, peaks at a corner of the control box at
+    0.65.
     """
     if n < 2:
         raise DomainError("a quadrature slice needs at least 2 points")
     x_mm = np.asarray(x_mm, dtype=float)
-    lower, upper = (wall[:, 0] for wall in wall_heights(dims, _coeffs_batch(cps), x_mm[:, None]))
-    outside = ~((x_mm >= 0.0) & (x_mm <= dims.L))
-    bad = np.flatnonzero(outside | (upper <= lower))
-    if bad.size:
-        i = bad[0]
-        if outside[i]:
-            raise DomainError(f"station x={x_mm[i]} outside the channel [0, {dims.L}]")
-        raise GeometryError(f"fluid height at x={x_mm[i]} is not positive")
+    outside = np.flatnonzero(~((x_mm >= 0.0) & (x_mm <= CHANNEL.L)))
+    if outside.size:
+        raise DomainError(f"station x={x_mm[outside[0]]} outside the channel [0, {CHANNEL.L}]")
+    lower, upper = (wall[:, 0] for wall in wall_heights(_coeffs_batch(cps), x_mm[:, None]))
     y = np.linspace(lower, upper, n, axis=-1)
     h = (upper - lower) / (n - 1)
     w = np.repeat(h[:, None], n, axis=1)
@@ -196,29 +196,34 @@ def slice_points(dims: ChannelDims, cps: np.ndarray, x_mm, n: int):
     return y, w
 
 
-def default_slice_stations(dims: ChannelDims) -> list:
+def default_slice_stations() -> list:
     """Four stations across the baffled reach plus the outlet (dimensionless)."""
-    (_, first, _, _), (_, last, _, _) = baffle_placements(dims)
-    return [*np.linspace(first / dims.H, (last + 0.5 * dims.H) / dims.H, 4), dims.L / dims.H]
+    (_, first, _, _), (_, last, _, _) = BAFFLES
+    H = CHANNEL.H
+    return [*np.linspace(first / H, (last + 0.5 * H) / H, 4), CHANNEL.L / H]
 
 
 def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: CollocationCounts,
                          seed=None, slice_stations=None) -> CollocationSet:
-    """Full training point set: uniform interior, per-segment boundary LHS, penalty slices."""
-    H = dims.H
-    if bounds.x[0] < 0.0 or bounds.x[1] > dims.L / H + 1e-12:
-        raise DomainError(f"x bounds must lie within [0, {dims.L / H}]")
+    """Full training point set: uniform interior, per-segment boundary LHS, penalty slices.
+
+    ``dims`` is not read: the channel is always ``CHANNEL``. The argument
+    stays for callers that pass ``ChannelDims()`` positionally.
+    """
+    H = CHANNEL.H
+    if bounds.x[0] < 0.0 or bounds.x[1] > CHANNEL.L / H + 1e-12:
+        raise DomainError(f"x bounds must lie within [0, {CHANNEL.L / H}]")
     if bounds.y[0] < 0.0 or bounds.y[1] > 1.0:
         raise DomainError("y bounds must lie within [0, 1]")
     rng = np.random.default_rng(seed)
 
-    interior = _uniform_interior(rng, counts.interior, bounds, dims)
+    interior = _uniform_interior(rng, counts.interior, bounds)
 
-    canonical = build_layout(ControlPolygon(0.0, 0.0, 0.0), dims)
+    canonical = build_layout(ControlPolygon(0.0, 0.0, 0.0))
     parts: dict = {}
     for seg in canonical.segments():
         parts.setdefault(seg.kind, []).append(
-            _boundary_group_rows(rng, seg, counts.per_boundary, bounds, dims))
+            _boundary_group_rows(rng, seg, counts.per_boundary, bounds))
     groups = {}
     for kind, rows in parts.items():
         Xs, normals, targets = zip(*rows)
@@ -229,13 +234,13 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
             targets={k: np.concatenate([tg[k] for tg in targets]) for k in targets[0]},
         )
 
-    stations = default_slice_stations(dims) if slice_stations is None else list(slice_stations)
+    stations = default_slice_stations() if slice_stations is None else list(slice_stations)
     slices = []
     if stations:
         lows5, highs5 = bounds.lows()[2:], bounds.highs()[2:]
         designs = _lhs_matrix(rng, len(stations), lows5, highs5)
         m = counts.per_slice
-        y_mm, w_mm = slice_points(dims, designs[:, :3], np.asarray(stations) * H, m)
+        y_mm, w_mm = slice_points(designs[:, :3], np.asarray(stations) * H, m)
         for station, design, y, w in zip(stations, designs, y_mm, w_mm):
             X = np.column_stack([
                 np.full(m, station),

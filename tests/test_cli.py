@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import re
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mixopt import cli, rl
 from mixopt.cli import RunConfig, load_config, main
 from mixopt.errors import ConfigError, DomainError
 from mixopt.ga import GAConfig
@@ -96,6 +98,16 @@ def test_bad_schema_version(tmp_path):
 def test_schema_version_must_be_an_integer(tmp_path, version):
     with pytest.raises(ConfigError, match="schema_version must be an integer"):
         load_config(write_config(tmp_path, {"schema_version": version}))
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"ppo": {"actor_hidden": [8.7]}}, "config.ppo: actor_hidden[0]"),
+    ({"ppo": {"critic_hidden": [8, 0]}}, "config.ppo: critic_hidden[1]"),
+    ({"train": {"hidden": [64, True]}}, "config.train: hidden[1]"),
+])
+def test_network_widths_are_checked_when_the_config_loads(tmp_path, payload, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_config(write_config(tmp_path, payload))
 
 
 def test_bad_json_and_bad_values(tmp_path):
@@ -573,8 +585,9 @@ def test_removed_config_keys_exit_2(tmp_path, capsys):
         ({"train": {"activation": "tanh"}}, "config.train.activation"),
         ({"ppo": {"gamma": 0.99}}, "config.ppo.gamma"),
         ({"ppo": {"sampled_entropy": False}}, "config.ppo.sampled_entropy"),
-        ({"train": {"dims": {"h_d": 0.3}}}, "config.train.dims.h_d"),
-        ({"train": {"dims": {"l_d": 0.15}}}, "config.train.dims.l_d"),
+        ({"train": {"dims": {"h_d": 0.3}}}, "config.train.dims"),
+        ({"train": {"dims": {"l_d": 0.15}}}, "config.train.dims"),
+        ({"train": {"dims": {"L": 2.4}}}, "config.train.dims"),
         ({"metrics": {"outlet_samples": 101}}, "config.metrics"),
     ]:
         rc = main(["--config", write_config(tmp_path, payload), "geometry",
@@ -583,6 +596,23 @@ def test_removed_config_keys_exit_2(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ConfigError", "message": f"{where}: unknown key"}
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_baseline_axes_come_from_the_checkpoint_with_or_without_its_config(tmp_path, monkeypatch):
+    section = {**tiny_train_section(), "steps": 1, "bounds": {"re": [10.0, 20.0]}}
+    cfg = write_config(tmp_path, {"train": section})
+    ckpt = str(tmp_path / "narrow.ckpt")
+    assert main(["--config", cfg, "train", "--out", ckpt]) == 0
+    tables = []
+    monkeypatch.setattr(cli, "PinnEnv",
+                        lambda params, baseline: tables.append(baseline) or rl.PinnEnv(params, baseline))
+    for config in (["--config", cfg], []):
+        assert main([*config, "optimize-rl", "--checkpoint", ckpt, "--episodes", "0",
+                     "--out", str(tmp_path / "actor.ckpt")]) == 0
+    assert len(tables) == 2
+    for table in tables:
+        assert (table.re_values[0], table.re_values[-1]) == (10.0, 20.0)
+        assert (table.sc_values[0], table.sc_values[-1]) == (1.0, 100.0)
 
 
 def test_compare_synthetic(tmp_path, capsys):

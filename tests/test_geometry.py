@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixopt.errors import DomainError, GeometryError
+from mixopt.errors import DomainError
 from mixopt.geometry import (
+    BAFFLES,
+    CHANNEL,
+    CP_MAX,
+    CP_MIN,
     KNOTS,
     ChannelDims,
     ControlPolygon,
@@ -133,12 +137,11 @@ def test_interp_rows_matches_np_interp_at_ends_and_table_hits():
 
 def test_wall_heights_per_row_equal_each_layouts_walls():
     rng = np.random.default_rng(9)
-    dims = ChannelDims()
     cps = rng.uniform(-0.5, 0.5, size=(60, 3))
     x = np.concatenate([rng.uniform(0.8, 1.5, size=55), [0.9, 1.05, 1.2, 1.35, 2.5]])
-    lower, upper = wall_heights(dims, _coeffs_batch(cps), x[:, None])
+    lower, upper = wall_heights(_coeffs_batch(cps), x[:, None])
     for i, row in enumerate(cps):
-        lay = build_layout(ControlPolygon(*row), dims)
+        lay = build_layout(ControlPolygon(*row))
         assert lower[i, 0] == lay.lower_wall_y(x[i])
         assert upper[i, 0] == lay.upper_wall_y(x[i])
 
@@ -157,12 +160,12 @@ def former_baffle_at(curve, t, start_x, base, sign, H, samples=513):
 
 def test_segment_at_equals_former_baffle_branch():
     rng = np.random.default_rng(4)
-    dims = ChannelDims()
+    dims = CHANNEL
     t = np.concatenate([[0.0, 1.0], rng.random(30)])
     # the former placements: (start x, base y, sign)
     former = {"baffle_upper": (dims.L0, dims.H, -1), "baffle_lower": (dims.L0 + dims.d, 0.0, 1)}
     for cps in [np.zeros(3), *rng.uniform(-0.5, 0.5, size=(50, 3))]:
-        lay = build_layout(ControlPolygon(*cps), dims)
+        lay = build_layout(ControlPolygon(*cps))
         baffles = [seg for seg in lay.segments() if seg.kind == "baffle"]
         assert [seg.name for seg in baffles] == list(former)
         for seg in baffles:
@@ -260,8 +263,8 @@ def test_normal_unit_and_orthogonal(cp1, cp2, cp3, x):
     assert abs(n @ tangent) < 1e-12
 
 
-def make_layout(cp1=0.0, cp2=0.0, cp3=0.0, **dim_kwargs):
-    return build_layout(ControlPolygon(cp1, cp2, cp3), ChannelDims(**dim_kwargs))
+def make_layout(cp1=0.0, cp2=0.0, cp3=0.0):
+    return build_layout(ControlPolygon(cp1, cp2, cp3))
 
 
 def test_straight_channel_walls():
@@ -346,13 +349,25 @@ def test_segment_arclength_straight_channel():
     assert abs(lengths["baffle_upper"] - 0.15) < 1e-12
 
 
-def test_layout_rejects_bad_dims():
-    with pytest.raises(DomainError):
-        ChannelDims(H=-0.3)
-    with pytest.raises(GeometryError):
-        build_layout(ControlPolygon(0.0, 0.0, 0.0), ChannelDims(L=1.0))
-    with pytest.raises(GeometryError, match="junction square overlaps the upper baffle"):
-        build_layout(ControlPolygon(0.0, 0.0, 0.0), ChannelDims(W=1.0))
+def test_channel_dims_are_fixed():
+    assert ChannelDims() == CHANNEL
+    with pytest.raises(TypeError):
+        ChannelDims(L=2.4)
+    # the baffles sit inside the channel, past the junction square, side by side
+    (_, upper_start, _, _), (_, lower_start, _, _) = BAFFLES
+    span = 0.5 * CHANNEL.H
+    assert CHANNEL.W <= upper_start and upper_start + span <= lower_start
+    assert lower_start + span <= CHANNEL.L
+
+
+def test_fluid_height_at_least_035_h_over_the_control_box():
+    """Over its 8 corners, where the spline (linear in the control heights)
+    peaks, no x leaves less than 0.35 H of fluid height."""
+    corners = np.array([[a, b, c] for a in (CP_MIN, CP_MAX) for b in (CP_MIN, CP_MAX)
+                        for c in (CP_MIN, CP_MAX)])
+    x = np.linspace(0.0, CHANNEL.L, 20001)
+    lower, upper = wall_heights(_coeffs_batch(corners), np.broadcast_to(x, (8, len(x))))
+    assert np.min(upper - lower) >= 0.35 * CHANNEL.H
 
 
 def test_polyline_rows_trace_boundary():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mixopt import metrics
 from mixopt.diffnet import InputNorm, NetworkSpec, forward, forward_vjp, init_params, network
 from mixopt.errors import DomainError
-from mixopt.geometry import ChannelDims
+from mixopt.geometry import CHANNEL
 from mixopt.metrics import (
     BaselineTable,
     DesignCandidate,
@@ -21,6 +21,10 @@ from mixopt.metrics import (
     outlet_concentration,
     pressure_cost,
 )
+
+
+# the default training bounds of (x, y, cp1, cp2, cp3, re, sc)
+TRAINED = [(0.0, 7.0), (0.0, 1.0), (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5), (5.0, 40.0), (1.0, 100.0)]
 
 
 def make_params(seed=0, hidden=(8, 8)):
@@ -184,11 +188,31 @@ def test_baseline_lookup_clamps_outside_hull():
 
 
 def test_baseline_table_finite_positive():
-    params = make_params(seed=7)
-    table = baseline_table(params, re_values=[5.0, 40.0], sc_values=[1.0, 100.0])
+    params = init_params(NetworkSpec(hidden=(8, 8)), norm=InputNorm.from_bounds(TRAINED), seed=7)
+    table = baseline_table(params)
     assert np.all(np.isfinite(table.mi0))
     assert np.all(np.isfinite(table.cp0))
     assert np.all(table.mi0 <= 1.0)
+    assert_table_matches_reference(params, table)
+
+
+def test_baseline_axes_span_the_trained_re_and_sc_ranges():
+    default = baseline_table(field_net())
+    assert np.array_equal(default.re_values, np.linspace(5.0, 40.0, metrics.BASELINE_GRID))
+    assert np.array_equal(default.sc_values, np.linspace(1.0, 100.0, metrics.BASELINE_GRID))
+    narrowed = [*TRAINED[:5], (10.0, 20.0), (2.0, 50.0)]
+    params = init_params(NetworkSpec(hidden=(8, 8)), norm=InputNorm.from_bounds(narrowed), seed=8)
+    table = baseline_table(params)
+    assert (table.re_values[0], table.re_values[-1]) == (10.0, 20.0)
+    assert (table.sc_values[0], table.sc_values[-1]) == (2.0, 50.0)
+    assert_table_matches_reference(params, table)
+
+
+def test_baseline_table_needs_a_seven_input_network(monkeypatch):
+    calls = counting_forward(monkeypatch)
+    with pytest.raises(DomainError, match="7 inputs"):
+        baseline_table(init_params(NetworkSpec(input_dim=1, hidden=(4,)), seed=0))
+    assert calls == []
 
 
 def well_posed_params(seed=11, hidden=(8, 8)):
@@ -238,17 +262,17 @@ def test_report_json_writes_non_finite_values_as_null():
 # column_stack rows per design, evaluated through the tape path's forward.
 
 
-def reference_outlet(params, design, sc, n, dims):
+def reference_outlet(params, design, sc, n):
     X = np.column_stack([
-        np.full(n, dims.L / dims.H), np.linspace(0.0, 1.0, n),
+        np.full(n, CHANNEL.L / CHANNEL.H), np.linspace(0.0, 1.0, n),
         np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
         np.full(n, design.re), np.full(n, sc),
     ])
     return np.clip(forward_vjp(params, X)[0][:, 6], 0.0, 1.0)
 
 
-def reference_inlet(params, design, sc, n, dims):
-    x = np.linspace(0.0, dims.W / dims.H, n)
+def reference_inlet(params, design, sc, n):
+    x = np.linspace(0.0, CHANNEL.W / CHANNEL.H, n)
     X = np.vstack([np.column_stack([
         x, np.full(n, y), np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
         np.full(n, design.re), np.full(n, sc),
@@ -256,17 +280,25 @@ def reference_inlet(params, design, sc, n, dims):
     return forward_vjp(params, X)[0][:, 2]
 
 
-def reference_scores(params, design, sc, n, dims):
-    return (mixing_index(reference_outlet(params, design, sc, n, dims)),
-            pressure_cost(reference_inlet(params, design, sc, n, dims)))
+def reference_scores(params, design, sc, n):
+    return (mixing_index(reference_outlet(params, design, sc, n)),
+            pressure_cost(reference_inlet(params, design, sc, n)))
+
+
+def assert_table_matches_reference(params, table):
+    """Every cell of a baseline table equals the reference rows' flat-wall scores."""
+    assert table.mi0.shape == table.cp0.shape == (metrics.BASELINE_GRID,) * 2
+    for i, re in enumerate(table.re_values):
+        for j, sc in enumerate(table.sc_values):
+            mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, re), sc, 101)
+            assert np.array_equal(table.mi0[i, j], mi0)
+            assert np.array_equal(table.cp0[i, j], cp0)
 
 
 def field_net(seed=3):
     # default 64x4 field architecture with the training input normalization,
     # output layer nudged so p stays positive and c inside (0, 1)
-    norm = InputNorm.from_bounds([(0.0, 7.0), (0.0, 1.0), (-0.5, 0.5), (-0.5, 0.5),
-                                  (-0.5, 0.5), (5.0, 40.0), (1.0, 100.0)])
-    params = init_params(NetworkSpec(), norm=norm, seed=seed)
+    params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(TRAINED), seed=seed)
     params = params.with_flat(params.flat.copy())
     W, b = params.views()[-1]
     W *= 0.05
@@ -277,26 +309,17 @@ def field_net(seed=3):
 
 def test_scoring_is_bit_identical_to_reference_rows():
     params = field_net()
-    dims = ChannelDims()
     rng = np.random.default_rng(17)
     for _ in range(200):
         cps = rng.uniform(-0.5, 0.5, 3)
         design = DesignCandidate(cps[0], cps[1], cps[2], rng.uniform(5.0, 40.0))
         sc = rng.uniform(1.0, 100.0)
-        mi, cp = reference_scores(params, design, sc, 101, dims)
-        mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, design.re),
-                                    sc, 101, dims)
+        mi, cp = reference_scores(params, design, sc, 101)
+        mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, design.re), sc, 101)
         report = compute_mixing_report(params, design, sc)
         assert np.array_equal(report.me, mixing_efficiency(mi, cp, mi0, cp0))
 
-    re_values, sc_values = [5.0, 17.5, 40.0], [1.0, 30.0, 100.0]
-    table = baseline_table(params, re_values=re_values, sc_values=sc_values)
-    for i, re in enumerate(re_values):
-        for j, sc in enumerate(sc_values):
-            mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, re),
-                                        sc, 101, dims)
-            assert np.array_equal(table.mi0[i, j], mi0)
-            assert np.array_equal(table.cp0[i, j], cp0)
+    assert_table_matches_reference(params, baseline_table(params))
 
 
 def counting_forward(monkeypatch):
@@ -346,17 +369,17 @@ def test_second_score_leaves_first_results_and_grid_alone():
     c1 = outlet_concentration(params, first, 20.0)
     p1 = inlet_pressure(params, first, 20.0)
     kept_c, kept_p = c1.copy(), p1.copy()
-    grids = [g.copy() for g in metrics._sample_grids(None)]
+    grids = [g.copy() for g in (metrics.OUTLET_ROWS, metrics.INLET_ROWS)]
 
     second = DesignCandidate(-0.4, 0.4, -0.1, 33.0)
     c2 = outlet_concentration(params, second, 80.0)
     p2 = inlet_pressure(params, second, 80.0)
     assert np.array_equal(c1, kept_c) and np.array_equal(p1, kept_p)
     assert not np.array_equal(c1, c2) and not np.array_equal(p1, p2)
-    for cached, before in zip(metrics._sample_grids(None), grids):
-        assert np.array_equal(cached, before)
-        assert not cached.flags.writeable
-    assert np.array_equal(c1, reference_outlet(params, first, 20.0, 101, ChannelDims()))
+    for kept, before in zip((metrics.OUTLET_ROWS, metrics.INLET_ROWS), grids):
+        assert np.array_equal(kept, before)
+        assert not kept.flags.writeable
+    assert np.array_equal(c1, reference_outlet(params, first, 20.0, 101))
 
 
 def test_each_score_pass_is_one_row_block():

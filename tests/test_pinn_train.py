@@ -206,7 +206,7 @@ def graph_keeping_train(cfg, colloc):
 
 def test_seeded_training_reproduces_the_graph_keeping_loop_bit_for_bit():
     cfg = TrainConfig(steps=30, seed=5, log_interval=1)
-    colloc = generate_collocation(cfg.dims, cfg.bounds, cfg.counts, seed=9)
+    colloc = generate_collocation(ChannelDims(), cfg.bounds, cfg.counts, seed=9)
     params, history = train(cfg, colloc)
     ref_params, ref_reports = graph_keeping_train(cfg, colloc)
     assert params.flat.tobytes() == ref_params.flat.tobytes()
@@ -229,7 +229,7 @@ def test_training_holds_one_step_graph_at_a_time():
     """Six steps peak near one loss-plus-gradient step on the same minibatch,
     not near two steps' reverse caches."""
     cfg = TrainConfig(steps=6, seed=4)
-    colloc = generate_collocation(cfg.dims, cfg.bounds, cfg.counts, seed=10)
+    colloc = generate_collocation(ChannelDims(), cfg.bounds, cfg.counts, seed=10)
     sub = CollocationSet(interior=colloc.interior[:cfg.batch_size], boundary=colloc.boundary,
                          slices=colloc.slices)
     params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(cfg.bounds.pairs()), seed=4)

@@ -6,8 +6,7 @@ import pytest
 
 from mixopt import rl
 from mixopt.diffnet import NetworkSpec, forward, init_params, load_params, net_apply, save_params
-from mixopt.diffnet.tape import clip as tclip
-from mixopt.diffnet.tape import col, exp, gradient, leaf, minimum, nmean, nsum, pick, square
+from mixopt.diffnet.tape import Node, gradient, leaf, nsum, pick, square
 from mixopt.errors import DomainError
 from mixopt.ga import GAConfig, run_ga
 from mixopt.metrics import BaselineTable, DesignCandidate, outlet_concentration
@@ -40,6 +39,37 @@ def small_cfg(**kw):
     return PPOConfig(**base)
 
 
+# The package tape holds only what the PINN loss needs; the PPO reference
+# below also needs these four primitives, on nodes only.
+
+
+def exp(a):
+    av = np.exp(a.value)
+    return Node(av, (a,), (lambda g: g * av,))
+
+
+def div(a, b):
+    av, bv = a.value, b.value
+    return Node(av / bv, (a, b), (lambda g: g / bv, lambda g: -g * av / (bv * bv)))
+
+
+def minimum(a, b):
+    av, bv = a.value, b.value
+    take_a = (av <= bv).astype(np.float64)
+    return Node(np.minimum(av, bv), (a, b), (lambda g: g * take_a, lambda g: g * (1.0 - take_a)))
+
+
+def clip(a, lo, hi):
+    """Clamp with zero gradient outside [lo, hi]."""
+    av = a.value
+    inside = ((av >= lo) & (av <= hi)).astype(np.float64)
+    return Node(np.clip(av, lo, hi), (a,), (lambda g: g * inside,))
+
+
+def mean(a):
+    return nsum(a) * (1.0 / a.size)
+
+
 def tape_objective(actor_leaf, critic_leaf, actor_tpl, critic_tpl, batch, cfg):
     """Negated PPO objective built on the autodiff tape: the reference that
     rl.gradient must reproduce bit for bit."""
@@ -48,16 +78,16 @@ def tape_objective(actor_leaf, critic_leaf, actor_tpl, critic_tpl, batch, cfg):
     mu = pick(out, (slice(None), slice(0, ACTION_DIM)))
     log_sigma = pick(out, (slice(None), slice(ACTION_DIM, 2 * ACTION_DIM)))
     sigma = exp(log_sigma)
-    z = (leaf(batch.actions) - mu) / sigma
+    z = div(leaf(batch.actions) - mu, sigma)
     new_logp = nsum(square(z) * (-0.5) - log_sigma - 0.5 * LOG_2PI, axis=1)
     ratio = exp(new_logp - batch.logp)
     adv = batch.advantages
-    surrogate = minimum(ratio * adv, tclip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv)
-    l_clip = nmean(surrogate)
+    surrogate = minimum(ratio * adv, clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv)
+    l_clip = mean(surrogate)
     vout, _ = net_apply(critic_leaf, critic_tpl, states)
-    v = col(vout, 0)
-    l_vf = nmean(square(v - batch.rewards))
-    entropy = nmean(nsum(log_sigma + 0.5 * (1.0 + LOG_2PI), axis=1))
+    v = pick(vout, (slice(None), 0))
+    l_vf = mean(square(v - batch.rewards))
+    entropy = mean(nsum(log_sigma + 0.5 * (1.0 + LOG_2PI), axis=1))
     total = l_clip - cfg.value_coef * l_vf + cfg.entropy_coef * entropy
     return -total, (l_clip, l_vf, entropy)
 
@@ -65,7 +95,7 @@ def tape_objective(actor_leaf, critic_leaf, actor_tpl, critic_tpl, batch, cfg):
 def tape_gradient(actor, critic, batch, cfg):
     a_leaf, c_leaf = leaf(actor.flat), leaf(critic.flat)
     loss, _ = tape_objective(a_leaf, c_leaf, actor, critic, batch, cfg)
-    return gradient(loss, [a_leaf, c_leaf])
+    return gradient(loss, a_leaf), gradient(loss, c_leaf)
 
 
 def with_fields(batch, **kw):

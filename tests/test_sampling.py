@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mixopt import sampling
-from mixopt.errors import DomainError, GeometryError, SamplingError
-from mixopt.geometry import KNOTS, ChannelDims, ControlPolygon, build_layout, build_spline, eval_spline
+from mixopt.errors import DomainError, SamplingError
+from mixopt.geometry import CHANNEL, KNOTS, ChannelDims, ControlPolygon, build_layout, build_spline, eval_spline
 from mixopt.sampling import (
     DIM_NAMES,
     CollocationCounts,
@@ -47,12 +47,10 @@ def former_slice_points(layout, x_mm, n):
     of that station's own layout, one station at a time."""
     if n < 2:
         raise DomainError("a quadrature slice needs at least 2 points")
-    if not (0.0 <= x_mm <= layout.dims.L):
-        raise DomainError(f"station x={x_mm} outside the channel [0, {layout.dims.L}]")
+    if not (0.0 <= x_mm <= CHANNEL.L):
+        raise DomainError(f"station x={x_mm} outside the channel [0, {CHANNEL.L}]")
     lower = float(layout.lower_wall_y(x_mm))
     upper = float(layout.upper_wall_y(x_mm))
-    if upper <= lower:
-        raise GeometryError(f"fluid height at x={x_mm} is not positive")
     y = np.linspace(lower, upper, n)
     h = (upper - lower) / (n - 1)
     w = np.full(n, h)
@@ -60,9 +58,9 @@ def former_slice_points(layout, x_mm, n):
     return y, w
 
 
-def per_station_slice_points(dims, cps, x_mm, n):
+def per_station_slice_points(cps, x_mm, n):
     """``slice_points`` built from one layout and one ``former_slice_points`` per station."""
-    rows = [former_slice_points(build_layout(ControlPolygon(*cp), dims), float(x), n)
+    rows = [former_slice_points(build_layout(ControlPolygon(*cp)), float(x), n)
             for cp, x in zip(cps, x_mm)]
     return np.array([y for y, _ in rows]), np.array([w for _, w in rows])
 
@@ -310,7 +308,7 @@ def test_outlet_rows_at_exit():
 
 def test_slice_points_uniform_and_weighted():
     layout = build_layout(ControlPolygon(0.3, 0.1, -0.2))
-    y, w = slice_points(ChannelDims(), [[0.3, 0.1, -0.2]], [1.0], 11)
+    y, w = slice_points([[0.3, 0.1, -0.2]], [1.0], 11)
     assert y.shape == w.shape == (1, 11)
     y, w = y[0], w[0]
     lower = layout.lower_wall_y(1.0)
@@ -321,32 +319,25 @@ def test_slice_points_uniform_and_weighted():
 
 
 def test_slice_points_validation():
-    dims, flat = ChannelDims(), [[0.0, 0.0, 0.0]]
+    flat = [[0.0, 0.0, 0.0]]
     with pytest.raises(DomainError):
-        slice_points(dims, flat, [-0.1], 8)
+        slice_points(flat, [-0.1], 8)
     with pytest.raises(DomainError):
-        slice_points(dims, flat, [1.0], 1)
+        slice_points(flat, [1.0], 1)
     with pytest.raises(DomainError):
-        slice_points(dims, flat * 2, [1.0, np.nan], 8)
-    # overlapping baffles close the channel at x = 0.96 mm
-    overlap, tall = ChannelDims(d=0.01), [[0.5, 0.5, 0.5]] * 3
-    with pytest.raises(GeometryError):
-        former_slice_points(build_layout(ControlPolygon(*tall[0]), overlap), 0.96, 8)
-    with pytest.raises(GeometryError):
-        slice_points(overlap, tall, [0.5, 0.96, 3.0], 8)
+        slice_points(flat * 2, [1.0, np.nan], 8)
     # the first bad station decides the error, as a station-by-station loop would
-    with pytest.raises(DomainError):
-        slice_points(overlap, tall, [0.5, 3.0, 0.96], 8)
+    with pytest.raises(DomainError, match="x=3.0 "):
+        slice_points(flat * 3, [0.5, 3.0, -0.1], 8)
 
 
 def test_slice_points_equal_per_station_layouts():
     rng = np.random.default_rng(17)
-    dims = ChannelDims()
     x_mm = np.concatenate([[0.0, 0.9, 1.05, 1.2, 2.1], rng.uniform(0.0, 2.1, 60), rng.uniform(0.85, 1.25, 60)])
     cps = np.vstack([np.zeros((1, 3)), rng.uniform(-0.5, 0.5, size=(len(x_mm) - 1, 3))])
     for n in (2, 3, 64):
-        y, w = slice_points(dims, cps, x_mm, n)
-        y_ref, w_ref = per_station_slice_points(dims, cps, x_mm, n)
+        y, w = slice_points(cps, x_mm, n)
+        y_ref, w_ref = per_station_slice_points(cps, x_mm, n)
         assert np.array_equal(y, y_ref) and np.array_equal(w, w_ref)
 
 
@@ -365,7 +356,7 @@ def test_collocation_slices_equal_per_station_reference(monkeypatch, seed):
 
 
 def test_default_stations_cover_baffles_and_outlet():
-    stations = default_slice_stations(ChannelDims())
+    stations = default_slice_stations()
     assert len(stations) == 5
     assert abs(stations[0] - 3.0) < 1e-12
     assert abs(stations[3] - 4.0) < 1e-12
