@@ -9,7 +9,8 @@ baseline at the same (Re, Sc).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,29 +177,42 @@ class MixingReport:
 
 @dataclass(frozen=True)
 class BaselineTable:
-    """MI and Cp of the flat-wall design on a (Re, Sc) grid, with bilinear lookup."""
+    """MI and Cp of the flat-wall design on a (Re, Sc) grid, with bilinear lookup.
+
+    The arrays are read-only copies of the ones passed in. ``lookup`` reads
+    Python-float copies of them, made here once, and gives the bits the
+    float64 arithmetic on the arrays would.
+    """
 
     re_values: np.ndarray
     sc_values: np.ndarray
     mi0: np.ndarray
     cp0: np.ndarray
+    _floats: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("re_values", "sc_values", "mi0", "cp0"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_floats", (self.re_values.tolist(), self.sc_values.tolist(),
+                                             self.mi0.tolist(), self.cp0.tolist()))
 
     def lookup(self, re: float, sc: float):
         """Bilinear interpolation; off-grid queries clamp to the hull."""
-        re = min(max(float(re), float(self.re_values[0])), float(self.re_values[-1]))
-        sc = min(max(float(sc), float(self.sc_values[0])), float(self.sc_values[-1]))
-        i = min(max(int(np.searchsorted(self.re_values, re)) - 1, 0), len(self.re_values) - 2)
-        j = min(max(int(np.searchsorted(self.sc_values, sc)) - 1, 0), len(self.sc_values) - 2)
-        r0, r1 = self.re_values[i], self.re_values[i + 1]
-        s0, s1 = self.sc_values[j], self.sc_values[j + 1]
+        res, scs, mi0, cp0 = self._floats
+        re = min(max(float(re), res[0]), res[-1])
+        sc = min(max(float(sc), scs[0]), scs[-1])
+        i = min(max(bisect_left(res, re) - 1, 0), len(res) - 2)
+        j = min(max(bisect_left(scs, sc) - 1, 0), len(scs) - 2)
+        r0, r1 = res[i], res[i + 1]
+        s0, s1 = scs[j], scs[j + 1]
         tr = 0.0 if r1 == r0 else (re - r0) / (r1 - r0)
         ts = 0.0 if s1 == s0 else (sc - s0) / (s1 - s0)
-
-        def blend(grid):
-            return ((1 - tr) * (1 - ts) * grid[i, j] + tr * (1 - ts) * grid[i + 1, j]
-                    + (1 - tr) * ts * grid[i, j + 1] + tr * ts * grid[i + 1, j + 1])
-
-        return float(blend(self.mi0)), float(blend(self.cp0))
+        w00, w10 = (1 - tr) * (1 - ts), tr * (1 - ts)
+        w01, w11 = (1 - tr) * ts, tr * ts
+        return (w00 * mi0[i][j] + w10 * mi0[i + 1][j] + w01 * mi0[i][j + 1] + w11 * mi0[i + 1][j + 1],
+                w00 * cp0[i][j] + w10 * cp0[i + 1][j] + w01 * cp0[i][j + 1] + w11 * cp0[i + 1][j + 1])
 
 
 def baseline_table(params: ParameterSet) -> BaselineTable:

@@ -214,13 +214,14 @@ def test_forward_and_tape_path_return_identical_bits(activation):
     assert np.array_equal(X, X_before)
 
     # the arithmetic itself is pinned: multiply by the reciprocal half-span,
-    # then h @ W.T + b and tanh, layer by layer
+    # then h @ Wt + b and tanh, layer by layer, where Wt is a row-major copy
+    # of W.T
     h = (X - norm.center) * (1.0 / norm.halfspan)
     views = params.views()
     for W, b in views[:-1]:
-        h = np.tanh(h @ W.T + b)
+        h = np.tanh(h @ W.T.copy() + b)
     W, b = views[-1]
-    assert np.array_equal(out, h @ W.T + b)
+    assert np.array_equal(out, h @ W.T.copy() + b)
 
 
 def test_input_norm_reciprocal_is_fixed_at_construction():
@@ -306,15 +307,16 @@ def field_rows(n, seed):
 
 
 def broadcast_bias_forward(params, X):
-    """Per row block, h @ W.T + b with numpy's broadcast bias add."""
+    """Per row block, h @ Wt + b with numpy's broadcast bias add, where Wt
+    is a row-major copy of W.T."""
     views = params.views()
     outs = []
     for s in network._row_blocks(len(X)):
         h = params.norm.apply(X[s])
         for W, b in views[:-1]:
-            h = np.tanh(h @ W.T + b)
+            h = np.tanh(h @ W.T.copy() + b)
         W, b = views[-1]
-        outs.append(h @ W.T + b)
+        outs.append(h @ W.T.copy() + b)
     return np.concatenate(outs)
 
 
@@ -379,7 +381,8 @@ def test_views_are_built_once_and_write_through():
     assert np.all(params.flat[-params.spec.output_dim:] == 7.0)
     assert params.with_flat(params.flat).views() is not first
 
-    # forward's tiled biases are copies, so from then on writes raise
+    # the first pass copies each W^T (and forward tiles the biases), so from
+    # then on writes raise
     forward(params, np.zeros((3, params.spec.input_dim)))
     W, b = params.views()[-1]
     for target in (W, b, params.flat):
@@ -390,6 +393,60 @@ def test_views_are_built_once_and_write_through():
     assert np.all(fresh.flat[-params.spec.output_dim:] == 2.0)
     assert np.all(forward(fresh, np.zeros((1, params.spec.input_dim)))
                   != forward(params, np.zeros((1, params.spec.input_dim))))
+
+
+@pytest.mark.parametrize("first_pass", ["forward", "forward_jac", "forward_vjp", "net_apply"])
+def test_weight_transposes_are_read_only_copies_of_the_first_pass_weights(first_pass):
+    params = make_params(seed=6)
+    params = params.with_flat(params.flat.copy())
+    W, b = params.views()[-1]
+    W[:] = 0.25  # written before the first pass: the copies see it
+    X = np.zeros((3, params.spec.input_dim))
+    if first_pass == "net_apply":
+        net_apply(tape.leaf(params.flat), params, X, need_jac=True)
+        params = params.with_flat(params.flat)  # the tape runs on a set of its own
+        assert not params.flat.flags.writeable
+    else:
+        getattr(network, first_pass)(params, X)
+    layers = params.layers()
+    assert params.layers() is layers
+    assert len(layers) == len(params.views())
+    for (Wt, bias), (W, b) in zip(layers, params.views()):
+        assert np.array_equal(Wt, W.T) and Wt.dtype == np.float64
+        assert Wt.flags.c_contiguous and not np.shares_memory(Wt, params.flat)
+        assert bias is b and not W.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            Wt[0, 0] = 1.0
+    assert np.all(layers[-1][0] == 0.25)
+    with pytest.raises(ValueError, match="read-only"):
+        params.flat[0] = 1.0
+    # forward's tiled layers share the same copies, built once per set
+    for (Wt, _), (tiled_Wt, tile) in zip(layers, params.tiled_layers()):
+        assert tiled_Wt is Wt and tile.shape == (network.ROW_BLOCK, Wt.shape[1])
+    forward_vjp(params, X)
+    assert params.layers() is layers
+
+
+@pytest.mark.parametrize("spec", [NetworkSpec(), NetworkSpec(input_dim=1, output_dim=8, hidden=(32, 32))],
+                         ids=["field", "actor"])
+@pytest.mark.parametrize("n", [1, 101, 202, 208, 209, 700])
+def test_every_pass_returns_the_same_bits(spec, n):
+    rng = np.random.default_rng(n)
+    if spec.input_dim == 7:
+        norm, X = InputNorm.from_bounds(FIELD_NORM), field_rows(n, seed=n)
+    else:
+        norm, X = InputNorm.from_bounds([(1.0, 100.0)]), rng.uniform(1.0, 100.0, (n, 1))
+    params = init_params(spec, norm=norm, seed=n)
+    out = forward(params, X)
+    outs = [forward_vjp(params, X)[0], net_apply(tape.leaf(params.flat), params, X)[0].value]
+    if spec.input_dim == 7:  # the spatial tangents need (x, y) inputs
+        jac_out, jac = forward_jac(params, X)
+        vjp_out, vjp_jac, _ = forward_vjp(params, X, need_jac=True)
+        tape_out, tape_jac = net_apply(tape.leaf(params.flat), params, X, need_jac=True)
+        outs += [jac_out, vjp_out, tape_out.value]
+        assert np.array_equal(vjp_jac, jac) and np.array_equal(tape_jac.value, jac)
+    for got in outs:
+        assert np.array_equal(got, out)
 
 
 @only_tanh

@@ -187,6 +187,48 @@ def test_baseline_lookup_clamps_outside_hull():
     assert table.lookup(20.0, 500.0) == table.lookup(20.0, 100.0)
 
 
+def array_lookup(table, re, sc):
+    """The bilinear lookup in float64 arithmetic on the table's arrays."""
+    re = min(max(float(re), float(table.re_values[0])), float(table.re_values[-1]))
+    sc = min(max(float(sc), float(table.sc_values[0])), float(table.sc_values[-1]))
+    i = min(max(int(np.searchsorted(table.re_values, re)) - 1, 0), len(table.re_values) - 2)
+    j = min(max(int(np.searchsorted(table.sc_values, sc)) - 1, 0), len(table.sc_values) - 2)
+    r0, r1 = table.re_values[i], table.re_values[i + 1]
+    s0, s1 = table.sc_values[j], table.sc_values[j + 1]
+    tr = 0.0 if r1 == r0 else (re - r0) / (r1 - r0)
+    ts = 0.0 if s1 == s0 else (sc - s0) / (s1 - s0)
+
+    def blend(grid):
+        return ((1 - tr) * (1 - ts) * grid[i, j] + tr * (1 - ts) * grid[i + 1, j]
+                + (1 - tr) * ts * grid[i, j + 1] + tr * ts * grid[i + 1, j + 1])
+
+    return float(blend(table.mi0)), float(blend(table.cp0))
+
+
+def test_baseline_lookup_has_the_array_arithmetics_bits():
+    rng = np.random.default_rng(5)
+    re_axis = np.linspace(5.0, 40.0, metrics.BASELINE_GRID)
+    sc_axis = np.linspace(1.0, 100.0, metrics.BASELINE_GRID)
+    table = BaselineTable(re_values=re_axis, sc_values=sc_axis,
+                          mi0=rng.uniform(0.7, 1.0, (metrics.BASELINE_GRID,) * 2),
+                          cp0=rng.uniform(0.003, 0.07, (metrics.BASELINE_GRID,) * 2))
+    queries = np.column_stack([rng.uniform(0.0, 45.0, 20000), rng.uniform(-5.0, 110.0, 20000)])
+    nodes = [(re, sc) for re in re_axis for sc in sc_axis]
+    for re, sc in [*queries.tolist(), *nodes]:
+        assert table.lookup(re, sc) == array_lookup(table, re, sc)
+
+
+def test_baseline_table_arrays_are_read_only_copies():
+    re = np.array([5.0, 40.0])
+    table = BaselineTable(re_values=re, sc_values=np.array([1.0, 100.0]),
+                          mi0=np.full((2, 2), 0.4), cp0=np.full((2, 2), 2.0))
+    for arr in (table.re_values, table.sc_values, table.mi0, table.cp0):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    re[0] = 6.0  # the caller's array stays its own
+    assert table.re_values[0] == 5.0 and table.lookup(5.0, 1.0) == (0.4, 2.0)
+
+
 def test_baseline_table_finite_positive():
     params = init_params(NetworkSpec(hidden=(8, 8)), norm=InputNorm.from_bounds(TRAINED), seed=7)
     table = baseline_table(params)
