@@ -10,24 +10,26 @@ from ..errors import DomainError, NumericalError
 from .network import ParameterSet
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+"""Adam's decay rates and denominator offset: the textbook defaults."""
+
+
 @dataclass(frozen=True)
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
-def init_adam(n: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def init_adam(n: int, lr: float = 1e-3) -> AdamState:
     if n < 1:
         raise DomainError("parameter count must be >= 1")
-    if lr <= 0 or not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0) or eps <= 0:
-        raise DomainError("invalid Adam hyperparameters")
-    return AdamState(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    if not lr > 0:
+        raise DomainError("Adam learning rate must be positive")
+    return AdamState(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr)
 
 
 def adam_step(params: ParameterSet, grad: np.ndarray, state: AdamState):
@@ -44,19 +46,17 @@ def adam_step(params: ParameterSet, grad: np.ndarray, state: AdamState):
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient")
     t = state.step + 1
-    beta1, beta2 = state.beta1, state.beta2
-    m = state.m * beta1
-    m += grad * (1.0 - beta1)
-    v = state.v * beta2
-    sq = grad * (1.0 - beta2)
+    m = state.m * BETA1
+    m += grad * (1.0 - BETA1)
+    v = state.v * BETA2
+    sq = grad * (1.0 - BETA2)
     sq *= grad
     v += sq
-    delta = m / (1.0 - beta1 ** t)
+    delta = m / (1.0 - BETA1 ** t)
     delta *= state.lr
-    den = np.divide(v, 1.0 - beta2 ** t, out=sq)
+    den = np.divide(v, 1.0 - BETA2 ** t, out=sq)
     np.sqrt(den, out=den)
-    den += state.eps
+    den += EPS
     delta /= den
     new_flat = params.flat - delta
-    return (ParameterSet(params.spec, params.norm, new_flat),
-            AdamState(m, v, t, state.lr, beta1, beta2, state.eps))
+    return ParameterSet(params.spec, params.norm, new_flat), AdamState(m, v, t, state.lr)

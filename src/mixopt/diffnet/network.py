@@ -8,24 +8,27 @@ outputs and spatial derivatives. Every pass runs over the rows in blocks of
 at most ``ROW_BLOCK`` rows, and the reverse pass sums the blocks' gradients
 in block order.
 
-Every pass multiplies by one layout of the weights: a read-only, row-major
-copy of each layer's W^T, built once per ``ParameterSet`` at its first pass
-(``ParameterSet.layers``). ``h @ W.T`` on the transposed view runs the BLAS
-NT kernel; the row-major copy runs NN, which under OpenBLAS's SkylakeX
-kernel is about 1.4x faster at a design score's shapes (202 x 64 x 64) and
-about equal under its Haswell kernel. Only the products' last bits differ
-from the transposed view's, and all passes share them. The flat vector's
-order, and with it the checkpoint format, is unchanged; the reverse pass
-multiplies by W itself, which already runs NN.
+A ``ParameterSet`` is read-only from construction: its ``flat`` vector and
+its input normalization cannot be written, and ``with_flat`` copies its
+argument, so no two sets share a buffer. New weights make a new set.
+Every pass reads one table per set (``ParameterSet.table``): each layer's W
+and b as views of ``flat`` and a read-only, row-major copy of W^T. The
+forward passes multiply by that copy: ``h @ W.T`` on the transposed view
+runs the BLAS NT kernel, the row-major copy runs NN, which under OpenBLAS's
+SkylakeX kernel is about 1.4x faster at a design score's shapes
+(202 x 64 x 64) and about equal under its Haswell kernel. All passes share
+the products' bits. The flat vector's order, and with it the checkpoint
+format, is fixed; the reverse pass multiplies by W itself, which already
+runs NN.
 
 The value-only passes keep no per-layer arrays past their block: ``forward``
 keeps none at all, and ``forward_jac`` runs each block through the same
 routine as the tape path, so it returns the same bits, then keeps only the
 block's outputs and jacobian. Only ``forward_vjp`` (and ``net_apply`` on it)
 holds every block's reverse cache, for as long as its pullback lives.
-``forward`` alone adds each bias from a copy tiled to ``ROW_BLOCK`` rows,
-built once per ``ParameterSet`` on the same W^T copies; the tape and
-``forward_vjp`` keep the broadcast add.
+``forward`` alone adds each bias from a copy tiled to ``ROW_BLOCK`` rows
+(``ParameterSet.bias_tiles``); the tape and ``forward_vjp`` keep the
+broadcast add.
 """
 
 from __future__ import annotations
@@ -53,21 +56,23 @@ class NetworkSpec:
             check_int(f"hidden[{i}]", h, 1)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
-    def layer_shapes(self) -> list:
-        """[(W shape, b shape)] per layer, output layer last."""
+    @functools.cached_property
+    def layer_shapes(self) -> tuple:
+        """((W shape, b shape)) per layer, output layer last."""
         sizes = [self.input_dim, *self.hidden, self.output_dim]
-        return [((sizes[i + 1], sizes[i]), (sizes[i + 1],)) for i in range(len(sizes) - 1)]
+        return tuple(((sizes[i + 1], sizes[i]), (sizes[i + 1],)) for i in range(len(sizes) - 1))
 
     @functools.cached_property
     def param_count(self) -> int:
-        return sum(w[0] * w[1] + b[0] for w, b in self.layer_shapes())
+        return sum(w[0] * w[1] + b[0] for w, b in self.layer_shapes)
 
 
 @dataclass(frozen=True)
 class InputNorm:
     """Affine input map (x - center) / halfspan; halfspan 0 pins a dimension to 0.
 
-    The reciprocal half-span is computed once, here, and kept read-only.
+    ``center`` and ``halfspan`` are read-only float64 copies of the values
+    passed in, and the reciprocal half-span is computed once, here, from them.
     """
 
     center: np.ndarray
@@ -75,6 +80,10 @@ class InputNorm:
     inv_halfspan: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("center", "halfspan"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         inv = np.zeros_like(self.halfspan)
         nonzero = self.halfspan != 0.0
         inv[nonzero] = 1.0 / self.halfspan[nonzero]
@@ -100,14 +109,17 @@ class InputNorm:
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """A network's weights as one flat float64 vector plus its architecture."""
+    """A network's weights as one flat float64 vector plus its architecture.
+
+    Read-only from construction: ``__post_init__`` marks ``flat`` read-only,
+    so pass an array nothing else writes to; ``with_flat`` copies.
+    """
 
     spec: NetworkSpec
     norm: InputNorm
     flat: np.ndarray
-    _views: tuple = field(default=None, init=False, repr=False, compare=False)
-    _layers: tuple = field(default=None, init=False, repr=False, compare=False)
-    _tiled: tuple = field(default=None, init=False, repr=False, compare=False)
+    _table: tuple = field(default=None, init=False, repr=False, compare=False)
+    _tiles: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flat.dtype != np.float64 or self.flat.ndim != 1:
@@ -116,66 +128,47 @@ class ParameterSet:
             raise DomainError(f"expected {self.spec.param_count} parameters, got {self.flat.size}")
         if len(self.norm.center) != self.spec.input_dim:
             raise DomainError("input normalization length does not match input_dim")
+        self.flat.flags.writeable = False
 
-    def views(self) -> tuple:
-        """(W, b) numpy views into the flat vector, in layer order.
+    def table(self) -> tuple:
+        """(W, W^T, b) per layer, output layer last, built on the first call.
 
-        Built on the first call and returned as the same arrays after that;
-        writing to them writes to ``flat`` until the first pass, which makes
-        both read-only.
+        W and b are views into ``flat``; W^T is a C-contiguous copy. All three
+        are read-only, so the copy cannot go stale.
         """
-        if self._views is None:
-            out = []
+        if self._table is None:
+            rows = []
             offset = 0
-            for (wr, wc), (bn,) in self.spec.layer_shapes():
+            for (wr, wc), (bn,) in self.spec.layer_shapes:
                 W = self.flat[offset:offset + wr * wc].reshape(wr, wc)
                 offset += wr * wc
-                b = self.flat[offset:offset + bn]
+                Wt = W.T.copy()
+                Wt.flags.writeable = False
+                rows.append((W, Wt, self.flat[offset:offset + bn]))
                 offset += bn
-                out.append((W, b))
-            object.__setattr__(self, "_views", tuple(out))
-        return self._views
+            object.__setattr__(self, "_table", tuple(rows))
+        return self._table
 
-    def layers(self) -> tuple:
-        """(W^T, b) per layer, for every pass: W^T is a C-contiguous copy.
-
-        Built on the first call, which also makes ``flat`` and ``views()``
-        read-only: the copies would go stale under a later write to the
-        parameters. ``with_flat(flat.copy())`` gives a writable set.
-        """
-        if self._layers is None:
-            self.flat.setflags(write=False)  # views made from here on are read-only too
-            for W, b in self._views or ():
-                W.setflags(write=False)
-                b.setflags(write=False)
-            layers = []
-            for W, b in self.views():
-                Wt = W.transpose().copy()
-                Wt.setflags(write=False)
-                layers.append((Wt, b))
-            object.__setattr__(self, "_layers", tuple(layers))
-        return self._layers
-
-    def tiled_layers(self) -> tuple:
-        """(W^T, b tiled to ``ROW_BLOCK`` rows) per layer, for ``forward``.
+    def bias_tiles(self) -> tuple:
+        """Each layer's bias tiled to ``ROW_BLOCK`` rows, for ``forward`` only.
 
         Adding a bias from a row-tiled copy is about twice as fast as numpy's
         broadcast add at a design score's 101 and 202 rows, with equal bits.
-        The W^T arrays are ``layers()``' own, so a set whose ``forward`` and
-        ``forward_vjp`` both run (a PPO actor or critic) copies them once.
+        Built on the first call: a set that only trains never pays for it.
         """
-        if self._tiled is None:
-            tiled = []
-            for Wt, b in self.layers():
+        if self._tiles is None:
+            tiles = []
+            for _, _, b in self.table():
                 tile = np.empty((ROW_BLOCK, b.size))
                 tile[:] = b
                 tile.flags.writeable = False
-                tiled.append((Wt, tile))
-            object.__setattr__(self, "_tiled", tuple(tiled))
-        return self._tiled
+                tiles.append(tile)
+            object.__setattr__(self, "_tiles", tuple(tiles))
+        return self._tiles
 
-    def with_flat(self, flat: np.ndarray) -> "ParameterSet":
-        return ParameterSet(self.spec, self.norm, np.ascontiguousarray(flat, dtype=np.float64))
+    def with_flat(self, flat) -> "ParameterSet":
+        """A set of the same architecture on a float64 copy of ``flat``."""
+        return ParameterSet(self.spec, self.norm, np.array(flat, dtype=np.float64))
 
 
 def init_params(spec: NetworkSpec, norm: InputNorm | None = None, seed=None) -> ParameterSet:
@@ -183,7 +176,7 @@ def init_params(spec: NetworkSpec, norm: InputNorm | None = None, seed=None) -> 
     norm = norm or InputNorm.identity(spec.input_dim)
     rng = np.random.default_rng(seed)
     chunks = []
-    for (wr, wc), (bn,) in spec.layer_shapes():
+    for (wr, wc), (bn,) in spec.layer_shapes:
         bound = np.sqrt(3.0 / wc)
         chunks.append(rng.uniform(-bound, bound, size=wr * wc))
         chunks.append(np.zeros(bn))
@@ -254,22 +247,21 @@ def _prepare(pset: ParameterSet, X):
     return pset.norm.apply(X)
 
 
-def _layers(layers, h, cache: _Cache | None = None) -> np.ndarray:
+def _layers(table, h, cache: _Cache | None = None, tiles=None) -> np.ndarray:
     """The one layer loop: z = h W^T, z += b, then tanh.
 
-    ``layers`` is either ``layers()``, whose 1-D biases are broadcast over
-    the rows, or ``tiled_layers()``, whose biases are cut to the block's
-    rows; both multiply by the same W^T copies, and both adds give the same
-    bits. Without a cache tanh runs in place and nothing per layer is kept;
-    with one, ``cache.record`` activates each hidden layer and keeps what
-    the reverse pass needs.
+    The bias add broadcasts ``table``'s 1-D b over the rows unless ``tiles``
+    (``bias_tiles()``) is given, whose rows are cut to the block's; both adds
+    give the same bits. Without a cache tanh runs in place and nothing per
+    layer is kept; with one, ``cache.record`` activates each hidden layer and
+    keeps what the reverse pass needs.
     Returns the output layer's z.
     """
-    last = len(layers) - 1
+    last = len(table) - 1
     n = len(h)
-    for l, (Wt, b) in enumerate(layers):
+    for l, (_, Wt, b) in enumerate(table):
         z = h @ Wt
-        z += b[:n] if b.ndim == 2 else b
+        z += b if tiles is None else tiles[l][:n]
         if l == last:
             return z
         if cache is None:
@@ -278,7 +270,7 @@ def _layers(layers, h, cache: _Cache | None = None) -> np.ndarray:
             h = cache.record(Wt, z)
 
 
-def _block(layers, h, scale, need_tangent: bool) -> _Cache:
+def _block(table, h, scale, need_tangent: bool) -> _Cache:
     """One row block through the layer loop; its cache holds out and jac."""
     seeds = None
     if need_tangent:
@@ -288,9 +280,9 @@ def _block(layers, h, scale, need_tangent: bool) -> _Cache:
             t[:, d] = scale[d]
             seeds.append(t)
     cache = _Cache(h, seeds)
-    cache.out = _layers(layers, h, cache)
+    cache.out = _layers(table, h, cache)
     if need_tangent:
-        Wt_last, _ = layers[-1]
+        Wt_last = table[-1][1]
         cache.jac = np.stack([t @ Wt_last for t in cache.tin[-1]], axis=2)
     return cache
 
@@ -300,19 +292,19 @@ def _map_blocks(pset: ParameterSet, X, need_tangent: bool, keep):
     cache as soon as it is built and returns what the caller holds on to.
     Returns the row slices and the kept values."""
     h = _prepare(pset, X)
-    layers = pset.layers()
+    table = pset.table()
     scale = pset.norm.inv_halfspan
     rows = _row_blocks(len(h))
-    return rows, [keep(_block(layers, h[s], scale, need_tangent)) for s in rows]
+    return rows, [keep(_block(table, h[s], scale, need_tangent)) for s in rows]
 
 
-def _block_backward(views, cache: _Cache, gy, gjac) -> np.ndarray:
+def _block_backward(table, cache: _Cache, gy, gjac) -> np.ndarray:
     """One row block's cotangents of (outputs, jacobian) to the flat parameters."""
-    nlayers = len(views)
+    nlayers = len(table)
     gW_list = [None] * nlayers
     gb_list = [None] * nlayers
 
-    W_last, _ = views[-1]
+    W_last = table[-1][0]
     gW = gy.T @ cache.inputs[-1]
     gb = gy.sum(axis=0)
     gh = gy @ W_last
@@ -335,7 +327,7 @@ def _block_backward(views, cache: _Cache, gy, gjac) -> np.ndarray:
                 term *= zd
                 gz += term
             gzd = [gd * d1 for gd in ghd]
-        W, _ = views[l]
+        W = table[l][0]
         h_in = cache.inputs[l]
         gW = gz.T @ h_in
         gb = gz.sum(axis=0)
@@ -361,14 +353,13 @@ def forward(params: ParameterSet, X) -> np.ndarray:
 
     Runs the same layer loop over the same row blocks as the tape path and
     returns the same bits, but keeps no per-layer arrays and adds each bias
-    from ``tiled_layers()``. Like every pass it leaves ``params`` read-only.
-    X is not modified.
+    from ``bias_tiles()``. X is not modified.
     """
     h = _prepare(params, X)
-    layers = params.tiled_layers()
+    table, tiles = params.table(), params.bias_tiles()
     if len(h) <= ROW_BLOCK:
-        return _layers(layers, h)
-    return np.concatenate([_layers(layers, h[s]) for s in _row_blocks(len(h))])
+        return _layers(table, h, tiles=tiles)
+    return np.concatenate([_layers(table, h[s], tiles=tiles) for s in _row_blocks(len(h))])
 
 
 def forward_jac(params: ParameterSet, X):
@@ -390,7 +381,7 @@ def forward_vjp(params: ParameterSet, X, need_jac: bool = False):
     block order, so the result is deterministic.
     """
     rows, blocks = _map_blocks(params, X, need_jac, lambda cache: cache)
-    views = params.views()
+    table = params.table()
     out, jac = _stack([(c.out, c.jac) for c in blocks])
 
     def vjp(gy, gjac=None):
@@ -398,7 +389,7 @@ def forward_vjp(params: ParameterSet, X, need_jac: bool = False):
             gy = np.zeros_like(out)
         total = None
         for s, cache in zip(rows, blocks):
-            g = _block_backward(views, cache, gy[s], None if gjac is None else gjac[s])
+            g = _block_backward(table, cache, gy[s], None if gjac is None else gjac[s])
             if total is None:
                 total = g
             else:
@@ -414,7 +405,7 @@ def net_apply(param_leaf: Node, template: ParameterSet, X, need_jac: bool = Fals
     ``param_leaf`` carries the flat parameter vector; the returned nodes
     backpropagate to it through ``forward_vjp``'s reverse pass.
     """
-    pset = template.with_flat(np.asarray(param_leaf.value, dtype=np.float64))
+    pset = template.with_flat(param_leaf.value)
     y, dy, vjp = forward_vjp(pset, X, need_jac)
 
     def bundle_vjp(g):

@@ -35,9 +35,6 @@ class TrainConfig:
     steps: int = 5000
     batch_size: int = 1024
     learning_rate: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     hidden: tuple = (64, 64, 64, 64)
     bounds: SampleBounds = field(default_factory=SampleBounds)
@@ -50,15 +47,11 @@ class TrainConfig:
 
     def __post_init__(self):
         check_ints(self, steps=0, batch_size=0, seed=0, log_interval=1, checkpoint_interval=0)
-        # NaN fails every comparison, so these tests also reject it
-        for name in ("learning_rate", "eps"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise DomainError(f"{name} must lie in [0, 1), got {value!r}")
+        # NaN fails every comparison, so this test also rejects it
+        if not 0.0 < self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
+        if self.checkpoint_interval and not self.checkpoint_dir:
+            raise DomainError("checkpoint_interval > 0 needs a checkpoint_dir to write to")
         check_widths(self, "hidden")
 
 
@@ -90,8 +83,7 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
     spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden)
     norm = InputNorm.from_bounds(cfg.bounds.pairs())
     params = init_params(spec, norm=norm, seed=ss_init)
-    state = init_adam(params.flat.size, lr=cfg.learning_rate, beta1=cfg.beta1,
-                      beta2=cfg.beta2, eps=cfg.eps)
+    state = init_adam(params.flat.size, lr=cfg.learning_rate)
 
     initial = total_loss(colloc, params, cfg.weights)
     initial.step = 0
@@ -130,7 +122,7 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
             break
         if step % cfg.log_interval == 0 or step == cfg.steps:
             history.reports.append(report)
-        if cfg.checkpoint_dir and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
+        if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             save_checkpoint(params, os.path.join(cfg.checkpoint_dir, f"step_{step:07d}.ckpt"),
                             seed=cfg.seed)
 
@@ -138,7 +130,6 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
     final.step = history.aborted_at if history.aborted_at is not None else cfg.steps
     history.final = final
     if cfg.checkpoint_dir:
-        os.makedirs(cfg.checkpoint_dir, exist_ok=True)
         save_checkpoint(params, os.path.join(cfg.checkpoint_dir, "final.ckpt"), seed=cfg.seed)
     return params, history
 

@@ -133,10 +133,9 @@ def init_actor(cfg: PPOConfig, seed=None) -> ParameterSet:
     """Fresh actor; log-std head biases start at ln(0.5) for exploration."""
     spec = NetworkSpec(input_dim=1, output_dim=2 * ACTION_DIM, hidden=cfg.actor_hidden)
     params = init_params(spec, norm=_state_norm(), seed=seed)
-    tweaked = params.with_flat(params.flat.copy())
-    _, b = tweaked.views()[-1]
-    b[ACTION_DIM:] = np.log(0.5)
-    return tweaked
+    flat = params.flat.copy()
+    flat[-ACTION_DIM:] = np.log(0.5)  # the output bias's log-std half ends the vector
+    return params.with_flat(flat)
 
 
 def init_critic(cfg: PPOConfig, seed=None) -> ParameterSet:

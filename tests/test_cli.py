@@ -45,11 +45,12 @@ def tiny_checkpoint(tmp_path_factory):
     spec = NetworkSpec(hidden=(8, 8))
     norm = InputNorm.from_bounds(SampleBounds().pairs())
     params = init_params(spec, norm=norm, seed=3)
-    params = params.with_flat(params.flat.copy())
-    W, b = params.views()[-1]
+    flat = params.flat.copy()
+    W, b = flat[-9 * 9:-9], flat[-9:]  # the output layer's 9x8 W and its b
     W *= 0.05
     b[2] = 2.0   # p
     b[6] = 0.55  # c
+    params = params.with_flat(flat)
     tmp = tmp_path_factory.mktemp("ckpt")
     cfg = write_config(tmp, {"train": tiny_train_section()})
     out = str(tmp / "field.ckpt")
@@ -332,11 +333,12 @@ def test_query_writes_nan_for_a_degenerate_design(tiny_actor, tmp_path, capsys):
 
     params = init_params(NetworkSpec(hidden=(8, 8)), norm=InputNorm.from_bounds(SampleBounds().pairs()),
                          seed=11)
-    params = params.with_flat(params.flat.copy())
-    W, b = params.views()[-1]
+    flat = params.flat.copy()
+    W, b = flat[-9 * 9:-9], flat[-9:]  # the output layer's 9x8 W and its b
     W *= 0.05
     b[2] = -2.0  # p
     b[6] = 0.55  # c
+    params = params.with_flat(flat)
     ckpt = str(tmp_path / "field.ckpt")
     save_checkpoint(params, ckpt)
     actor, cfg = tiny_actor
@@ -424,11 +426,12 @@ def test_optimize_rl_with_every_episode_skipped_prints_strict_json(tmp_path, cap
 
     params = init_params(NetworkSpec(hidden=(8,)), norm=InputNorm.from_bounds(SampleBounds().pairs()),
                          seed=3)
-    params = params.with_flat(params.flat.copy())
-    W, b = params.views()[-1]
+    flat = params.flat.copy()
+    W, b = flat[-9 * 9:-9], flat[-9:]  # the output layer's 9x8 W and its b
     W *= 0.0
     b[2] = -1.0  # p
     b[6] = 0.5   # c
+    params = params.with_flat(flat)
     ckpt = str(tmp_path / "field.ckpt")
     save_checkpoint(params, ckpt)
     cfg = write_config(tmp_path, {"ppo": {"episodes": 2, "batch_size": 8, "actor_hidden": [8],
@@ -470,10 +473,10 @@ def test_bad_ppo_values_exit_2_before_loading_anything(tmp_path, capsys, bad):
 @pytest.mark.parametrize("section, bad, command", [
     ("train", {"learning_rate": float("inf")}, "train"),
     ("train", {"learning_rate": float("nan")}, "train"),
-    ("train", {"eps": float("nan")}, "train"),
-    ("train", {"eps": 0.0}, "train"),
-    ("train", {"beta1": 1.0}, "train"),
-    ("train", {"beta2": float("nan")}, "train"),
+    ("train", {"learning_rate": 0.0}, "train"),
+    ("train", {"learning_rate": -1e-3}, "train"),
+    ("train", {"checkpoint_interval": 5}, "train"),
+    ("train", {"checkpoint_interval": 1, "checkpoint_dir": None}, "train"),
     ("ga", {"blend_alpha": float("nan")}, "compare"),
     ("ga", {"blend_alpha": float("inf")}, "compare"),
     ("ga", {"mutation_scale": float("nan")}, "compare"),
@@ -589,6 +592,9 @@ def test_removed_config_keys_exit_2(tmp_path, capsys):
         ({"train": {"dims": {"l_d": 0.15}}}, "config.train.dims"),
         ({"train": {"dims": {"L": 2.4}}}, "config.train.dims"),
         ({"metrics": {"outlet_samples": 101}}, "config.metrics"),
+        ({"train": {"beta1": 0.9}}, "config.train.beta1"),
+        ({"train": {"beta2": 0.999}}, "config.train.beta2"),
+        ({"train": {"eps": 1e-8}}, "config.train.eps"),
     ]:
         rc = main(["--config", write_config(tmp_path, payload), "geometry",
                    "--cp", "0", "0", "0", "--out", str(tmp_path / "g.csv")])

@@ -23,7 +23,7 @@ from mixopt.diffnet import (
     save_params,
     tape,
 )
-from mixopt.diffnet import network
+from mixopt.diffnet import adam, network
 from mixopt.errors import CheckpointError, DomainError, NumericalError
 
 
@@ -148,7 +148,7 @@ def test_init_deterministic_zero_bias_unit_fan_in_variance():
     a = init_params(spec, seed=5)
     b = init_params(spec, seed=5)
     assert np.array_equal(a.flat, b.flat)
-    (W0, b0), (W1, b1) = a.views()
+    (W0, _, b0), (W1, _, b1) = a.table()
     assert np.all(b0 == 0.0) and np.all(b1 == 0.0)
     assert np.max(np.abs(W0)) <= np.sqrt(3.0 / 50)
     assert abs(W0.var() - 1.0 / 50) < 0.15 / 50
@@ -217,10 +217,10 @@ def test_forward_and_tape_path_return_identical_bits(activation):
     # then h @ Wt + b and tanh, layer by layer, where Wt is a row-major copy
     # of W.T
     h = (X - norm.center) * (1.0 / norm.halfspan)
-    views = params.views()
-    for W, b in views[:-1]:
+    table = params.table()
+    for W, _, b in table[:-1]:
         h = np.tanh(h @ W.T.copy() + b)
-    W, b = views[-1]
+    W, _, b = table[-1]
     assert np.array_equal(out, h @ W.T.copy() + b)
 
 
@@ -229,6 +229,18 @@ def test_input_norm_reciprocal_is_fixed_at_construction():
     assert np.array_equal(norm.inv_halfspan, [0.5, 0.0])
     with pytest.raises(ValueError):
         norm.inv_halfspan[0] = 1.0
+
+
+def test_input_norm_is_a_read_only_copy():
+    norm = InputNorm.from_bounds([(0.0, 2.0)])
+    for arr in (norm.center, norm.halfspan):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 4.0
+    assert norm.apply(np.array([[2.0]]))[0, 0] == 1.0
+    center, halfspan = np.array([1.0]), np.array([1.0])
+    copied = InputNorm(center=center, halfspan=halfspan)
+    halfspan[0] = 4.0  # the caller's arrays stay its own
+    assert center.flags.writeable and copied.halfspan[0] == 1.0
 
 
 def rel_linf(got, want):
@@ -309,13 +321,13 @@ def field_rows(n, seed):
 def broadcast_bias_forward(params, X):
     """Per row block, h @ Wt + b with numpy's broadcast bias add, where Wt
     is a row-major copy of W.T."""
-    views = params.views()
+    table = params.table()
     outs = []
     for s in network._row_blocks(len(X)):
         h = params.norm.apply(X[s])
-        for W, b in views[:-1]:
+        for W, _, b in table[:-1]:
             h = np.tanh(h @ W.T.copy() + b)
-        W, b = views[-1]
+        W, _, b = table[-1]
         outs.append(h @ W.T.copy() + b)
     return np.concatenate(outs)
 
@@ -369,62 +381,80 @@ def test_row_blocks_cover_every_row_once():
     assert len(network._row_blocks(202)) == 1  # a design score's inlet pass
 
 
-def test_views_are_built_once_and_write_through():
+def test_weight_table_is_built_once_and_read_only():
     params = make_params(seed=4)
-    first = params.views()
-    second = params.views()
-    assert first is second
-    for (W1, b1), (W2, b2) in zip(first, second):
-        assert W1 is W2 and b1 is b2
-        assert np.shares_memory(W1, params.flat) and np.shares_memory(b1, params.flat)
-    first[-1][1][:] = 7.0
-    assert np.all(params.flat[-params.spec.output_dim:] == 7.0)
-    assert params.with_flat(params.flat).views() is not first
-
-    # the first pass copies each W^T (and forward tiles the biases), so from
-    # then on writes raise
-    forward(params, np.zeros((3, params.spec.input_dim)))
-    W, b = params.views()[-1]
-    for target in (W, b, params.flat):
+    table = params.table()
+    assert params.table() is table
+    assert len(table) == len(params.spec.layer_shapes)
+    for (W, Wt, b), ((wr, wc), (bn,)) in zip(table, params.spec.layer_shapes):
+        assert W.shape == (wr, wc) and b.shape == (bn,)
+        assert np.shares_memory(W, params.flat) and np.shares_memory(b, params.flat)
+        assert np.array_equal(Wt, W.T) and Wt.flags.c_contiguous
+        assert not np.shares_memory(Wt, params.flat)
+    # read-only from construction, before any pass has run
+    for target in (params.flat, table[-1][0], table[-1][1], table[-1][2]):
         with pytest.raises(ValueError, match="read-only"):
             target[0] = 1.0
-    fresh = params.with_flat(params.flat.copy())
-    fresh.views()[-1][1][:] = 2.0
-    assert np.all(fresh.flat[-params.spec.output_dim:] == 2.0)
-    assert np.all(forward(fresh, np.zeros((1, params.spec.input_dim)))
-                  != forward(params, np.zeros((1, params.spec.input_dim))))
+    # new weights make a new set with a table of its own
+    flat = params.flat.copy()
+    flat[-params.spec.output_dim:] = 2.0
+    fresh = params.with_flat(flat)
+    assert fresh.table() is not table and np.all(fresh.table()[-1][2] == 2.0)
+    X = np.zeros((1, params.spec.input_dim))
+    assert np.all(forward(fresh, X) != forward(params, X))
+
+
+def test_with_flat_copies_its_argument():
+    params = make_params(seed=5)
+    assert not np.shares_memory(params.flat, params.with_flat(params.flat).flat)
+    flat = params.flat.copy()
+    p = params.with_flat(flat)
+    flat[0] += 1.0  # the caller's array stays writable and the set does not see it
+    assert p.flat[0] == params.flat[0] and flat.flags.writeable
+
+
+def test_a_weight_taken_before_another_sets_pass_cannot_be_written():
+    params = make_params(seed=6)
+    p = params.with_flat(params.flat.copy())
+    W = p.table()[-1][0]
+    q = p.with_flat(p.flat)
+    X = np.zeros((3, params.spec.input_dim))
+    before = forward(q, X)
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0] += 1.0
+    assert np.array_equal(forward(q, X), before) and np.array_equal(q.flat, p.flat)
 
 
 @pytest.mark.parametrize("first_pass", ["forward", "forward_jac", "forward_vjp", "net_apply"])
 def test_weight_transposes_are_read_only_copies_of_the_first_pass_weights(first_pass):
     params = make_params(seed=6)
-    params = params.with_flat(params.flat.copy())
-    W, b = params.views()[-1]
-    W[:] = 0.25  # written before the first pass: the copies see it
+    flat = params.flat.copy()
+    out, hidden = params.spec.output_dim, params.spec.hidden[-1]
+    flat[-out * (hidden + 1):-out] = 0.25  # the output layer's W
+    params = params.with_flat(flat)
     X = np.zeros((3, params.spec.input_dim))
     if first_pass == "net_apply":
-        net_apply(tape.leaf(params.flat), params, X, need_jac=True)
-        params = params.with_flat(params.flat)  # the tape runs on a set of its own
-        assert not params.flat.flags.writeable
+        leaf_value = flat.copy()
+        net_apply(tape.leaf(leaf_value), params, X, need_jac=True)
+        assert leaf_value.flags.writeable  # the tape's set runs on a copy of the leaf
     else:
         getattr(network, first_pass)(params, X)
-    layers = params.layers()
-    assert params.layers() is layers
-    assert len(layers) == len(params.views())
-    for (Wt, bias), (W, b) in zip(layers, params.views()):
+    table = params.table()
+    for W, Wt, b in table:
         assert np.array_equal(Wt, W.T) and Wt.dtype == np.float64
         assert Wt.flags.c_contiguous and not np.shares_memory(Wt, params.flat)
-        assert bias is b and not W.flags.writeable and not b.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             Wt[0, 0] = 1.0
-    assert np.all(layers[-1][0] == 0.25)
-    with pytest.raises(ValueError, match="read-only"):
-        params.flat[0] = 1.0
-    # forward's tiled layers share the same copies, built once per set
-    for (Wt, _), (tiled_Wt, tile) in zip(layers, params.tiled_layers()):
-        assert tiled_Wt is Wt and tile.shape == (network.ROW_BLOCK, Wt.shape[1])
+    assert np.all(table[-1][1] == 0.25)
+    # only forward tiles the biases; the tiles are built once per set
+    assert (params._tiles is not None) == (first_pass == "forward")
+    tiles = params.bias_tiles()
+    for (_, Wt, b), tile in zip(table, tiles):
+        assert tile.shape == (network.ROW_BLOCK, Wt.shape[1]) and np.all(tile == b)
+        assert not tile.flags.writeable
     forward_vjp(params, X)
-    assert params.layers() is layers
+    forward(params, X)
+    assert params.table() is table and params.bias_tiles() is tiles
 
 
 @pytest.mark.parametrize("spec", [NetworkSpec(), NetworkSpec(input_dim=1, output_dim=8, hidden=(32, 32))],
@@ -532,17 +562,18 @@ def test_adam_pure_and_deterministic():
 
 def test_adam_matches_textbook_reference_bit_for_bit():
     params = make_params(input_dim=2, output_dim=3, hidden=(5,), seed=1)
-    state = init_adam(params.flat.size, lr=0.02, beta1=0.85, beta2=0.995, eps=1e-7)
+    assert (adam.BETA1, adam.BETA2, adam.EPS) == (0.9, 0.999, 1e-8)
+    state = init_adam(params.flat.size, lr=0.02)
     flat, m, v = params.flat.copy(), np.zeros(params.flat.size), np.zeros(params.flat.size)
     rng = np.random.default_rng(8)
     for t in range(1, 8):
         grad = rng.normal(size=params.flat.size) * 10.0 ** rng.uniform(-3, 1)
         params, state = adam_step(params, grad, state)
-        m = 0.85 * m + (1.0 - 0.85) * grad
-        v = 0.995 * v + (1.0 - 0.995) * grad * grad
-        m_hat = m / (1.0 - 0.85 ** t)
-        v_hat = v / (1.0 - 0.995 ** t)
-        flat = flat - 0.02 * m_hat / (np.sqrt(v_hat) + 1e-7)
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        flat = flat - 0.02 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert np.array_equal(params.flat, flat)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
         assert state.step == t

@@ -32,6 +32,12 @@ def make_params(seed=0, hidden=(8, 8)):
     return init_params(spec, seed=seed)
 
 
+def output_layer(flat, spec):
+    """The output layer's (W, b) as writable views into a flat copy."""
+    (rows, cols), _ = spec.layer_shapes[-1]
+    return flat[-rows * (cols + 1):-rows].reshape(rows, cols), flat[-rows:]
+
+
 def test_mixing_index_perfectly_mixed():
     assert mixing_index(np.full(33, 0.5)) == 1.0
 
@@ -261,12 +267,12 @@ def well_posed_params(seed=11, hidden=(8, 8)):
     # small random net nudged so p stays positive and c lands strictly
     # inside (0, 1): shrink the output weights and set the output biases
     params = make_params(seed=seed, hidden=hidden)
-    tweaked = params.with_flat(params.flat.copy())
-    W, b = tweaked.views()[-1]
+    flat = params.flat.copy()
+    W, b = output_layer(flat, params.spec)
     W *= 0.05
     b[2] = 2.0   # p
     b[6] = 0.55  # c
-    return tweaked
+    return params.with_flat(flat)
 
 
 def test_report_is_unity_against_own_baseline():
@@ -341,12 +347,12 @@ def field_net(seed=3):
     # default 64x4 field architecture with the training input normalization,
     # output layer nudged so p stays positive and c inside (0, 1)
     params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(TRAINED), seed=seed)
-    params = params.with_flat(params.flat.copy())
-    W, b = params.views()[-1]
+    flat = params.flat.copy()
+    W, b = output_layer(flat, params.spec)
     W *= 0.05
     b[2] = 2.0
     b[6] = 0.55
-    return params
+    return params.with_flat(flat)
 
 
 def test_scoring_is_bit_identical_to_reference_rows():
@@ -380,8 +386,9 @@ def test_rejected_design_skips_the_outlet_pass(monkeypatch):
                           mi0=np.full((2, 2), 0.4), cp0=np.full((2, 2), 2.0))
     design = DesignCandidate(0.1, 0.0, -0.1, 20.0)
     good = field_net()
-    bad = good.with_flat(good.flat.copy())
-    bad.views()[-1][1][2] = -2.0  # inlet pressure negative: cp <= 0
+    flat = good.flat.copy()
+    output_layer(flat, good.spec)[1][2] = -2.0  # inlet pressure negative: cp <= 0
+    bad = good.with_flat(flat)
     calls = counting_forward(monkeypatch)
     report = compute_mixing_report(good, design, 30.0, baseline=table)
     assert np.isfinite(report.me) and report.cp > 0

@@ -100,13 +100,16 @@ def test_config_validation():
         tiny_config(steps=-1)
     with pytest.raises(DomainError):
         tiny_config(learning_rate=0.0)
-    for name, values in (("learning_rate", (float("inf"), float("nan"))),
-                         ("eps", (0.0, float("inf"), float("nan"))),
-                         ("beta1", (-0.1, 1.0, float("nan"))),
-                         ("beta2", (1.0, float("nan")))):
-        for value in values:
-            with pytest.raises(DomainError, match=name):
-                tiny_config(**{name: value})
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="learning_rate"):
+            tiny_config(learning_rate=value)
+
+
+def test_periodic_checkpoints_need_a_directory():
+    for directory in (None, ""):
+        with pytest.raises(DomainError, match="checkpoint_dir"):
+            tiny_config(checkpoint_interval=4, checkpoint_dir=directory)
+    tiny_config(checkpoint_interval=0)  # no periodic checkpoint, no directory needed
 
 
 def test_checkpoint_wrappers_round_trip(tmp_path):
@@ -178,8 +181,7 @@ def graph_keeping_train(cfg, colloc):
     _, ss_init, ss_batch = root.spawn(3)
     spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden)
     params = init_params(spec, norm=InputNorm.from_bounds(cfg.bounds.pairs()), seed=ss_init)
-    state = init_adam(params.flat.size, lr=cfg.learning_rate, beta1=cfg.beta1,
-                      beta2=cfg.beta2, eps=cfg.eps)
+    state = init_adam(params.flat.size, lr=cfg.learning_rate)
     initial = loss_node(colloc, leaf(params.flat), params, cfg.weights)[1]
     rng = np.random.default_rng(ss_batch)
     n = len(colloc.interior)

@@ -140,7 +140,7 @@ def test_initial_log_std_bias():
     _, sigma = policy_forward(actor, [50.0])
     # zero final-layer weights at init would give exactly 0.5; weights are
     # random, so just check the bias is wired in
-    _, b = actor.views()[-1]
+    _, _, b = actor.table()[-1]
     assert np.allclose(b[4:], np.log(0.5))
     assert np.all(sigma > 0)
 
@@ -495,12 +495,12 @@ def test_quadratic_env_optimum_scores_one():
 def field_net(p_bias: float, c_bias: float):
     # near-constant field net: inlet pressure about p_bias, outlet c about c_bias
     params = init_params(NetworkSpec(hidden=(8, 8)), seed=11)
-    params = params.with_flat(params.flat.copy())
-    W, b = params.views()[-1]
+    flat = params.flat.copy()
+    W, b = flat[-9 * 9:-9], flat[-9:]  # the output layer's 9x8 W and its b
     W *= 0.05
     b[2] = p_bias
     b[6] = c_bias
-    return params
+    return params.with_flat(flat)
 
 
 FLAT_TABLE = BaselineTable(re_values=np.array([5.0, 40.0]), sc_values=np.array([1.0, 100.0]),
