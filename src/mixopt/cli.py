@@ -194,7 +194,7 @@ def cmd_optimize_rl(args, cfg: RunConfig) -> int:
     _emit({"command": "optimize-rl", "actor": args.out,
            "episodes": len(history.mean_rewards),
            "skipped_episodes": int(np.count_nonzero(np.isnan(history.mean_rewards))),
-           "final_smoothed": history.smoothed()[-1] if history.mean_rewards else None})
+           "final_smoothed": history.tail_mean(50)})
     return 0
 
 

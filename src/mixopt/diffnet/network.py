@@ -28,7 +28,9 @@ block's outputs and jacobian. Only ``forward_vjp`` (and ``net_apply`` on it)
 holds every block's reverse cache, for as long as its pullback lives.
 ``forward`` alone adds each bias from a copy tiled to ``ROW_BLOCK`` rows
 (``ParameterSet.bias_tiles``); the tape and ``forward_vjp`` keep the
-broadcast add.
+broadcast add. A one-row ``forward`` (a policy query) runs the layers on
+1-D vectors instead, with the same bits: per-call overhead, not arithmetic,
+is its cost, and 1-D arrays carry less of it.
 """
 
 from __future__ import annotations
@@ -189,8 +191,8 @@ ROW_BLOCK = 208
 A block's 64-wide float64 layer array is 104 KiB: it and its tangents stay
 in a 2 MiB L2, and it is under glibc's 128 KiB mmap threshold, so per-layer
 arrays come from the heap rather than from freshly faulted pages. It is at
-least 202 rows, so a design score's passes (101 outlet rows, 202 inlet rows),
-PPO batches and policy queries are each one block.
+least 202 rows, so a design score's passes (101 outlet rows, 202 inlet rows)
+and PPO batches are each one block.
 """
 
 
@@ -239,12 +241,12 @@ def _stack(pairs):
     return np.concatenate(outs), None if jacs[0] is None else np.concatenate(jacs)
 
 
-def _prepare(pset: ParameterSet, X):
-    """The normalized inputs of one pass."""
+def _checked(pset: ParameterSet, X) -> np.ndarray:
+    """X as a float64 (batch, input_dim) array."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != pset.spec.input_dim:
         raise DomainError(f"expected input shape (batch, {pset.spec.input_dim})")
-    return pset.norm.apply(X)
+    return X
 
 
 def _layers(table, h, cache: _Cache | None = None, tiles=None) -> np.ndarray:
@@ -291,7 +293,7 @@ def _map_blocks(pset: ParameterSet, X, need_tangent: bool, keep):
     """The one block loop of the cached passes: ``keep`` takes each block's
     cache as soon as it is built and returns what the caller holds on to.
     Returns the row slices and the kept values."""
-    h = _prepare(pset, X)
+    h = pset.norm.apply(_checked(pset, X))
     table = pset.table()
     scale = pset.norm.inv_halfspan
     rows = _row_blocks(len(h))
@@ -351,11 +353,27 @@ def _block_backward(table, cache: _Cache, gy, gjac) -> np.ndarray:
 def forward(params: ParameterSet, X) -> np.ndarray:
     """Plain evaluation: (batch, input_dim) -> (batch, output_dim).
 
-    Runs the same layer loop over the same row blocks as the tape path and
-    returns the same bits, but keeps no per-layer arrays and adds each bias
-    from ``bias_tiles()``. X is not modified.
+    Returns the tape path's bits, keeps no per-layer arrays and does not
+    modify X. Zero or several rows run the tape path's layer loop over the
+    same row blocks, adding each bias from ``bias_tiles()``. One row runs
+    the layers on 1-D vectors (``h.dot(Wt)``, then the bias add and tanh in
+    place), which carry less per-call overhead; numpy runs a one-row 2-D
+    product as the same vector-matrix product, so the bits agree.
     """
-    h = _prepare(params, X)
+    X = _checked(params, X)
+    if len(X) == 1:
+        norm, table = params.norm, params.table()
+        h = X[0] - norm.center
+        h *= norm.inv_halfspan
+        for _, Wt, b in table[:-1]:
+            h = h.dot(Wt)
+            h += b
+            np.tanh(h, out=h)
+        _, Wt, b = table[-1]
+        h = h.dot(Wt)
+        h += b
+        return h[None]
+    h = params.norm.apply(X)
     table, tiles = params.table(), params.bias_tiles()
     if len(h) <= ROW_BLOCK:
         return _layers(table, h, tiles=tiles)

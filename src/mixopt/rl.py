@@ -164,8 +164,11 @@ def sample_actions(mu, sigma, rng) -> tuple:
 
 def _scale_actions(raw: np.ndarray) -> np.ndarray:
     """Clip raw actions to [-1, 1] and map them affinely onto the physical
-    bounds, elementwise over any leading shape."""
-    return _ACTION_CENTER + _ACTION_HALFSPAN * np.clip(raw, -1.0, 1.0)
+    bounds, elementwise over any leading shape; nan stays nan.
+
+    ``np.minimum(np.maximum(...))`` gives ``np.clip``'s bits with about 1 us
+    less per-call overhead, which every policy query pays."""
+    return _ACTION_CENTER + _ACTION_HALFSPAN * np.minimum(np.maximum(raw, -1.0), 1.0)
 
 
 def scale_action(raw) -> DesignCandidate:
@@ -347,4 +350,4 @@ def query_policy(actor: ParameterSet, sc: float) -> DesignCandidate:
     if not (SC_LO <= sc <= SC_HI):
         check_schmidt(sc)
     out = forward(actor, [[sc]])
-    return scale_action(out[0, :ACTION_DIM])
+    return DesignCandidate(*_scale_actions(out[0, :ACTION_DIM]).tolist())

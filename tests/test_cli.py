@@ -290,6 +290,10 @@ def test_optimize_and_query_round_trip(tmp_path, capsys):
                "--out", str(actor), "--history", str(hist)])
     assert rc == 0
     assert hist.read_text().startswith("episode,mean_reward,smoothed_reward")
+    # the printed final smoothed reward is the history's last smoothed value
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    last = hist.read_text().strip().splitlines()[-1].split(",")
+    assert payload["final_smoothed"] == float(last[2])
 
     out1 = tmp_path / "designs1.csv"
     out2 = tmp_path / "designs2.csv"

@@ -352,6 +352,50 @@ def test_forward_and_tape_path_agree_over_several_row_blocks(activation):
         assert np.array_equal(forward(params, X), broadcast_bias_forward(params, X))
 
 
+ONE_ROW_NETS = {
+    "field": (NetworkSpec(hidden=(32, 32)), FIELD_NORM),
+    "actor": (NetworkSpec(input_dim=1, output_dim=8, hidden=(32, 32)), [(1.0, 100.0)]),
+    "critic": (NetworkSpec(input_dim=1, output_dim=1, hidden=(32, 32)), [(1.0, 100.0)]),
+}
+
+
+@pytest.mark.parametrize("net", sorted(ONE_ROW_NETS))
+def test_one_row_forward_returns_the_two_d_passes_bits(net):
+    # forward runs a single row on 1-D vectors; every other pass, and the
+    # broadcast-bias reference, runs it as a 2-D one-row block
+    spec, bounds = ONE_ROW_NETS[net]
+    params = init_params(spec, norm=InputNorm.from_bounds(bounds), seed=len(net))
+    if net == "field":
+        rows = field_rows(40, seed=3)
+    else:  # extrapolated Schmidt numbers included
+        rows = np.random.default_rng(3).uniform(0.5, 200.0, (40, 1))
+    for i in range(len(rows)):
+        X = rows[i:i + 1]
+        X_before = X.copy()
+        out = forward(params, X)
+        assert out.shape == (1, spec.output_dim)
+        assert np.array_equal(X, X_before)
+        assert np.array_equal(out, broadcast_bias_forward(params, X))
+        assert np.array_equal(out, forward_vjp(params, X)[0])
+        if net == "field":  # the spatial tangents need (x, y) inputs
+            assert np.array_equal(out, forward_jac(params, X)[0])
+            assert np.array_equal(out, forward_vjp(params, X, need_jac=True)[0])
+    assert params._tiles is None  # a one-row pass tiles no biases
+
+
+@pytest.mark.parametrize("bad", [np.zeros(7), np.zeros((1, 6)), np.zeros((1, 8)), np.zeros((2, 6)),
+                                 np.zeros((1, 1, 7)), [[0.0] * 6]])
+def test_forward_rejects_inputs_of_the_wrong_shape(bad):
+    params = make_params(seed=2)
+    with pytest.raises(DomainError, match="expected input shape"):
+        forward(params, bad)
+
+
+def test_forward_of_no_rows_has_the_output_width():
+    params = make_params(seed=2)
+    assert forward(params, np.zeros((0, 7))).shape == (0, 9)
+
+
 def _jac_and_gradient(params, X):
     leaf_node = tape.leaf(params.flat)
     root = composite_loss_node(leaf_node, params, X)

@@ -177,6 +177,13 @@ def test_scale_action_midpoint_and_endpoints():
 def test_scale_action_clips_before_mapping():
     d = scale_action(np.array([3.0, -7.0, 0.0, 100.0]))
     assert (d.cp1, d.cp2, d.re) == (0.5, -0.5, 40.0)
+    # the clip is np.clip's, bit for bit, signed zeros and nan included
+    raw = np.concatenate([np.random.default_rng(4).normal(scale=2.0, size=(50, 4)),
+                          [[np.nan, -0.0, np.inf, -np.inf], [1.0, -1.0, 0.0, np.nan]]])
+    want = rl._ACTION_CENTER + rl._ACTION_HALFSPAN * np.clip(raw, -1.0, 1.0)
+    got = rl._scale_actions(raw)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_normalize_design_inverts_scale():
@@ -455,6 +462,14 @@ def test_reward_history_smoothing_is_trailing_mean():
         h2.append(r)
     s2 = h2.smoothed(window=3)
     assert np.allclose(s2, [1.0, 1.0, 2.0])
+    # the last smoothed value is the tail mean over the same window, bit for bit
+    h3 = RewardHistory()
+    for r in np.random.default_rng(3).normal(size=70):
+        h3.append(r if r < 1.2 else float("nan"))
+    for hist in (h, h2, h3):
+        for window in (1, 3, 50):
+            assert hist.tail_mean(window) == hist.smoothed(window)[-1]
+    assert np.isnan(RewardHistory().tail_mean(50))
 
 
 @pytest.mark.parametrize("bad", [0, -1, -20])
@@ -545,6 +560,22 @@ def test_query_policy_deterministic_and_bounded():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="Schmidt number"):
                 query_policy(actor, sc)
+
+
+def test_query_policy_calls_forward_once_with_one_row(monkeypatch):
+    actor = init_actor(small_cfg(), seed=51)
+    calls = []
+
+    def recording_forward(params, X):
+        calls.append((params is actor, np.shape(X)))
+        return forward(params, X)
+
+    monkeypatch.setattr(rl, "forward", recording_forward)
+    for sc in (0.5, 1.0, 33.0, 150.0):  # extrapolated Schmidt numbers included
+        want = scale_action(forward(actor, [[sc]])[0, :ACTION_DIM])
+        assert query_policy(actor, sc) == want
+        assert calls == [(True, (1, 1))]
+        calls.clear()
 
 
 def test_actor_checkpoint_round_trip(tmp_path):
