@@ -137,12 +137,14 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if args.history:
         with open(args.history, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", "total"])
-            writer.writerow([history.initial.step, repr(history.initial.total)])
+            # the ends are full-set losses, the periodic reports minibatch ones
+            writer.writerow(["step", "set", "total"])
+            writer.writerow([history.initial.step, "full", repr(history.initial.total)])
             for r in history.reports:
-                writer.writerow([r.step, repr(r.total)])
-            if history.final is not None:
-                writer.writerow([history.final.step, repr(history.final.total)])
+                writer.writerow([r.step, "batch", repr(r.total)])
+            # after no steps the final full-set loss is the initial one
+            if history.final.step != history.initial.step:
+                writer.writerow([history.final.step, "full", repr(history.final.total)])
     summary = {
         "command": "train",
         "checkpoint": args.out,

@@ -88,10 +88,7 @@ def load_params(path, role=None):
             output_dim=header["spec"]["output_dim"],
             hidden=tuple(header["spec"]["hidden"]),
         )
-        norm = InputNorm(
-            center=np.array(header["norm"]["center"], dtype=np.float64),
-            halfspan=np.array(header["norm"]["halfspan"], dtype=np.float64),
-        )
+        norm = InputNorm(center=header["norm"]["center"], halfspan=header["norm"]["halfspan"])
         count = int(header["param_count"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint header missing field: {exc}") from exc
@@ -103,8 +100,7 @@ def load_params(path, role=None):
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True)
     if count != spec.param_count:
         raise CheckpointError("parameter count does not match the architecture")
-    if not (np.all(np.isfinite(flat)) and np.all(np.isfinite(norm.center))
-            and np.all(np.isfinite(norm.halfspan))):
+    if not np.all(np.isfinite(flat)):
         raise CheckpointError("checkpoint holds non-finite values")
     if role is not None and header.get("role") not in (None, role):
         raise CheckpointError(f"{path} holds a network of role {header.get('role')!r}, expected {role!r}")

@@ -75,6 +75,10 @@ class InputNorm:
 
     ``center`` and ``halfspan`` are read-only float64 copies of the values
     passed in, and the reciprocal half-span is computed once, here, from them.
+    Both must be finite 1-D arrays of one length, and no half-span negative:
+    they can come from a checkpoint header, and a negative one would mirror
+    its input axis (a field network's baseline grid would then run
+    backwards).
     """
 
     center: np.ndarray
@@ -83,9 +87,19 @@ class InputNorm:
 
     def __post_init__(self):
         for name in ("center", "halfspan"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
+            try:
+                arr = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"{name} must hold numbers: {exc}") from exc
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if self.center.ndim != 1 or self.center.shape != self.halfspan.shape:
+            raise DomainError(f"center and halfspan must be 1-D and of one length, got shapes "
+                              f"{self.center.shape} and {self.halfspan.shape}")
+        if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.halfspan))):
+            raise DomainError("center and halfspan must be finite")
+        if np.any(self.halfspan < 0.0):
+            raise DomainError("halfspan must be >= 0")
         inv = np.zeros_like(self.halfspan)
         nonzero = self.halfspan != 0.0
         inv[nonzero] = 1.0 / self.halfspan[nonzero]

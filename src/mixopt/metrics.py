@@ -18,6 +18,8 @@ from . import jsonout
 from .diffnet import ParameterSet, forward
 from .errors import DomainError
 from .geometry import CHANNEL, CP_MAX, CP_MIN, ControlPolygon
+from .physics import FIELD_INDEX
+from .sampling import DIM_NAMES
 
 RE_MIN, RE_MAX = 5.0, 40.0
 # corners of the (cp1, cp2, cp3, re) design box
@@ -138,13 +140,13 @@ def _design_rows(grid: np.ndarray, design: DesignCandidate, sc: float) -> np.nda
 def outlet_concentration(params: ParameterSet, design: DesignCandidate, sc: float) -> np.ndarray:
     """c* along the outlet, clamped to [0, 1]."""
     X = _design_rows(OUTLET_ROWS, design, sc)
-    return _clamp_concentration(forward(params, X)[:, 6])
+    return _clamp_concentration(forward(params, X)[:, FIELD_INDEX["c"]])
 
 
 def inlet_pressure(params: ParameterSet, design: DesignCandidate, sc: float) -> np.ndarray:
     """p* sampled across both inlet mouths."""
     X = _design_rows(INLET_ROWS, design, sc)
-    return forward(params, X)[:, 2]
+    return forward(params, X)[:, FIELD_INDEX["p"]]
 
 
 @dataclass
@@ -218,13 +220,13 @@ class BaselineTable:
 def baseline_table(params: ParameterSet) -> BaselineTable:
     """Evaluate the flat-wall design on a BASELINE_GRID x BASELINE_GRID (Re, Sc)
     grid spanning the ranges the network was trained on: center +- halfspan
-    of its input normalization for Re (input 5) and Sc (input 6)."""
+    of its input normalization for the Re and Sc inputs."""
     if params.spec.input_dim != 7:
         raise DomainError(f"a field network takes 7 inputs, this one takes {params.spec.input_dim}")
     norm = params.norm
     re_values, sc_values = (np.linspace(norm.center[k] - norm.halfspan[k],
                                         norm.center[k] + norm.halfspan[k], BASELINE_GRID)
-                            for k in (5, 6))
+                            for k in (DIM_NAMES.index("re"), DIM_NAMES.index("sc")))
     mi0 = np.zeros((BASELINE_GRID, BASELINE_GRID))
     cp0 = np.zeros_like(mi0)
     for i, re in enumerate(re_values):

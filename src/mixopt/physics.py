@@ -1,14 +1,19 @@
-"""Dimensionless first-order flow/transport residuals and the training loss.
+"""The field network's outputs, the conditions on them, and the training loss.
 
-The field network predicts nine outputs per point; stresses and species
-fluxes are outputs in their own right, so every residual below needs only
-first derivatives of network outputs. Each residual, the mass-flow penalty
-and the loss assembly are written once against indexing, ``.sum()``,
-``** 2`` and arithmetic, which numpy arrays and tape nodes both provide.
-``loss_node`` runs the assembly on the nodes ``net_apply`` returns, for the
-gradient; ``total_loss`` runs it on the arrays of the value-only passes
-``forward_jac`` and ``forward``, which keep no reverse caches, and gets the
-same bits.
+The field network predicts nine outputs per point, named in column order by
+``FIELD_INDEX``; stresses and species fluxes are outputs in their own right,
+so every residual below needs only first derivatives of network outputs.
+This module is the one place that knows what each column means and what
+holds on each boundary: the interior residuals, the inlet profile and
+concentrations, the wall, baffle and outlet conditions, and the unit flux
+through every cross-section. ``sampling`` only says where the points are.
+
+Each residual, the mass-flow penalty and the loss assembly are written once
+against indexing, ``.sum()``, ``** 2`` and arithmetic, which numpy arrays
+and tape nodes both provide. ``loss_node`` runs the assembly on the nodes
+``net_apply`` returns, for the gradient; ``total_loss`` runs it on the
+arrays of the value-only passes ``forward_jac`` and ``forward``, which keep
+no reverse caches, and gets the same bits.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ import numpy as np
 from . import jsonout
 from .diffnet import forward, forward_jac, net_apply
 from .diffnet.tape import Node
-from .errors import DomainError, NumericalError
-from .sampling import CollocationSet
+from .errors import DomainError
+from .geometry import CHANNEL
+from .sampling import DIM_NAMES, CollocationSet
 
 FIELD_INDEX = {"u": 0, "v": 1, "p": 2, "txx": 3, "tyy": 4, "txy": 5, "c": 6, "jx": 7, "jy": 8}
+X_COLUMN, RE_COLUMN, SC_COLUMN = (DIM_NAMES.index(name) for name in ("x", "re", "sc"))
 
 RESIDUAL_NAMES = (
     "continuity",
@@ -39,65 +46,10 @@ RESIDUAL_NAMES = (
     "flux_y",
 )
 
-
-@dataclass
-class FieldSample:
-    """Nine field values at a batch of points, plus their spatial derivatives.
-
-    Derivative attributes stay None when the sample was built without a
-    jacobian (boundary evaluation only needs values).
-    """
-
-    u: object
-    v: object
-    p: object
-    txx: object
-    tyy: object
-    txy: object
-    c: object
-    jx: object
-    jy: object
-    ux: object = None
-    uy: object = None
-    vx: object = None
-    vy: object = None
-    px: object = None
-    py: object = None
-    txx_x: object = None
-    txx_y: object = None
-    tyy_x: object = None
-    tyy_y: object = None
-    txy_x: object = None
-    txy_y: object = None
-    cx: object = None
-    cy: object = None
-    jx_x: object = None
-    jx_y: object = None
-    jy_x: object = None
-    jy_y: object = None
-
-    @classmethod
-    def from_net(cls, out, jac=None, rows=slice(None)) -> "FieldSample":
-        """Fields of the given rows of a network output (jacobian: all rows)."""
-        values = {name: out[rows, idx] for name, idx in FIELD_INDEX.items()}
-        grads = {}
-        if jac is not None:
-            for name, idx in FIELD_INDEX.items():
-                gx = jac[:, idx, 0]
-                gy = jac[:, idx, 1]
-                if len(name) == 1:
-                    grads[f"{name}x"] = gx
-                    grads[f"{name}y"] = gy
-                else:
-                    grads[f"{name}_x"] = gx
-                    grads[f"{name}_y"] = gy
-        return cls(**values, **grads)
-
-    def _check_finite(self):
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            if v is not None and not np.all(np.isfinite(v)):
-                raise NumericalError(f"non-finite field value in {f.name}")
+# (sign of v into the channel, concentration) at each arm mouth
+INLETS = {"inlet_top": (-1.0, 1.0), "inlet_bottom": (1.0, 0.0)}
+# dimensionless flux through every cross-section: the two arms' 0.5 each
+FLUX_TARGET = 1.0
 
 
 def _as_positive(name, value):
@@ -107,59 +59,76 @@ def _as_positive(name, value):
     return arr
 
 
-def pde_residuals(s: FieldSample, re, sc) -> dict:
+def pde_residuals(out, jac, re, sc) -> dict:
     """The nine interior residuals; zero identically for an exact solution.
 
-    re and sc may be scalars or per-row arrays; they are data, never
-    differentiated. A non-finite field value raises NumericalError.
+    ``out`` (n, 9) holds the fields and ``jac`` (n, 9, 2) their x and y
+    derivatives, as arrays or tape nodes. re and sc may be scalars or per-row
+    arrays; they are data, never differentiated. A non-finite field gives
+    non-finite residuals, so the training loss comes out NaN and the run
+    aborts instead of raising.
     """
-    s._check_finite()
-    return _pde_residuals(s, re, sc)
-
-
-def _pde_residuals(s: FieldSample, re, sc) -> dict:
-    """pde_residuals without the finite check: the training loss lets a
-    non-finite field through to a NaN total, which aborts the run."""
     re = _as_positive("re", re)
     sc = _as_positive("sc", sc)
-    if s.ux is None:
-        raise DomainError("pde_residuals needs a sample built with spatial derivatives")
+    # one pick per column, bound here: a pick at each use would add tape
+    # nodes, and with them another order of the cotangent sums
+    k = FIELD_INDEX
+    u, v, p = out[:, k["u"]], out[:, k["v"]], out[:, k["p"]]
+    txx, tyy, txy = out[:, k["txx"]], out[:, k["tyy"]], out[:, k["txy"]]
+    jx, jy = out[:, k["jx"]], out[:, k["jy"]]
+    ux, uy = jac[:, k["u"], 0], jac[:, k["u"], 1]
+    vx, vy = jac[:, k["v"], 0], jac[:, k["v"], 1]
+    txx_x, tyy_y = jac[:, k["txx"], 0], jac[:, k["tyy"], 1]
+    txy_x, txy_y = jac[:, k["txy"], 0], jac[:, k["txy"], 1]
+    cx, cy = jac[:, k["c"], 0], jac[:, k["c"], 1]
+    jx_x, jy_y = jac[:, k["jx"], 0], jac[:, k["jy"], 1]
     two_over_re = 2.0 / re
     one_over_re = 1.0 / re
     one_over_pe = 1.0 / (re * sc)
     return {
-        "continuity": s.ux + s.vy,
-        "momentum_x": s.u * s.ux + s.v * s.uy - s.txx_x - s.txy_y,
-        "momentum_y": s.u * s.vx + s.v * s.vy - s.txy_x - s.tyy_y,
-        "stress_xx": -s.p + two_over_re * s.ux - s.txx,
-        "stress_yy": -s.p + two_over_re * s.vy - s.tyy,
-        "stress_xy": one_over_re * (s.uy + s.vx) - s.txy,
-        "transport": s.u * s.cx + s.v * s.cy + one_over_pe * (s.jx_x + s.jy_y),
-        "flux_x": s.jx + s.cx,
-        "flux_y": s.jy + s.cy,
+        "continuity": ux + vy,
+        "momentum_x": u * ux + v * uy - txx_x - txy_y,
+        "momentum_y": u * vx + v * vy - txy_x - tyy_y,
+        "stress_xx": -p + two_over_re * ux - txx,
+        "stress_yy": -p + two_over_re * vy - tyy,
+        "stress_xy": one_over_re * (uy + vx) - txy,
+        "transport": u * cx + v * cy + one_over_pe * (jx_x + jy_y),
+        "flux_x": jx + cx,
+        "flux_y": jy + cy,
     }
 
 
-def boundary_residuals(s: FieldSample, kind: str, normals=None, targets=None) -> list:
-    """Residual list for one boundary family.
+def inlet_speed(x) -> np.ndarray:
+    """Parabolic inflow speed across an arm mouth at x (lengths over H).
 
-    Inlets pin (u, v, c) to their profile targets; walls and baffles enforce
-    no slip plus zero normal species flux; the outlet pins pressure and the
-    streamwise flux component.
+    The mouth spans x in [0, W/H]; the mean speed over it is 0.5 / (W/H), so
+    each arm carries half of the unit flux.
     """
-    targets = targets or {}
-    if kind in ("inlet_top", "inlet_bottom"):
-        for key in ("u", "v", "c"):
-            if key not in targets:
-                raise DomainError(f"{kind} targets must include {key!r}")
-        return [s.u - targets["u"], s.v - targets["v"], s.c - targets["c"]]
+    width = CHANNEL.W / CHANNEL.H
+    xi = np.clip(x / width, 0.0, 1.0)
+    mean = 0.5 / width
+    return 6.0 * mean * xi * (1.0 - xi)
+
+
+def boundary_residuals(out, kind: str, X, normals) -> list:
+    """Residual list for one boundary family, from the fields ``out`` at rows ``X``.
+
+    Inlets pin u to 0, v to the inflow profile at the rows' x (into the
+    channel) and c to the arm's concentration, 1 at the top and 0 at the
+    bottom; walls and baffles enforce no slip plus zero normal species flux;
+    the outlet pins pressure and the streamwise flux component.
+    """
+    k = FIELD_INDEX
+    if kind in INLETS:
+        sign, c_in = INLETS[kind]
+        v_in = sign * inlet_speed(X[:, X_COLUMN])
+        return [out[:, k["u"]], out[:, k["v"]] - v_in, out[:, k["c"]] - c_in]
     if kind in ("wall", "baffle"):
-        if normals is None:
-            raise DomainError(f"{kind} residuals need outward normals")
         normals = np.asarray(normals, dtype=np.float64)
-        return [s.u, s.v, s.jx * normals[:, 0] + s.jy * normals[:, 1]]
+        return [out[:, k["u"]], out[:, k["v"]],
+                out[:, k["jx"]] * normals[:, 0] + out[:, k["jy"]] * normals[:, 1]]
     if kind == "outlet":
-        return [s.p, s.jx]
+        return [out[:, k["p"]], out[:, k["jx"]]]
     raise DomainError(f"unknown boundary kind {kind!r}")
 
 
@@ -228,8 +197,7 @@ def _assemble(colloc: CollocationSet, evaluate, weights: LossWeights):
     interior = colloc.interior
     if interior is not None and len(interior):
         out, jac = evaluate(interior, True)
-        sample = FieldSample.from_net(out, jac)
-        residuals = _pde_residuals(sample, interior[:, 5], interior[:, 6])
+        residuals = pde_residuals(out, jac, interior[:, RE_COLUMN], interior[:, SC_COLUMN])
         acc = reduce(operator.add, [(residuals[name] ** 2).sum() for name in RESIDUAL_NAMES])
         families["pde"] = acc * (1.0 / (len(RESIDUAL_NAMES) * len(interior)))
 
@@ -243,8 +211,7 @@ def _assemble(colloc: CollocationSet, evaluate, weights: LossWeights):
     for kind, group in groups:
         rows = slice(start, start + len(group.X))
         start = rows.stop
-        sample = FieldSample.from_net(out, rows=rows)
-        residuals = boundary_residuals(sample, kind, group.normals, group.targets)
+        residuals = boundary_residuals(out[rows], kind, group.X, group.normals)
         acc = reduce(operator.add, [(r ** 2).sum() for r in residuals])
         families[kind] = acc * (1.0 / (len(residuals) * len(group.X)))
 
@@ -253,7 +220,7 @@ def _assemble(colloc: CollocationSet, evaluate, weights: LossWeights):
         for sl in colloc.slices:
             rows = slice(start, start + len(sl.X))
             start = rows.stop
-            terms.append(massflow_penalty(out[rows, FIELD_INDEX["u"]], sl.weights, sl.target))
+            terms.append(massflow_penalty(out[rows, FIELD_INDEX["u"]], sl.weights, FLUX_TARGET))
         families["massflow"] = reduce(operator.add, terms) * (1.0 / len(colloc.slices))
 
     terms = [value * wdict[name] for name, value in families.items() if wdict[name] != 0.0]

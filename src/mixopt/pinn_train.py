@@ -24,7 +24,7 @@ from .diffnet.adam import adam_step
 from .diffnet.tape import leaf
 from .errors import DomainError, NumericalError, check_ints, check_widths
 from .geometry import CHANNEL, ControlPolygon, build_layout
-from .physics import LossReport, LossWeights, loss_node, total_loss
+from .physics import FIELD_INDEX, LossReport, LossWeights, loss_node, total_loss
 from .sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
 
 
@@ -206,8 +206,8 @@ def evaluate_fields(params: ParameterSet, cp, re: float, sc: float, grid=(141, 4
         np.full(nx * ny, re), np.full(nx * ny, sc),
     ])
     out = forward(params, rows)
-    u = out[:, 0].reshape(ny, nx)
-    v = out[:, 1].reshape(ny, nx)
-    p = out[:, 2].reshape(ny, nx)
-    c = out[:, 6].reshape(ny, nx)
+    u = out[:, FIELD_INDEX["u"]].reshape(ny, nx)
+    v = out[:, FIELD_INDEX["v"]].reshape(ny, nx)
+    p = out[:, FIELD_INDEX["p"]].reshape(ny, nx)
+    c = out[:, FIELD_INDEX["c"]].reshape(ny, nx)
     return FieldTable(x=x, y=y, u=u, v=v, speed=np.hypot(u, v), p=p, c=c, mask=mask)

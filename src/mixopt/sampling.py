@@ -1,13 +1,16 @@
 """Collocation rows over space, design and physics: uniform interior, LHS boundaries and slices.
 
-Rows are ordered (x, y, cp1, cp2, cp3, re, sc); x and y are dimensionless
-channel coordinates (lengths over H). Interior points live in the channel
-rectangle; inlet boundary rows sit on the arm mouths.
+Rows are ordered (x, y, cp1, cp2, cp3, re, sc), as ``DIM_NAMES`` names
+them; x and y are dimensionless channel coordinates (lengths over H).
+Interior points live in the fluid; each boundary group's rows sit on the
+segments of its kind, with their outward normals; each penalty slice spans
+the fluid across one station, with its quadrature weights. This module only
+says where the points are: what holds at them is ``physics``'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,17 +85,15 @@ class BoundaryGroup:
     kind: str
     X: np.ndarray
     normals: np.ndarray
-    targets: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class PenaltySlice:
-    """A cross-channel quadrature line carrying a mass-flow target."""
+    """A cross-channel quadrature line: the rows and their trapezoid weights."""
 
     station: float
     X: np.ndarray
     weights: np.ndarray
-    target: float
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,8 @@ def _uniform_interior(rng, n, bounds):
     return np.concatenate(kept)[:n]
 
 
-def _inlet_profile(xi: np.ndarray, width: float) -> np.ndarray:
-    """Parabolic inflow speed across one arm mouth; per-arm mean 0.5/width."""
-    mean = 0.5 / width
-    return 6.0 * mean * xi * (1.0 - xi)
-
-
 def _boundary_group_rows(rng, seg, n, bounds):
-    """Rows for one boundary segment: 6-D LHS over (t, cp1..3, re, sc)."""
+    """Rows and outward normals for one boundary segment: 6-D LHS over (t, cp1..3, re, sc)."""
     lows = np.concatenate([[0.0], bounds.lows()[2:]])
     highs = np.concatenate([[1.0], bounds.highs()[2:]])
     design = _lhs_matrix(rng, n, lows, highs)
@@ -158,18 +153,7 @@ def _boundary_group_rows(rng, seg, n, bounds):
     else:
         pts, nrm = seg.at(t)
     X = np.column_stack([pts[:, 0] / H, pts[:, 1] / H, design[:, 1:]])
-    targets = {}
-    if seg.kind in ("inlet_top", "inlet_bottom"):
-        width = CHANNEL.W / H
-        xi = np.clip(X[:, 0] / width, 0.0, 1.0)
-        speed = _inlet_profile(xi, width)
-        sign = -1.0 if seg.kind == "inlet_top" else 1.0
-        targets = {
-            "u": np.zeros(n),
-            "v": sign * speed,
-            "c": np.full(n, 1.0 if seg.kind == "inlet_top" else 0.0),
-        }
-    return X, nrm, targets
+    return X, nrm
 
 
 def slice_points(cps: np.ndarray, x_mm, n: int):
@@ -226,13 +210,8 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
             _boundary_group_rows(rng, seg, counts.per_boundary, bounds))
     groups = {}
     for kind, rows in parts.items():
-        Xs, normals, targets = zip(*rows)
-        groups[kind] = BoundaryGroup(
-            kind=kind,
-            X=np.concatenate(Xs),
-            normals=np.concatenate(normals),
-            targets={k: np.concatenate([tg[k] for tg in targets]) for k in targets[0]},
-        )
+        Xs, normals = zip(*rows)
+        groups[kind] = BoundaryGroup(kind=kind, X=np.concatenate(Xs), normals=np.concatenate(normals))
 
     stations = default_slice_stations() if slice_stations is None else list(slice_stations)
     slices = []
@@ -247,6 +226,6 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
                 y / H,
                 np.tile(design, (m, 1)),
             ])
-            slices.append(PenaltySlice(station=float(station), X=X, weights=w / H, target=1.0))
+            slices.append(PenaltySlice(station=float(station), X=X, weights=w / H))
 
     return CollocationSet(interior=interior, boundary=groups, slices=tuple(slices))

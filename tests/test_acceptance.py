@@ -24,7 +24,7 @@ from mixopt.diffnet import (
 from mixopt.ga import GAConfig, compare_timing, linear_r2, run_ga
 from mixopt.geometry import ChannelDims, ControlPolygon, build_spline, eval_spline, unit_normal
 from mixopt.metrics import baseline_table, mixing_efficiency, mixing_index
-from mixopt.physics import FieldSample, pde_residuals
+from mixopt.physics import FIELD_INDEX, pde_residuals
 from mixopt.pinn_train import TrainConfig, load_checkpoint, save_checkpoint, train
 from mixopt.rl import (
     PinnEnv,
@@ -205,49 +205,42 @@ def test_network_derivatives_match_central_differences():
 # ------------------------------------------------------------------- physics
 
 
-def _poiseuille_sample(y, re):
+def _fields(n, **fields):
+    """A network's (out, jac) at n rows: values by name (``u``) and x/y
+    derivatives by name and axis (``u_y``); every other entry zero."""
+    out, jac = np.zeros((n, 9)), np.zeros((n, 9, 2))
+    for name, value in fields.items():
+        field, _, axis = name.partition("_")
+        if axis:
+            jac[:, FIELD_INDEX[field], "xy".index(axis)] = value
+        else:
+            out[:, FIELD_INDEX[field]] = value
+    return out, jac
+
+
+def _poiseuille_fields(y, re):
     y = np.asarray(y, dtype=float)
     x = np.linspace(0.5, 6.5, y.size)
-    z = np.zeros_like(y)
     p = 12.0 / re * (7.0 - x)
-    return FieldSample(
-        u=6.0 * y * (1.0 - y), v=z.copy(), p=p,
-        txx=-p, tyy=-p, txy=(6.0 - 12.0 * y) / re,
-        c=np.full_like(y, 0.5), jx=z.copy(), jy=z.copy(),
-        ux=z.copy(), uy=6.0 - 12.0 * y, vx=z.copy(), vy=z.copy(),
-        px=np.full_like(y, -12.0 / re), py=z.copy(),
-        txx_x=np.full_like(y, 12.0 / re), txx_y=z.copy(),
-        tyy_x=np.full_like(y, 12.0 / re), tyy_y=z.copy(),
-        txy_x=z.copy(), txy_y=np.full_like(y, -12.0 / re),
-        cx=z.copy(), cy=z.copy(),
-        jx_x=z.copy(), jx_y=z.copy(), jy_x=z.copy(), jy_y=z.copy(),
-    )
+    return _fields(
+        y.size, u=6.0 * y * (1.0 - y), p=p, txx=-p, tyy=-p, txy=(6.0 - 12.0 * y) / re, c=0.5,
+        u_y=6.0 - 12.0 * y, p_x=-12.0 / re, txx_x=12.0 / re, tyy_x=12.0 / re, txy_y=-12.0 / re)
 
 
-def _diffusion_sample(y, slope=0.8, offset=0.1, pressure=0.7):
+def _diffusion_fields(y, slope=0.8, offset=0.1, pressure=0.7):
     y = np.asarray(y, dtype=float)
-    z = np.zeros_like(y)
-    p = np.full_like(y, pressure)
-    return FieldSample(
-        u=z.copy(), v=z.copy(), p=p, txx=-p, tyy=-p, txy=z.copy(),
-        c=offset + slope * y, jx=z.copy(), jy=np.full_like(y, -slope),
-        ux=z.copy(), uy=z.copy(), vx=z.copy(), vy=z.copy(),
-        px=z.copy(), py=z.copy(),
-        txx_x=z.copy(), txx_y=z.copy(), tyy_x=z.copy(), tyy_y=z.copy(),
-        txy_x=z.copy(), txy_y=z.copy(),
-        cx=z.copy(), cy=np.full_like(y, slope),
-        jx_x=z.copy(), jx_y=z.copy(), jy_x=z.copy(), jy_y=z.copy(),
-    )
+    return _fields(y.size, p=pressure, txx=-pressure, tyy=-pressure,
+                   c=offset + slope * y, jy=-slope, c_y=slope)
 
 
 def test_flow_closures_zero_every_residual():
     y = np.linspace(0.0, 1.0, 33)
     worst = 0.0
     for re in (1.0, 10.0, 37.5):
-        res = pde_residuals(_poiseuille_sample(y, re), re=re, sc=12.0)
+        res = pde_residuals(*_poiseuille_fields(y, re), re=re, sc=12.0)
         assert len(res) == 9
         worst = max(worst, max(float(np.max(np.abs(r))) for r in res.values()))
-    res = pde_residuals(_diffusion_sample(y), re=25.0, sc=3.0)
+    res = pde_residuals(*_diffusion_fields(y), re=25.0, sc=3.0)
     worst = max(worst, max(float(np.max(np.abs(r))) for r in res.values()))
     _gate("channel-flow and pure-diffusion closures",
           worst <= 1e-12,

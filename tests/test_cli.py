@@ -1,7 +1,9 @@
 import csv
 import json
 import logging
+import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -213,11 +215,47 @@ def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     assert summary["aborted_at"] is None
     assert np.isfinite(summary["final_total"])
     lines = hist.read_text().strip().splitlines()
-    assert lines[0] == "step,total"
+    assert lines[0] == "step,set,total"
     assert len(lines) >= 3
+    keys = [tuple(line.split(",")[:2]) for line in lines[1:]]
+    assert len(set(keys)) == len(keys)
+    assert keys[0] == ("0", "full") and keys[-1][1] == "full"
+    assert {k[1] for k in keys[1:-1]} == {"batch"}
     from mixopt.pinn_train import load_checkpoint
     params = load_checkpoint(str(out))
     assert params.spec.hidden == (8, 8)
+
+
+def test_train_history_after_no_steps_holds_one_row(tmp_path):
+    cfg = write_config(tmp_path, {"train": tiny_train_section()})
+    hist = tmp_path / "loss.csv"
+    assert main(["--config", cfg, "train", "--steps", "0", "--out", str(tmp_path / "net.ckpt"),
+                 "--history", str(hist)]) == 0
+    lines = hist.read_text().strip().splitlines()
+    assert lines[0] == "step,set,total"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "full"]]
+
+
+def test_evaluate_rejects_a_checkpoint_with_a_negative_halfspan(tmp_path, capsys):
+    """A copy of the pinned surrogate with its Re half-span negated: before,
+    it loaded, and its baseline table gave one (mi0, cp0) for every Re."""
+    surrogate = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "data", "field_surrogate.ckpt")
+    with open(surrogate, "rb") as fh:
+        data = fh.read()
+    n = struct.unpack("<Q", data[8:16])[0]
+    header = json.loads(data[16:16 + n])
+    header["norm"]["halfspan"][5] = -header["norm"]["halfspan"][5]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "negated.ckpt"
+    bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + n:])
+    fields = tmp_path / "fields.csv"
+    rc = main(["evaluate", "--checkpoint", str(bad), "--cp", "0.1", "0.2", "0.1",
+               "--re", "20", "--sc", "10", "--fields", str(fields)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CheckpointError" and "halfspan" in err["message"]
+    assert not fields.exists()
 
 
 def test_train_deterministic_checkpoints(tmp_path):

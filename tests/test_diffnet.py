@@ -243,6 +243,19 @@ def test_input_norm_is_a_read_only_copy():
     assert center.flags.writeable and copied.halfspan[0] == 1.0
 
 
+@pytest.mark.parametrize("center, halfspan, match", [
+    (np.zeros(7), np.ones(1), "one length"),
+    (np.zeros((2, 1)), np.ones((2, 1)), "1-D"),
+    ([0.0, np.nan], [1.0, 1.0], "finite"),
+    ([0.0, 0.0], [1.0, np.inf], "finite"),
+    ([0.0, 0.0], [1.0, -1.0], ">= 0"),
+    (["abc", 0.0], [1.0, 1.0], "numbers"),
+])
+def test_input_norm_rejects_bad_center_or_halfspan(center, halfspan, match):
+    with pytest.raises(DomainError, match=match):
+        InputNorm(center=center, halfspan=halfspan)
+
+
 def rel_linf(got, want):
     return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
@@ -795,3 +808,18 @@ def test_pinned_surrogate_saves_back_to_its_own_bytes(tmp_path):
     save_params(params, again, role=header["role"], seed=header["seed"])
     with open(SURROGATE, "rb") as fh:
         assert again.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("halfspan", [
+    lambda h: [-h[0]] + h[1:],  # a negated span mirrors its input axis
+    lambda h: h[:1],  # one entry for seven inputs
+    lambda h: ["abc"] + h[1:],
+])
+def test_checkpoint_rejects_a_bad_input_normalization(tmp_path, halfspan):
+    path = tmp_path / "bad.ckpt"
+    with open(SURROGATE, "rb") as fh:
+        data = fh.read()
+    path.write_bytes(_with_header(data, lambda header: header["norm"].update(
+        halfspan=halfspan(header["norm"]["halfspan"]))))
+    with pytest.raises(CheckpointError, match="invalid spec"):
+        load_params(path)

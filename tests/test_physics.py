@@ -13,14 +13,16 @@ from mixopt.diffnet import (
     param_gradient,
 )
 from mixopt.diffnet.tape import leaf
-from mixopt.errors import DomainError, NumericalError
-from mixopt.geometry import ChannelDims
+from mixopt import physics
+from mixopt.errors import DomainError
+from mixopt.geometry import CHANNEL, ChannelDims
 from mixopt.physics import (
+    FIELD_INDEX,
     RESIDUAL_NAMES,
-    FieldSample,
     LossReport,
     LossWeights,
     boundary_residuals,
+    inlet_speed,
     loss_node,
     massflow_penalty,
     pde_residuals,
@@ -36,51 +38,39 @@ from mixopt.sampling import (
 )
 
 
-def zero_sample(n):
-    z = np.zeros(n)
-    names = [f.name for f in FieldSample.__dataclass_fields__.values()]
-    return FieldSample(**{name: z.copy() for name in names})
+def field_arrays(n, **fields):
+    """A network's (out, jac) at n rows: values by name (``u``, ``txx``) and
+    x/y derivatives by name and axis (``u_y``, ``txx_x``); the rest zero."""
+    out = np.zeros((n, len(FIELD_INDEX)))
+    jac = np.zeros((n, len(FIELD_INDEX), 2))
+    for name, value in fields.items():
+        field, _, axis = name.partition("_")
+        if axis:
+            jac[:, FIELD_INDEX[field], "xy".index(axis)] = value
+        else:
+            out[:, FIELD_INDEX[field]] = value
+    return out, jac
 
 
-def poiseuille_sample(y, re):
+def poiseuille_fields(y, re):
     """Fully developed channel closure: parabolic u, linear p, matching stresses."""
     y = np.asarray(y, dtype=float)
     x = np.linspace(0.5, 6.5, y.size)
-    z = np.zeros_like(y)
     p = 12.0 / re * (7.0 - x)
-    return FieldSample(
-        u=6.0 * y * (1.0 - y), v=z.copy(), p=p,
-        txx=-p, tyy=-p, txy=(6.0 - 12.0 * y) / re,
-        c=np.full_like(y, 0.5), jx=z.copy(), jy=z.copy(),
-        ux=z.copy(), uy=6.0 - 12.0 * y, vx=z.copy(), vy=z.copy(),
-        px=np.full_like(y, -12.0 / re), py=z.copy(),
-        txx_x=np.full_like(y, 12.0 / re), txx_y=z.copy(),
-        tyy_x=np.full_like(y, 12.0 / re), tyy_y=z.copy(),
-        txy_x=z.copy(), txy_y=np.full_like(y, -12.0 / re),
-        cx=z.copy(), cy=z.copy(),
-        jx_x=z.copy(), jx_y=z.copy(), jy_x=z.copy(), jy_y=z.copy(),
-    )
+    return field_arrays(
+        y.size, u=6.0 * y * (1.0 - y), p=p, txx=-p, tyy=-p, txy=(6.0 - 12.0 * y) / re, c=0.5,
+        u_y=6.0 - 12.0 * y, p_x=-12.0 / re, txx_x=12.0 / re, tyy_x=12.0 / re, txy_y=-12.0 / re)
 
 
-def diffusion_sample(y, slope=0.8, offset=0.1, pressure=0.7):
+def diffusion_fields(y, slope=0.8, offset=0.1, pressure=0.7):
     """Quiescent fluid with a linear concentration ramp and its constant flux."""
     y = np.asarray(y, dtype=float)
-    z = np.zeros_like(y)
-    p = np.full_like(y, pressure)
-    return FieldSample(
-        u=z.copy(), v=z.copy(), p=p, txx=-p, tyy=-p, txy=z.copy(),
-        c=offset + slope * y, jx=z.copy(), jy=np.full_like(y, -slope),
-        ux=z.copy(), uy=z.copy(), vx=z.copy(), vy=z.copy(),
-        px=z.copy(), py=z.copy(),
-        txx_x=z.copy(), txx_y=z.copy(), tyy_x=z.copy(), tyy_y=z.copy(),
-        txy_x=z.copy(), txy_y=z.copy(),
-        cx=z.copy(), cy=np.full_like(y, slope),
-        jx_x=z.copy(), jx_y=z.copy(), jy_x=z.copy(), jy_y=z.copy(),
-    )
+    return field_arrays(y.size, p=pressure, txx=-pressure, tyy=-pressure,
+                        c=offset + slope * y, jy=-slope, c_y=slope)
 
 
 def test_zero_fields_zero_residuals():
-    res = pde_residuals(zero_sample(6), re=10.0, sc=5.0)
+    res = pde_residuals(*field_arrays(6), re=10.0, sc=5.0)
     assert set(res) == set(RESIDUAL_NAMES)
     for r in res.values():
         assert np.all(r == 0.0)
@@ -89,49 +79,93 @@ def test_zero_fields_zero_residuals():
 def test_poiseuille_closure_zeroes_all_residuals():
     y = np.linspace(0.0, 1.0, 17)
     for re in (1.0, 10.0, 37.5):
-        res = pde_residuals(poiseuille_sample(y, re), re=re, sc=12.0)
+        res = pde_residuals(*poiseuille_fields(y, re), re=re, sc=12.0)
         for name, r in res.items():
             assert np.max(np.abs(r)) <= 1e-12, name
 
 
 def test_pure_diffusion_closure_zeroes_all_residuals():
     y = np.linspace(0.0, 1.0, 9)
-    res = pde_residuals(diffusion_sample(y), re=25.0, sc=3.0)
+    res = pde_residuals(*diffusion_fields(y), re=25.0, sc=3.0)
     for name, r in res.items():
         assert np.max(np.abs(r)) <= 1e-12, name
 
 
 def test_residuals_deterministic():
     y = np.linspace(0.0, 1.0, 5)
-    s = poiseuille_sample(y, 8.0)
-    a = pde_residuals(s, 8.0, 2.0)
-    b = pde_residuals(s, 8.0, 2.0)
+    out, jac = poiseuille_fields(y, 8.0)
+    a = pde_residuals(out, jac, 8.0, 2.0)
+    b = pde_residuals(out, jac, 8.0, 2.0)
     for name in RESIDUAL_NAMES:
         assert np.array_equal(a[name], b[name])
 
 
 def test_residuals_validate_inputs():
-    s = zero_sample(3)
+    out, jac = field_arrays(3)
     with pytest.raises(DomainError):
-        pde_residuals(s, re=-1.0, sc=2.0)
-    bad = zero_sample(3)
-    bad.u[1] = np.nan
-    with pytest.raises(NumericalError):
-        pde_residuals(bad, re=1.0, sc=1.0)
-    s2 = FieldSample(**{k: np.zeros(3) for k in ("u", "v", "p", "txx", "tyy", "txy", "c", "jx", "jy")})
+        pde_residuals(out, jac, re=-1.0, sc=2.0)
     with pytest.raises(DomainError):
-        pde_residuals(s2, re=1.0, sc=1.0)
+        pde_residuals(out, jac, re=1.0, sc=np.array([1.0, np.inf, 1.0]))
+    # a non-finite field is not an input error: it reaches the residuals, so
+    # the training loss comes out NaN and the run aborts instead of raising
+    out[1, FIELD_INDEX["u"]] = np.nan
+    res = pde_residuals(out, jac, re=1.0, sc=1.0)
+    assert np.isnan(res["momentum_x"][1]) and np.isnan(res["transport"][1])
+    assert np.all(res["continuity"] == 0.0)
+    assert not np.isnan(res["momentum_x"][[0, 2]]).any()
+
+
+def inlet_rows(seed=4, per_boundary=40):
+    colloc = generate_collocation(ChannelDims(), SampleBounds(),
+                                  CollocationCounts(interior=10, per_boundary=per_boundary),
+                                  seed=seed)
+    return colloc.boundary["inlet_top"], colloc.boundary["inlet_bottom"]
+
+
+def test_inlet_rows_on_mouths_with_profile_targets():
+    """Inlet rows sit on the arm mouths, and from the rows alone the exact
+    inflow (a parabola of mean 0.5 per unit-wide mouth, into the channel,
+    with c 1 at the top and 0 at the bottom) zeroes every inlet residual."""
+    width = CHANNEL.W / CHANNEL.H
+    assert width == 1.0  # so the profile below is 3 xi (1 - xi), xi = x
+    top, bot = inlet_rows()
+    assert np.allclose(top.X[:, 1], 1.0, atol=1e-12)
+    assert np.allclose(bot.X[:, 1], 0.0, atol=1e-12)
+    assert np.allclose(top.normals, [0.0, 1.0])
+    for group, sign, c_in in ((top, -1.0, 1.0), (bot, 1.0, 0.0)):
+        xi = group.X[:, 0]
+        assert np.all((xi >= 0.0) & (xi <= width))
+        out, _ = field_arrays(len(xi), v=sign * 3.0 * xi * (1.0 - xi), c=c_in)
+        res = boundary_residuals(out, group.kind, group.X, group.normals)
+        assert len(res) == 3
+        for r in res:
+            assert np.max(np.abs(r)) <= 1e-15
+        # each residual reads its own column
+        for k, name in enumerate(("u", "v", "c")):
+            moved = out.copy()
+            moved[:, FIELD_INDEX[name]] += 0.25
+            shifted = boundary_residuals(moved, group.kind, group.X, group.normals)
+            assert np.allclose(shifted[k], 0.25, atol=1e-15)
+
+
+def test_inlet_profile_mean_is_half_per_arm():
+    width = CHANNEL.W / CHANNEL.H
+    x = np.linspace(0.0, width, 20001)
+    prof = inlet_speed(x)
+    flux = np.sum(0.5 * (prof[1:] + prof[:-1]) * np.diff(x))
+    assert abs(flux - 0.5) < 1e-8
+    assert prof[0] == 0.0 and prof[-1] == 0.0
+    # outside the mouth the profile stays clipped to zero
+    assert np.all(inlet_speed(np.array([-0.5, width + 0.5])) == 0.0)
 
 
 def test_inlet_residuals_vanish_on_exact_profile():
     n = 8
-    xi = np.linspace(0.0, 1.0, n)
-    prof = 3.0 * xi * (1.0 - xi)
-    s = zero_sample(n)
-    s.v = -prof
-    s.c = np.ones(n)
-    targets = {"u": np.zeros(n), "v": -prof, "c": np.ones(n)}
-    res = boundary_residuals(s, "inlet_top", targets=targets)
+    x = np.linspace(0.0, CHANNEL.W / CHANNEL.H, n)
+    X = np.zeros((n, 7))
+    X[:, 0] = x
+    out, _ = field_arrays(n, v=-inlet_speed(x), c=1.0)
+    res = boundary_residuals(out, "inlet_top", X, np.tile([0.0, 1.0], (n, 1)))
     assert len(res) == 3
     for r in res:
         assert np.all(r == 0.0)
@@ -139,33 +173,30 @@ def test_inlet_residuals_vanish_on_exact_profile():
 
 def test_wall_residuals_no_slip_and_no_flux():
     n = 5
-    s = zero_sample(n)
     normals = np.tile([0.6, 0.8], (n, 1))
     scale = np.linspace(-2.0, 2.0, n)
-    s.jx = -0.8 * scale
-    s.jy = 0.6 * scale  # flux parallel to the wall
-    res = boundary_residuals(s, "baffle", normals=normals)
+    X = np.zeros((n, 7))
+    out, _ = field_arrays(n, jx=-0.8 * scale, jy=0.6 * scale)  # flux parallel to the wall
+    res = boundary_residuals(out, "baffle", X, normals)
     assert np.max(np.abs(res[2])) < 1e-15
-    s.jx = normals[:, 0] * 0.5
-    s.jy = normals[:, 1] * 0.5
-    res = boundary_residuals(s, "wall", normals=normals)
+    out, _ = field_arrays(n, jx=normals[:, 0] * 0.5, jy=normals[:, 1] * 0.5)
+    res = boundary_residuals(out, "wall", X, normals)
     assert np.allclose(res[2], 0.5)
 
 
 def test_outlet_residuals_pin_pressure_and_streamwise_flux():
-    s = zero_sample(4)
-    s.p = np.array([0.0, 0.1, -0.2, 0.0])
-    s.jx = np.array([0.0, 0.0, 0.3, 0.0])
-    res = boundary_residuals(s, "outlet")
-    assert np.array_equal(res[0], s.p)
-    assert np.array_equal(res[1], s.jx)
+    p = np.array([0.0, 0.1, -0.2, 0.0])
+    jx = np.array([0.0, 0.0, 0.3, 0.0])
+    out, _ = field_arrays(4, p=p, jx=jx)
+    res = boundary_residuals(out, "outlet", np.zeros((4, 7)), np.tile([1.0, 0.0], (4, 1)))
+    assert np.array_equal(res[0], p)
+    assert np.array_equal(res[1], jx)
 
 
 def test_unknown_boundary_kind_rejected():
+    out, _ = field_arrays(2)
     with pytest.raises(DomainError):
-        boundary_residuals(zero_sample(2), "lid")
-    with pytest.raises(DomainError):
-        boundary_residuals(zero_sample(2), "inlet_top", targets={"u": np.zeros(2)})
+        boundary_residuals(out, "lid", np.zeros((2, 7)), np.zeros((2, 2)))
 
 
 def test_massflow_penalty_cases():
@@ -214,9 +245,13 @@ def test_zero_network_loss_matches_hand_computation():
     assert report.families["wall"] == 0.0
     assert report.families["baffle"] == 0.0
     assert report.families["outlet"] == 0.0
-    for kind in ("inlet_top", "inlet_bottom"):
+    # a zero field misses the inflow 3 xi (1 - xi) on both mouths (W = H, so
+    # xi = x) and the concentration 1 on the top one
+    for kind, c_in in (("inlet_top", 1.0), ("inlet_bottom", 0.0)):
         g = colloc.boundary[kind]
-        want = (np.sum(g.targets["v"] ** 2) + np.sum(g.targets["c"] ** 2)) / (3 * len(g.X))
+        xi = g.X[:, 0]
+        v_in = 3.0 * xi * (1.0 - xi)
+        want = (np.sum(v_in ** 2) + len(g.X) * c_in ** 2) / (3 * len(g.X))
         assert abs(report.families[kind] - want) < 1e-14
     assert abs(report.families["massflow"] - 1.0) < 1e-14
     want_total = 10.0 * (report.families["inlet_top"] + report.families["inlet_bottom"] + 1.0)
@@ -256,7 +291,7 @@ def test_loss_node_hand_check_two_points():
     colloc = CollocationSet(
         interior=interior,
         boundary={"wall": BoundaryGroup(kind="wall", X=wall_X, normals=wall_n)},
-        slices=(PenaltySlice(station=6.0, X=slice_X, weights=w, target=1.0),),
+        slices=(PenaltySlice(station=6.0, X=slice_X, weights=w),),
     )
     node, report = loss_node(colloc, leaf(params.flat), params, LossWeights())
 
@@ -314,15 +349,13 @@ def test_stacked_loss_node_matches_per_family_numpy_sums():
 
     want = {}
     I = colloc.interior
-    sample = FieldSample.from_net(forward(params, I), forward_jac(params, I)[1])
-    res = pde_residuals(sample, I[:, 5], I[:, 6])
+    res = pde_residuals(forward(params, I), forward_jac(params, I)[1], I[:, 5], I[:, 6])
     want["pde"] = sum(np.sum(res[name] ** 2) for name in RESIDUAL_NAMES) / (9 * len(I))
     for kind, group in colloc.boundary.items():
-        res = boundary_residuals(FieldSample.from_net(forward(params, group.X)), kind,
-                                 group.normals, group.targets)
+        res = boundary_residuals(forward(params, group.X), kind, group.X, group.normals)
         want[kind] = sum(np.sum(r ** 2) for r in res) / (len(res) * len(group.X))
     want["massflow"] = np.mean([
-        (np.sum(forward(params, sl.X)[:, 0] * sl.weights) - sl.target) ** 2
+        (np.sum(forward(params, sl.X)[:, 0] * sl.weights) - 1.0) ** 2
         for sl in colloc.slices])
 
     assert set(report.families) == set(want)
@@ -378,7 +411,7 @@ def test_value_only_total_loss_is_the_tape_report_bit_for_bit(seed, activation):
 POW_ULP_DEFECT = 0.687611213910762
 
 
-def test_massflow_penalty_squares_by_multiplication_on_arrays_and_nodes():
+def test_massflow_penalty_squares_by_multiplication_on_arrays_and_nodes(monkeypatch):
     x = POW_ULP_DEFECT
     u, w = np.array([x, 0.0]), np.array([1.0, 0.5])
     want = np.float64(x) * np.float64(x)
@@ -389,11 +422,11 @@ def test_massflow_penalty_squares_by_multiplication_on_arrays_and_nodes():
     # mul's cotangent g*d + g*d is square's g * (2 d), bit for bit
     assert np.array_equal(param_gradient(penalty, node_u), np.array([2.0 * x, x]))
 
-    # a zero network makes every slice's defect -target
+    # a zero network makes every slice's defect -FLUX_TARGET
+    monkeypatch.setattr(physics, "FLUX_TARGET", x)
     colloc = tiny_colloc(seed=6)
-    sl = colloc.slices[0]
-    slices = (PenaltySlice(station=sl.station, X=sl.X, weights=sl.weights, target=x),)
-    colloc = CollocationSet(interior=colloc.interior, boundary=colloc.boundary, slices=slices)
+    colloc = CollocationSet(interior=colloc.interior, boundary=colloc.boundary,
+                            slices=colloc.slices[:1])
     params = init_params(NetworkSpec(), seed=0)
     params = params.with_flat(np.zeros_like(params.flat))
     report = total_loss(colloc, params)

@@ -68,11 +68,11 @@ def test_abort_on_non_finite_loss_returns_finite_params():
     cfg = tiny_config(steps=30)
     colloc = generate_collocation(ChannelDims(), cfg.bounds, cfg.counts, seed=0)
     top = colloc.boundary["inlet_top"]
-    poisoned_targets = {k: v.copy() for k, v in top.targets.items()}
-    poisoned_targets["v"][0] = np.nan
+    # a NaN x makes both the row's fields and its inflow profile NaN
+    poisoned_X = top.X.copy()
+    poisoned_X[0, 0] = np.nan
     boundary = dict(colloc.boundary)
-    boundary["inlet_top"] = BoundaryGroup(kind="inlet_top", X=top.X, normals=top.normals,
-                                          targets=poisoned_targets)
+    boundary["inlet_top"] = BoundaryGroup(kind="inlet_top", X=poisoned_X, normals=top.normals)
     poisoned = CollocationSet(interior=colloc.interior, boundary=boundary, slices=colloc.slices)
     params, history = train(cfg, colloc=poisoned)
     assert history.aborted_at == 1

@@ -228,11 +228,9 @@ def test_collocation_equals_per_row_baffle_reference(monkeypatch, seed, per_boun
     for kind, grp in fast.boundary.items():
         ref = slow.boundary[kind]
         assert np.array_equal(grp.X, ref.X) and np.array_equal(grp.normals, ref.normals)
-        assert grp.targets.keys() == ref.targets.keys()
-        assert all(np.array_equal(grp.targets[k], ref.targets[k]) for k in grp.targets)
     assert len(fast.slices) == len(slow.slices)
     for a, b in zip(fast.slices, slow.slices):
-        assert a.station == b.station and a.target == b.target
+        assert a.station == b.station
         assert np.array_equal(a.X, b.X) and np.array_equal(a.weights, b.weights)
 
 
@@ -240,32 +238,6 @@ def test_boundary_group_shapes():
     colloc = make_set(seed=1, per_boundary=12)
     sizes = {kind: g.X.shape[0] for kind, g in colloc.boundary.items()}
     assert sizes == {"inlet_top": 12, "inlet_bottom": 12, "wall": 60, "baffle": 24, "outlet": 12}
-
-
-def test_inlet_rows_on_mouths_with_profile_targets():
-    colloc = make_set(seed=4, per_boundary=40)
-    top = colloc.boundary["inlet_top"]
-    assert np.allclose(top.X[:, 1], 1.0, atol=1e-12)
-    assert np.all((top.X[:, 0] >= 0.0) & (top.X[:, 0] <= 1.0))
-    xi = top.X[:, 0]
-    assert np.allclose(top.targets["v"], -3.0 * xi * (1.0 - xi), atol=1e-12)
-    assert np.all(top.targets["c"] == 1.0)
-    assert np.all(top.targets["u"] == 0.0)
-    assert np.allclose(top.normals, [0.0, 1.0])
-
-    bot = colloc.boundary["inlet_bottom"]
-    assert np.allclose(bot.X[:, 1], 0.0, atol=1e-12)
-    xi = bot.X[:, 0]
-    assert np.allclose(bot.targets["v"], 3.0 * xi * (1.0 - xi), atol=1e-12)
-    assert np.all(bot.targets["c"] == 0.0)
-
-
-def test_inlet_profile_mean_is_half_per_arm():
-    width = 1.7
-    xi = np.linspace(0.0, 1.0, 20001)
-    prof = sampling._inlet_profile(xi, width)
-    mean = np.sum(0.5 * (prof[1:] + prof[:-1]) * np.diff(xi))
-    assert abs(mean * width - 0.5) < 1e-8
 
 
 def test_wall_rows_on_walls():
@@ -363,11 +335,10 @@ def test_default_stations_cover_baffles_and_outlet():
     assert abs(stations[4] - 7.0) < 1e-12
 
 
-def test_slices_carry_unit_target_and_local_height():
+def test_slices_span_local_height():
     colloc = make_set(seed=6, per_slice=33)
     assert len(colloc.slices) == 5
     for s in colloc.slices:
-        assert s.target == 1.0
         assert np.all(s.X[:, 0] == s.station)
         layout = build_layout(ControlPolygon(*s.X[0, 2:5]))
         height = (layout.upper_wall_y(s.station * 0.3) - layout.lower_wall_y(s.station * 0.3)) / 0.3
