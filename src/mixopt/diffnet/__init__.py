@@ -10,6 +10,7 @@ from .network import (
     forward_jac,
     forward_vjp,
     init_params,
+    map_blocks,
     net_apply,
     param_gradient,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "init_adam",
     "init_params",
     "load_params",
+    "map_blocks",
     "net_apply",
     "param_gradient",
     "save_params",

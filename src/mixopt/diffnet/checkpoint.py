@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from ..errors import CheckpointError, DomainError
+from ..errors import CheckpointError, DomainError, check_int
 from .network import InputNorm, NetworkSpec, ParameterSet
 
 MAGIC = b"MXNC"
@@ -89,7 +89,8 @@ def load_params(path, role=None):
             hidden=tuple(header["spec"]["hidden"]),
         )
         norm = InputNorm(center=header["norm"]["center"], halfspan=header["norm"]["halfspan"])
-        count = int(header["param_count"])
+        count = header["param_count"]
+        check_int("param_count", count, 1)
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint header missing field: {exc}") from exc
     except DomainError as exc:

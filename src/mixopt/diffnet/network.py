@@ -21,11 +21,13 @@ the products' bits. The flat vector's order, and with it the checkpoint
 format, is fixed; the reverse pass multiplies by W itself, which already
 runs NN.
 
-The value-only passes keep no per-layer arrays past their block: ``forward``
-keeps none at all, and ``forward_jac`` runs each block through the same
-routine as the tape path, so it returns the same bits, then keeps only the
-block's outputs and jacobian. Only ``forward_vjp`` (and ``net_apply`` on it)
-holds every block's reverse cache, for as long as its pullback lives.
+Every cached pass goes through one block loop, ``map_blocks``, which hands
+each block's outputs, jacobian and pullback to a caller and frees the
+block's reverse cache when the caller returns, unless it keeps the
+pullback. ``forward_jac`` keeps only each block's outputs and jacobian,
+the PINN loss pulls each block back at once, and only ``forward_vjp`` (and
+``net_apply`` on it) holds every block's cache, for as long as its
+pullback lives. ``forward`` keeps no per-layer arrays at all.
 ``forward`` alone adds each bias from a copy tiled to ``ROW_BLOCK`` rows
 (``ParameterSet.bias_tiles``); the tape and ``forward_vjp`` keep the
 broadcast add. A one-row ``forward`` (a policy query) runs the layers on
@@ -303,15 +305,26 @@ def _block(table, h, scale, need_tangent: bool) -> _Cache:
     return cache
 
 
-def _map_blocks(pset: ParameterSet, X, need_tangent: bool, keep):
-    """The one block loop of the cached passes: ``keep`` takes each block's
-    cache as soon as it is built and returns what the caller holds on to.
-    Returns the row slices and the kept values."""
-    h = pset.norm.apply(_checked(pset, X))
-    table = pset.table()
-    scale = pset.norm.inv_halfspan
-    rows = _row_blocks(len(h))
-    return rows, [keep(_block(table, h[s], scale, need_tangent)) for s in rows]
+def map_blocks(params: ParameterSet, X, need_jac: bool, fn) -> list:
+    """The one block loop of the cached passes: ``fn(rows, out, jac, pullback)``
+    on each row block in row order; returns fn's results.
+
+    ``rows`` is the block's slice of X, ``out`` and ``jac`` (None unless
+    ``need_jac``) its outputs and spatial jacobian, and ``pullback(gy, gjac)``
+    takes their cotangents (``gjac`` None without a jacobian) to the flat
+    parameter gradient through the block's fused reverse pass. The block's
+    reverse cache lives until fn returns, unless fn's result keeps the
+    pullback.
+    """
+    h = params.norm.apply(_checked(params, X))
+    table = params.table()
+    scale = params.norm.inv_halfspan
+
+    def run(rows):
+        cache = _block(table, h[rows], scale, need_jac)
+        return fn(rows, cache.out, cache.jac, functools.partial(_block_backward, table, cache))
+
+    return [run(rows) for rows in _row_blocks(len(h))]
 
 
 def _block_backward(table, cache: _Cache, gy, gjac) -> np.ndarray:
@@ -401,7 +414,7 @@ def forward_jac(params: ParameterSet, X):
     so both arrays carry its bits, but only the block's outputs and jacobian
     are kept; its reverse caches are dropped before the next block starts.
     """
-    return _stack(_map_blocks(params, X, True, lambda cache: (cache.out, cache.jac))[1])
+    return _stack(map_blocks(params, X, True, lambda rows, out, jac, pullback: (out, jac)))
 
 
 def forward_vjp(params: ParameterSet, X, need_jac: bool = False):
@@ -412,16 +425,15 @@ def forward_vjp(params: ParameterSet, X, need_jac: bool = False):
     Each row block runs its own reverse pass; their gradients are summed in
     block order, so the result is deterministic.
     """
-    rows, blocks = _map_blocks(params, X, need_jac, lambda cache: cache)
-    table = params.table()
-    out, jac = _stack([(c.out, c.jac) for c in blocks])
+    blocks = map_blocks(params, X, need_jac, lambda *block: block)
+    out, jac = _stack([(block_out, block_jac) for _, block_out, block_jac, _ in blocks])
 
     def vjp(gy, gjac=None):
         if gy is None:
             gy = np.zeros_like(out)
         total = None
-        for s, cache in zip(rows, blocks):
-            g = _block_backward(table, cache, gy[s], None if gjac is None else gjac[s])
+        for rows, _, _, pullback in blocks:
+            g = pullback(gy[rows], None if gjac is None else gjac[rows])
             if total is None:
                 total = g
             else:

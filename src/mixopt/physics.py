@@ -8,12 +8,16 @@ holds on each boundary: the interior residuals, the inlet profile and
 concentrations, the wall, baffle and outlet conditions, and the unit flux
 through every cross-section. ``sampling`` only says where the points are.
 
-Each residual, the mass-flow penalty and the loss assembly are written once
-against indexing, ``.sum()``, ``** 2`` and arithmetic, which numpy arrays
-and tape nodes both provide. ``loss_node`` runs the assembly on the nodes
-``net_apply`` returns, for the gradient; ``total_loss`` runs it on the
-arrays of the value-only passes ``forward_jac`` and ``forward``, which keep
-no reverse caches, and gets the same bits.
+Each residual and the mass-flow penalty are written once against indexing,
+``.sum()``, ``** 2`` and arithmetic, which numpy arrays and tape nodes both
+provide (the tests run them on nodes as the gradient's oracle). The loss is
+assembled once, in ``_loss``, on arrays: the interior streams through the
+network one row block at a time (``map_blocks``), and with a gradient each
+block's cotangents of (outputs, jacobian) are formed in closed form and
+pulled back at once, so only one block's reverse cache is alive; the
+boundary and slice rows share one stacked pass. ``loss_node`` hands the
+summed gradient to the tape as a one-node graph; ``total_loss`` runs the
+same assembly without it and gets the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from functools import reduce
 import numpy as np
 
 from . import jsonout
-from .diffnet import forward, forward_jac, net_apply
+from .diffnet import forward, forward_vjp, map_blocks
+from .diffnet import net_apply  # noqa: F401  (unused here; the benchmark tracer wraps physics.net_apply)
 from .diffnet.tape import Node
 from .errors import DomainError
 from .geometry import CHANNEL
@@ -132,16 +137,21 @@ def boundary_residuals(out, kind: str, X, normals) -> list:
     raise DomainError(f"unknown boundary kind {kind!r}")
 
 
-def massflow_penalty(u_values, weights, target: float):
-    """Squared defect of the quadrature flux against its target."""
+def _flux_defect(u_values, weights, target: float):
+    """Quadrature flux of u through one slice minus its target."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size < 2:
         raise DomainError("a flux slice needs at least 2 quadrature points")
     if u_values.size != weights.size:
         raise DomainError("velocity and weight lengths differ")
+    return (u_values * weights).sum() - target
+
+
+def massflow_penalty(u_values, weights, target: float):
+    """Squared defect of the quadrature flux against its target."""
     # d * d, not d ** 2: numpy squares a float64 scalar with pow, which is one
     # ulp off for some inputs; on a node, mul's cotangent equals square's
-    d = (u_values * weights).sum() - target
+    d = _flux_defect(u_values, weights, target)
     return d * d
 
 
@@ -182,73 +192,175 @@ class LossReport:
         return jsonout.dumps(payload)
 
 
-def _assemble(colloc: CollocationSet, evaluate, weights: LossWeights):
-    """The weighted loss and its families, as (total, {family: value}).
+def _pde_cotangents(out, jac, residuals, g, re, sc):
+    """Cotangents of one interior block's ``(out, jac)`` for a loss whose
+    every squared residual sum has cotangent ``g``.
 
-    ``evaluate(X, need_jac) -> (out, jac)`` evaluates the network: tape nodes
-    for ``loss_node``, arrays for ``total_loss``; the arithmetic is the same.
+    Each residual r carries ``g * (2 r)``, and these are pulled back through
+    ``pde_residuals``' arithmetic by hand. Where a column feeds several
+    residuals, its shares are added in ``RESIDUAL_NAMES`` order and each
+    product keeps its operand order: the order the tape's reverse sweep
+    used, so the gradient keeps the tape's bits. Columns no residual reads
+    get zero.
+    """
+    k = FIELD_INDEX
+    cont, mx, my, sxx, syy, sxy, tr, fx, fy = (g * (2.0 * residuals[name]) for name in RESIDUAL_NAMES)
+    u, v = out[:, k["u"]], out[:, k["v"]]
+    ux, uy = jac[:, k["u"], 0], jac[:, k["u"], 1]
+    vx, vy = jac[:, k["v"], 0], jac[:, k["v"], 1]
+    cx, cy = jac[:, k["c"], 0], jac[:, k["c"], 1]
+    two_over_re = 2.0 / re
+    one_over_re = 1.0 / re
+    one_over_pe = 1.0 / (re * sc)
+    gy = np.zeros_like(out)
+    gy[:, k["u"]] = mx * ux + my * vx + tr * cx
+    gy[:, k["v"]] = mx * uy + my * vy + tr * cy
+    gy[:, k["p"]] = -sxx - syy
+    gy[:, k["txx"]] = -sxx
+    gy[:, k["tyy"]] = -syy
+    gy[:, k["txy"]] = -sxy
+    gy[:, k["jx"]] = fx
+    gy[:, k["jy"]] = fy
+    gjac = np.zeros_like(jac)
+    shear = sxy * one_over_re
+    gjac[:, k["u"], 0] = cont + mx * u + sxx * two_over_re
+    gjac[:, k["u"], 1] = mx * v + shear
+    gjac[:, k["v"], 0] = my * u + shear
+    gjac[:, k["v"], 1] = cont + my * v + syy * two_over_re
+    gjac[:, k["txx"], 0] = -mx
+    gjac[:, k["txy"], 1] = -mx
+    gjac[:, k["txy"], 0] = -my
+    gjac[:, k["tyy"], 1] = -my
+    gjac[:, k["c"], 0] = tr * u + fx
+    gjac[:, k["c"], 1] = tr * v + fy
+    gjac[:, k["jx"], 0] = gjac[:, k["jy"], 1] = tr * one_over_pe
+    return gy, gjac
+
+
+def _boundary_cotangents(gy, kind: str, residuals, normals, g) -> None:
+    """Write into ``gy`` (one group's rows) the cotangents of its fields for
+    a loss whose every squared residual sum has cotangent ``g``; the
+    columns are ``boundary_residuals``' own, one residual each."""
+    k = FIELD_INDEX
+    shares = [g * (2.0 * r) for r in residuals]
+    if kind in INLETS:
+        gy[:, k["u"]], gy[:, k["v"]], gy[:, k["c"]] = shares
+    elif kind == "outlet":
+        gy[:, k["p"]], gy[:, k["jx"]] = shares
+    else:
+        gy[:, k["u"]], gy[:, k["v"]], flux = shares
+        normals = np.asarray(normals, dtype=np.float64)
+        gy[:, k["jx"]] = flux * normals[:, 0]
+        gy[:, k["jy"]] = flux * normals[:, 1]
+
+
+def _pde_family(params, X, weight: float, grad: bool):
+    """The pde family's value and, with ``grad``, its weighted gradient.
+
+    Each row block runs the tangent pass, writes its squared residuals into
+    one (9, n) buffer and, with ``grad``, pulls its cotangents back at once,
+    so only one block's reverse cache is alive at a time. Each buffer row is
+    summed whole at the end, as the unblocked sums were; the block
+    gradients are added in block order, as ``forward_vjp`` adds them.
+    """
+    re, sc = X[:, RE_COLUMN], X[:, SC_COLUMN]
+    squares = np.empty((len(RESIDUAL_NAMES), len(X)))
+    scale = 1.0 / squares.size
+    g = weight * scale
+
+    def block(rows, out, jac, pullback):
+        residuals = pde_residuals(out, jac, re[rows], sc[rows])
+        for row, name in zip(squares, RESIDUAL_NAMES):
+            np.multiply(residuals[name], residuals[name], out=row[rows])
+        if grad:
+            return pullback(*_pde_cotangents(out, jac, residuals, g, re[rows], sc[rows]))
+
+    grads = map_blocks(params, X, True, block)
+    value = reduce(operator.add, [row.sum() for row in squares]) * scale
+    return value, reduce(operator.iadd, grads) if grad else None
+
+
+def _loss(colloc: CollocationSet, params, weights: LossWeights, grad: bool):
+    """The weighted loss, its families and, with ``grad``, its gradient
+    with respect to ``params.flat`` (else None), as (total, families, gradient).
+
     Each family value is the plain mean of squared residuals over all its
     rows and components, so with a single nonzero unit weight the total
-    equals that family's mean square.
+    equals that family's mean square. A family of weight 0 is reported but
+    adds no gradient. The interior runs block by block (``_pde_family``);
+    the boundary kinds (sorted) and the slices share one stacked value pass,
+    since each slice's flux needs all of its rows.
     """
     wdict = weights.as_dict()
     families = {}
+    parts = []
 
     interior = colloc.interior
     if interior is not None and len(interior):
-        out, jac = evaluate(interior, True)
-        residuals = pde_residuals(out, jac, interior[:, RE_COLUMN], interior[:, SC_COLUMN])
-        acc = reduce(operator.add, [(residuals[name] ** 2).sum() for name in RESIDUAL_NAMES])
-        families["pde"] = acc * (1.0 / (len(RESIDUAL_NAMES) * len(interior)))
+        families["pde"], g = _pde_family(params, interior, wdict["pde"],
+                                         grad and wdict["pde"] != 0.0)
+        if g is not None:
+            parts.append(g)
 
-    # one value-only pass: the boundary kinds (sorted), then the slices
     groups = [(kind, colloc.boundary[kind]) for kind in sorted(colloc.boundary)
               if len(colloc.boundary[kind].X)]
     value_rows = [group.X for _, group in groups] + [sl.X for sl in colloc.slices]
-    if value_rows:
-        out, _ = evaluate(np.concatenate(value_rows), False)
+    value_families = [kind for kind, _ in groups] + (["massflow"] if colloc.slices else [])
+    value_grad = grad and any(wdict[name] != 0.0 for name in value_families)
+    if value_grad:
+        out, _, vjp = forward_vjp(params, np.concatenate(value_rows))
+        gy = np.zeros_like(out)
+    elif value_rows:
+        out = forward(params, np.concatenate(value_rows))
     start = 0
     for kind, group in groups:
         rows = slice(start, start + len(group.X))
         start = rows.stop
         residuals = boundary_residuals(out[rows], kind, group.X, group.normals)
-        acc = reduce(operator.add, [(r ** 2).sum() for r in residuals])
-        families[kind] = acc * (1.0 / (len(residuals) * len(group.X)))
+        scale = 1.0 / (len(residuals) * len(group.X))
+        families[kind] = reduce(operator.add, [(r ** 2).sum() for r in residuals]) * scale
+        if value_grad and wdict[kind] != 0.0:
+            _boundary_cotangents(gy[rows], kind, residuals, group.normals, wdict[kind] * scale)
 
     if colloc.slices:
+        scale = 1.0 / len(colloc.slices)
+        g = wdict["massflow"] * scale
         terms = []
         for sl in colloc.slices:
             rows = slice(start, start + len(sl.X))
             start = rows.stop
-            terms.append(massflow_penalty(out[rows, FIELD_INDEX["u"]], sl.weights, FLUX_TARGET))
-        families["massflow"] = reduce(operator.add, terms) * (1.0 / len(colloc.slices))
+            d = _flux_defect(out[rows, FIELD_INDEX["u"]], sl.weights, FLUX_TARGET)
+            terms.append(d * d)  # massflow_penalty, keeping d for the cotangent
+            if value_grad and g != 0.0:
+                # d * d sends g * d to each factor
+                gd = g * d
+                gy[rows, FIELD_INDEX["u"]] = (gd + gd) * sl.weights
+        families["massflow"] = reduce(operator.add, terms) * scale
 
     terms = [value * wdict[name] for name, value in families.items() if wdict[name] != 0.0]
     if not terms:
         raise DomainError("no loss terms: empty collocation set or all weights zero")
-    return reduce(operator.add, terms), families
+    if value_grad:
+        parts.append(vjp(gy))
+    return reduce(operator.add, terms), families, reduce(operator.add, parts) if grad else None
 
 
 def loss_node(colloc: CollocationSet, param_leaf: Node, template, weights: LossWeights | None = None):
-    """Assemble the weighted loss as a tape node; returns (node, LossReport)."""
+    """The weighted loss at ``param_leaf``'s value as a tape node, and its
+    LossReport; returns (node, report).
 
-    def evaluate(X, need_jac):
-        return net_apply(param_leaf, template, X, need_jac=need_jac)
-
-    total, families = _assemble(colloc, evaluate, weights or LossWeights())
-    report = LossReport(
-        total=float(total.value),
-        families={k: float(v.value) for k, v in families.items()},
-    )
-    return total, report
+    The gradient is formed here, in closed form, and the node's one pullback
+    returns it, so ``param_gradient(node, param_leaf)`` is a one-node sweep.
+    ``template`` gives the architecture and the input normalization.
+    """
+    params = template.with_flat(param_leaf.value)
+    total, families, gradient = _loss(colloc, params, weights or LossWeights(), grad=True)
+    report = LossReport(total=float(total), families={k: float(v) for k, v in families.items()})
+    return Node(total, (param_leaf,), (lambda g: g * gradient,)), report
 
 
 def total_loss(colloc: CollocationSet, params, weights: LossWeights | None = None) -> LossReport:
-    """The training loss from value-only passes: ``loss_node``'s report, bit
-    for bit, without a graph or any reverse cache."""
-
-    def evaluate(X, need_jac):
-        return forward_jac(params, X) if need_jac else (forward(params, X), None)
-
-    total, families = _assemble(colloc, evaluate, weights or LossWeights())
+    """The training loss without a gradient: ``loss_node``'s report, bit for
+    bit, keeping no reverse cache past its row block."""
+    total, families, _ = _loss(colloc, params, weights or LossWeights(), grad=False)
     return LossReport(total=float(total), families={k: float(v) for k, v in families.items()})

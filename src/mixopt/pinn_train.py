@@ -137,9 +137,8 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
 def _loss_and_gradient(sub: CollocationSet, params: ParameterSet, weights: LossWeights):
     """One step's loss report and parameter gradient (None for a non-finite loss).
 
-    The step's tape graph, whose network nodes hold every row block's reverse
-    cache, lives only inside this call, so it is freed before the next step
-    builds its own.
+    ``loss_node`` forms the gradient as it streams the row blocks;
+    ``param_gradient`` reads it back from the one-node graph.
     """
     param_leaf = leaf(params.flat)
     node, report = loss_node(sub, param_leaf, params, weights)

@@ -258,6 +258,28 @@ def test_evaluate_rejects_a_checkpoint_with_a_negative_halfspan(tmp_path, capsys
     assert not fields.exists()
 
 
+def test_evaluate_rejects_a_checkpoint_whose_param_count_is_text(tmp_path, capsys):
+    """Before, a copy of the pinned surrogate with "param_count": "abc"
+    printed a ValueError traceback instead of exiting 2."""
+    surrogate = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "data", "field_surrogate.ckpt")
+    with open(surrogate, "rb") as fh:
+        data = fh.read()
+    n = struct.unpack("<Q", data[8:16])[0]
+    header = json.loads(data[16:16 + n])
+    header["param_count"] = "abc"
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "text_count.ckpt"
+    bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + n:])
+    fields = tmp_path / "fields.csv"
+    rc = main(["evaluate", "--checkpoint", str(bad), "--cp", "0.1", "0.2", "0.1",
+               "--re", "20", "--sc", "10", "--fields", str(fields)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "CheckpointError" and "param_count" in err["message"]
+    assert not fields.exists()
+
+
 def test_train_deterministic_checkpoints(tmp_path):
     cfg = write_config(tmp_path, {"train": tiny_train_section()})
     a = tmp_path / "a.ckpt"

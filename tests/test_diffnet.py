@@ -823,3 +823,15 @@ def test_checkpoint_rejects_a_bad_input_normalization(tmp_path, halfspan):
         halfspan=halfspan(header["norm"]["halfspan"]))))
     with pytest.raises(CheckpointError, match="invalid spec"):
         load_params(path)
+
+
+@pytest.mark.parametrize("count", ["abc", 3.7, True])
+def test_checkpoint_rejects_a_param_count_that_is_not_an_integer(tmp_path, count):
+    """Before, "abc" escaped as a bare ValueError, 3.7 was truncated to 3
+    and true read as 1."""
+    path = tmp_path / "bad.ckpt"
+    with open(SURROGATE, "rb") as fh:
+        data = fh.read()
+    path.write_bytes(_with_header(data, lambda header: header.update(param_count=count)))
+    with pytest.raises(CheckpointError, match="param_count must be an integer"):
+        load_params(path)

@@ -36,6 +36,7 @@ from mixopt.sampling import (
     SampleBounds,
     generate_collocation,
 )
+from tape_oracle import tape_report
 
 
 def field_arrays(n, **fields):
@@ -391,10 +392,6 @@ def assert_reports_equal(report, ref):
         assert np.array_equal(report.families[name], value), name
 
 
-def tape_report(colloc, params, weights=None):
-    return loss_node(colloc, leaf(params.flat), params, weights)[1]
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("activation", ["tanh"])  # the only one; keeps the test ids
 def test_value_only_total_loss_is_the_tape_report_bit_for_bit(seed, activation):
@@ -435,7 +432,7 @@ def test_massflow_penalty_squares_by_multiplication_on_arrays_and_nodes(monkeypa
 
 
 def test_total_loss_keeps_no_reverse_caches():
-    """The value-only loss peaks below a quarter of the tape path's memory."""
+    """The value-only loss peaks below a quarter of the tape oracle's memory."""
     colloc = generate_collocation(ChannelDims(), SampleBounds(), CollocationCounts(), seed=3)
     params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(SampleBounds().pairs()), seed=3)
     peaks = {}

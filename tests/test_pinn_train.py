@@ -17,6 +17,7 @@ from mixopt.pinn_train import (
     train,
 )
 from mixopt.sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
+from tape_oracle import tape_loss, tape_report
 
 
 def tiny_config(**kwargs):
@@ -174,15 +175,15 @@ def test_field_table_csv_round_trip(tmp_path):
 
 
 def graph_keeping_train(cfg, colloc):
-    """The training loop as it was before graph release and the value-only
-    full-set loss: the full-set loss is the tape report, and each step's graph
-    stays referenced until the next step has built its own."""
+    """The training loop on the tape oracle: the full-set loss is the oracle's
+    report, each step's gradient is the oracle graph's reverse sweep, and
+    each step's graph stays referenced until the next step has built its own."""
     root = np.random.SeedSequence(cfg.seed)
     _, ss_init, ss_batch = root.spawn(3)
     spec = NetworkSpec(input_dim=7, output_dim=9, hidden=cfg.hidden)
     params = init_params(spec, norm=InputNorm.from_bounds(cfg.bounds.pairs()), seed=ss_init)
     state = init_adam(params.flat.size, lr=cfg.learning_rate)
-    initial = loss_node(colloc, leaf(params.flat), params, cfg.weights)[1]
+    initial = tape_report(colloc, params, cfg.weights)
     rng = np.random.default_rng(ss_batch)
     n = len(colloc.interior)
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
@@ -198,11 +199,11 @@ def graph_keeping_train(cfg, colloc):
         sub = CollocationSet(interior=colloc.interior[idx], boundary=colloc.boundary,
                              slices=colloc.slices)
         param_leaf = leaf(params.flat)
-        node, report = loss_node(sub, param_leaf, params, cfg.weights)
+        node, report = tape_loss(sub, param_leaf, params, cfg.weights)
         params, state = adam_step(params, param_gradient(node, param_leaf), state)
         if step % cfg.log_interval == 0 or step == cfg.steps:
             reports.append(report)
-    final = loss_node(colloc, leaf(params.flat), params, cfg.weights)[1]
+    final = tape_report(colloc, params, cfg.weights)
     return params, [initial, *reports, final]
 
 
@@ -228,19 +229,22 @@ def traced_peak(fn) -> int:
 
 
 def test_training_holds_one_step_graph_at_a_time():
-    """Six steps peak near one loss-plus-gradient step on the same minibatch,
-    not near two steps' reverse caches."""
+    """A loss-plus-gradient step peaks below a third of the tape oracle's
+    step on the same minibatch, since one row block's reverse cache is alive
+    at a time, and six training steps peak near one step."""
     cfg = TrainConfig(steps=6, seed=4)
     colloc = generate_collocation(ChannelDims(), cfg.bounds, cfg.counts, seed=10)
     sub = CollocationSet(interior=colloc.interior[:cfg.batch_size], boundary=colloc.boundary,
                          slices=colloc.slices)
     params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(cfg.bounds.pairs()), seed=4)
 
-    def one_step():
+    def one_step(loss):
         param_leaf = leaf(params.flat)
-        node, _ = loss_node(sub, param_leaf, params, cfg.weights)
+        node, _ = loss(sub, param_leaf, params, cfg.weights)
         param_gradient(node, param_leaf)
 
-    step_peak = traced_peak(one_step)
+    step_peak = traced_peak(lambda: one_step(loss_node))
+    oracle_peak = traced_peak(lambda: one_step(tape_loss))
+    assert step_peak < oracle_peak / 3, (step_peak, oracle_peak)
     train_peak = traced_peak(lambda: train(cfg, colloc))
     assert train_peak <= 1.3 * step_peak, (train_peak, step_peak)
