@@ -1,6 +1,6 @@
 """Array autodiff tape, dense networks, Adam, and the checkpoint codec."""
 
-from .adam import AdamState, adam_step, init_adam
+from .adam import AdamState, adam_step, adam_update, init_adam
 from .checkpoint import load_params, save_params
 from .network import (
     InputNorm,
@@ -22,6 +22,7 @@ __all__ = [
     "NetworkSpec",
     "ParameterSet",
     "adam_step",
+    "adam_update",
     "forward",
     "forward_jac",
     "forward_vjp",

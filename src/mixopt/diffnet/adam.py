@@ -18,31 +18,46 @@ EPS = 1e-8
 
 @dataclass(frozen=True)
 class AdamState:
+    """Moments, step count and learning rate: a float, or one rate per entry."""
+
     m: np.ndarray
     v: np.ndarray
     step: int
-    lr: float
+    lr: float | np.ndarray
 
 
-def init_adam(n: int, lr: float = 1e-3) -> AdamState:
+def init_adam(n: int, lr: float | np.ndarray = 1e-3) -> AdamState:
+    """Zero moments for n parameters; ``lr`` is a positive float or a
+    positive, finite vector of length n (a read-only copy is kept)."""
     if n < 1:
         raise DomainError("parameter count must be >= 1")
-    if not lr > 0:
-        raise DomainError("Adam learning rate must be positive")
+    if np.ndim(lr) == 0:
+        if not lr > 0:
+            raise DomainError("Adam learning rate must be positive")
+    else:
+        lr = np.array(lr, dtype=np.float64)
+        if lr.shape != (n,):
+            raise DomainError(f"learning-rate vector has shape {lr.shape}, expected ({n},)")
+        if not (np.all(np.isfinite(lr)) and np.all(lr > 0)):
+            raise DomainError("Adam learning rates must be finite and positive")
+        lr.flags.writeable = False
     return AdamState(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr)
 
 
-def adam_step(params: ParameterSet, grad: np.ndarray, state: AdamState):
-    """One update; returns (new params, new state) without mutating inputs.
+def adam_update(flat: np.ndarray, grad: np.ndarray, state: AdamState):
+    """One update of a flat vector; returns (new flat, new state) without
+    mutating inputs.
 
     Refuses to step on a non-finite gradient. The arithmetic is the textbook
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
     p - lr m_hat / (sqrt(v_hat) + eps), evaluated in that operand order on
-    fresh arrays that are then updated in place.
+    fresh arrays that are then updated in place. Every operation is
+    elementwise, so a per-entry learning rate gives each entry the bits a
+    scalar rate of its value would.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.flat.shape:
-        raise DomainError(f"gradient shape {grad.shape} does not match parameters {params.flat.shape}")
+    if grad.shape != flat.shape:
+        raise DomainError(f"gradient shape {grad.shape} does not match parameters {flat.shape}")
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient")
     t = state.step + 1
@@ -58,5 +73,11 @@ def adam_step(params: ParameterSet, grad: np.ndarray, state: AdamState):
     np.sqrt(den, out=den)
     den += EPS
     delta /= den
-    new_flat = params.flat - delta
-    return ParameterSet(params.spec, params.norm, new_flat), AdamState(m, v, t, state.lr)
+    return flat - delta, AdamState(m, v, t, state.lr)
+
+
+def adam_step(params: ParameterSet, grad: np.ndarray, state: AdamState):
+    """``adam_update`` on a parameter set's flat vector; returns
+    (new params, new state)."""
+    new_flat, state = adam_update(params.flat, grad, state)
+    return ParameterSet(params.spec, params.norm, new_flat), state

@@ -21,13 +21,15 @@ the products' bits. The flat vector's order, and with it the checkpoint
 format, is fixed; the reverse pass multiplies by W itself, which already
 runs NN.
 
-Every cached pass goes through one block loop, ``map_blocks``, which hands
-each block's outputs, jacobian and pullback to a caller and frees the
-block's reverse cache when the caller returns, unless it keeps the
-pullback. ``forward_jac`` keeps only each block's outputs and jacobian,
-the PINN loss pulls each block back at once, and only ``forward_vjp`` (and
-``net_apply`` on it) holds every block's cache, for as long as its
-pullback lives. ``forward`` keeps no per-layer arrays at all.
+Every cached pass over more than one block goes through one block loop,
+``map_blocks``, which hands each block's outputs, jacobian and pullback to
+a caller and frees the block's reverse cache when the caller returns,
+unless it keeps the pullback. ``forward_jac`` keeps only each block's
+outputs and jacobian, the PINN loss pulls each block back at once, and
+only ``forward_vjp`` (and ``net_apply`` on it) holds every block's cache,
+for as long as its pullback lives. A ``forward_vjp`` whose rows fit one
+block runs that block alone, without the loop, with the same bits.
+``forward`` keeps no per-layer arrays at all.
 ``forward`` alone adds each bias from a copy tiled to ``ROW_BLOCK`` rows
 (``ParameterSet.bias_tiles``); the tape and ``forward_vjp`` keep the
 broadcast add. A one-row ``forward`` (a policy query) runs the layers on
@@ -421,10 +423,27 @@ def forward_vjp(params: ParameterSet, X, need_jac: bool = False):
     """Outputs, spatial jacobian (None unless ``need_jac``) and their pullback.
 
     ``vjp(gy, gjac=None)`` takes cotangents of the outputs and of the
-    jacobian to the flat parameter gradient through one fused reverse pass.
-    Each row block runs its own reverse pass; their gradients are summed in
-    block order, so the result is deterministic.
+    jacobian (``gy`` None reads as zeros) to the flat parameter gradient
+    through one fused reverse pass. Rows that fit one ``ROW_BLOCK`` (a PPO
+    batch, a design score) run ``_block`` once and the pullback is that
+    block's ``_block_backward``: no block list and no summing loop, which a
+    PPO epoch's four tiny passes would pay as per-call overhead. More rows
+    go through ``map_blocks``; each row block runs its own reverse pass and
+    their gradients are summed in block order, so the result is
+    deterministic. Both routes give the same bits.
     """
+    X = _checked(params, X)
+    if len(X) <= ROW_BLOCK:
+        table = params.table()
+        cache = _block(table, params.norm.apply(X), params.norm.inv_halfspan, need_jac)
+
+        def vjp(gy, gjac=None):
+            if gy is None:
+                gy = np.zeros_like(cache.out)
+            return _block_backward(table, cache, gy, gjac)
+
+        return cache.out, cache.jac, vjp
+
     blocks = map_blocks(params, X, need_jac, lambda *block: block)
     out, jac = _stack([(block_out, block_jac) for _, block_out, block_jac, _ in blocks])
 

@@ -19,7 +19,7 @@ from .diffnet import (
     InputNorm,
     NetworkSpec,
     ParameterSet,
-    adam_step,
+    adam_update,
     forward,
     forward_vjp,
     init_adam,
@@ -201,11 +201,12 @@ def _clipped_surrogate(old_logp, new_logp, advantages, clip_eps: float) -> tuple
 
     The slope is A where the unclipped term is the minimum, ties included
     (every r inside the clip interval ties), and 0 where the clipped term is
-    strictly smaller.
+    strictly smaller. ``np.minimum(np.maximum(...))`` gives ``np.clip``'s
+    bits with less per-call overhead, which every PPO epoch pays.
     """
     ratio = np.exp(new_logp - old_logp)
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
+    clipped = np.minimum(np.maximum(ratio, 1.0 - clip_eps), 1.0 + clip_eps) * advantages
     return ratio, np.minimum(unclipped, clipped), advantages * (unclipped <= clipped)
 
 
@@ -326,8 +327,15 @@ def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
         actor = init_actor(cfg, seed=seeds[0])
     if critic is None:
         critic = init_critic(cfg, seed=seeds[1])
-    actor_opt = init_adam(actor.flat.size, lr=cfg.actor_lr)
-    critic_opt = init_adam(critic.flat.size, lr=cfg.critic_lr)
+    # one agent vector theta = actor.flat ‖ critic.flat and one Adam state
+    # whose learning rate is actor_lr on the actor's entries and critic_lr
+    # on the critic's; Adam is elementwise, so this steps each network with
+    # the bits of its own optimizer
+    split = actor.flat.size
+    theta = np.concatenate([actor.flat, critic.flat])
+    lr = np.full(theta.size, cfg.critic_lr)
+    lr[:split] = cfg.actor_lr
+    opt = init_adam(theta.size, lr=lr)
     history = RewardHistory()
 
     for ep in range(cfg.episodes):
@@ -338,8 +346,9 @@ def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
             continue
         for _ in range(cfg.epochs):
             g_actor, g_critic = gradient(actor, critic, batch, cfg)
-            actor, actor_opt = adam_step(actor, g_actor, actor_opt)
-            critic, critic_opt = adam_step(critic, g_critic, critic_opt)
+            theta, opt = adam_update(theta, np.concatenate([g_actor, g_critic]), opt)
+            actor = ParameterSet(actor.spec, actor.norm, theta[:split])
+            critic = ParameterSet(critic.spec, critic.norm, theta[split:])
         history.append(batch.rewards.mean())
     return actor, critic, history
 

@@ -21,7 +21,7 @@ from mixopt.diffnet import (
     param_gradient,
     tape,
 )
-from mixopt.ga import GAConfig, compare_timing, linear_r2, run_ga
+from mixopt.ga import GAConfig, compare_timing, run_ga
 from mixopt.geometry import ChannelDims, ControlPolygon, build_spline, eval_spline, unit_normal
 from mixopt.metrics import baseline_table, mixing_efficiency, mixing_index
 from mixopt.physics import FIELD_INDEX, pde_residuals
@@ -37,6 +37,8 @@ from mixopt.rl import (
     train_agent,
 )
 from mixopt.sampling import CollocationCounts, SampleBounds, generate_collocation
+
+from fitting import linear_r2
 
 
 def _gate(name, ok, detail):

@@ -11,6 +11,7 @@ from mixopt.diffnet import (
     NetworkSpec,
     ParameterSet,
     adam_step,
+    adam_update,
     checkpoint,
     forward,
     forward_jac,
@@ -559,6 +560,56 @@ def test_forward_vjp_equals_net_apply_and_param_gradient(activation, need_jac):
     assert np.array_equal(vjp(gy, gjac), param_gradient(root, leaf_node))
 
 
+def _block_loop_reference(params, X, need_jac):
+    """Outputs, jacobian and pullback of the ``map_blocks`` loop: the blocks'
+    arrays stacked in row order and their pullbacks summed in block order."""
+    blocks = network.map_blocks(params, X, need_jac, lambda *block: block)
+    out = np.concatenate([b[1] for b in blocks])
+    jac = np.concatenate([b[2] for b in blocks]) if need_jac else None
+
+    def vjp(gy, gjac=None):
+        total = None
+        for rows, _, _, pullback in blocks:
+            g = pullback(gy[rows], None if gjac is None else gjac[rows])
+            if total is None:
+                total = g
+            else:
+                total += g
+        return total
+
+    return out, jac, vjp
+
+
+@pytest.mark.parametrize("n", [1, 64, 208, 209])
+@pytest.mark.parametrize("net,need_jac", [("actor", False), ("actor", True),
+                                          ("field", False), ("field", True)])
+def test_one_block_pullback_equals_the_block_loop(net, need_jac, n, monkeypatch):
+    if net == "field":
+        spec, norm, X = NetworkSpec(), InputNorm.from_bounds(FIELD_NORM), field_rows(n, seed=n)
+    else:  # the actor's widths; the spatial tangents need two inputs
+        dim = 2 if need_jac else 1
+        spec = NetworkSpec(input_dim=dim, output_dim=8, hidden=(32, 32))
+        norm = InputNorm.from_bounds([(1.0, 100.0)] * dim)
+        X = np.random.default_rng(n).uniform(1.0, 100.0, (n, dim))
+    params = init_params(spec, norm=norm, seed=n)
+    rng = np.random.default_rng(n + 1)
+    gy = rng.normal(size=(n, spec.output_dim))
+    gjac = rng.normal(size=(n, spec.output_dim, 2))
+    ref_out, ref_jac, ref_vjp = _block_loop_reference(params, X, need_jac)
+
+    blocks = []
+    loop = network.map_blocks
+    monkeypatch.setattr(network, "map_blocks", lambda *a: blocks.append(1) or loop(*a))
+    out, jac, vjp = forward_vjp(params, X, need_jac=need_jac)
+    assert len(blocks) == (n > network.ROW_BLOCK)  # one block runs without the loop
+    assert np.array_equal(out, ref_out)
+    assert (jac is None) if not need_jac else np.array_equal(jac, ref_jac)
+    assert np.array_equal(vjp(gy), ref_vjp(gy))
+    assert np.array_equal(vjp(None), ref_vjp(np.zeros_like(ref_out)))
+    if need_jac:
+        assert np.array_equal(vjp(gy, gjac), ref_vjp(gy, gjac))
+
+
 @only_tanh
 def test_forward_jac_is_the_tape_paths_outputs_and_jacobian(activation):
     spec = NetworkSpec(hidden=(32, 32))
@@ -650,6 +701,43 @@ def test_adam_validates_shapes_and_hyperparameters():
         adam_step(params, np.zeros(3), init_adam(params.flat.size))
     with pytest.raises(DomainError):
         init_adam(10, lr=-1.0)
+    with pytest.raises(DomainError):
+        adam_update(np.zeros(4), np.zeros(3), init_adam(4))
+
+
+@pytest.mark.parametrize("lr", [
+    np.full(9, 1e-3), np.full(11, 1e-3), np.full((2, 5), 1e-3),
+    np.array([1e-3] * 9 + [0.0]), np.array([1e-3] * 9 + [-1e-3]),
+    np.array([1e-3] * 9 + [np.nan]), np.array([1e-3] * 9 + [np.inf]),
+], ids=["short", "long", "two_d", "zero", "negative", "nan", "inf"])
+def test_adam_rejects_a_bad_learning_rate_vector(lr):
+    with pytest.raises(DomainError):
+        init_adam(10, lr=lr)
+
+
+def test_adam_learning_rate_vector_is_a_read_only_copy():
+    lr = np.full(10, 1e-3)
+    state = init_adam(10, lr=lr)
+    lr[0] = 5.0
+    assert np.all(state.lr == 1e-3) and not state.lr.flags.writeable
+    assert init_adam(10, lr=0.5).lr == 0.5
+
+
+def test_adam_per_entry_learning_rates_step_each_part_with_its_own_bits():
+    """One state over a ‖ b with rates (ra, rb) gives the bits of two states."""
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=7), rng.normal(size=5)
+    flat = np.concatenate([a, b])
+    state = init_adam(12, lr=np.array([0.03] * 7 + [2e-4] * 5))
+    sa, sb = init_adam(7, lr=0.03), init_adam(5, lr=2e-4)
+    for _ in range(6):
+        ga, gb = rng.normal(size=7), rng.normal(size=5) * 1e-3
+        flat, state = adam_update(flat, np.concatenate([ga, gb]), state)
+        a, sa = adam_update(a, ga, sa)
+        b, sb = adam_update(b, gb, sb)
+        assert np.array_equal(flat, np.concatenate([a, b]))
+        assert np.array_equal(state.m, np.concatenate([sa.m, sb.m]))
+        assert np.array_equal(state.v, np.concatenate([sa.v, sb.v]))
 
 
 # ---------------------------------------------------------------- checkpoint

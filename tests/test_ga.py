@@ -8,10 +8,11 @@ from mixopt.ga import (
     GAConfig,
     _sample_counts,
     compare_timing,
-    linear_r2,
     run_ga,
 )
 from mixopt.rl import PPOConfig, QuadraticEnv, init_actor
+
+from fitting import linear_r2
 
 
 class RecordingEnv:

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from mixopt import rl
-from mixopt.diffnet import NetworkSpec, forward, init_params, load_params, net_apply, save_params
+from mixopt.diffnet import (
+    NetworkSpec,
+    adam_step,
+    forward,
+    init_adam,
+    init_params,
+    load_params,
+    net_apply,
+    save_params,
+)
 from mixopt.diffnet.tape import Node, gradient, leaf, nsum, pick, square
 from mixopt.errors import DomainError
 from mixopt.ga import GAConfig, run_ga
@@ -391,6 +400,51 @@ def test_train_agent_updates_equal_the_tape_oracle(monkeypatch):
     assert got[2].mean_rewards == want[2].mean_rewards
 
 
+def two_optimizer_loop(env, cfg, actor=None, critic=None):
+    """The update loop with one Adam state per network: the reference whose
+    bits ``train_agent``'s one agent vector and one Adam step must keep."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.episodes)
+    actor = actor or init_actor(cfg, seed=seeds[0])
+    critic = critic or init_critic(cfg, seed=seeds[1])
+    actor_opt = init_adam(actor.flat.size, lr=cfg.actor_lr)
+    critic_opt = init_adam(critic.flat.size, lr=cfg.critic_lr)
+    history = RewardHistory()
+    for ep in range(cfg.episodes):
+        batch = rollout(env, actor, critic, cfg, np.random.default_rng(seeds[2 + ep]))
+        if not np.all(np.isfinite(batch.rewards)):
+            history.append(np.nan)
+            continue
+        for _ in range(cfg.epochs):
+            g_actor, g_critic = rl.gradient(actor, critic, batch, cfg)
+            actor, actor_opt = adam_step(actor, g_actor, actor_opt)
+            critic, critic_opt = adam_step(critic, g_critic, critic_opt)
+        history.append(batch.rewards.mean())
+    return actor, critic, history
+
+
+def assert_same_training(got, want):
+    assert np.array_equal(got[0].flat, want[0].flat)
+    assert np.array_equal(got[1].flat, want[1].flat)
+    assert got[2].mean_rewards == want[2].mean_rewards
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("lrs", [(3e-4, 1e-3), (1e-2, 1e-4)], ids=["default_lr", "other_lr"])
+def test_one_agent_vector_keeps_the_two_optimizer_bits(seed, lrs):
+    cfg = PPOConfig(episodes=5, epochs=4, seed=seed, actor_lr=lrs[0], critic_lr=lrs[1])
+    assert_same_training(train_agent(QuadraticEnv(), cfg), two_optimizer_loop(QuadraticEnv(), cfg))
+
+
+def test_one_agent_vector_keeps_the_two_optimizer_bits_from_given_networks():
+    cfg = small_cfg(episodes=4, epochs=3, seed=11, actor_lr=5e-3, critic_lr=2e-3)
+    actor = _moved(init_actor(cfg, seed=12), 0.1, seed=13)
+    critic = _moved(init_critic(cfg, seed=14), 0.1, seed=15)
+    got = train_agent(QuadraticEnv(), cfg, actor=actor, critic=critic)
+    assert_same_training(got, two_optimizer_loop(QuadraticEnv(), cfg, actor=actor, critic=critic))
+    for net in got[:2]:
+        assert not net.flat.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [
     {"batch_size": 1}, {"batch_size": 0},
     {"actor_lr": 0.0}, {"critic_lr": -1e-3}, {"actor_lr": float("nan")}, {"critic_lr": float("inf")},
@@ -586,6 +640,15 @@ def test_actor_checkpoint_round_trip(tmp_path):
     assert header["role"] == "actor"
     assert np.array_equal(back.flat, actor.flat)
     assert back.spec == actor.spec
+
+
+def test_trained_actor_checkpoint_holds_the_bytes_of_a_standalone_copy(tmp_path):
+    actor, _, _ = train_agent(QuadraticEnv(), small_cfg(seed=61))
+    save_params(actor, tmp_path / "trained.ckpt", role="actor")
+    save_params(actor.with_flat(actor.flat), tmp_path / "copy.ckpt", role="actor")
+    assert (tmp_path / "trained.ckpt").read_bytes() == (tmp_path / "copy.ckpt").read_bytes()
+    back, _ = load_params(tmp_path / "trained.ckpt")
+    assert np.array_equal(back.flat, actor.flat)
 
 
 @pytest.fixture(scope="module")
