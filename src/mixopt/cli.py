@@ -32,7 +32,7 @@ from .errors import (
     check_ints,
 )
 from .ga import GAConfig, compare_timing
-from .geometry import ControlPolygon, build_layout, polyline_rows
+from .geometry import ControlPolygon, build_spline, polyline_rows
 from .metrics import DesignCandidate, baseline_table, compute_mixing_report
 from .diffnet import load_params, save_params
 from .physics import LossWeights
@@ -114,8 +114,7 @@ def cmd_geometry(args, cfg: RunConfig) -> int:
     if args.points < 2:
         raise ConfigError(f"--points {args.points} must be at least 2")
     polygon = ControlPolygon(args.cp[0], args.cp[1], args.cp[2])
-    layout = build_layout(polygon)
-    rows = list(polyline_rows(layout, points_per_segment=args.points))
+    rows = list(polyline_rows(build_spline(polygon), points_per_segment=args.points))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_mm", "y_mm", "segment", "nx", "ny"])

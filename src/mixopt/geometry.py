@@ -1,7 +1,9 @@
-"""Channel geometry: spline baffle curves, wall positions, containment, boundary segments.
+"""Channel geometry: baffle splines, wall positions, containment, boundary pieces.
 
 The channel is fixed: its lengths, ``CHANNEL``, are millimetres, and only
-the baffle shape varies. The spline itself lives in channel-height units
+the baffle shape varies. A design's shape is its spline coefficients, the
+(4, 4) array ``build_spline`` returns; batched functions take (n, 4, 4),
+one design per row. The spline itself lives in channel-height units
 (x in [0, 0.5], heights in [-0.5, 0.5]).
 """
 
@@ -17,7 +19,7 @@ KNOTS = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
 KNOT_SPACING = 0.125
 CP_MIN = -0.5
 CP_MAX = 0.5
-BAFFLE_SAMPLES = 513  # arc-length table size of a layout's baffle segments
+BAFFLE_SAMPLES = 513  # arc-length table size of an outline's baffle pieces
 
 @dataclass(frozen=True)
 class ControlPolygon:
@@ -40,23 +42,8 @@ class ControlPolygon:
             raise DomainError(f"expected 3 control heights, got {len(vals)}")
         return cls(*vals)
 
-    def heights(self) -> np.ndarray:
-        """Full knot-height vector including the pinned endpoints."""
-        return np.array([0.0, self.cp1, self.cp2, self.cp3, 0.0])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.cp1, self.cp2, self.cp3])
-
-
-@dataclass(frozen=True)
-class SplineCurve:
-    """Natural cubic interpolant on the fixed knots.
-
-    ``coeffs[i]`` holds (a, b, c, d) for segment i, evaluated as
-    a + b*t + c*t^2 + d*t^3 with t = x - knots[i].
-    """
-
-    coeffs: np.ndarray
 
 
 def _coeffs_batch(cps: np.ndarray) -> np.ndarray:
@@ -87,47 +74,25 @@ def _coeffs_batch(cps: np.ndarray) -> np.ndarray:
     return np.stack([a, b, c, d], axis=2)
 
 
-def build_spline(cp: ControlPolygon) -> SplineCurve:
-    """Natural cubic through (knots, [0, cp1, cp2, cp3, 0])."""
+def build_spline(cp: ControlPolygon) -> np.ndarray:
+    """Read-only coefficients (4, 4) of the natural cubic through (knots, [0, cp1, cp2, cp3, 0]).
+
+    Row i holds (a, b, c, d) of knot interval i, evaluated as
+    a + b*t + c*t^2 + d*t^3 with t = x - knots[i].
+    """
     coeffs = _coeffs_batch(cp.as_array())[0]
     coeffs.setflags(write=False)
-    return SplineCurve(coeffs=coeffs)
-
-
-def _segment_index(x: np.ndarray) -> np.ndarray:
-    return np.clip(np.searchsorted(KNOTS, x, side="right") - 1, 0, 3)
+    return coeffs
 
 
 def _eval_batch(coeffs: np.ndarray, x: np.ndarray):
     """Evaluate row i's spline coeffs[i] (n, 4, 4) at x[i] (n, m); returns (value, slope)."""
-    seg = _segment_index(x)
+    seg = np.clip(np.searchsorted(KNOTS, x, side="right") - 1, 0, 3)
     t = x - KNOTS[seg]
     a, b, c, d = np.moveaxis(coeffs[np.arange(len(coeffs))[:, None], seg], -1, 0)
     value = a + t * (b + t * (c + t * d))
     slope = b + t * (2.0 * c + 3.0 * d * t)
     return value, slope
-
-
-def eval_spline(curve: SplineCurve, x):
-    """Evaluate the curve; returns (value, slope), shaped like ``x``.
-
-    Raises DomainError for x outside [0, 0.5].
-    """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < KNOTS[0]) or np.any(xa > KNOTS[-1]):
-        raise DomainError(f"spline argument outside [{KNOTS[0]}, {KNOTS[-1]}]")
-    value, slope = _eval_batch(curve.coeffs[None], xa.reshape(1, -1))
-    if np.isscalar(x):
-        return float(value[0, 0]), float(slope[0, 0])
-    return value.reshape(xa.shape), slope.reshape(xa.shape)
-
-
-def unit_normal(curve: SplineCurve, x):
-    """Unit normal (-s', 1)/sqrt(1 + s'^2) to the curve at x; shape (..., 2)."""
-    _, slope = eval_spline(curve, x)
-    slope = np.asarray(slope, dtype=float)
-    scale = 1.0 / np.sqrt(1.0 + slope * slope)
-    return np.stack([-slope * scale, np.broadcast_to(scale, slope.shape)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -169,25 +134,35 @@ def wall_heights(coeffs: np.ndarray, x_mm: np.ndarray):
     return walls["lower"], walls["upper"]
 
 
-def _surface(value, slope, xhat, start_x, base, sign, H):
+def contains(coeffs: np.ndarray, x, y):
+    """True where (x, y) in mm lies in the fluid of the design coeffs (4, 4).
+
+    The fluid is the channel minus its baffles, which carve cavities where the
+    control heights are negative, plus the inlet arms of length ``CHANNEL.L1``
+    above and below x in [0, W]; ``SEGMENTS`` bounds only the arms' mouths.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    d = CHANNEL
+    lower, upper = (wall.reshape(x.shape) for wall in wall_heights(coeffs[None], x.reshape(1, -1)))
+    in_channel = (x >= 0.0) & (x <= d.L) & (y >= lower) & (y <= upper)
+    in_arms = (x >= 0.0) & (x <= d.W) & (
+        ((y >= d.H) & (y <= d.H + d.L1))
+        | ((y >= -d.L1) & (y <= 0.0))
+    )
+    result = in_channel | in_arms
+    return result if result.shape else bool(result)
+
+
+def _surface(value, slope, xhat, start_x, base, sign):
     """Baffle wall points and outward normals (..., 2) at spline abscissae xhat.
 
     The wetted surface sits at ``base + sign * H * s(xhat)``; the normal is
     (s', 1) rotated onto the wall, pointing away from the fluid.
     """
+    H = CHANNEL.H
     scale = 1.0 / np.sqrt(1.0 + slope * slope)
     points = np.stack([start_x + xhat * H, base + sign * H * value], axis=-1)
     return points, np.stack([slope * scale, -sign * scale], axis=-1)
-
-
-def _arc_table(coeffs, xhat, start_x, base, sign, H):
-    """Surface points, normals and cumulative arc length per row of coeffs at xhat (m,)."""
-    xhat = np.broadcast_to(xhat, (len(coeffs), len(xhat)))
-    value, slope = _eval_batch(coeffs, xhat)
-    points, normals = _surface(value, slope, xhat, start_x, base, sign, H)
-    seg = np.linalg.norm(np.diff(points, axis=-2), axis=-1)
-    cumlen = np.concatenate([np.zeros((len(coeffs), 1)), np.cumsum(seg, axis=-1)], axis=-1)
-    return points, normals, cumlen
 
 
 def _interp_rows(s: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -203,151 +178,64 @@ def _interp_rows(s: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return np.where(s >= xp[:, -1], fp[-1], slope * (s - x0) + fp[j])
 
 
-def baffle_points(coeffs, t, start_x, base, sign, H, samples):
+def baffle_points(coeffs, t, start_x, base, sign, samples):
     """Points and outward normals (n, 2) at arc parameters t (n,) on row i's baffle coeffs[i].
 
+    coeffs is (n, 4, 4), or (1, 4, 4) for one design shared by every t.
     Arc length is tabulated at ``samples`` abscissae only to invert t; the
     points then come from the exact curve, so they sit on it to roundoff.
     """
     xhat_grid = np.linspace(0.0, 0.5, samples)
-    _, _, cumlen = _arc_table(coeffs, xhat_grid, start_x, base, sign, H)
+    grid = np.broadcast_to(xhat_grid, (len(coeffs), samples))
+    table, _ = _surface(*_eval_batch(coeffs, grid), grid, start_x, base, sign)
+    seg = np.linalg.norm(np.diff(table, axis=-2), axis=-1)
+    cumlen = np.concatenate([np.zeros((len(coeffs), 1)), np.cumsum(seg, axis=-1)], axis=-1)
     xhat = _interp_rows(t * cumlen[:, -1], cumlen, xhat_grid)
     value, slope = _eval_batch(coeffs, xhat[:, None])
-    return _surface(value[:, 0], slope[:, 0], xhat, start_x, base, sign, H)
+    return _surface(value[:, 0], slope[:, 0], xhat, start_x, base, sign)
 
 
-@dataclass(frozen=True)
-class BoundarySegment:
-    """A boundary piece with an arc-length parameterization t in [0, 1].
+# (kind, name, piece) of the solved region's boundary, in tracing order. A
+# straight piece is (start point, end point, outward normal) in mm; a baffle
+# piece is its ``BAFFLES`` row, shaped by each design's spline.
+_H, _W, _L = CHANNEL.H, CHANNEL.W, CHANNEL.L
+_UP, _LO = (start for _, start, _, _ in BAFFLES)
+SEGMENTS = (
+    ("inlet_top", "inlet_top", ((0.0, _H), (_W, _H), (0.0, 1.0))),
+    ("inlet_bottom", "inlet_bottom", ((0.0, 0.0), (_W, 0.0), (0.0, -1.0))),
+    ("wall", "wall_left", ((0.0, 0.0), (0.0, _H), (-1.0, 0.0))),
+    ("wall", "wall_top_a", ((_W, _H), (_UP, _H), (0.0, 1.0))),
+    ("baffle", "baffle_upper", BAFFLES[0]),
+    ("wall", "wall_top_b", ((_UP + 0.5 * _H, _H), (_L, _H), (0.0, 1.0))),
+    ("wall", "wall_bottom_a", ((_W, 0.0), (_LO, 0.0), (0.0, -1.0))),
+    ("baffle", "baffle_lower", BAFFLES[1]),
+    ("wall", "wall_bottom_b", ((_LO + 0.5 * _H, 0.0), (_L, 0.0), (0.0, -1.0))),
+    ("outlet", "outlet", ((_L, 0.0), (_L, _H), (1.0, 0.0))),
+)
 
-    Straight pieces interpolate their end points exactly. A baffle piece keeps
-    its spline coefficients and its placement; ``at`` hands them to
-    ``baffle_points`` with BAFFLE_SAMPLES abscissae.
+
+def segment_points(piece, t, coeffs, samples):
+    """Points and outward normals (n, 2) at arc parameters t (n,) in [0, 1] along one piece.
+
+    A baffle piece is placed by ``baffle_points`` with coeffs (n, 4, 4) per
+    row, or (4, 4) for one design, and ``samples`` arc-length abscissae; a
+    straight piece interpolates its end points and ignores both.
     """
-
-    kind: str
-    name: str
-    points: np.ndarray | None = None
-    normals: np.ndarray | None = None
-    cumlen: np.ndarray | None = None
-    coeffs: np.ndarray | None = None
-    start_x: float = 0.0
-    base_y: float = 0.0
-    sign: int = 0
-    height: float = 0.0
-
-    def _placement(self):
-        return self.start_x, self.base_y, self.sign, self.height
-
-    @property
-    def arclength(self) -> float:
-        if self.coeffs is None:
-            return float(self.cumlen[-1])
-        xhat = np.linspace(0.0, 0.5, BAFFLE_SAMPLES)
-        return float(_arc_table(self.coeffs[None], xhat, *self._placement())[2][0, -1])
-
-    def at(self, t):
-        """Map arc parameters t in [0, 1] to ((n, 2) points, (n, 2) normals)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise DomainError("arc parameter outside [0, 1]")
-        if self.coeffs is not None:
-            return baffle_points(self.coeffs[None], t, *self._placement(), samples=BAFFLE_SAMPLES)
-        s = t * self.arclength
-        x = np.interp(s, self.cumlen, self.points[:, 0])
-        y = np.interp(s, self.cumlen, self.points[:, 1])
-        nx = np.interp(s, self.cumlen, self.normals[:, 0])
-        ny = np.interp(s, self.cumlen, self.normals[:, 1])
-        norm = np.hypot(nx, ny)
-        return np.stack([x, y], axis=1), np.stack([nx / norm, ny / norm], axis=1)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t < 0.0) or np.any(t > 1.0):
+        raise DomainError("arc parameter outside [0, 1]")
+    if piece in BAFFLES:
+        return baffle_points(np.reshape(coeffs, (-1, 4, 4)), t, *piece[1:], samples)
+    p0, p1, normal = piece
+    length = np.linalg.norm(np.subtract(p1, p0))
+    points = [np.interp(t * length, (0.0, length), ends) for ends in zip(p0, p1)]
+    return np.stack(points, axis=1), np.tile(normal, (len(t), 1))
 
 
-def _line_segment(kind, name, p0, p1, normal, samples=2) -> BoundarySegment:
-    t = np.linspace(0.0, 1.0, samples)
-    pts = np.outer(1.0 - t, p0) + np.outer(t, p1)
-    nrm = np.tile(np.asarray(normal, dtype=float), (samples, 1))
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    return BoundarySegment(kind=kind, name=name, points=pts, normals=nrm, cumlen=cum)
-
-
-@dataclass(frozen=True)
-class ChannelLayout:
-    """Immutable channel instance: control polygon, baffle curve, inlet arms.
-
-    The two baffles of ``BAFFLES`` share one spline curve. Positive control
-    heights protrude into the channel; negative ones carve cavities into the
-    walls. Inlet arms of length ``CHANNEL.L1`` attach above and below the
-    junction square x in [0, W]; they count as fluid for containment and
-    their mouths (y = H and y = 0) carry the inlet boundary segments.
-    """
-
-    cp: ControlPolygon
-    curve: SplineCurve
-
-    def _walls(self, x):
-        x = np.asarray(x, dtype=float)
-        lower, upper = wall_heights(self.curve.coeffs[None], x.reshape(1, -1))
-        return lower.reshape(x.shape), upper.reshape(x.shape)
-
-    def upper_wall_y(self, x):
-        """y of the upper fluid boundary at x (mm); vectorized."""
-        y = self._walls(x)[1]
-        return y if y.shape else float(y)
-
-    def lower_wall_y(self, x):
-        """y of the lower fluid boundary at x (mm); vectorized."""
-        y = self._walls(x)[0]
-        return y if y.shape else float(y)
-
-    def contains(self, x, y) -> np.ndarray:
-        """True where (x, y) in mm lies in the fluid (channel minus baffles, plus arms)."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        d = CHANNEL
-        lower, upper = self._walls(x)
-        in_channel = (x >= 0.0) & (x <= d.L) & (y >= lower) & (y <= upper)
-        in_arms = (x >= 0.0) & (x <= d.W) & (
-            ((y >= d.H) & (y <= d.H + d.L1))
-            | ((y >= -d.L1) & (y <= 0.0))
-        )
-        result = in_channel | in_arms
-        return result if result.shape else bool(result)
-
-    def segments(self) -> list:
-        """Boundary segments of the solved (rectangular channel) region.
-
-        Inlets sit at the arm mouths; the arms themselves only participate in
-        containment, not in the boundary set.
-        """
-        d = CHANNEL
-        up, lo = (BoundarySegment("baffle", f"baffle_{wall}", coeffs=self.curve.coeffs, start_x=start,
-                                  base_y=base, sign=sign, height=d.H)
-                  for wall, start, base, sign in BAFFLES)
-        span = 0.5 * d.H
-        segs = [
-            _line_segment("inlet_top", "inlet_top", (0.0, d.H), (d.W, d.H), (0.0, 1.0)),
-            _line_segment("inlet_bottom", "inlet_bottom", (0.0, 0.0), (d.W, 0.0), (0.0, -1.0)),
-            _line_segment("wall", "wall_left", (0.0, 0.0), (0.0, d.H), (-1.0, 0.0)),
-            _line_segment("wall", "wall_top_a", (d.W, d.H), (up.start_x, d.H), (0.0, 1.0)),
-            up,
-            _line_segment("wall", "wall_top_b", (up.start_x + span, d.H), (d.L, d.H), (0.0, 1.0)),
-            _line_segment("wall", "wall_bottom_a", (d.W, 0.0), (lo.start_x, 0.0), (0.0, -1.0)),
-            lo,
-            _line_segment("wall", "wall_bottom_b", (lo.start_x + span, 0.0), (d.L, 0.0), (0.0, -1.0)),
-            _line_segment("outlet", "outlet", (d.L, 0.0), (d.L, d.H), (1.0, 0.0)),
-        ]
-        return segs
-
-
-def build_layout(cp: ControlPolygon) -> ChannelLayout:
-    """Construct the channel layout for one control polygon."""
-    return ChannelLayout(cp=cp, curve=build_spline(cp))
-
-
-def polyline_rows(layout: ChannelLayout, points_per_segment: int = 64):
-    """Yield (x_mm, y_mm, segment_kind, n_x, n_y) rows tracing the boundary."""
+def polyline_rows(coeffs: np.ndarray, points_per_segment: int = 64):
+    """Yield (x_mm, y_mm, segment name, n_x, n_y) rows tracing the boundary of the design coeffs (4, 4)."""
     t = np.linspace(0.0, 1.0, points_per_segment)
-    for seg in layout.segments():
-        pts, nrm = seg.at(t)
+    for _, name, piece in SEGMENTS:
+        pts, nrm = segment_points(piece, t, coeffs, BAFFLE_SAMPLES)
         for (x, y), (nx, ny) in zip(pts, nrm):
-            yield x, y, seg.name, nx, ny
+            yield x, y, name, nx, ny

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .diffnet import (
 from .diffnet.adam import adam_step
 from .diffnet.tape import leaf
 from .errors import DomainError, NumericalError, check_ints, check_widths
-from .geometry import CHANNEL, ControlPolygon, build_layout
+from .geometry import CHANNEL, ControlPolygon, build_spline, contains
 from .physics import FIELD_INDEX, LossReport, LossWeights, loss_node, total_loss
 from .sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
 
@@ -50,9 +51,25 @@ class TrainConfig:
         # NaN fails every comparison, so this test also rejects it
         if not 0.0 < self.learning_rate < math.inf:
             raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
+        if self.slice_stations is not None:
+            object.__setattr__(self, "slice_stations", _check_stations(self.slice_stations))
+        if not (self.checkpoint_dir is None or isinstance(self.checkpoint_dir, str)):
+            raise DomainError(f"checkpoint_dir must be a string or null, got {self.checkpoint_dir!r}")
         if self.checkpoint_interval and not self.checkpoint_dir:
             raise DomainError("checkpoint_interval > 0 needs a checkpoint_dir to write to")
         check_widths(self, "hidden")
+
+
+def _check_stations(values) -> tuple:
+    """Penalty-slice stations as a tuple of floats; each must be a real number in [0, L/H]."""
+    top = CHANNEL.L / CHANNEL.H
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise DomainError(f"slice_stations must be a list of numbers, got {values!r}")
+    values = tuple(values)
+    for v in values:  # NaN fails both comparisons
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= top:
+            raise DomainError(f"slice_stations must hold numbers in [0, {top:.6g}], got {v!r}")
+    return tuple(float(v) for v in values)
 
 
 @dataclass
@@ -190,7 +207,6 @@ def evaluate_fields(params: ParameterSet, cp, re: float, sc: float, grid=(141, 4
     if not (0.0 < re < np.inf and 0.0 < sc < np.inf):
         raise DomainError("re and sc must be finite and positive")
     polygon = cp if isinstance(cp, ControlPolygon) else ControlPolygon.from_iterable(cp)
-    layout = build_layout(polygon)
     nx, ny = grid
     if nx < 2 or ny < 2:
         raise DomainError("grid must be at least 2x2")
@@ -198,7 +214,7 @@ def evaluate_fields(params: ParameterSet, cp, re: float, sc: float, grid=(141, 4
     x = np.linspace(0.0, CHANNEL.L / H, nx)
     y = np.linspace(0.0, 1.0, ny)
     XX, YY = np.meshgrid(x, y)
-    mask = layout.contains(XX.ravel() * H, YY.ravel() * H).reshape(ny, nx)
+    mask = contains(build_spline(polygon), XX.ravel() * H, YY.ravel() * H).reshape(ny, nx)
     rows = np.column_stack([
         XX.ravel(), YY.ravel(),
         np.tile(polygon.as_array(), (nx * ny, 1)),

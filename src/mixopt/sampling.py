@@ -20,12 +20,11 @@ from .geometry import (
     CHANNEL,
     CP_MAX,
     CP_MIN,
+    SEGMENTS,
     ChannelDims,
-    ControlPolygon,
     _coeffs_batch,
-    baffle_points,
-    build_layout,
     build_spline,  # noqa: F401  (unused here; the benchmark tracer wraps sampling.build_spline)
+    segment_points,
     wall_heights,
 )
 
@@ -140,18 +139,14 @@ def _uniform_interior(rng, n, bounds):
     return np.concatenate(kept)[:n]
 
 
-def _boundary_group_rows(rng, seg, n, bounds):
-    """Rows and outward normals for one boundary segment: 6-D LHS over (t, cp1..3, re, sc)."""
+def _boundary_group_rows(rng, kind, piece, n, bounds):
+    """Rows and outward normals for one boundary piece: 6-D LHS over (t, cp1..3, re, sc)."""
     lows = np.concatenate([[0.0], bounds.lows()[2:]])
     highs = np.concatenate([[1.0], bounds.highs()[2:]])
     design = _lhs_matrix(rng, n, lows, highs)
-    t = design[:, 0]
+    coeffs = _coeffs_batch(design[:, 1:4]) if kind == "baffle" else None
+    pts, nrm = segment_points(piece, design[:, 0], coeffs, samples=129)
     H = CHANNEL.H
-    if seg.kind == "baffle":
-        pts, nrm = baffle_points(_coeffs_batch(design[:, 1:4]), t, seg.start_x, seg.base_y,
-                                 seg.sign, H, samples=129)
-    else:
-        pts, nrm = seg.at(t)
     X = np.column_stack([pts[:, 0] / H, pts[:, 1] / H, design[:, 1:]])
     return X, nrm
 
@@ -203,11 +198,10 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
 
     interior = _uniform_interior(rng, counts.interior, bounds)
 
-    canonical = build_layout(ControlPolygon(0.0, 0.0, 0.0))
     parts: dict = {}
-    for seg in canonical.segments():
-        parts.setdefault(seg.kind, []).append(
-            _boundary_group_rows(rng, seg, counts.per_boundary, bounds))
+    for kind, _, piece in SEGMENTS:
+        parts.setdefault(kind, []).append(
+            _boundary_group_rows(rng, kind, piece, counts.per_boundary, bounds))
     groups = {}
     for kind, rows in parts.items():
         Xs, normals = zip(*rows)

@@ -22,7 +22,7 @@ from mixopt.diffnet import (
     tape,
 )
 from mixopt.ga import GAConfig, compare_timing, run_ga
-from mixopt.geometry import ChannelDims, ControlPolygon, build_spline, eval_spline, unit_normal
+from mixopt.geometry import BAFFLE_SAMPLES, SEGMENTS, ChannelDims, ControlPolygon, build_spline, segment_points
 from mixopt.metrics import baseline_table, mixing_efficiency, mixing_index
 from mixopt.physics import FIELD_INDEX, pde_residuals
 from mixopt.pinn_train import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -39,6 +39,7 @@ from mixopt.rl import (
 from mixopt.sampling import CollocationCounts, SampleBounds, generate_collocation
 
 from fitting import linear_r2
+from spline_oracle import eval_spline
 
 
 def _gate(name, ok, detail):
@@ -101,7 +102,7 @@ def test_spline_matches_dense_linear_solve():
     t0 = time.perf_counter()
     for _ in range(1000):
         cps = rng.uniform(-0.5, 0.5, size=3)
-        co = build_spline(ControlPolygon(*cps)).coeffs
+        co = build_spline(ControlPolygon(*cps))
         expected = dense_spline_solve([0.0, *cps, 0.0])
         worst_coeff = max(worst_coeff, float(np.max(np.abs(co - expected))))
         for i in range(3):
@@ -125,18 +126,21 @@ def test_wall_normals_unit_and_orthogonal():
     rng = np.random.default_rng(77)
     worst_len = 0.0
     worst_dot = 0.0
+    baffles = [piece for kind, _, piece in SEGMENTS if kind == "baffle"]
+    H = ChannelDims().H
     for _ in range(1000):
-        curve = build_spline(ControlPolygon(*rng.uniform(-0.5, 0.5, size=3)))
-        x = float(rng.uniform(0.0, 0.5))
-        _, slope = eval_spline(curve, x)
-        n = unit_normal(curve, x)
-        tangent = np.array([1.0, slope]) / np.hypot(1.0, slope)
-        worst_len = max(worst_len, abs(float(np.hypot(n[0], n[1])) - 1.0))
-        worst_dot = max(worst_dot, abs(float(n @ tangent)))
+        coeffs = build_spline(ControlPolygon(*rng.uniform(-0.5, 0.5, size=3)))
+        _, start, _, sign = piece = baffles[rng.integers(len(baffles))]
+        pts, n = segment_points(piece, [rng.uniform(0.0, 1.0)], coeffs, BAFFLE_SAMPLES)
+        # the wall's slope in mm is the spline's, mirrored on the upper wall
+        _, slope = eval_spline(coeffs, np.clip((pts[0, 0] - start) / H, 0.0, 0.5))
+        tangent = np.array([1.0, sign * slope]) / np.hypot(1.0, slope)
+        worst_len = max(worst_len, abs(float(np.hypot(*n[0])) - 1.0))
+        worst_dot = max(worst_dot, abs(float(n[0] @ tangent)))
     ok = worst_len <= 1e-12 and worst_dot <= 1e-12
     _gate("baffle normals unit length and tangent orthogonality",
           ok,
-          f"1000 random (polygon, x) draws, max length error {worst_len:.2e}, "
+          f"1000 random (polygon, baffle point) draws, max length error {worst_len:.2e}, "
           f"max tangent dot {worst_dot:.2e} (gates 1e-12)")
 
 

@@ -545,12 +545,21 @@ def test_bad_ppo_values_exit_2_before_loading_anything(tmp_path, capsys, bad):
     ("ga", {"blend_alpha": float("inf")}, "compare"),
     ("ga", {"mutation_scale": float("nan")}, "compare"),
     ("ga", {"mutation_scale": float("inf")}, "compare"),
+    ("train", {"checkpoint_dir": 5}, "train"),
+    ("train", {"slice_stations": ["a"]}, "train"),
+    ("train", {"slice_stations": [[1.0]]}, "train"),
+    ("train", {"slice_stations": 5}, "train"),
+    ("train", {"slice_stations": "3.0"}, "train"),
+    ("train", {"slice_stations": [True]}, "train"),
+    ("train", {"slice_stations": [3.0, float("nan")]}, "train"),
+    ("train", {"slice_stations": [-0.5]}, "train"),
+    ("train", {"slice_stations": [7.5]}, "train"),
 ])
 def test_bad_train_and_ga_values_exit_2_before_running(tmp_path, capsys, section, bad, command):
     cfg = write_config(tmp_path, {section: bad})
     out = tmp_path / "out"
     if command == "train":
-        argv = ["train", "--out", str(out), "--steps", "2"]
+        argv = ["train", "--out", str(out), "--steps", "0"]
     else:
         argv = ["compare", "--policy", str(tmp_path / "missing.ckpt"), "--sc", "10",
                 "--synthetic", "--out", str(out)]
@@ -559,7 +568,7 @@ def test_bad_train_and_ga_values_exit_2_before_running(tmp_path, capsys, section
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(f"config.{section}: ") and next(iter(bad)) in err["message"]
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 @pytest.mark.parametrize("config, argv", [

@@ -113,6 +113,32 @@ def test_periodic_checkpoints_need_a_directory():
     tiny_config(checkpoint_interval=0)  # no periodic checkpoint, no directory needed
 
 
+def test_slice_stations_are_kept_as_floats():
+    assert tiny_config(slice_stations=[3, np.float64(1.5), 7.0]).slice_stations == (3.0, 1.5, 7.0)
+    assert tiny_config(slice_stations=np.array([2.0])).slice_stations == (2.0,)
+    # the far end is the outlet station the defaults use
+    top = ChannelDims().L / ChannelDims().H
+    assert tiny_config(slice_stations=(0.0, top)).slice_stations == (0.0, top)
+    for bad in (["a"], [[1.0]], 5, "3", [True], [np.nan], [np.inf], [-1e-9], [top + 1e-9]):
+        with pytest.raises(DomainError, match="slice_stations"):
+            tiny_config(slice_stations=bad)
+
+
+def test_empty_slice_stations_train_without_slices():
+    cfg = tiny_config(steps=0, slice_stations=[])
+    assert cfg.slice_stations == ()
+    colloc = generate_collocation(ChannelDims(), cfg.bounds, cfg.counts, seed=0, slice_stations=cfg.slice_stations)
+    assert colloc.slices == ()
+    _, history = train(cfg)
+    assert np.isfinite(history.final.total)
+
+
+def test_checkpoint_dir_must_be_a_string():
+    for bad in (5, b"dir", ["dir"]):
+        with pytest.raises(DomainError, match="checkpoint_dir"):
+            tiny_config(checkpoint_dir=bad)
+
+
 def test_checkpoint_wrappers_round_trip(tmp_path):
     params, _ = train(tiny_config(steps=5))
     path = tmp_path / "field.ckpt"

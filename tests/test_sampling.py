@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mixopt import sampling
+from mixopt import geometry, sampling
 from mixopt.errors import DomainError, SamplingError
-from mixopt.geometry import CHANNEL, KNOTS, ChannelDims, ControlPolygon, build_layout, build_spline, eval_spline
+from mixopt.geometry import CHANNEL, ChannelDims, ControlPolygon, build_spline, contains, wall_heights
 from mixopt.sampling import (
     DIM_NAMES,
     CollocationCounts,
@@ -12,45 +12,44 @@ from mixopt.sampling import (
     generate_collocation,
     slice_points,
 )
+from spline_oracle import eval_spline
 
 
-def scalar_eval(coeffs, x):
-    """One spline's (value, slope) at x, gathered coefficient by coefficient."""
-    seg = np.clip(np.searchsorted(KNOTS, x, side="right") - 1, 0, 3)
-    t = x - KNOTS[seg]
-    a, b, c, d = (coeffs[seg, k] for k in range(4))
-    return a + t * (b + t * (c + t * d)), b + t * (2.0 * c + 3.0 * d * t)
-
-
-def per_row_baffle_points(coeffs, t, start_x, base, sign, H, samples):
+def per_row_baffle_points(coeffs, t, start_x, base, sign, samples):
     """Reference for ``geometry.baffle_points``: one spline, one arc-length
     table and one ``np.interp`` per row, in a Python loop."""
+    H = CHANNEL.H
     xhat_grid = np.linspace(0.0, 0.5, samples)
     pts = np.zeros((len(t), 2))
     nrm = np.zeros((len(t), 2))
     for i in range(len(t)):
         # the a-coefficients of segments 1..3 are the control heights exactly
-        curve = build_spline(ControlPolygon(*coeffs[i, 1:, 0]))
-        value, _ = scalar_eval(curve.coeffs, xhat_grid)
+        row = build_spline(ControlPolygon(*coeffs[i, 1:, 0]))
+        value, _ = eval_spline(row, xhat_grid)
         grid = np.stack([start_x + xhat_grid * H, base + sign * H * value], axis=1)
         cumlen = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(grid, axis=0), axis=1))])
         xhat = np.interp(t[i] * cumlen[-1], cumlen, xhat_grid)
-        value, slope = scalar_eval(curve.coeffs, xhat)
+        value, slope = eval_spline(row, xhat)
         scale = 1.0 / np.sqrt(1.0 + slope * slope)
         pts[i] = start_x + xhat * H, base + sign * H * value
         nrm[i] = slope * scale, -sign * scale
     return pts, nrm
 
 
-def former_slice_points(layout, x_mm, n):
+def walls_at(coeffs, x_mm):
+    """(lower, upper) wall y in mm of one design coeffs (4, 4) at one station, by a one-row call."""
+    lower, upper = wall_heights(coeffs[None], np.array([[x_mm]]))
+    return float(lower[0, 0]), float(upper[0, 0])
+
+
+def former_slice_points(coeffs, x_mm, n):
     """Reference for one station of ``sampling.slice_points``: the wall heights
-    of that station's own layout, one station at a time."""
+    of that station's own design coeffs (4, 4), one station at a time."""
     if n < 2:
         raise DomainError("a quadrature slice needs at least 2 points")
     if not (0.0 <= x_mm <= CHANNEL.L):
         raise DomainError(f"station x={x_mm} outside the channel [0, {CHANNEL.L}]")
-    lower = float(layout.lower_wall_y(x_mm))
-    upper = float(layout.upper_wall_y(x_mm))
+    lower, upper = walls_at(coeffs, x_mm)
     y = np.linspace(lower, upper, n)
     h = (upper - lower) / (n - 1)
     w = np.full(n, h)
@@ -59,8 +58,8 @@ def former_slice_points(layout, x_mm, n):
 
 
 def per_station_slice_points(cps, x_mm, n):
-    """``slice_points`` built from one layout and one ``former_slice_points`` per station."""
-    rows = [former_slice_points(build_layout(ControlPolygon(*cp)), float(x), n)
+    """``slice_points`` built from one spline and one ``former_slice_points`` per station."""
+    rows = [former_slice_points(build_spline(ControlPolygon(*cp)), float(x), n)
             for cp, x in zip(cps, x_mm)]
     return np.array([y for y, _ in rows]), np.array([w for _, w in rows])
 
@@ -95,8 +94,7 @@ def test_interior_rows_inside_fluid():
     assert pts.shape == (n, 7)
     H = 0.3
     for row in pts[::7]:
-        layout = build_layout(ControlPolygon(*row[2:5]))
-        assert layout.contains(row[0] * H, row[1] * H)
+        assert contains(build_spline(ControlPolygon(*row[2:5])), row[0] * H, row[1] * H)
 
 
 def test_interior_re_and_sc_uniform_over_box():
@@ -114,8 +112,7 @@ def test_interior_all_rows_contained_small():
     colloc = make_set(seed=9, interior=600)
     H = 0.3
     for row in colloc.interior:
-        layout = build_layout(ControlPolygon(*row[2:5]))
-        assert layout.contains(row[0] * H, row[1] * H)
+        assert contains(build_spline(ControlPolygon(*row[2:5])), row[0] * H, row[1] * H)
 
 
 def test_pinned_control_points_stay_exact():
@@ -145,8 +142,7 @@ def test_interior_fills_partly_fluid_bounds(bounds, n, seed):
     assert np.all(pts[:, pinned] == lows[pinned])
     H = 0.3
     for row in pts:
-        layout = build_layout(ControlPolygon(*row[2:5]))
-        assert layout.contains(row[0] * H, row[1] * H)
+        assert contains(build_spline(ControlPolygon(*row[2:5])), row[0] * H, row[1] * H)
 
 
 @pytest.mark.parametrize("n", [10, 200])
@@ -220,7 +216,7 @@ def test_collocation_equals_per_row_baffle_reference(monkeypatch, seed, per_boun
     dims, bounds = ChannelDims(), SampleBounds()
     counts = CollocationCounts(per_boundary=per_boundary)
     fast = generate_collocation(dims, bounds, counts, seed=seed)
-    monkeypatch.setattr(sampling, "baffle_points", per_row_baffle_points)
+    monkeypatch.setattr(geometry, "baffle_points", per_row_baffle_points)
     monkeypatch.setattr(sampling, "slice_points", per_station_slice_points)
     slow = generate_collocation(dims, bounds, counts, seed=seed)
     assert np.array_equal(fast.interior, slow.interior)
@@ -256,15 +252,15 @@ def test_baffle_rows_on_their_curves():
     grp = colloc.boundary["baffle"]
     for row, normal in zip(grp.X, grp.normals):
         x, y = row[0], row[1]
-        curve = build_spline(ControlPolygon(*row[2:5]))
+        coeffs = build_spline(ControlPolygon(*row[2:5]))
         if x <= 3.5 + 1e-9 and y > 0.45:
             xhat = np.clip(x - 3.0, 0.0, 0.5)
-            value, slope = eval_spline(curve, xhat)
+            value, slope = eval_spline(coeffs, xhat)
             assert abs(y - (1.0 - value)) < 1e-10
             tangent = np.array([1.0, -slope]) / np.hypot(1.0, slope)
         else:
             xhat = np.clip(x - 3.5, 0.0, 0.5)
-            value, slope = eval_spline(curve, xhat)
+            value, slope = eval_spline(coeffs, xhat)
             assert abs(y - value) < 1e-10
             tangent = np.array([1.0, slope]) / np.hypot(1.0, slope)
         assert abs(np.hypot(*normal) - 1.0) < 1e-12
@@ -279,12 +275,10 @@ def test_outlet_rows_at_exit():
 
 
 def test_slice_points_uniform_and_weighted():
-    layout = build_layout(ControlPolygon(0.3, 0.1, -0.2))
     y, w = slice_points([[0.3, 0.1, -0.2]], [1.0], 11)
     assert y.shape == w.shape == (1, 11)
     y, w = y[0], w[0]
-    lower = layout.lower_wall_y(1.0)
-    upper = layout.upper_wall_y(1.0)
+    lower, upper = walls_at(build_spline(ControlPolygon(0.3, 0.1, -0.2)), 1.0)
     assert abs(y[0] - lower) < 1e-14 and abs(y[-1] - upper) < 1e-14
     assert np.allclose(np.diff(y), (upper - lower) / 10)
     assert abs(w.sum() - (upper - lower)) < 1e-14
@@ -340,8 +334,8 @@ def test_slices_span_local_height():
     assert len(colloc.slices) == 5
     for s in colloc.slices:
         assert np.all(s.X[:, 0] == s.station)
-        layout = build_layout(ControlPolygon(*s.X[0, 2:5]))
-        height = (layout.upper_wall_y(s.station * 0.3) - layout.lower_wall_y(s.station * 0.3)) / 0.3
+        lower, upper = walls_at(build_spline(ControlPolygon(*s.X[0, 2:5])), s.station * 0.3)
+        height = (upper - lower) / 0.3
         assert abs(s.weights.sum() - height) < 1e-12
         assert len({tuple(r) for r in s.X[:, 2:]}) == 1
 
