@@ -34,7 +34,8 @@ block runs that block alone, without the loop, with the same bits.
 (``ParameterSet.bias_tiles``); the tape and ``forward_vjp`` keep the
 broadcast add. A one-row ``forward`` (a policy query) runs the layers on
 1-D vectors instead, with the same bits: per-call overhead, not arithmetic,
-is its cost, and 1-D arrays carry less of it.
+is its cost, and 1-D arrays carry less of it; a one-input network with a
+hidden layer forms its first layer as one scalar times a vector.
 """
 
 from __future__ import annotations
@@ -387,21 +388,29 @@ def forward(params: ParameterSet, X) -> np.ndarray:
     same row blocks, adding each bias from ``bias_tiles()``. One row runs
     the layers on 1-D vectors (``h.dot(Wt)``, then the bias add and tanh in
     place), which carry less per-call overhead; numpy runs a one-row 2-D
-    product as the same vector-matrix product, so the bits agree.
+    product as the same vector-matrix product, so the bits agree. A
+    one-input network with a hidden layer (a policy query) forms its first
+    layer as the normalized scalar times W^T's one row: a length-1 dot adds
+    that product to 0.0, which can only turn a -0.0 into 0.0, and the next
+    layer's dot drops a zero's sign.
     """
     X = _checked(params, X)
     if len(X) == 1:
         norm, table = params.norm, params.table()
-        h = X[0] - norm.center
-        h *= norm.inv_halfspan
-        for _, Wt, b in table[:-1]:
-            h = h.dot(Wt)
-            h += b
-            np.tanh(h, out=h)
-        _, Wt, b = table[-1]
-        h = h.dot(Wt)
-        h += b
-        return h[None]
+        _, Wt, b = table[0]
+        if params.spec.input_dim == 1 and len(table) > 1:
+            z = Wt[0] * ((X.item() - norm.center.item()) * norm.inv_halfspan.item())
+        else:
+            h = X[0] - norm.center
+            h *= norm.inv_halfspan
+            z = h.dot(Wt)
+        for _, Wt, next_b in table[1:]:
+            z += b
+            np.tanh(z, out=z)
+            z = z.dot(Wt)
+            b = next_b
+        z += b
+        return z[None]
     h = params.norm.apply(X)
     table, tiles = params.table(), params.bias_tiles()
     if len(h) <= ROW_BLOCK:

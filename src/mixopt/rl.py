@@ -167,8 +167,29 @@ def _scale_actions(raw: np.ndarray) -> np.ndarray:
     bounds, elementwise over any leading shape; nan stays nan.
 
     ``np.minimum(np.maximum(...))`` gives ``np.clip``'s bits with about 1 us
-    less per-call overhead, which every policy query pays."""
+    less per-call overhead. Rollouts map their whole batch here; one row
+    goes through ``_scale_row``."""
     return _ACTION_CENTER + _ACTION_HALFSPAN * np.minimum(np.maximum(raw, -1.0), 1.0)
+
+
+# _scale_actions' center and half-span as Python floats, for _scale_row
+_ROW_CENTER = tuple(_ACTION_CENTER.tolist())
+_ROW_HALFSPAN = tuple(_ACTION_HALFSPAN.tolist())
+
+
+def _scale_row(means) -> DesignCandidate:
+    """``_scale_actions`` on one row of ACTION_DIM Python floats, as a design.
+
+    Each entry takes the same operations in the same operand order, so the
+    bits agree; max and min keep a nan first argument, as np.maximum and
+    np.minimum do, and DesignCandidate then rejects it. Scalar arithmetic
+    skips four array passes' per-call overhead, which every policy query
+    pays.
+    """
+    m1, m2, m3, m4 = means
+    (c1, c2, c3, c4), (h1, h2, h3, h4) = _ROW_CENTER, _ROW_HALFSPAN
+    return DesignCandidate(c1 + h1 * min(max(m1, -1.0), 1.0), c2 + h2 * min(max(m2, -1.0), 1.0),
+                           c3 + h3 * min(max(m3, -1.0), 1.0), c4 + h4 * min(max(m4, -1.0), 1.0))
 
 
 def scale_action(raw) -> DesignCandidate:
@@ -176,7 +197,7 @@ def scale_action(raw) -> DesignCandidate:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (ACTION_DIM,):
         raise DomainError(f"expected a {ACTION_DIM}-vector, got shape {raw.shape}")
-    return DesignCandidate(*_scale_actions(raw).tolist())
+    return _scale_row(raw.tolist())
 
 
 def normalize_design(design: DesignCandidate) -> np.ndarray:
@@ -355,8 +376,12 @@ def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
 
 def query_policy(actor: ParameterSet, sc: float) -> DesignCandidate:
     """Deterministic greedy design: the policy mean, scaled to bounds; a
-    Schmidt number outside the trained range [SC_LO, SC_HI] extrapolates."""
+    Schmidt number outside the trained range [SC_LO, SC_HI] extrapolates.
+    The actor must map one input to a mean and a log-std per action."""
+    spec = actor.spec
+    if spec.input_dim != 1 or spec.output_dim != 2 * ACTION_DIM:
+        raise DomainError(f"an actor maps 1 input to {2 * ACTION_DIM} outputs, "
+                          f"got {spec.input_dim} -> {spec.output_dim}")
     if not (SC_LO <= sc <= SC_HI):
         check_schmidt(sc)
-    out = forward(actor, [[sc]])
-    return DesignCandidate(*_scale_actions(out[0, :ACTION_DIM]).tolist())
+    return _scale_row(forward(actor, [[sc]])[0, :ACTION_DIM].tolist())

@@ -48,10 +48,13 @@ class SampleBounds:
             lo, hi = getattr(self, name)
             if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
                 raise DomainError(f"bounds for {name} must satisfy lo <= hi, got ({lo}, {hi})")
-        for name in ("cp1", "cp2", "cp3"):
+        limits = {"x": (0.0, CHANNEL.L / CHANNEL.H), "y": (0.0, 1.0),
+                  "cp1": (CP_MIN, CP_MAX), "cp2": (CP_MIN, CP_MAX), "cp3": (CP_MIN, CP_MAX)}
+        for name, (low, high) in limits.items():
             lo, hi = getattr(self, name)
-            if lo < CP_MIN or hi > CP_MAX:
-                raise DomainError(f"bounds for {name} must lie within [{CP_MIN}, {CP_MAX}]")
+            if lo < low or hi > high:
+                raise DomainError(f"bounds for {name} must lie within [{low:.6g}, {high:.6g}], "
+                                  f"got ({lo}, {hi})")
         for name in ("re", "sc"):
             lo, _ = getattr(self, name)
             if lo <= 0:
@@ -190,10 +193,6 @@ def generate_collocation(dims: ChannelDims, bounds: SampleBounds, counts: Colloc
     stays for callers that pass ``ChannelDims()`` positionally.
     """
     H = CHANNEL.H
-    if bounds.x[0] < 0.0 or bounds.x[1] > CHANNEL.L / H + 1e-12:
-        raise DomainError(f"x bounds must lie within [0, {CHANNEL.L / H}]")
-    if bounds.y[0] < 0.0 or bounds.y[1] > 1.0:
-        raise DomainError("y bounds must lie within [0, 1]")
     rng = np.random.default_rng(seed)
 
     interior = _uniform_interior(rng, counts.interior, bounds)

@@ -13,6 +13,7 @@ import pytest
 
 from mixopt import cli, rl
 from mixopt.cli import RunConfig, load_config, main
+from mixopt.diffnet import save_params
 from mixopt.errors import ConfigError, DomainError
 from mixopt.ga import GAConfig
 from mixopt.pinn_train import TrainConfig
@@ -438,6 +439,24 @@ def test_query_and_compare_reject_critic_checkpoint(tmp_path, capsys):
     assert err["error"] == "CheckpointError"
 
 
+def test_query_and_compare_refuse_an_actor_of_the_wrong_shape(tmp_path, capsys):
+    # a critic saved under the actor role loads, but its one output is no policy
+    policy = tmp_path / "actor.ckpt"
+    save_params(rl.init_critic(PPOConfig(), seed=1), policy, role="actor")
+    cfg = write_config(tmp_path, {"ga": {"population": 6, "generations": 3}})
+    capsys.readouterr()
+    for command in ("query", "compare"):
+        out = tmp_path / f"{command}.csv"
+        argv = ["--config", cfg, command, "--policy", str(policy), "--sc", "10,50", "--out", str(out)]
+        if command == "compare":
+            argv += ["--synthetic", "--repeats", "1"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DomainError"
+        assert err["message"].endswith("got 1 -> 1")
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def tiny_actor(tmp_path_factory):
     d = tmp_path_factory.mktemp("actor")
@@ -568,6 +587,32 @@ def test_bad_train_and_ga_values_exit_2_before_running(tmp_path, capsys, section
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(f"config.{section}: ") and next(iter(bad)) in err["message"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("bounds, limit", [
+    ({"x": [0.0, 8.0]}, "[0, 7]"),
+    ({"x": [-0.5, 3.0]}, "[0, 7]"),
+    ({"y": [0.0, 1.5]}, "[0, 1]"),
+    ({"y": [-0.1, 0.5]}, "[0, 1]"),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_sampling_bounds_outside_the_channel_exit_2_before_running(tiny_checkpoint, tmp_path,
+                                                                   capsys, bounds, limit, command):
+    # evaluate never samples, yet the config it loads must hold
+    cfg = write_config(tmp_path, {"train": {"bounds": bounds}})
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--out", str(out), "--steps", "0"]
+    else:
+        argv = ["evaluate", "--checkpoint", tiny_checkpoint[0], "--cp", "0", "0", "0",
+                "--re", "10", "--sc", "10", "--fields", str(out)]
+    capsys.readouterr()
+    assert main(["--config", cfg, *argv]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    name = next(iter(bounds))
+    assert err["message"].startswith(f"config.train.bounds: bounds for {name} must lie within {limit}")
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 

@@ -370,27 +370,41 @@ ONE_ROW_NETS = {
     "field": (NetworkSpec(hidden=(32, 32)), FIELD_NORM),
     "actor": (NetworkSpec(input_dim=1, output_dim=8, hidden=(32, 32)), [(1.0, 100.0)]),
     "critic": (NetworkSpec(input_dim=1, output_dim=1, hidden=(32, 32)), [(1.0, 100.0)]),
+    # one input whose center and half-span are neither 0 nor 1; the linear
+    # net has no hidden layer, so its one-row pass keeps the length-1 dot
+    "shifted": (NetworkSpec(input_dim=1, output_dim=3, hidden=(16,)), [(-3.7, 0.9)]),
+    "linear": (NetworkSpec(input_dim=1, output_dim=3, hidden=()), [(-3.7, 0.9)]),
 }
 
 
 @pytest.mark.parametrize("net", sorted(ONE_ROW_NETS))
 def test_one_row_forward_returns_the_two_d_passes_bits(net):
-    # forward runs a single row on 1-D vectors; every other pass, and the
+    # forward runs a single row on 1-D vectors, a one-input net's first
+    # layer as a scalar times a vector; every other pass, and the
     # broadcast-bias reference, runs it as a 2-D one-row block
     spec, bounds = ONE_ROW_NETS[net]
     params = init_params(spec, norm=InputNorm.from_bounds(bounds), seed=len(net))
+    if net == "linear":  # -0.0 biases, whose sign a zero product added to 0.0 would lose
+        flat = params.flat.copy()
+        flat[-spec.output_dim:] = -0.0
+        params = params.with_flat(flat)
+    rng = np.random.default_rng(3)
     if net == "field":
         rows = field_rows(40, seed=3)
-    else:  # extrapolated Schmidt numbers included
-        rows = np.random.default_rng(3).uniform(0.5, 200.0, (40, 1))
+    elif net in ("actor", "critic"):  # extrapolated Schmidt numbers included
+        rows = rng.uniform(0.5, 200.0, (40, 1))
+    else:  # well outside the bounds on both sides
+        rows = rng.uniform(-12.0, 9.0, (40, 1))
+    if spec.input_dim == 1:  # the center, where the first layer's products are zeros
+        rows = np.concatenate([params.norm.center[None], rows])
     for i in range(len(rows)):
         X = rows[i:i + 1]
         X_before = X.copy()
         out = forward(params, X)
         assert out.shape == (1, spec.output_dim)
         assert np.array_equal(X, X_before)
-        assert np.array_equal(out, broadcast_bias_forward(params, X))
-        assert np.array_equal(out, forward_vjp(params, X)[0])
+        assert out.tobytes() == broadcast_bias_forward(params, X).tobytes()
+        assert out.tobytes() == forward_vjp(params, X)[0].tobytes()
         if net == "field":  # the spatial tangents need (x, y) inputs
             assert np.array_equal(out, forward_jac(params, X)[0])
             assert np.array_equal(out, forward_vjp(params, X, need_jac=True)[0])

@@ -18,10 +18,12 @@ from mixopt.diffnet import (
 from mixopt.diffnet.tape import Node, gradient, leaf, nsum, pick, square
 from mixopt.errors import DomainError
 from mixopt.ga import GAConfig, run_ga
-from mixopt.metrics import BaselineTable, DesignCandidate, outlet_concentration
+from mixopt.metrics import BaselineTable, DesignCandidate, check_schmidt, outlet_concentration
 from mixopt.rl import (
     ACTION_DIM,
     LOG_2PI,
+    SC_HI,
+    SC_LO,
     Batch,
     PinnEnv,
     PPOConfig,
@@ -630,6 +632,76 @@ def test_query_policy_calls_forward_once_with_one_row(monkeypatch):
         assert query_policy(actor, sc) == want
         assert calls == [(True, (1, 1))]
         calls.clear()
+
+
+def former_query(actor, sc):
+    """The query before its scalar glue, as an oracle: a one-row pass that
+    normalizes the input as an array and forms the first layer with a
+    length-1 dot, then the array squash."""
+    if not (SC_LO <= sc <= SC_HI):
+        check_schmidt(sc)
+    norm, table = actor.norm, actor.table()
+    h = np.array([sc]) - norm.center
+    h *= norm.inv_halfspan
+    for _, Wt, b in table[:-1]:
+        h = h.dot(Wt)
+        h += b
+        np.tanh(h, out=h)
+    _, Wt, b = table[-1]
+    h = h.dot(Wt)
+    h += b
+    return DesignCandidate(*rl._scale_actions(h[:ACTION_DIM]).tolist())
+
+
+def design_bytes(designs):
+    return np.array([(d.cp1, d.cp2, d.cp3, d.re) for d in designs]).tobytes()
+
+
+@pytest.mark.parametrize("trained", [True, False])
+def test_query_policy_returns_the_former_querys_bits(trained_default, trained):
+    actor = trained_default[1] if trained else init_actor(PPOConfig(), seed=53)
+    # extrapolated Schmidt numbers, the range's ends and its center included
+    sc_values = [*np.random.default_rng(54).uniform(0.5, 200.0, 10_000).tolist(),
+                 0.5, SC_LO, 0.5 * (SC_LO + SC_HI), SC_HI, 200.0]
+    want = [former_query(actor, sc) for sc in sc_values]
+    assert design_bytes([query_policy(actor, sc) for sc in sc_values]) == design_bytes(want)
+
+
+# infinities, nan, signed zeros, the clip's ends and one ulp either side of them
+SQUASH_MEANS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0,
+                *(np.nextafter(end, end + step) for end in (1.0, -1.0) for step in (-1.0, 1.0))]
+
+
+def test_row_squash_returns_the_array_squashs_bits(monkeypatch):
+    actor = init_actor(small_cfg(), seed=55)
+    n = len(SQUASH_MEANS)
+    rows = [[m] * ACTION_DIM for m in SQUASH_MEANS]
+    rows += [[SQUASH_MEANS[(i + k) % n] for k in range(ACTION_DIM)] for i in range(n)]
+    for row in rows:
+        out = np.array([row + [0.0] * ACTION_DIM])
+        monkeypatch.setattr(rl, "forward", lambda params, X: out)
+        want = rl._scale_actions(out[0, :ACTION_DIM])
+        if np.isnan(want).any():
+            with pytest.raises(DomainError) as former:
+                DesignCandidate(*want.tolist())
+            for squash in (lambda: query_policy(actor, 10.0), lambda: scale_action(out[0, :ACTION_DIM])):
+                with pytest.raises(DomainError) as got:
+                    squash()
+                assert str(got.value) == str(former.value)
+        else:
+            assert design_bytes([query_policy(actor, 10.0)]) == want.tobytes()
+            assert design_bytes([scale_action(out[0, :ACTION_DIM])]) == want.tobytes()
+
+
+@pytest.mark.parametrize("net", [
+    init_critic(PPOConfig(), seed=1),  # its one output would broadcast over every action
+    init_params(NetworkSpec(input_dim=1, output_dim=ACTION_DIM, hidden=(8,)), seed=56),
+    init_params(NetworkSpec(input_dim=1, output_dim=2 * ACTION_DIM + 1, hidden=(8,)), seed=56),
+    init_params(NetworkSpec(input_dim=2, output_dim=2 * ACTION_DIM, hidden=(8,)), seed=56),
+], ids=["critic", "means_only", "one_too_many", "two_inputs"])
+def test_query_policy_refuses_a_network_that_is_not_an_actor(net):
+    with pytest.raises(DomainError, match=f"got {net.spec.input_dim} -> {net.spec.output_dim}$"):
+        query_policy(net, 10.0)
 
 
 def test_actor_checkpoint_round_trip(tmp_path):

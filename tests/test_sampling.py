@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -341,5 +343,11 @@ def test_slices_span_local_height():
 
 
 def test_x_bounds_outside_channel_rejected():
-    with pytest.raises(DomainError):
-        generate_collocation(ChannelDims(), SampleBounds(x=(0.0, 8.0)), CollocationCounts(interior=10))
+    # x and y are checked when the bounds are built, before anything samples
+    for bad, limit in [({"x": (0.0, 8.0)}, "[0, 7]"), ({"x": (-0.1, 2.0)}, "[0, 7]"),
+                       ({"y": (0.2, 1.5)}, "[0, 1]"), ({"y": (-0.1, 0.5)}, "[0, 1]")]:
+        with pytest.raises(DomainError, match=re.escape(f"{next(iter(bad))} must lie within {limit}")):
+            SampleBounds(**bad)
+    # the channel's own extent is accepted, and samples
+    edges = SampleBounds(x=(0.0, CHANNEL.L / CHANNEL.H), y=(0.0, 1.0))
+    generate_collocation(ChannelDims(), edges, CollocationCounts(interior=10), seed=0)
