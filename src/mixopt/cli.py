@@ -32,7 +32,7 @@ from .errors import (
     check_ints,
 )
 from .ga import GAConfig, compare_timing
-from .geometry import ControlPolygon, build_spline, polyline_rows
+from .geometry import build_spline, polyline_rows
 from .metrics import DesignCandidate, baseline_table, compute_mixing_report
 from .diffnet import load_params, save_params
 from .physics import LossWeights
@@ -113,8 +113,7 @@ def _emit(payload: dict) -> None:
 def cmd_geometry(args, cfg: RunConfig) -> int:
     if args.points < 2:
         raise ConfigError(f"--points {args.points} must be at least 2")
-    polygon = ControlPolygon(args.cp[0], args.cp[1], args.cp[2])
-    rows = list(polyline_rows(build_spline(polygon), points_per_segment=args.points))
+    rows = list(polyline_rows(build_spline(args.cp), points_per_segment=args.points))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_mm", "y_mm", "segment", "nx", "ny"])
@@ -159,7 +158,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     _check_sc(args.sc, "--sc")
     design = DesignCandidate(args.cp[0], args.cp[1], args.cp[2], args.re)
     params = load_checkpoint(args.checkpoint)
-    table = evaluate_fields(params, design.polygon, design.re, args.sc)
+    table = evaluate_fields(params, args.cp, design.re, args.sc)
     table.to_csv(args.fields)
     report = compute_mixing_report(params, design, args.sc)
     if args.report:

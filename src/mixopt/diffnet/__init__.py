@@ -7,7 +7,6 @@ from .network import (
     NetworkSpec,
     ParameterSet,
     forward,
-    forward_jac,
     forward_vjp,
     init_params,
     map_blocks,
@@ -24,7 +23,6 @@ __all__ = [
     "adam_step",
     "adam_update",
     "forward",
-    "forward_jac",
     "forward_vjp",
     "init_adam",
     "init_params",

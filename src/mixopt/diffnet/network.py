@@ -24,11 +24,12 @@ runs NN.
 Every cached pass over more than one block goes through one block loop,
 ``map_blocks``, which hands each block's outputs, jacobian and pullback to
 a caller and frees the block's reverse cache when the caller returns,
-unless it keeps the pullback. ``forward_jac`` keeps only each block's
-outputs and jacobian, the PINN loss pulls each block back at once, and
+unless it keeps the pullback. The PINN loss pulls each block back at once;
 only ``forward_vjp`` (and ``net_apply`` on it) holds every block's cache,
-for as long as its pullback lives. A ``forward_vjp`` whose rows fit one
-block runs that block alone, without the loop, with the same bits.
+for as long as its pullback lives. ``forward_vjp(..., need_jac=True)`` is
+the one pass that returns outputs with their spatial jacobian. A
+``forward_vjp`` whose rows fit one block runs that block alone, without the
+loop, with the same bits.
 ``forward`` keeps no per-layer arrays at all.
 ``forward`` alone adds each bias from a copy tiled to ``ROW_BLOCK`` rows
 (``ParameterSet.bias_tiles``); the tape and ``forward_vjp`` keep the
@@ -416,16 +417,6 @@ def forward(params: ParameterSet, X) -> np.ndarray:
     if len(h) <= ROW_BLOCK:
         return _layers(table, h, tiles=tiles)
     return np.concatenate([_layers(table, h[s], tiles=tiles) for s in _row_blocks(len(h))])
-
-
-def forward_jac(params: ParameterSet, X):
-    """Outputs and spatial jacobian, (batch, output_dim) and (batch, output_dim, 2).
-
-    A value-only tangent pass: each row block runs the tape path's routine,
-    so both arrays carry its bits, but only the block's outputs and jacobian
-    are kept; its reverse caches are dropped before the next block starts.
-    """
-    return _stack(map_blocks(params, X, True, lambda rows, out, jac, pullback: (out, jac)))
 
 
 def forward_vjp(params: ParameterSet, X, need_jac: bool = False):

@@ -18,9 +18,6 @@ from .errors import DomainError, check_ints
 from .metrics import DESIGN_HI, DESIGN_LO, DesignCandidate, check_schmidt
 from .rl import query_policy
 
-GENE_LO, GENE_HI = DESIGN_LO, DESIGN_HI
-GENE_RANGE = GENE_HI - GENE_LO
-
 
 @dataclass(frozen=True)
 class GAConfig:
@@ -86,7 +83,8 @@ def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
     check_schmidt(sc)
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    pop = rng.uniform(GENE_LO, GENE_HI, size=(cfg.population, 4))
+    span = DESIGN_HI - DESIGN_LO
+    pop = rng.uniform(DESIGN_LO, DESIGN_HI, size=(cfg.population, 4))
     fitness = _evaluate(env, pop, sc)
     evaluations = cfg.population
     best_idx = int(np.argmax(fitness))
@@ -108,9 +106,9 @@ def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
             else:
                 child = p1.copy()
             mask = rng.random(4) < cfg.mutation_rate
-            kick = rng.normal(0.0, cfg.mutation_scale * GENE_RANGE)
+            kick = rng.normal(0.0, cfg.mutation_scale * span)
             child = np.where(mask, child + kick, child)
-            children[i] = np.clip(child, GENE_LO, GENE_HI)
+            children[i] = np.clip(child, DESIGN_LO, DESIGN_HI)
         child_fitness = _evaluate(env, children, sc) if n_children else np.empty(0)
         evaluations += n_children
         pop = np.vstack([elites, children]) if n_children else elites
@@ -167,6 +165,8 @@ def compare_timing(env, sc_values, cfg: GAConfig, actor, repeats: int = 3) -> Sc
         raise DomainError("need at least one Schmidt number")
     if repeats < 1:
         raise DomainError(f"repeats={repeats} must be at least 1")
+    for sc in sc_values[:2]:
+        query_policy(actor, sc)  # warmup, which also refuses a wrong-shape actor before any GA run
     ga_times = []
     ga_fitness = []
     for i, sc in enumerate(sc_values):
@@ -180,8 +180,6 @@ def compare_timing(env, sc_values, cfg: GAConfig, actor, repeats: int = 3) -> Sc
         ga_times.append(float(np.median(durations)))
         ga_fitness.append(result.best_fitness)
 
-    for sc in sc_values[:2]:
-        query_policy(actor, sc)  # warmup
     ms = _sample_counts(len(sc_values))
     rl_cumulative = []
     for m in ms:

@@ -21,30 +21,6 @@ CP_MIN = -0.5
 CP_MAX = 0.5
 BAFFLE_SAMPLES = 513  # arc-length table size of an outline's baffle pieces
 
-@dataclass(frozen=True)
-class ControlPolygon:
-    """Heights of the three free spline control points, in channel heights."""
-
-    cp1: float
-    cp2: float
-    cp3: float
-
-    def __post_init__(self):
-        for name in ("cp1", "cp2", "cp3"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or not (CP_MIN <= v <= CP_MAX):
-                raise DomainError(f"{name}={v!r} outside [{CP_MIN}, {CP_MAX}]")
-
-    @classmethod
-    def from_iterable(cls, values) -> "ControlPolygon":
-        vals = [float(v) for v in values]
-        if len(vals) != 3:
-            raise DomainError(f"expected 3 control heights, got {len(vals)}")
-        return cls(*vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cp1, self.cp2, self.cp3])
-
 
 def _coeffs_batch(cps: np.ndarray) -> np.ndarray:
     """Spline coefficients (n, 4, 4) for an (n, 3) block of control heights.
@@ -74,13 +50,20 @@ def _coeffs_batch(cps: np.ndarray) -> np.ndarray:
     return np.stack([a, b, c, d], axis=2)
 
 
-def build_spline(cp: ControlPolygon) -> np.ndarray:
+def build_spline(heights) -> np.ndarray:
     """Read-only coefficients (4, 4) of the natural cubic through (knots, [0, cp1, cp2, cp3, 0]).
 
-    Row i holds (a, b, c, d) of knot interval i, evaluated as
-    a + b*t + c*t^2 + d*t^3 with t = x - knots[i].
+    ``heights`` is any sequence of the three control heights, each finite and
+    in [CP_MIN, CP_MAX]. Row i holds (a, b, c, d) of knot interval i,
+    evaluated as a + b*t + c*t^2 + d*t^3 with t = x - knots[i].
     """
-    coeffs = _coeffs_batch(cp.as_array())[0]
+    values = [float(v) for v in heights]
+    if len(values) != 3:
+        raise DomainError(f"expected 3 control heights, got {len(values)}")
+    for i, v in enumerate(values, 1):  # NaN fails the range test too
+        if not CP_MIN <= v <= CP_MAX:
+            raise DomainError(f"cp{i}={v!r} outside [{CP_MIN}, {CP_MAX}]")
+    coeffs = _coeffs_batch(values)[0]
     coeffs.setflags(write=False)
     return coeffs
 

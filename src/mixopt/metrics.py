@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import jsonout
 from .diffnet import ParameterSet, forward
 from .errors import DomainError
-from .geometry import CHANNEL, CP_MAX, CP_MIN, ControlPolygon
+from .geometry import CHANNEL, CP_MAX, CP_MIN
 from .physics import FIELD_INDEX
 from .sampling import DIM_NAMES
 
@@ -49,10 +50,6 @@ class DesignCandidate:
                 raise DomainError(f"{name}={v!r} outside [{CP_MIN}, {CP_MAX}]")
         if not (RE_MIN <= self.re <= RE_MAX):
             raise DomainError(f"re={self.re!r} outside [{RE_MIN}, {RE_MAX}]")
-
-    @property
-    def polygon(self) -> ControlPolygon:
-        return ControlPolygon(self.cp1, self.cp2, self.cp3)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cp1, self.cp2, self.cp3, self.re])
@@ -235,9 +232,14 @@ def baseline_table(params: ParameterSet) -> BaselineTable:
     return BaselineTable(re_values=re_values, sc_values=sc_values, mi0=mi0, cp0=cp0)
 
 
+# the flat wall's design columns; the baseline grid spans a checkpoint's own
+# Re range, which may leave the design box, so this is no DesignCandidate
+_FlatWall = namedtuple("_FlatWall", "cp1 cp2 cp3 re")
+
+
 def _flat_wall(params: ParameterSet, re: float, sc: float):
-    """(mi0, cp0) of the flat-wall design, evaluated directly."""
-    flat = DesignCandidate(0.0, 0.0, 0.0, re)
+    """(mi0, cp0) of the flat-wall design at any positive Re, evaluated directly."""
+    flat = _FlatWall(0.0, 0.0, 0.0, re)
     mi0 = mixing_index(outlet_concentration(params, flat, sc))
     cp0 = pressure_cost(inlet_pressure(params, flat, sc))
     return mi0, cp0

@@ -24,7 +24,7 @@ from .diffnet import (
 from .diffnet.adam import adam_step
 from .diffnet.tape import leaf
 from .errors import DomainError, NumericalError, check_ints, check_widths
-from .geometry import CHANNEL, ControlPolygon, build_spline, contains
+from .geometry import CHANNEL, build_spline, contains
 from .physics import FIELD_INDEX, LossReport, LossWeights, loss_node, total_loss
 from .sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
 
@@ -80,9 +80,6 @@ class TrainHistory:
     reports: list
     final: LossReport | None = None
     aborted_at: int | None = None
-
-    def totals(self) -> np.ndarray:
-        return np.array([r.total for r in self.reports])
 
 
 def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
@@ -203,10 +200,11 @@ class FieldTable:
 
 
 def evaluate_fields(params: ParameterSet, cp, re: float, sc: float, grid=(141, 41)) -> FieldTable:
-    """Evaluate the trained fields on a regular grid over the channel."""
+    """Evaluate the trained fields on a regular grid over the channel; cp is
+    any sequence of the three control heights."""
     if not (0.0 < re < np.inf and 0.0 < sc < np.inf):
         raise DomainError("re and sc must be finite and positive")
-    polygon = cp if isinstance(cp, ControlPolygon) else ControlPolygon.from_iterable(cp)
+    coeffs = build_spline(cp)
     nx, ny = grid
     if nx < 2 or ny < 2:
         raise DomainError("grid must be at least 2x2")
@@ -214,10 +212,10 @@ def evaluate_fields(params: ParameterSet, cp, re: float, sc: float, grid=(141, 4
     x = np.linspace(0.0, CHANNEL.L / H, nx)
     y = np.linspace(0.0, 1.0, ny)
     XX, YY = np.meshgrid(x, y)
-    mask = contains(build_spline(polygon), XX.ravel() * H, YY.ravel() * H).reshape(ny, nx)
+    mask = contains(coeffs, XX.ravel() * H, YY.ravel() * H).reshape(ny, nx)
     rows = np.column_stack([
         XX.ravel(), YY.ravel(),
-        np.tile(polygon.as_array(), (nx * ny, 1)),
+        np.tile(np.array(cp, dtype=float), (nx * ny, 1)),
         np.full(nx * ny, re), np.full(nx * ny, sc),
     ])
     out = forward(params, rows)

@@ -47,7 +47,6 @@ class PPOConfig:
     critic_lr: float = 1e-3
     batch_size: int = 64
     episodes: int = 100
-    value_coef: float = 1.0
     entropy_coef: float = 0.01
     seed: int = 0
     actor_hidden: tuple = (32, 32)
@@ -63,10 +62,9 @@ class PPOConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("value_coef", "entropy_coef"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
+        value = self.entropy_coef
+        if not (math.isfinite(value) and value >= 0):
+            raise DomainError(f"entropy_coef must be finite and non-negative, got {value!r}")
 
 
 @dataclass
@@ -76,9 +74,7 @@ class Batch:
     states: np.ndarray
     actions: np.ndarray
     logp: np.ndarray
-    designs: list
     rewards: np.ndarray
-    values: np.ndarray
     advantages: np.ndarray
 
 
@@ -235,8 +231,10 @@ def ppo_losses(old_logp, new_logp, advantages, rewards, values, cfg: PPOConfig,
                log_sigma) -> tuple:
     """(L_clip, L_vf, entropy, L_total) on plain arrays.
 
-    L_total = L_clip - c1 L_vf + c2 H is the maximized objective, with H the
+    L_total = L_clip - L_vf + c H is the maximized objective, with H the
     closed-form entropy of the diagonal Gaussian whose log-stds are log_sigma.
+    L_vf carries no coefficient: the critic shares no parameters with the
+    actor, and Adam's step does not change when a gradient is rescaled.
     """
     old_logp = np.asarray(old_logp, dtype=np.float64)
     new_logp = np.asarray(new_logp, dtype=np.float64)
@@ -245,7 +243,7 @@ def ppo_losses(old_logp, new_logp, advantages, rewards, values, cfg: PPOConfig,
     l_clip = float(np.mean(surrogate))
     l_vf = float(np.mean((np.asarray(values) - np.asarray(rewards)) ** 2))
     entropy = float(np.mean(np.sum(0.5 * (1.0 + LOG_2PI) + np.asarray(log_sigma), axis=1)))
-    total = l_clip - cfg.value_coef * l_vf + cfg.entropy_coef * entropy
+    total = l_clip - l_vf + cfg.entropy_coef * entropy
     return l_clip, l_vf, entropy, total
 
 
@@ -276,7 +274,7 @@ def gradient(actor: ParameterSet, critic: ParameterSet, batch: Batch, cfg: PPOCo
     g_out = np.concatenate([-(g_z / sigma), g_log_sigma], axis=1)
 
     v, _, critic_vjp = forward_vjp(critic, states)
-    g_v = (cfg.value_coef * inv_n) * (2.0 * (v[:, 0] - batch.rewards))
+    g_v = inv_n * (2.0 * (v[:, 0] - batch.rewards))
     return actor_vjp(g_out), critic_vjp(g_v[:, None])
 
 
@@ -332,8 +330,7 @@ def rollout(env, actor: ParameterSet, critic: ParameterSet, cfg: PPOConfig, rng)
     values = forward(critic, states.reshape(-1, 1))[:, 0]
     advantages = (compute_advantages(rewards, values)
                   if np.all(np.isfinite(rewards)) else np.full(cfg.batch_size, np.nan))
-    return Batch(states=states, actions=actions, logp=logp, designs=designs,
-                 rewards=rewards, values=values, advantages=advantages)
+    return Batch(states=states, actions=actions, logp=logp, rewards=rewards, advantages=advantages)
 
 
 def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,

@@ -15,14 +15,14 @@ from mixopt.diffnet import (
     InputNorm,
     NetworkSpec,
     forward,
-    forward_jac,
+    forward_vjp,
     init_params,
     net_apply,
     param_gradient,
     tape,
 )
 from mixopt.ga import GAConfig, compare_timing, run_ga
-from mixopt.geometry import BAFFLE_SAMPLES, SEGMENTS, ChannelDims, ControlPolygon, build_spline, segment_points
+from mixopt.geometry import BAFFLE_SAMPLES, SEGMENTS, ChannelDims, build_spline, segment_points
 from mixopt.metrics import baseline_table, mixing_efficiency, mixing_index
 from mixopt.physics import FIELD_INDEX, pde_residuals
 from mixopt.pinn_train import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -102,7 +102,7 @@ def test_spline_matches_dense_linear_solve():
     t0 = time.perf_counter()
     for _ in range(1000):
         cps = rng.uniform(-0.5, 0.5, size=3)
-        co = build_spline(ControlPolygon(*cps))
+        co = build_spline(cps)
         expected = dense_spline_solve([0.0, *cps, 0.0])
         worst_coeff = max(worst_coeff, float(np.max(np.abs(co - expected))))
         for i in range(3):
@@ -129,7 +129,7 @@ def test_wall_normals_unit_and_orthogonal():
     baffles = [piece for kind, _, piece in SEGMENTS if kind == "baffle"]
     H = ChannelDims().H
     for _ in range(1000):
-        coeffs = build_spline(ControlPolygon(*rng.uniform(-0.5, 0.5, size=3)))
+        coeffs = build_spline(rng.uniform(-0.5, 0.5, size=3))
         _, start, _, sign = piece = baffles[rng.integers(len(baffles))]
         pts, n = segment_points(piece, [rng.uniform(0.0, 1.0)], coeffs, BAFFLE_SAMPLES)
         # the wall's slope in mm is the spline's, mirrored on the upper wall
@@ -152,7 +152,7 @@ def _rel_linf(got, want):
 
 
 def _composite_value(params, X):
-    out, jac = forward_jac(params, X)
+    out, jac, _ = forward_vjp(params, X, need_jac=True)
     return float(np.mean(out ** 2) + np.mean(jac ** 2) + np.mean(out[:, 0] * jac[:, 1, 0]))
 
 
@@ -179,7 +179,7 @@ def test_network_derivatives_match_central_differences():
         params = init_params(spec, norm=norm, seed=int(rng.integers(1 << 30)))
         X = rng.uniform(lo, hi, size=(batch, 7))
 
-        _, jac = forward_jac(params, X)
+        _, jac, _ = forward_vjp(params, X, need_jac=True)
         h = 1e-5
         for d in range(2):
             Xp, Xm = X.copy(), X.copy()
@@ -413,7 +413,8 @@ def test_every_pipeline_stage_bit_reproducible(tmp_path):
                       log_interval=10)
     p1, h1 = train(cfg)
     p2, h2 = train(cfg)
-    train_ok = np.array_equal(p1.flat, p2.flat) and np.array_equal(h1.totals(), h2.totals())
+    train_ok = (np.array_equal(p1.flat, p2.flat)
+                and [r.total for r in h1.reports] == [r.total for r in h2.reports])
 
     path = tmp_path / "repro.ckpt"
     save_checkpoint(p1, path, seed=cfg.seed)

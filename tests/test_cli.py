@@ -457,6 +457,37 @@ def test_query_and_compare_refuse_an_actor_of_the_wrong_shape(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_compare_refuses_a_wrong_shape_actor_before_any_ga_run(tmp_path, capsys, monkeypatch):
+    policy = tmp_path / "actor.ckpt"
+    save_params(rl.init_critic(PPOConfig(), seed=1), policy, role="actor")
+
+    def no_ga(*args, **kwargs):
+        raise AssertionError("a GA run started before the policy was checked")
+
+    monkeypatch.setattr("mixopt.ga.run_ga", no_ga)
+    capsys.readouterr()
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--synthetic", "--policy", str(policy), "--sc", "10,20,30",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "DomainError" and err["message"].endswith("got 1 -> 1")
+    assert not out.exists()
+
+
+def test_a_checkpoint_trained_beyond_the_design_re_box_backs_the_optimizers(tmp_path, capsys):
+    # its baseline grid runs from Re 1 to 60, past the [5, 40] design box
+    section = {**tiny_train_section(), "bounds": {"re": [1.0, 60.0]}}
+    cfg = write_config(tmp_path, {"train": section, "ga": {"population": 4, "generations": 1},
+                                  "ppo": {"batch_size": 8, "actor_hidden": [8], "critic_hidden": [8]}})
+    ckpt, actor = str(tmp_path / "wide.ckpt"), str(tmp_path / "actor.ckpt")
+    assert main(["--config", cfg, "train", "--steps", "0", "--out", ckpt]) == 0
+    assert main(["--config", cfg, "optimize-rl", "--checkpoint", ckpt, "--episodes", "1",
+                 "--out", actor]) == 0
+    assert main(["--config", cfg, "compare", "--checkpoint", ckpt, "--policy", actor, "--sc", "10",
+                 "--repeats", "1", "--out", str(tmp_path / "compare.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.fixture(scope="module")
 def tiny_actor(tmp_path_factory):
     d = tmp_path_factory.mktemp("actor")
@@ -539,7 +570,7 @@ def test_optimize_rl_requires_an_environment(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     {"batch_size": 1}, {"actor_lr": 0.0}, {"critic_lr": float("nan")},
-    {"value_coef": -0.5}, {"entropy_coef": float("inf")},
+    {"entropy_coef": -0.5}, {"entropy_coef": float("inf")},
 ])
 def test_bad_ppo_values_exit_2_before_loading_anything(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {"ppo": bad})
@@ -706,6 +737,7 @@ def test_removed_config_keys_exit_2(tmp_path, capsys):
         ({"train": {"activation": "tanh"}}, "config.train.activation"),
         ({"ppo": {"gamma": 0.99}}, "config.ppo.gamma"),
         ({"ppo": {"sampled_entropy": False}}, "config.ppo.sampled_entropy"),
+        ({"ppo": {"value_coef": 1.0}}, "config.ppo.value_coef"),
         ({"train": {"dims": {"h_d": 0.3}}}, "config.train.dims"),
         ({"train": {"dims": {"l_d": 0.15}}}, "config.train.dims"),
         ({"train": {"dims": {"L": 2.4}}}, "config.train.dims"),

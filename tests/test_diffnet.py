@@ -14,7 +14,6 @@ from mixopt.diffnet import (
     adam_update,
     checkpoint,
     forward,
-    forward_jac,
     forward_vjp,
     init_adam,
     init_params,
@@ -184,7 +183,7 @@ def test_pinned_dimension_is_ignored():
     X1 = np.array([[1.0, 5.0]])
     X2 = np.array([[1.0, 99.0]])
     assert np.allclose(forward(params, X1), forward(params, X2))
-    _, jac = forward_jac(params, X1)
+    _, jac, _ = forward_vjp(params, X1, need_jac=True)
     assert np.all(jac[:, :, 1] == 0.0)
 
 
@@ -194,9 +193,9 @@ def test_batch_permutation_equivariance():
     X = rng.normal(size=(12, 7))
     perm = rng.permutation(12)
     out = forward(params, X)
-    _, jac = forward_jac(params, X)
+    _, jac, _ = forward_vjp(params, X, need_jac=True)
     assert np.allclose(out[perm], forward(params, X[perm]), atol=1e-14)
-    assert np.allclose(jac[perm], forward_jac(params, X[perm])[1], atol=1e-14)
+    assert np.allclose(jac[perm], forward_vjp(params, X[perm], need_jac=True)[1], atol=1e-14)
 
 
 @only_tanh
@@ -271,7 +270,7 @@ def test_spatial_jacobian_matches_central_differences():
             rng.uniform(0, 7, 4), rng.uniform(0, 1, 4),
             rng.uniform(-0.5, 0.5, (4, 3)), rng.uniform(5, 40, 4), rng.uniform(1, 100, 4),
         ])
-        _, jac = forward_jac(params, X)
+        _, jac, _ = forward_vjp(params, X, need_jac=True)
         h = 1e-5
         for d in range(2):
             Xp, Xm = X.copy(), X.copy()
@@ -283,7 +282,7 @@ def test_spatial_jacobian_matches_central_differences():
 
 def composite_loss_value(params, X):
     """Numpy-only twin of composite_loss_node, for FD cross-checks."""
-    out, jac = forward_jac(params, X)
+    out, jac, _ = forward_vjp(params, X, need_jac=True)
     return float(np.mean(out ** 2) + np.mean(jac ** 2) + np.mean(out[:, 0] * jac[:, 1, 0]))
 
 
@@ -406,7 +405,6 @@ def test_one_row_forward_returns_the_two_d_passes_bits(net):
         assert out.tobytes() == broadcast_bias_forward(params, X).tobytes()
         assert out.tobytes() == forward_vjp(params, X)[0].tobytes()
         if net == "field":  # the spatial tangents need (x, y) inputs
-            assert np.array_equal(out, forward_jac(params, X)[0])
             assert np.array_equal(out, forward_vjp(params, X, need_jac=True)[0])
     assert params._tiles is None  # a one-row pass tiles no biases
 
@@ -427,7 +425,7 @@ def test_forward_of_no_rows_has_the_output_width():
 def _jac_and_gradient(params, X):
     leaf_node = tape.leaf(params.flat)
     root = composite_loss_node(leaf_node, params, X)
-    return forward_jac(params, X)[1], param_gradient(root, leaf_node)
+    return forward_vjp(params, X, need_jac=True)[1], param_gradient(root, leaf_node)
 
 
 @only_tanh
@@ -497,7 +495,7 @@ def test_a_weight_taken_before_another_sets_pass_cannot_be_written():
     assert np.array_equal(forward(q, X), before) and np.array_equal(q.flat, p.flat)
 
 
-@pytest.mark.parametrize("first_pass", ["forward", "forward_jac", "forward_vjp", "net_apply"])
+@pytest.mark.parametrize("first_pass", ["forward", "forward_vjp", "net_apply"])
 def test_weight_transposes_are_read_only_copies_of_the_first_pass_weights(first_pass):
     params = make_params(seed=6)
     flat = params.flat.copy()
@@ -542,11 +540,10 @@ def test_every_pass_returns_the_same_bits(spec, n):
     out = forward(params, X)
     outs = [forward_vjp(params, X)[0], net_apply(tape.leaf(params.flat), params, X)[0].value]
     if spec.input_dim == 7:  # the spatial tangents need (x, y) inputs
-        jac_out, jac = forward_jac(params, X)
-        vjp_out, vjp_jac, _ = forward_vjp(params, X, need_jac=True)
+        vjp_out, jac, _ = forward_vjp(params, X, need_jac=True)
         tape_out, tape_jac = net_apply(tape.leaf(params.flat), params, X, need_jac=True)
-        outs += [jac_out, vjp_out, tape_out.value]
-        assert np.array_equal(vjp_jac, jac) and np.array_equal(tape_jac.value, jac)
+        outs += [vjp_out, tape_out.value]
+        assert np.array_equal(tape_jac.value, jac)
     for got in outs:
         assert np.array_equal(got, out)
 
@@ -625,20 +622,22 @@ def test_one_block_pullback_equals_the_block_loop(net, need_jac, n, monkeypatch)
 
 
 @only_tanh
-def test_forward_jac_is_the_tape_paths_outputs_and_jacobian(activation):
+def test_forward_vjp_jacobian_is_the_tape_paths_outputs_and_jacobian(activation):
     spec = NetworkSpec(hidden=(32, 32))
     params = init_params(spec, norm=InputNorm.from_bounds(FIELD_NORM), seed=14)
     X = field_rows(700, seed=7)
     assert len(network._row_blocks(len(X))) == 4
     X_before = X.copy()
-    out, jac = forward_jac(params, X)
+    out, jac, _ = forward_vjp(params, X, need_jac=True)
     assert np.array_equal(X, X_before)
-    ref_out, ref_jac, _ = forward_vjp(params, X, need_jac=True)
     assert out.shape == (700, 9) and jac.shape == (700, 9, 2)
-    assert np.array_equal(out, ref_out) and np.array_equal(jac, ref_jac)
     assert np.array_equal(out, forward(params, X))
-    one_out, one_jac = forward_jac(params, X[:50])  # a single block
-    ref_out, ref_jac, _ = forward_vjp(params, X[:50], need_jac=True)
+    # the outputs and jacobians the block loop hands each block's caller, stacked
+    blocks = network.map_blocks(params, X, True, lambda rows, o, j, pullback: (o, j))
+    assert np.array_equal(out, np.concatenate([o for o, _ in blocks]))
+    assert np.array_equal(jac, np.concatenate([j for _, j in blocks]))
+    one_out, one_jac, _ = forward_vjp(params, X[:50], need_jac=True)  # one block, no loop
+    [(ref_out, ref_jac)] = network.map_blocks(params, X[:50], True, lambda rows, o, j, pullback: (o, j))
     assert np.array_equal(one_out, ref_out) and np.array_equal(one_jac, ref_jac)
 
 

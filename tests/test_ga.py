@@ -3,13 +3,12 @@ import pytest
 
 from mixopt.errors import DomainError
 from mixopt.ga import (
-    GENE_HI,
-    GENE_LO,
     GAConfig,
     _sample_counts,
     compare_timing,
     run_ga,
 )
+from mixopt.metrics import DESIGN_HI, DESIGN_LO
 from mixopt.rl import PPOConfig, QuadraticEnv, init_actor
 
 from fitting import linear_r2
@@ -67,7 +66,7 @@ def test_every_candidate_within_bounds():
     assert len(env.seen) > 8
     for d in env.seen:
         g = d.as_array()
-        assert np.all(g >= GENE_LO) and np.all(g <= GENE_HI)
+        assert np.all(g >= DESIGN_LO) and np.all(g <= DESIGN_HI)
 
 
 def test_best_fitness_monotone_under_elitism():

@@ -12,7 +12,6 @@ from mixopt.geometry import (
     KNOTS,
     SEGMENTS,
     ChannelDims,
-    ControlPolygon,
     _coeffs_batch,
     _interp_rows,
     _surface,
@@ -114,7 +113,7 @@ def test_batched_coefficients_equal_scalar_thomas_sweep():
     for row, coeffs in zip(cps, batch):
         assert np.array_equal(coeffs, scalar_thomas_coeffs(row))
     for row in cps[:50]:
-        coeffs = build_spline(ControlPolygon(*row))
+        coeffs = build_spline(row)
         assert np.array_equal(coeffs, scalar_thomas_coeffs(row))
         assert coeffs.shape == (4, 4) and not coeffs.flags.writeable
 
@@ -150,7 +149,7 @@ def test_wall_heights_per_row_equal_each_layouts_walls():
     x = np.concatenate([rng.uniform(0.8, 1.5, size=55), [0.9, 1.05, 1.2, 1.35, 2.5]])
     lower, upper = wall_heights(_coeffs_batch(cps), x[:, None])
     for i, row in enumerate(cps):
-        lo, up = walls_of(build_spline(ControlPolygon(*row)), [x[i]])
+        lo, up = walls_of(build_spline(row), [x[i]])
         assert lower[i, 0] == lo[0] and upper[i, 0] == up[0]
 
 
@@ -179,7 +178,7 @@ def test_segment_at_equals_former_baffle_branch():
     former = {"baffle_upper": (dims.L0, dims.H, -1), "baffle_lower": (dims.L0 + dims.d, 0.0, 1)}
     assert [name for name, _ in baffle_pieces()] == list(former)
     for cps in [np.zeros(3), *rng.uniform(-0.5, 0.5, size=(50, 3))]:
-        coeffs = build_spline(ControlPolygon(*cps))
+        coeffs = build_spline(cps)
         for name, piece in baffle_pieces():
             pts, nrm = former_baffle_at(coeffs, t, *former[name])
             # one design for every t, and the same design repeated per row
@@ -189,7 +188,7 @@ def test_segment_at_equals_former_baffle_branch():
 
 
 def test_zero_polygon_gives_zero_curve():
-    coeffs = build_spline(ControlPolygon(0.0, 0.0, 0.0))
+    coeffs = build_spline((0.0, 0.0, 0.0))
     assert np.all(coeffs == 0.0)
     value, slope = eval_spline(coeffs, 0.3)
     assert value == 0.0 and slope == 0.0
@@ -200,16 +199,16 @@ def test_coefficients_match_dense_solve():
     for _ in range(50):
         cps = rng.uniform(-0.5, 0.5, size=3)
         expected = dense_spline_solve([0.0, *cps, 0.0])
-        assert np.max(np.abs(build_spline(ControlPolygon(*cps)) - expected)) < 1e-9
+        assert np.max(np.abs(build_spline(cps) - expected)) < 1e-9
 
 
 def test_interpolates_knot_heights():
-    values, _ = eval_spline(build_spline(ControlPolygon(0.4, -0.2, 0.1)), KNOTS)
+    values, _ = eval_spline(build_spline((0.4, -0.2, 0.1)), KNOTS)
     assert np.allclose(values, [0.0, 0.4, -0.2, 0.1, 0.0], atol=1e-12)
 
 
 def test_continuity_and_natural_ends():
-    co = build_spline(ControlPolygon(0.31, -0.44, 0.05))
+    co = build_spline((0.31, -0.44, 0.05))
     h = 0.125
     for i in range(3):
         left_val = co[i, 0] + co[i, 1] * h + co[i, 2] * h * h + co[i, 3] * h ** 3
@@ -223,7 +222,7 @@ def test_continuity_and_natural_ends():
 
 
 def test_eval_outside_domain_rejected():
-    coeffs = build_spline(ControlPolygon(0.1, 0.1, 0.1))
+    coeffs = build_spline((0.1, 0.1, 0.1))
     for bad in (-0.01, 0.51):
         with pytest.raises(DomainError):
             eval_spline(coeffs, bad)
@@ -235,15 +234,30 @@ def test_eval_outside_domain_rejected():
 
 
 def test_control_polygon_bounds_checked():
-    with pytest.raises(DomainError, match="cp2"):
-        ControlPolygon(0.0, 0.7, 0.0)
-    with pytest.raises(DomainError, match="cp3"):
-        ControlPolygon(0.0, 0.0, -0.51)
+    # build_spline is the one check of a control polygon outside a DesignCandidate
+    for heights, message in [
+        ((0.0, 0.7, 0.0), "cp2=0.7 outside [-0.5, 0.5]"),
+        ((0.0, 0.0, -0.51), "cp3=-0.51 outside [-0.5, 0.5]"),
+        ([np.nan, 0.0, 0.0], "cp1=nan outside [-0.5, 0.5]"),
+        (np.array([0.0, np.inf, 0.0]), "cp2=inf outside [-0.5, 0.5]"),
+        ((0.1, 0.2), "expected 3 control heights, got 2"),
+        ([0.1, 0.2, 0.3, 0.4], "expected 3 control heights, got 4"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            build_spline(heights)
+        assert str(info.value) == message
+    # a sequence, an array and an array's row give the same read-only bits
+    row = np.array([[0.31, -0.44, 0.05]])[0]
+    coeffs = build_spline(row)
+    assert not coeffs.flags.writeable
+    assert np.array_equal(coeffs, build_spline([0.31, -0.44, 0.05]))
+    assert np.array_equal(coeffs, build_spline(iter(row.tolist())))
+    assert np.array_equal(coeffs, _coeffs_batch(row[None])[0])
 
 
 def test_normal_known_slopes():
     # slope 0 -> (0, 1); slope 1 -> (-1, 1)/sqrt(2); slope -0.75 -> (0.6, 0.8)
-    assert np.allclose(unit_normal(build_spline(ControlPolygon(0.0, 0.0, 0.0)), 0.2), [0.0, 1.0], atol=1e-15)
+    assert np.allclose(unit_normal(build_spline((0.0, 0.0, 0.0)), 0.2), [0.0, 1.0], atol=1e-15)
     line = np.array([[0.0, 1.0, 0.0, 0.0]] * 4)
     assert np.allclose(unit_normal(line, 0.0), [-1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], atol=1e-15)
     assert np.allclose(unit_normal(-0.75 * line, 0.0), [0.6, 0.8], atol=1e-15)
@@ -262,7 +276,7 @@ def test_normal_known_slopes():
     x=st.floats(0.0, 0.5),
 )
 def test_normal_unit_and_orthogonal(cp1, cp2, cp3, x):
-    coeffs = build_spline(ControlPolygon(cp1, cp2, cp3))
+    coeffs = build_spline((cp1, cp2, cp3))
     _, slope = eval_spline(coeffs, x)
     n = unit_normal(coeffs, x)
     assert abs(np.hypot(n[0], n[1]) - 1.0) < 1e-12
@@ -275,13 +289,13 @@ def test_normal_unit_and_orthogonal(cp1, cp2, cp3, x):
 
 
 def test_straight_channel_walls():
-    lower, upper = walls_of(build_spline(ControlPolygon(0.0, 0.0, 0.0)), np.linspace(0.0, 2.1, 40))
+    lower, upper = walls_of(build_spline((0.0, 0.0, 0.0)), np.linspace(0.0, 2.1, 40))
     assert np.allclose(upper, 0.3)
     assert np.allclose(lower, 0.0)
 
 
 def test_baffle_walls_follow_curve():
-    coeffs = build_spline(ControlPolygon(0.3, 0.5, 0.2))
+    coeffs = build_spline((0.3, 0.5, 0.2))
     xhat = np.array([0.1, 0.25, 0.4])
     value, _ = eval_spline(coeffs, xhat)
     assert np.allclose(walls_of(coeffs, 0.9 + xhat * 0.3)[1], 0.3 - 0.3 * value, atol=1e-14)
@@ -289,13 +303,13 @@ def test_baffle_walls_follow_curve():
 
 
 def test_negative_heights_carve_cavities():
-    coeffs = build_spline(ControlPolygon(-0.4, -0.1, -0.3))
+    coeffs = build_spline((-0.4, -0.1, -0.3))
     assert walls_of(coeffs, [0.9 + 0.25 * 0.3])[1][0] > 0.3
     assert walls_of(coeffs, [1.05 + 0.25 * 0.3])[0][0] < 0.0
 
 
 def test_contains_basic_regions():
-    coeffs = build_spline(ControlPolygon(0.3, 0.4, 0.2))
+    coeffs = build_spline((0.3, 0.4, 0.2))
     assert contains(coeffs, 1.8, 0.15) is True
     assert contains(coeffs, 0.15, 0.45)  # upper arm
     assert contains(coeffs, 0.15, -0.45)  # lower arm
@@ -304,7 +318,7 @@ def test_contains_basic_regions():
     assert not contains(coeffs, 0.5, 0.45)  # above wall, outside arm square
     assert not contains(coeffs, 0.15, 1.8)  # beyond arm end
     pts = np.array([[1.0, 0.1], [0.1, 0.5], [3.0, 0.1]])
-    inside = contains(build_spline(ControlPolygon(0.2, -0.2, 0.2)), pts[:, 0], pts[:, 1])
+    inside = contains(build_spline((0.2, -0.2, 0.2)), pts[:, 0], pts[:, 1])
     assert inside.tolist() == [True, True, False]
     # a grid keeps its shape, and a scalar y broadcasts against it
     grid = np.linspace(0.0, 2.1, 12).reshape(3, 4)
@@ -312,7 +326,7 @@ def test_contains_basic_regions():
 
 
 def test_contains_flips_at_baffle_surface():
-    coeffs = build_spline(ControlPolygon(0.35, 0.5, 0.1))
+    coeffs = build_spline((0.35, 0.5, 0.1))
     eps = 1e-6 * 0.3
     for xhat in (0.12, 0.27, 0.43):
         x = 0.9 + xhat * 0.3
@@ -326,14 +340,14 @@ def test_contains_flips_at_baffle_surface():
 
 
 def test_zero_polygon_baffle_segments_coincide_with_walls():
-    flat = build_spline(ControlPolygon(0.0, 0.0, 0.0))
+    flat = build_spline((0.0, 0.0, 0.0))
     for _, piece in baffle_pieces():
         ys = segment_points(piece, np.linspace(0.0, 1.0, 513), flat, BAFFLE_SAMPLES)[0][:, 1]
         assert np.allclose(ys, piece[2])
 
 
 def test_segment_points_on_wall():
-    coeffs = build_spline(ControlPolygon(0.25, 0.45, -0.15))
+    coeffs = build_spline((0.25, 0.45, -0.15))
     eps = 1e-6 * 0.3
     for kind, name, piece in SEGMENTS:
         pts, nrm = segment_points(piece, np.linspace(0.0, 1.0, 17), coeffs, BAFFLE_SAMPLES)
@@ -353,7 +367,7 @@ def test_segment_points_on_wall():
 
 def test_segment_arclength_straight_channel():
     d = CHANNEL
-    flat = build_spline(ControlPolygon(0.0, 0.0, 0.0))
+    flat = build_spline((0.0, 0.0, 0.0))
     ends = {}
     for kind, name, piece in SEGMENTS:
         pts, nrm = segment_points(piece, [0.0, 0.5, 1.0], flat, BAFFLE_SAMPLES)
@@ -377,7 +391,7 @@ def test_segments_trace_one_closed_boundary():
     """Every piece end meets exactly one other piece's end, for any design."""
     rng = np.random.default_rng(12)
     for cps in [np.zeros(3), *rng.uniform(-0.5, 0.5, size=(5, 3))]:
-        coeffs = build_spline(ControlPolygon(*cps))
+        coeffs = build_spline(cps)
         ends = np.vstack([segment_points(piece, [0.0, 1.0], coeffs, BAFFLE_SAMPLES)[0]
                           for _, _, piece in SEGMENTS])
         gaps = np.linalg.norm(ends[:, None] - ends[None], axis=-1) + np.eye(len(ends))
@@ -406,7 +420,7 @@ def test_fluid_height_at_least_035_h_over_the_control_box():
 
 
 def test_polyline_rows_trace_boundary():
-    coeffs = build_spline(ControlPolygon(0.3, 0.2, 0.1))
+    coeffs = build_spline((0.3, 0.2, 0.1))
     rows = list(polyline_rows(coeffs, points_per_segment=8))
     assert len(rows) == 8 * len(SEGMENTS) == 80
     assert [name for _, _, name, _, _ in rows[::8]] == [name for _, name, _ in SEGMENTS]

@@ -1,4 +1,6 @@
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixopt import metrics
-from mixopt.diffnet import InputNorm, NetworkSpec, forward, forward_vjp, init_params, network
+from mixopt.diffnet import InputNorm, NetworkSpec, forward, forward_vjp, init_params, load_params, network
 from mixopt.errors import DomainError
-from mixopt.geometry import CHANNEL
+from mixopt.geometry import CHANNEL, build_spline
 from mixopt.metrics import (
     BaselineTable,
     DesignCandidate,
@@ -141,7 +143,8 @@ def test_design_candidate_bounds():
 def test_design_candidate_array_and_polygon():
     d = DesignCandidate(0.1, -0.2, 0.3, 25.0)
     assert np.array_equal(d.as_array(), [0.1, -0.2, 0.3, 25.0])
-    assert d.polygon.cp2 == -0.2
+    # the control polygon is the first three entries, as build_spline takes them
+    assert np.array_equal(build_spline(d.as_array()[:3]), build_spline((d.cp1, d.cp2, d.cp3)))
 
 
 def test_outlet_concentration_clamped_unit_interval():
@@ -256,6 +259,37 @@ def test_baseline_axes_span_the_trained_re_and_sc_ranges():
     assert_table_matches_reference(params, table)
 
 
+def test_baseline_table_spans_a_re_range_wider_than_the_design_box():
+    # a checkpoint trained on Re in [1, 60] has its flat wall scored at Re 1
+    # and 60, outside the [5, 40] box a DesignCandidate accepts
+    params = field_net(bounds=[*TRAINED[:5], (1.0, 60.0), TRAINED[6]])
+    table = baseline_table(params)
+    assert (table.re_values[0], table.re_values[-1]) == (1.0, 60.0)
+    assert np.all(np.isfinite(table.mi0)) and np.all(table.cp0 > 0.0)
+    assert_table_matches_reference(params, table)
+    with pytest.raises(DomainError, match="re=1.0 outside"):
+        DesignCandidate(0.0, 0.0, 0.0, 1.0)
+
+
+SURROGATE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "data", "field_surrogate.ckpt")
+
+
+def test_pinned_surrogate_baseline_keeps_the_flat_design_candidates_bits():
+    # the benchmark's set-up compares these tables bit for bit, and its GA
+    # check rescores designs against them exactly
+    params, _ = load_params(SURROGATE)
+    table = baseline_table(params)
+    assert (table.re_values[0], table.re_values[-1]) == (5.0, 40.0)
+    for i, re in enumerate(table.re_values.tolist()):
+        for j, sc in enumerate(table.sc_values.tolist()):
+            flat = DesignCandidate(0.0, 0.0, 0.0, re)
+            assert table.mi0[i, j] == mixing_index(outlet_concentration(params, flat, sc))
+            assert table.cp0[i, j] == pressure_cost(inlet_pressure(params, flat, sc))
+            report = compute_mixing_report(params, flat, sc)
+            assert (report.mi0, report.cp0) == (table.mi0[i, j], table.cp0[i, j])
+
+
 def test_baseline_table_needs_a_seven_input_network(monkeypatch):
     calls = counting_forward(monkeypatch)
     with pytest.raises(DomainError, match="7 inputs"):
@@ -338,15 +372,16 @@ def assert_table_matches_reference(params, table):
     assert table.mi0.shape == table.cp0.shape == (metrics.BASELINE_GRID,) * 2
     for i, re in enumerate(table.re_values):
         for j, sc in enumerate(table.sc_values):
-            mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, re), sc, 101)
+            flat = SimpleNamespace(cp1=0.0, cp2=0.0, cp3=0.0, re=re)
+            mi0, cp0 = reference_scores(params, flat, sc, 101)
             assert np.array_equal(table.mi0[i, j], mi0)
             assert np.array_equal(table.cp0[i, j], cp0)
 
 
-def field_net(seed=3):
+def field_net(seed=3, bounds=TRAINED):
     # default 64x4 field architecture with the training input normalization,
     # output layer nudged so p stays positive and c inside (0, 1)
-    params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(TRAINED), seed=seed)
+    params = init_params(NetworkSpec(), norm=InputNorm.from_bounds(bounds), seed=seed)
     flat = params.flat.copy()
     W, b = output_layer(flat, params.spec)
     W *= 0.05

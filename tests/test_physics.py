@@ -8,7 +8,7 @@ from mixopt.diffnet import (
     InputNorm,
     NetworkSpec,
     forward,
-    forward_jac,
+    forward_vjp,
     init_params,
     param_gradient,
 )
@@ -297,7 +297,7 @@ def test_loss_node_hand_check_two_points():
     node, report = loss_node(colloc, leaf(params.flat), params, LossWeights())
 
     out = forward(params, interior)
-    _, jac = forward_jac(params, interior)
+    _, jac, _ = forward_vjp(params, interior, need_jac=True)
     u, v, p = out[:, 0], out[:, 1], out[:, 2]
     txx, tyy, txy, c, jx, jy = out[:, 3], out[:, 4], out[:, 5], out[:, 6], out[:, 7], out[:, 8]
     d = {name: (jac[:, i, 0], jac[:, i, 1]) for i, name in
@@ -350,7 +350,7 @@ def test_stacked_loss_node_matches_per_family_numpy_sums():
 
     want = {}
     I = colloc.interior
-    res = pde_residuals(forward(params, I), forward_jac(params, I)[1], I[:, 5], I[:, 6])
+    res = pde_residuals(forward(params, I), forward_vjp(params, I, need_jac=True)[1], I[:, 5], I[:, 6])
     want["pde"] = sum(np.sum(res[name] ** 2) for name in RESIDUAL_NAMES) / (9 * len(I))
     for kind, group in colloc.boundary.items():
         res = boundary_residuals(forward(params, group.X), kind, group.X, group.normals)

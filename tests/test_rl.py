@@ -99,7 +99,7 @@ def tape_objective(actor_leaf, critic_leaf, actor_tpl, critic_tpl, batch, cfg):
     v = pick(vout, (slice(None), 0))
     l_vf = mean(square(v - batch.rewards))
     entropy = mean(nsum(log_sigma + 0.5 * (1.0 + LOG_2PI), axis=1))
-    total = l_clip - cfg.value_coef * l_vf + cfg.entropy_coef * entropy
+    total = l_clip - l_vf + cfg.entropy_coef * entropy
     return -total, (l_clip, l_vf, entropy)
 
 
@@ -263,7 +263,7 @@ def test_loss_composition_and_entropy_forms():
     values = rng.normal(size=16)
     log_sigma = rng.normal(size=(16, 4)) * 0.1
     l_clip, l_vf, ent, total = ppo_losses(old, new, adv, rewards, values, cfg, log_sigma=log_sigma)
-    assert total == pytest.approx(l_clip - cfg.value_coef * l_vf + cfg.entropy_coef * ent, abs=1e-12)
+    assert total == pytest.approx(l_clip - l_vf + cfg.entropy_coef * ent, abs=1e-12)
     assert l_vf == pytest.approx(np.mean((values - rewards) ** 2), abs=1e-12)
     # closed-form gaussian entropy
     want = np.mean(np.sum(0.5 * (1 + LOG_2PI) + log_sigma, axis=1))
@@ -340,8 +340,7 @@ closed_form_entropy = pytest.mark.parametrize("sampled", [False])
 @closed_form_entropy
 @pytest.mark.parametrize("case", ["behavior", "moved", "clipped", "zero_adv", "on_bound"])
 def test_gradient_equals_tape_oracle_bit_for_bit(case, sampled):
-    cfg = PPOConfig(batch_size=32, entropy_coef=0.05,
-                    value_coef=0.7, clip_eps=0.05 if case == "clipped" else 0.2)
+    cfg = PPOConfig(batch_size=32, entropy_coef=0.05, clip_eps=0.05 if case == "clipped" else 0.2)
     actor, critic, batch = make_batch(cfg, seed=70)
     if case == "behavior":  # ratio exactly 1: both surrogate terms tie on every row
         pass
@@ -367,7 +366,7 @@ def test_gradient_equals_tape_oracle_bit_for_bit(case, sampled):
 
 @closed_form_entropy
 def test_gradient_matches_central_difference_of_ppo_losses(sampled):
-    cfg = small_cfg(batch_size=16, entropy_coef=0.1, value_coef=0.5)
+    cfg = small_cfg(batch_size=16, entropy_coef=0.1)
     actor, critic, batch = make_batch(cfg, seed=80)
     actor = _moved(actor, 0.05, seed=81)
 
@@ -450,7 +449,7 @@ def test_one_agent_vector_keeps_the_two_optimizer_bits_from_given_networks():
 @pytest.mark.parametrize("bad", [
     {"batch_size": 1}, {"batch_size": 0},
     {"actor_lr": 0.0}, {"critic_lr": -1e-3}, {"actor_lr": float("nan")}, {"critic_lr": float("inf")},
-    {"value_coef": -1.0}, {"value_coef": float("nan")},
+    {"entropy_coef": float("nan")}, {"clip_eps": 0.0},
     {"entropy_coef": -0.01}, {"entropy_coef": float("inf")},
     {"clip_eps": float("nan")},
 ])
@@ -460,16 +459,23 @@ def test_ppo_config_rejects_values_that_would_fail_or_train_wrong(bad):
 
 
 def test_ppo_config_accepts_the_smallest_valid_values():
-    cfg = small_cfg(batch_size=2, episodes=2, value_coef=0.0, entropy_coef=0.0)
+    cfg = small_cfg(batch_size=2, episodes=2, entropy_coef=0.0)
     _, _, history = train_agent(QuadraticEnv(), cfg)
     assert len(history.mean_rewards) == 2 and np.all(np.isfinite(history.mean_rewards))
 
 
 def test_rollout_designs_respect_bounds():
     cfg = small_cfg(batch_size=32)
-    _, _, batch = make_batch(cfg, seed=40)
-    assert batch.designs == [scale_action(a) for a in batch.actions]
-    for d in batch.designs:
+    seen = []
+
+    class Recording(QuadraticEnv):
+        def evaluate(self, design, sc):
+            seen.append(design)
+            return super().evaluate(design, sc)
+
+    _, _, batch = make_batch(cfg, seed=40, env=Recording())
+    assert seen == [scale_action(a) for a in batch.actions]
+    for d in seen:
         assert -0.5 <= d.cp1 <= 0.5 and -0.5 <= d.cp2 <= 0.5 and -0.5 <= d.cp3 <= 0.5
         assert 5.0 <= d.re <= 40.0
     assert np.all(batch.states >= 1.0) and np.all(batch.states <= 100.0)

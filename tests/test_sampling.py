@@ -5,7 +5,7 @@ import pytest
 
 from mixopt import geometry, sampling
 from mixopt.errors import DomainError, SamplingError
-from mixopt.geometry import CHANNEL, ChannelDims, ControlPolygon, build_spline, contains, wall_heights
+from mixopt.geometry import CHANNEL, ChannelDims, build_spline, contains, wall_heights
 from mixopt.sampling import (
     DIM_NAMES,
     CollocationCounts,
@@ -26,7 +26,7 @@ def per_row_baffle_points(coeffs, t, start_x, base, sign, samples):
     nrm = np.zeros((len(t), 2))
     for i in range(len(t)):
         # the a-coefficients of segments 1..3 are the control heights exactly
-        row = build_spline(ControlPolygon(*coeffs[i, 1:, 0]))
+        row = build_spline(coeffs[i, 1:, 0])
         value, _ = eval_spline(row, xhat_grid)
         grid = np.stack([start_x + xhat_grid * H, base + sign * H * value], axis=1)
         cumlen = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(grid, axis=0), axis=1))])
@@ -61,7 +61,7 @@ def former_slice_points(coeffs, x_mm, n):
 
 def per_station_slice_points(cps, x_mm, n):
     """``slice_points`` built from one spline and one ``former_slice_points`` per station."""
-    rows = [former_slice_points(build_spline(ControlPolygon(*cp)), float(x), n)
+    rows = [former_slice_points(build_spline(cp), float(x), n)
             for cp, x in zip(cps, x_mm)]
     return np.array([y for y, _ in rows]), np.array([w for _, w in rows])
 
@@ -96,7 +96,7 @@ def test_interior_rows_inside_fluid():
     assert pts.shape == (n, 7)
     H = 0.3
     for row in pts[::7]:
-        assert contains(build_spline(ControlPolygon(*row[2:5])), row[0] * H, row[1] * H)
+        assert contains(build_spline(row[2:5]), row[0] * H, row[1] * H)
 
 
 def test_interior_re_and_sc_uniform_over_box():
@@ -114,7 +114,7 @@ def test_interior_all_rows_contained_small():
     colloc = make_set(seed=9, interior=600)
     H = 0.3
     for row in colloc.interior:
-        assert contains(build_spline(ControlPolygon(*row[2:5])), row[0] * H, row[1] * H)
+        assert contains(build_spline(row[2:5]), row[0] * H, row[1] * H)
 
 
 def test_pinned_control_points_stay_exact():
@@ -144,7 +144,7 @@ def test_interior_fills_partly_fluid_bounds(bounds, n, seed):
     assert np.all(pts[:, pinned] == lows[pinned])
     H = 0.3
     for row in pts:
-        assert contains(build_spline(ControlPolygon(*row[2:5])), row[0] * H, row[1] * H)
+        assert contains(build_spline(row[2:5]), row[0] * H, row[1] * H)
 
 
 @pytest.mark.parametrize("n", [10, 200])
@@ -254,7 +254,7 @@ def test_baffle_rows_on_their_curves():
     grp = colloc.boundary["baffle"]
     for row, normal in zip(grp.X, grp.normals):
         x, y = row[0], row[1]
-        coeffs = build_spline(ControlPolygon(*row[2:5]))
+        coeffs = build_spline(row[2:5])
         if x <= 3.5 + 1e-9 and y > 0.45:
             xhat = np.clip(x - 3.0, 0.0, 0.5)
             value, slope = eval_spline(coeffs, xhat)
@@ -280,7 +280,7 @@ def test_slice_points_uniform_and_weighted():
     y, w = slice_points([[0.3, 0.1, -0.2]], [1.0], 11)
     assert y.shape == w.shape == (1, 11)
     y, w = y[0], w[0]
-    lower, upper = walls_at(build_spline(ControlPolygon(0.3, 0.1, -0.2)), 1.0)
+    lower, upper = walls_at(build_spline((0.3, 0.1, -0.2)), 1.0)
     assert abs(y[0] - lower) < 1e-14 and abs(y[-1] - upper) < 1e-14
     assert np.allclose(np.diff(y), (upper - lower) / 10)
     assert abs(w.sum() - (upper - lower)) < 1e-14
@@ -336,7 +336,7 @@ def test_slices_span_local_height():
     assert len(colloc.slices) == 5
     for s in colloc.slices:
         assert np.all(s.X[:, 0] == s.station)
-        lower, upper = walls_at(build_spline(ControlPolygon(*s.X[0, 2:5])), s.station * 0.3)
+        lower, upper = walls_at(build_spline(s.X[0, 2:5]), s.station * 0.3)
         height = (upper - lower) / 0.3
         assert abs(s.weights.sum() - height) < 1e-12
         assert len({tuple(r) for r in s.X[:, 2:]}) == 1
