@@ -16,10 +16,13 @@ and b as views of ``flat`` and a read-only, row-major copy of W^T. The
 forward passes multiply by that copy: ``h @ W.T`` on the transposed view
 runs the BLAS NT kernel, the row-major copy runs NN, which under OpenBLAS's
 SkylakeX kernel is about 1.4x faster at a design score's shapes
-(202 x 64 x 64) and about equal under its Haswell kernel. All passes share
-the products' bits. The flat vector's order, and with it the checkpoint
-format, is fixed; the reverse pass multiplies by W itself, which already
-runs NN.
+(202 x 64 x 64) and about equal under its Haswell kernel. The two products
+need not agree: under the SkylakeX kernel they differ in the last bits at
+narrow output layers (64 x 32 @ 32 x 8, 202 x 64 @ 64 x 9) and agree at
+208 x 64 x 64 and 64 x 32 x 32. The passes agree with one another because
+every forward pass, the tape's included, multiplies by the same W^T copy.
+The flat vector's order, and with it the checkpoint format, is fixed; the
+reverse pass multiplies by W itself, which already runs NN.
 
 Every cached pass over more than one block goes through one block loop,
 ``map_blocks``, which hands each block's outputs, jacobian and pullback to
@@ -84,12 +87,15 @@ class InputNorm:
     Both must be finite 1-D arrays of one length, and no half-span negative:
     they can come from a checkpoint header, and a negative one would mirror
     its input axis (a field network's baseline grid would then run
-    backwards).
+    backwards). ``_floats`` holds the center and the reciprocal half-span
+    as tuples of Python floats, also made here once, which the one-row
+    ``forward`` reads without an ``.item()`` call per query.
     """
 
     center: np.ndarray
     halfspan: np.ndarray
     inv_halfspan: np.ndarray = field(init=False, repr=False, compare=False)
+    _floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("center", "halfspan"):
@@ -111,6 +117,7 @@ class InputNorm:
         inv[nonzero] = 1.0 / self.halfspan[nonzero]
         inv.flags.writeable = False
         object.__setattr__(self, "inv_halfspan", inv)
+        object.__setattr__(self, "_floats", (tuple(self.center.tolist()), tuple(inv.tolist())))
 
     @classmethod
     def from_bounds(cls, pairs) -> "InputNorm":
@@ -400,7 +407,8 @@ def forward(params: ParameterSet, X) -> np.ndarray:
         norm, table = params.norm, params.table()
         _, Wt, b = table[0]
         if params.spec.input_dim == 1 and len(table) > 1:
-            z = Wt[0] * ((X.item() - norm.center.item()) * norm.inv_halfspan.item())
+            (c,), (s,) = norm._floats
+            z = Wt[0] * ((X.item() - c) * s)
         else:
             h = X[0] - norm.center
             h *= norm.inv_halfspan

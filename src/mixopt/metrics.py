@@ -33,26 +33,33 @@ OUTLET_SAMPLES = 101
 BASELINE_GRID = 8
 
 
-@dataclass(frozen=True)
-class DesignCandidate:
-    """One candidate design: three control heights plus the Reynolds number."""
+class DesignCandidate(namedtuple("DesignCandidate", "cp1 cp2 cp3 re")):
+    """One candidate design: three control heights plus the Reynolds number.
 
-    cp1: float
-    cp2: float
-    cp3: float
-    re: float
+    An immutable (cp1, cp2, cp3, re) tuple, equal and hashed by value. Every
+    way of making one checks each field against its box: the constructor,
+    ``_make`` and ``_replace`` (which goes through ``_make``), and unpickling.
+    A tuple costs a policy query less to build than a frozen dataclass.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, cp1, cp2, cp3, re):
         # NaN fails every comparison, so the range tests also reject it
-        for name in ("cp1", "cp2", "cp3"):
-            v = getattr(self, name)
-            if not (CP_MIN <= v <= CP_MAX):
-                raise DomainError(f"{name}={v!r} outside [{CP_MIN}, {CP_MAX}]")
-        if not (RE_MIN <= self.re <= RE_MAX):
-            raise DomainError(f"re={self.re!r} outside [{RE_MIN}, {RE_MAX}]")
+        if not (CP_MIN <= cp1 <= CP_MAX and CP_MIN <= cp2 <= CP_MAX and CP_MIN <= cp3 <= CP_MAX
+                and RE_MIN <= re <= RE_MAX):
+            for name, v in (("cp1", cp1), ("cp2", cp2), ("cp3", cp3)):
+                if not (CP_MIN <= v <= CP_MAX):
+                    raise DomainError(f"{name}={v!r} outside [{CP_MIN}, {CP_MAX}]")
+            raise DomainError(f"re={re!r} outside [{RE_MIN}, {RE_MAX}]")
+        return tuple.__new__(cls, (cp1, cp2, cp3, re))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.cp1, self.cp2, self.cp3, self.re])
+        return np.array(self)
 
 
 def check_schmidt(sc) -> None:
@@ -128,9 +135,11 @@ def _sample_grids() -> tuple:
 OUTLET_ROWS, INLET_ROWS = _sample_grids()
 
 
-def _design_rows(grid: np.ndarray, design: DesignCandidate, sc: float) -> np.ndarray:
+def _design_rows(grid: np.ndarray, design, sc: float) -> np.ndarray:
+    """``grid`` with its five design columns set to a (cp1, cp2, cp3, re)
+    sequence and sc."""
     X = grid.copy()
-    X[:, 2:] = (design.cp1, design.cp2, design.cp3, design.re, sc)
+    X[:, 2:] = (*design, sc)
     return X
 
 
@@ -232,14 +241,14 @@ def baseline_table(params: ParameterSet) -> BaselineTable:
     return BaselineTable(re_values=re_values, sc_values=sc_values, mi0=mi0, cp0=cp0)
 
 
-# the flat wall's design columns; the baseline grid spans a checkpoint's own
-# Re range, which may leave the design box, so this is no DesignCandidate
-_FlatWall = namedtuple("_FlatWall", "cp1 cp2 cp3 re")
-
-
 def _flat_wall(params: ParameterSet, re: float, sc: float):
-    """(mi0, cp0) of the flat-wall design at any positive Re, evaluated directly."""
-    flat = _FlatWall(0.0, 0.0, 0.0, re)
+    """(mi0, cp0) of the flat-wall design at any positive Re, evaluated directly.
+
+    The baseline grid spans a checkpoint's own Re range, which may leave the
+    design box, so the flat wall is a plain (cp1, cp2, cp3, re) tuple here,
+    not a DesignCandidate.
+    """
+    flat = (0.0, 0.0, 0.0, re)
     mi0 = mixing_index(outlet_concentration(params, flat, sc))
     cp0 = pressure_cost(inlet_pressure(params, flat, sc))
     return mi0, cp0

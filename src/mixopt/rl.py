@@ -177,15 +177,18 @@ def _scale_row(means) -> DesignCandidate:
     """``_scale_actions`` on one row of ACTION_DIM Python floats, as a design.
 
     Each entry takes the same operations in the same operand order, so the
-    bits agree; max and min keep a nan first argument, as np.maximum and
-    np.minimum do, and DesignCandidate then rejects it. Scalar arithmetic
-    skips four array passes' per-call overhead, which every policy query
-    pays.
+    bits agree. The clip is a conditional expression, which costs less than
+    a ``min(max(...))`` pair of builtin calls; it keeps a nan, and a -0.0,
+    as np.maximum and np.minimum do, and DesignCandidate then rejects the
+    nan. Scalar arithmetic skips four array passes' per-call overhead,
+    which every policy query pays.
     """
     m1, m2, m3, m4 = means
     (c1, c2, c3, c4), (h1, h2, h3, h4) = _ROW_CENTER, _ROW_HALFSPAN
-    return DesignCandidate(c1 + h1 * min(max(m1, -1.0), 1.0), c2 + h2 * min(max(m2, -1.0), 1.0),
-                           c3 + h3 * min(max(m3, -1.0), 1.0), c4 + h4 * min(max(m4, -1.0), 1.0))
+    return DesignCandidate(c1 + h1 * (1.0 if m1 > 1.0 else -1.0 if m1 < -1.0 else m1),
+                           c2 + h2 * (1.0 if m2 > 1.0 else -1.0 if m2 < -1.0 else m2),
+                           c3 + h3 * (1.0 if m3 > 1.0 else -1.0 if m3 < -1.0 else m3),
+                           c4 + h4 * (1.0 if m4 > 1.0 else -1.0 if m4 < -1.0 else m4))
 
 
 def scale_action(raw) -> DesignCandidate:
@@ -280,22 +283,36 @@ def gradient(actor: ParameterSet, critic: ParameterSet, batch: Batch, cfg: PPOCo
 
 class QuadraticEnv:
     """Synthetic oracle: reward 1 - |a - a*(Sc)|^2 in normalized action
-    coordinates, with a smooth known optimum inside the bounds."""
+    coordinates, with a smooth known optimum inside the bounds.
+
+    The optimum and the normalized design are formed on Python floats, which
+    skips numpy's per-call overhead on every reward a synthetic rollout
+    scores; ``math.cos`` and ``math.sin`` return numpy's bits on every input
+    ``tests/test_rl.py`` checks, so the rewards keep the array formula's.
+    """
+
+    @staticmethod
+    def _optimum(sc) -> tuple:
+        s = (sc - SC_LO) / (SC_HI - SC_LO)
+        return (0.6 * math.cos(math.pi * s), 0.6 * math.sin(math.pi * s),
+                0.5 * (2.0 * s - 1.0), 0.5 * math.sin(2.0 * math.pi * s))
 
     def optimum_normalized(self, sc: float) -> np.ndarray:
-        s = (sc - SC_LO) / (SC_HI - SC_LO)
-        return np.array([
-            0.6 * np.cos(np.pi * s),
-            0.6 * np.sin(np.pi * s),
-            0.5 * (2.0 * s - 1.0),
-            0.5 * np.sin(2.0 * np.pi * s),
-        ])
+        return np.array(self._optimum(sc))
 
     def optimum(self, sc: float) -> DesignCandidate:
-        return scale_action(self.optimum_normalized(sc))
+        return _scale_row(self._optimum(sc))
 
     def evaluate(self, design: DesignCandidate, sc: float) -> float:
-        diff = normalize_design(design) - self.optimum_normalized(sc)
+        """``1 - |normalize_design(design) - optimum_normalized(sc)|^2``,
+        entry by entry in the same operations and operand order. The squared
+        norm stays ``np.dot`` on the 4-vector: a sequential sum rounds
+        differently from the BLAS dot."""
+        a1, a2, a3, a4 = design
+        o1, o2, o3, o4 = self._optimum(sc)
+        (c1, c2, c3, c4), (h1, h2, h3, h4) = _ROW_CENTER, _ROW_HALFSPAN
+        diff = np.array([(a1 - c1) / h1 - o1, (a2 - c2) / h2 - o2,
+                         (a3 - c3) / h3 - o3, (a4 - c4) / h4 - o4])
         return float(1.0 - np.dot(diff, diff))
 
 
@@ -326,7 +343,7 @@ def rollout(env, actor: ParameterSet, critic: ParameterSet, cfg: PPOConfig, rng)
     mu, sigma = policy_forward(actor, states)
     actions, logp = sample_actions(mu, sigma, rng)
     designs = [DesignCandidate(*row) for row in _scale_actions(actions).tolist()]
-    rewards = np.array([env.evaluate(d, float(sc)) for d, sc in zip(designs, states)])
+    rewards = np.array([env.evaluate(d, sc) for d, sc in zip(designs, states.tolist())])
     values = forward(critic, states.reshape(-1, 1))[:, 0]
     advantages = (compute_advantages(rewards, values)
                   if np.all(np.isfinite(rewards)) else np.full(cfg.batch_size, np.nan))

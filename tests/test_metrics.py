@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,14 +132,47 @@ def test_mixing_efficiency_scale_law(k, m, mi, cp):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+# a bad field per row, with the message every way of making a design gives
+BAD_DESIGNS = [
+    ((0.0, 0.7, 0.0, 10.0), "cp2=0.7 outside [-0.5, 0.5]"),
+    ((-0.6, 0.0, 0.0, 10.0), "cp1=-0.6 outside [-0.5, 0.5]"),
+    ((0.0, 0.0, np.nan, 10.0), "cp3=nan outside [-0.5, 0.5]"),
+    ((np.inf, 0.0, 0.0, 10.0), "cp1=inf outside [-0.5, 0.5]"),
+    ((0.0, 0.0, 0.0, 4.0), "re=4.0 outside [5.0, 40.0]"),
+    ((0.0, 0.0, 0.0, np.nan), "re=nan outside [5.0, 40.0]"),
+    ((0.0, 0.0, 0.0, -np.inf), "re=-inf outside [5.0, 40.0]"),
+    ((0.0, 0.9, 0.0, 50.0), "cp2=0.9 outside [-0.5, 0.5]"),  # the first bad field is named
+]
+
+
 def test_design_candidate_bounds():
-    DesignCandidate(-0.5, 0.0, 0.5, 5.0)
-    with pytest.raises(DomainError, match="cp2"):
-        DesignCandidate(0.0, 0.7, 0.0, 10.0)
-    with pytest.raises(DomainError, match="re"):
-        DesignCandidate(0.0, 0.0, 0.0, 4.0)
-    with pytest.raises(DomainError, match="re"):
-        DesignCandidate(0.0, 0.0, 0.0, np.nan)
+    d = DesignCandidate(-0.5, 0.0, 0.5, 5.0)
+    assert DesignCandidate(cp1=-0.5, cp2=0.0, cp3=0.5, re=5.0) == d
+    assert DesignCandidate._make([-0.5, 0.0, 0.5, 5.0]) == d
+    assert d._replace(re=40.0) == DesignCandidate(-0.5, 0.0, 0.5, 40.0)
+    for fields, message in BAD_DESIGNS:
+        names = dict(zip(("cp1", "cp2", "cp3", "re"), fields))
+        for make in (lambda: DesignCandidate(*fields), lambda: DesignCandidate(**names),
+                     lambda: DesignCandidate._make(fields), lambda: d._replace(**names)):
+            with pytest.raises(DomainError) as err:
+                make()
+            assert str(err.value) == message
+    # unpickling and copying construct through the same checks
+    assert pickle.loads(pickle.dumps(d)) == d and copy.copy(d) == d
+    smuggled = pickle.dumps(tuple.__new__(DesignCandidate, (0.0, 0.0, 0.0, 4.0)))
+    with pytest.raises(DomainError, match=r"^re=4.0 outside \[5.0, 40.0\]$"):
+        pickle.loads(smuggled)
+    for name in ("cp1", "cp2", "cp3", "re", "other"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 0.0)
+    design = DesignCandidate(0.1, -0.2, 0.3, 25.0)
+    assert repr(design) == "DesignCandidate(cp1=0.1, cp2=-0.2, cp3=0.3, re=25.0)"
+    assert (design.cp1, design.cp2, design.cp3, design.re) == (0.1, -0.2, 0.3, 25.0)
+    twin = DesignCandidate(*[0.1, -0.2, 0.3, 25.0])
+    assert twin == design and twin is not design and hash(twin) == hash(design)
+    assert design != DesignCandidate(0.1, -0.2, 0.3, 25.5)
+    assert len({design, twin, d}) == 2
+    assert design.as_array().tobytes() == np.array([0.1, -0.2, 0.3, 25.0]).tobytes()
 
 
 def test_design_candidate_array_and_polygon():

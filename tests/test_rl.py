@@ -673,6 +673,61 @@ def test_query_policy_returns_the_former_querys_bits(trained_default, trained):
     assert design_bytes([query_policy(actor, sc) for sc in sc_values]) == design_bytes(want)
 
 
+def former_optimum(sc):
+    """``QuadraticEnv.optimum_normalized`` before its float glue, as an oracle."""
+    s = (sc - SC_LO) / (SC_HI - SC_LO)
+    return np.array([
+        0.6 * np.cos(np.pi * s),
+        0.6 * np.sin(np.pi * s),
+        0.5 * (2.0 * s - 1.0),
+        0.5 * np.sin(2.0 * np.pi * s),
+    ])
+
+
+def former_quadratic_reward(design, sc):
+    """``QuadraticEnv.evaluate`` before its float glue, as an oracle: the
+    normalized design and the optimum as arrays, with numpy's cos and sin."""
+    diff = normalize_design(design) - former_optimum(sc)
+    return float(1.0 - np.dot(diff, diff))
+
+
+def test_quadratic_reward_returns_the_former_formulas_bits():
+    env = QuadraticEnv()
+    rng = np.random.default_rng(57)
+    lo, hi = rl.DESIGN_LO, rl.DESIGN_HI
+    designs = [DesignCandidate(*row) for row in rng.uniform(lo, hi, (10_000, ACTION_DIM)).tolist()]
+    # extrapolated Schmidt numbers included
+    sc_values = rng.uniform(0.5, 200.0, 10_000).tolist()
+    corners = [DesignCandidate(*np.where([(k >> i) & 1 for i in range(ACTION_DIM)], hi, lo).tolist())
+               for k in range(2 ** ACTION_DIM)]
+    ends = [0.5, SC_LO, 0.5 * (SC_LO + SC_HI), SC_HI, 200.0]
+    pairs = [*zip(designs, sc_values), *((d, sc) for d in corners for sc in ends)]
+    got = np.array([env.evaluate(d, sc) for d, sc in pairs])
+    assert got.tobytes() == np.array([former_quadratic_reward(d, sc) for d, sc in pairs]).tobytes()
+    sc_values += ends
+    got = np.array([env.optimum_normalized(sc) for sc in sc_values])
+    assert got.tobytes() == np.array([former_optimum(sc) for sc in sc_values]).tobytes()
+    assert (design_bytes([env.optimum(sc) for sc in sc_values])
+            == design_bytes([scale_action(former_optimum(sc)) for sc in sc_values]))
+
+
+def test_synthetic_training_returns_the_former_formulas_bits():
+    cfg = PPOConfig(episodes=6, seed=58)
+
+    def run(evaluate):
+        rewards = []
+
+        class RecordingEnv:
+            def evaluate(self, design, sc):
+                rewards.append(evaluate(design, sc))
+                return rewards[-1]
+
+        actor, critic, _ = train_agent(RecordingEnv(), cfg)
+        return actor.flat.tobytes(), critic.flat.tobytes(), np.array(rewards).tobytes()
+
+    assert run(QuadraticEnv().evaluate) == run(former_quadratic_reward)
+
+
 # infinities, nan, signed zeros, the clip's ends and one ulp either side of them
 SQUASH_MEANS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0,
                 *(np.nextafter(end, end + step) for end in (1.0, -1.0) for step in (-1.0, 1.0))]
