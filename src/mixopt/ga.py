@@ -49,6 +49,9 @@ class GAConfig:
 
 @dataclass
 class GAResult:
+    """``evaluations`` counts the designs the GA proposed for scoring,
+    repeats included, whether or not the environment recomputed them."""
+
     best: DesignCandidate
     best_fitness: float
     evaluations: int
@@ -158,7 +161,10 @@ def compare_timing(env, sc_values, cfg: GAConfig, actor, repeats: int = 3) -> Sc
 
     Each Schmidt number gets one GA run (timed as the median of ``repeats``
     re-runs with distinct seeds) and one policy query; query timing loops are
-    also repeated and the median is kept, after a warmup pass.
+    also repeated and the median is kept, after a warmup pass. The GA re-runs
+    go in rounds over the Schmidt numbers, so a slow spell of the host lands
+    on one re-run of several numbers, which their medians drop, rather than
+    on most re-runs of one.
     """
     sc_values = [float(s) for s in sc_values]
     if not sc_values:
@@ -167,18 +173,14 @@ def compare_timing(env, sc_values, cfg: GAConfig, actor, repeats: int = 3) -> Sc
         raise DomainError(f"repeats={repeats} must be at least 1")
     for sc in sc_values[:2]:
         query_policy(actor, sc)  # warmup, which also refuses a wrong-shape actor before any GA run
-    ga_times = []
-    ga_fitness = []
-    for i, sc in enumerate(sc_values):
-        durations = []
-        result = None
-        for r in range(repeats):
+    durations = [[] for _ in sc_values]
+    ga_fitness = [-math.inf] * len(sc_values)
+    for r in range(repeats):
+        for i, sc in enumerate(sc_values):
             run = run_ga(env, sc, replace(cfg, seed=cfg.seed + 1000 * i + r))
-            durations.append(run.wall_time)
-            if result is None or run.best_fitness > result.best_fitness:
-                result = run
-        ga_times.append(float(np.median(durations)))
-        ga_fitness.append(result.best_fitness)
+            durations[i].append(run.wall_time)
+            ga_fitness[i] = max(ga_fitness[i], run.best_fitness)
+    ga_times = [float(np.median(d)) for d in durations]
 
     ms = _sample_counts(len(sc_values))
     rl_cumulative = []

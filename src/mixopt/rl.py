@@ -10,6 +10,7 @@ environment with a known optimum serves as the test oracle.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -316,6 +317,31 @@ class QuadraticEnv:
         return float(1.0 - np.dot(diff, diff))
 
 
+# holds a whole default GA run (1832 scores), about 0.7 MB when full
+_MEMO_SIZE = 2048
+
+
+def _score_memo(params: ParameterSet, baseline: BaselineTable | None):
+    """A bounded memo of ``compute_mixing_report(...).me`` keyed by
+    (design, sc); a guard failure is kept as nan.
+
+    The closure holds params and baseline, never the env that owns it, so
+    reference counting alone frees a dropped env and its memo. A design
+    is keyed by value, and a -0.0 control height scores the bits of 0.0.
+    """
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def score(design: DesignCandidate, sc: float) -> float:
+        try:
+            report = compute_mixing_report(params, design, sc, baseline=baseline)
+        except DomainError:
+            return float("nan")
+        return report.me
+
+    return score
+
+
+@dataclass(frozen=True, eq=False)
 class PinnEnv:
     """Scores designs with the mixing efficiency of a trained field network.
 
@@ -323,18 +349,22 @@ class PinnEnv:
     design's (Re, Sc). Degenerate-flow guard failures (nonpositive pressure
     cost or baseline) come back as nan, so the caller can count or skip the
     design instead of dying.
+
+    A (design, sc) is scored once while it stays among the ``_MEMO_SIZE``
+    most recently used; a repeat returns the same bits.
+    ``params`` and ``baseline`` cannot be rebound, so the memo cannot go
+    stale.
     """
 
-    def __init__(self, params: ParameterSet, baseline: BaselineTable | None):
-        self.params = params
-        self.baseline = baseline
+    params: ParameterSet
+    baseline: BaselineTable | None
+    _score: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_score", _score_memo(self.params, self.baseline))
 
     def evaluate(self, design: DesignCandidate, sc: float) -> float:
-        try:
-            report = compute_mixing_report(self.params, design, sc, baseline=self.baseline)
-        except DomainError:
-            return float("nan")
-        return report.me
+        return self._score(design, sc)
 
 
 def rollout(env, actor: ParameterSet, critic: ParameterSet, cfg: PPOConfig, rng) -> Batch:

@@ -1,6 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
+from mixopt import rl
+from mixopt.diffnet import load_params
 from mixopt.errors import DomainError
 from mixopt.ga import (
     GAConfig,
@@ -8,22 +12,43 @@ from mixopt.ga import (
     compare_timing,
     run_ga,
 )
-from mixopt.metrics import DESIGN_HI, DESIGN_LO
-from mixopt.rl import PPOConfig, QuadraticEnv, init_actor
+from mixopt.metrics import DESIGN_HI, DESIGN_LO, baseline_table, compute_mixing_report
+from mixopt.rl import PinnEnv, PPOConfig, QuadraticEnv, init_actor
 
 from fitting import linear_r2
 
 
+SURROGATE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "data", "field_surrogate.ckpt")
+
+
 class RecordingEnv:
-    """Wraps an environment and keeps every design it was asked to score."""
+    """Wraps an environment and keeps every design it was asked to score,
+    and every score it gave."""
 
     def __init__(self, inner):
         self.inner = inner
         self.seen = []
+        self.rewards = []
 
     def evaluate(self, design, sc):
         self.seen.append(design)
-        return self.inner.evaluate(design, sc)
+        self.rewards.append(self.inner.evaluate(design, sc))
+        return self.rewards[-1]
+
+
+class DirectEnv:
+    """PinnEnv without its memo: every call runs the scorer."""
+
+    def __init__(self, params, baseline):
+        self.params = params
+        self.baseline = baseline
+
+    def evaluate(self, design, sc):
+        try:
+            return compute_mixing_report(self.params, design, sc, baseline=self.baseline).me
+        except DomainError:
+            return float("nan")
 
 
 def small_cfg(**kw):
@@ -154,9 +179,55 @@ def test_compare_timing_structure():
     assert all(t > 0 for t in table.rl_seconds)
 
 
+def test_compare_timing_times_its_reruns_in_rounds_and_keeps_the_best():
+    sc_values = [10.0, 30.0, 60.0]
+    cfg = small_cfg(population=6, generations=3)
+    calls = []
+
+    class ScEnv(QuadraticEnv):
+        def evaluate(self, design, sc):
+            calls.append(sc)
+            return super().evaluate(design, sc)
+
+    table = compare_timing(ScEnv(), sc_values, cfg, init_actor(PPOConfig(actor_hidden=(8,)), seed=0),
+                           repeats=2)
+    per_run = 6 + 3 * (6 - cfg.elitism)
+    assert calls[::per_run] == sc_values * 2
+    best = max(run_ga(QuadraticEnv(), 10.0, small_cfg(population=6, generations=3, seed=r)).best_fitness
+               for r in range(2))
+    assert table.ga_fitness_mean[0] == best
+
+
 def test_compare_timing_rejects_empty():
     with pytest.raises(DomainError):
         compare_timing(QuadraticEnv(), [], small_cfg(), init_actor(PPOConfig(), seed=0))
     with pytest.raises(DomainError, match="repeats"):
         compare_timing(QuadraticEnv(), [10.0], small_cfg(), init_actor(PPOConfig(), seed=0),
                        repeats=0)
+
+
+def test_memoized_scores_give_the_direct_scorers_ga_run_bit_for_bit(monkeypatch):
+    # on the pinned surrogate, PinnEnv's memo answers every repeated
+    # (design, sc) of a default run; nothing the GA returns may move
+    params, _ = load_params(SURROGATE)
+    table = baseline_table(params)
+    calls = []
+
+    def counting(params, design, sc, baseline=None):
+        calls.append((design, sc))
+        return compute_mixing_report(params, design, sc, baseline=baseline)
+
+    monkeypatch.setattr(rl, "compute_mixing_report", counting)
+    sc, cfg = 37.0, GAConfig(seed=4)
+    memo, direct = RecordingEnv(PinnEnv(params, table)), RecordingEnv(DirectEnv(params, table))
+    got, want = run_ga(memo, sc, cfg), run_ga(direct, sc, cfg)
+    assert np.array(memo.rewards).tobytes() == np.array(direct.rewards).tobytes()
+    assert got.best == want.best
+    assert np.float64(got.best_fitness).tobytes() == np.float64(want.best_fitness).tobytes()
+    assert np.array(got.best_per_generation).tobytes() == np.array(want.best_per_generation).tobytes()
+    # one network scoring per distinct design, fewer than the evaluations reported
+    assert got.evaluations == len(memo.seen) == 32 + 60 * 30
+    assert len(calls) == len(set(calls)) == len(set(memo.seen)) < got.evaluations
+    # a fresh score of the reported best carries its bits
+    rescored = compute_mixing_report(params, got.best, sc, baseline=table).me
+    assert np.float64(rescored).tobytes() == np.float64(got.best_fitness).tobytes()

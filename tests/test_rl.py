@@ -1,5 +1,8 @@
+import gc
 import logging
+import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -580,6 +583,8 @@ def field_net(p_bias: float, c_bias: float):
     return params.with_flat(flat)
 
 
+SURROGATE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "data", "field_surrogate.ckpt")
 FLAT_TABLE = BaselineTable(re_values=np.array([5.0, 40.0]), sc_values=np.array([1.0, 100.0]),
                            mi0=np.full((2, 2), 0.4), cp0=np.full((2, 2), 2.0))
 
@@ -590,6 +595,88 @@ def test_field_env_degenerate_flow_scores_nan():
     # training loop can skip the episode
     env = PinnEnv(field_net(-2.0, 0.55), FLAT_TABLE)
     assert np.isnan(env.evaluate(DesignCandidate(0.1, 0.0, -0.1, 20.0), 30.0))
+
+
+def counting_scorer(monkeypatch) -> list:
+    """Patch the scorer PinnEnv calls; the list gets one (design, sc) per call."""
+    calls = []
+    direct = rl.compute_mixing_report
+
+    def score(params, design, sc, baseline=None):
+        calls.append((design, sc))
+        return direct(params, design, sc, baseline=baseline)
+
+    monkeypatch.setattr(rl, "compute_mixing_report", score)
+    return calls
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_field_env_memo_is_bounded_and_an_evicted_design_rescores_to_its_bits(monkeypatch):
+    calls = counting_scorer(monkeypatch)
+    env = PinnEnv(field_net(2.0, 0.55), FLAT_TABLE)
+    rng = np.random.default_rng(29)
+    rows = rng.uniform(rl.DESIGN_LO, rl.DESIGN_HI, (rl._MEMO_SIZE + 8, ACTION_DIM)).tolist()
+    designs = [DesignCandidate(*row) for row in rows]
+    scores = [env.evaluate(d, 30.0) for d in designs]
+    assert len(calls) == len(designs)
+    assert env._score.cache_info().currsize == rl._MEMO_SIZE
+    # the newest design is still held, the oldest was evicted and is scored anew
+    assert bits(env.evaluate(designs[-1], 30.0)) == bits(scores[-1])
+    assert len(calls) == len(designs)
+    assert bits(env.evaluate(designs[0], 30.0)) == bits(scores[0])
+    assert len(calls) == len(designs) + 1
+    assert env._score.cache_info().currsize == rl._MEMO_SIZE
+
+
+def test_field_env_memoizes_a_guard_failure_as_nan(monkeypatch):
+    calls = counting_scorer(monkeypatch)
+    env = PinnEnv(field_net(-2.0, 0.55), FLAT_TABLE)
+    design = DesignCandidate(0.1, 0.0, -0.1, 20.0)
+    assert np.isnan(env.evaluate(design, 30.0))
+    assert np.isnan(env.evaluate(design, 30.0))
+    assert calls == [(design, 30.0)]
+
+
+def test_field_env_params_and_baseline_cannot_be_rebound():
+    env = PinnEnv(field_net(2.0, 0.55), FLAT_TABLE)
+    with pytest.raises(AttributeError):
+        env.params = field_net(-2.0, 0.55)
+    with pytest.raises(AttributeError):
+        env.baseline = None
+    assert env.baseline is FLAT_TABLE
+
+
+def test_a_dropped_field_env_is_freed_without_the_cycle_collector():
+    env = PinnEnv(field_net(2.0, 0.55), FLAT_TABLE)
+    env.evaluate(DesignCandidate(0.1, 0.0, -0.1, 20.0), 30.0)
+    env_ref, memo_ref = weakref.ref(env), weakref.ref(env._score)
+    gc.disable()
+    try:
+        del env
+        assert env_ref() is None
+        assert memo_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_negative_zero_control_height_scores_the_bits_of_zero():
+    # the memo keys designs by value, and -0.0 == 0.0, so the two must score alike
+    params, _ = load_params(SURROGATE)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        row = rng.uniform(rl.DESIGN_LO, rl.DESIGN_HI).tolist()
+        sc = float(rng.uniform(SC_LO, SC_HI))
+        k = int(rng.integers(3))
+        plus, minus = list(row), list(row)
+        plus[k], minus[k] = 0.0, -0.0
+        want = PinnEnv(params, None).evaluate(DesignCandidate(*plus), sc)
+        env = PinnEnv(params, None)
+        assert bits(env.evaluate(DesignCandidate(*minus), sc)) == bits(want)
+        assert bits(env.evaluate(DesignCandidate(*plus), sc)) == bits(want)
+        assert env._score.cache_info().hits == 1
 
 
 def test_soft_failures_leave_no_log_record_or_warning(caplog):
