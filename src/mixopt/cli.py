@@ -7,7 +7,8 @@ overrides the documented defaults; unknown keys are rejected. Exit codes:
 0 success, 1 numerical failure, 2 invalid input or config. Each command
 prints one JSON object to stdout, and errors go to stderr as one JSON
 object per failure; both are strict RFC 8259 JSON, with a non-finite
-number written as null.
+number written as null. Every output format lives here: the library
+returns values, and this module writes every CSV and JSON file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsonout
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -33,14 +33,13 @@ from .errors import (
 )
 from .ga import GAConfig, compare_timing
 from .geometry import build_spline, polyline_rows
-from .metrics import DesignCandidate, baseline_table, compute_mixing_report
+from .metrics import OUTLET_SAMPLES, DesignCandidate, baseline_table, compute_mixing_report
 from .diffnet import load_params, save_params
-from .physics import LossWeights
 from .pinn_train import TrainConfig, evaluate_fields, load_checkpoint, save_checkpoint, train
 from .rl import SC_HI, SC_LO, PinnEnv, PPOConfig, QuadraticEnv, query_policy, train_agent
-from .sampling import CollocationCounts, SampleBounds
 
 SCHEMA_VERSION = 1
+REPORT_NOTE = "cp proxies the inlet-outlet pressure drop (outlet p* = 0)"
 
 
 @dataclass(frozen=True)
@@ -54,16 +53,6 @@ class RunConfig:
         check_ints(self, schema_version=1)
 
 
-_NESTED = {
-    "train": TrainConfig,
-    "ppo": PPOConfig,
-    "ga": GAConfig,
-    "bounds": SampleBounds,
-    "counts": CollocationCounts,
-    "weights": LossWeights,
-}
-
-
 def _coerce(value):
     if isinstance(value, list):
         return tuple(_coerce(v) for v in value)
@@ -73,13 +62,15 @@ def _coerce(value):
 def _build(cls, data, where):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in allowed:
+        if key not in fields:
             raise ConfigError(f"{where}.{key}: unknown key")
-        if key in _NESTED and isinstance(value, dict):
-            kwargs[key] = _build(_NESTED[key], value, f"{where}.{key}")
+        # a field whose default is a config dataclass is a section: a JSON object
+        section = fields[key].default_factory
+        if dataclasses.is_dataclass(section):
+            kwargs[key] = _build(section, value, f"{where}.{key}")
         else:
             kwargs[key] = _coerce(value)
     try:
@@ -106,20 +97,74 @@ def load_config(path=None) -> RunConfig:
     return cfg
 
 
+def _finite(value):
+    """The payload with every non-finite float (nan, +-inf) replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _dumps(payload) -> str:
+    """One JSON object with sorted keys; a non-finite float is written as null.
+
+    ``allow_nan=False`` makes any non-finite value that gets past the
+    replacement an error instead of a bare ``NaN`` token.
+    """
+    return json.dumps(_finite(payload), sort_keys=True, allow_nan=False)
+
+
 def _emit(payload: dict) -> None:
-    print(jsonout.dumps(payload))
+    print(_dumps(payload))
+
+
+def _float(value) -> str:
+    """A float CSV cell that reads back to the same bits."""
+    return repr(float(value))
+
+
+def _write_csv(path, header, rows) -> None:
+    """The header, then each row of cells; the csv module ends lines with CRLF."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _report_payload(report) -> dict:
+    """The JSON object of one MixingReport, as --report writes it and stdout prints it."""
+    return {"mi": report.mi, "cp": report.cp, "mi0": report.mi0, "cp0": report.cp0,
+            "me": report.me, "n": OUTLET_SAMPLES, "sc": report.sc,
+            "design": report.design._asdict(), "note": REPORT_NOTE}
+
+
+def _write_fields(path, table) -> None:
+    """A FieldTable, one row per grid point with x fastest; the fields with 9
+    significant digits."""
+    fields = (table.u, table.v, table.speed, table.p, table.c)
+    rows = ([f"{xv:.9g}", f"{yv:.9g}", *(f"{f[iy, ix]:.9g}" for f in fields),
+             int(table.mask[iy, ix])]
+            for iy, yv in enumerate(table.y) for ix, xv in enumerate(table.x))
+    _write_csv(path, ["x", "y", "u", "v", "speed", "p", "c", "inside"], rows)
+
+
+def _write_rewards(path, history) -> None:
+    """A RewardHistory: each episode's mean reward and its trailing 50-episode mean."""
+    _write_csv(path, ["episode", "mean_reward", "smoothed_reward"],
+               ([i, _float(r), _float(s)]
+                for i, (r, s) in enumerate(zip(history.mean_rewards, history.smoothed()))))
 
 
 def cmd_geometry(args, cfg: RunConfig) -> int:
     if args.points < 2:
         raise ConfigError(f"--points {args.points} must be at least 2")
     rows = list(polyline_rows(build_spline(args.cp), points_per_segment=args.points))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_mm", "y_mm", "segment", "nx", "ny"])
-        for x, y, name, nx, ny in rows:
-            writer.writerow([repr(float(x)), repr(float(y)), name,
-                             repr(float(nx)), repr(float(ny))])
+    _write_csv(args.out, ["x_mm", "y_mm", "segment", "nx", "ny"],
+               ([_float(x), _float(y), name, _float(nx), _float(ny)]
+                for x, y, name, nx, ny in rows))
     _emit({"command": "geometry", "out": args.out, "rows": len(rows)})
     return 0
 
@@ -133,16 +178,13 @@ def cmd_train(args, cfg: RunConfig) -> int:
     params, history = train(tc)
     save_checkpoint(params, args.out, seed=tc.seed)
     if args.history:
-        with open(args.history, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            # the ends are full-set losses, the periodic reports minibatch ones
-            writer.writerow(["step", "set", "total"])
-            writer.writerow([history.initial.step, "full", repr(history.initial.total)])
-            for r in history.reports:
-                writer.writerow([r.step, "batch", repr(r.total)])
-            # after no steps the final full-set loss is the initial one
-            if history.final.step != history.initial.step:
-                writer.writerow([history.final.step, "full", repr(history.final.total)])
+        # the ends are full-set losses, the periodic reports minibatch ones
+        rows = [[history.initial.step, "full", _float(history.initial.total)]]
+        rows += [[r.step, "batch", _float(r.total)] for r in history.reports]
+        # after no steps the final full-set loss is the initial one
+        if history.final.step != history.initial.step:
+            rows.append([history.final.step, "full", _float(history.final.total)])
+        _write_csv(args.history, ["step", "set", "total"], rows)
     summary = {
         "command": "train",
         "checkpoint": args.out,
@@ -159,13 +201,12 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     design = DesignCandidate(args.cp[0], args.cp[1], args.cp[2], args.re)
     params = load_checkpoint(args.checkpoint)
     table = evaluate_fields(params, args.cp, design.re, args.sc)
-    table.to_csv(args.fields)
-    report = compute_mixing_report(params, design, args.sc)
+    _write_fields(args.fields, table)
+    report = _report_payload(compute_mixing_report(params, design, args.sc))
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(report.to_json() + "\n")
-    _emit({"command": "evaluate", "fields": args.fields,
-           "report": json.loads(report.to_json())})
+            fh.write(_dumps(report) + "\n")
+    _emit({"command": "evaluate", "fields": args.fields, "report": report})
     return 0
 
 
@@ -190,7 +231,7 @@ def cmd_optimize_rl(args, cfg: RunConfig) -> int:
     if args.critic_out:
         save_params(critic, args.critic_out, role="critic", seed=pc.seed)
     if args.history:
-        history.to_csv(args.history)
+        _write_rewards(args.history, history)
     _emit({"command": "optimize-rl", "actor": args.out,
            "episodes": len(history.mean_rewards),
            "skipped_episodes": int(np.count_nonzero(np.isnan(history.mean_rewards))),
@@ -231,12 +272,8 @@ def cmd_query(args, cfg: RunConfig) -> int:
         if env is not None:
             me = env.evaluate(d, sc)
             degenerate += math.isnan(me)
-        rows.append([sc, d.cp1, d.cp2, d.cp3, d.re, me])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sc", "cp1", "cp2", "cp3", "re", "relative_me"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        rows.append([_float(v) for v in (sc, *d, me)])
+    _write_csv(args.out, ["sc", "cp1", "cp2", "cp3", "re", "relative_me"], rows)
     extrapolated = sum(not SC_LO <= sc <= SC_HI for sc in sc_values)
     _emit({"command": "query", "out": args.out, "rows": len(rows), "degenerate_rows": degenerate,
            "extrapolated_rows": extrapolated})
@@ -250,7 +287,10 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     actor, _ = load_params(args.policy, role="actor")
     env = _environment(args)
     table = compare_timing(env, sc_values, cfg.ga, actor, repeats=args.repeats)
-    table.to_csv(args.out)
+    _write_csv(args.out, ["m", "ga_cumulative_seconds", "rl_cumulative_seconds",
+                          "ga_best_fitness_mean"],
+               ([m, _float(ga), _float(rl), _float(fit)] for m, ga, rl, fit in
+                zip(table.m, table.ga_seconds, table.rl_seconds, table.ga_fitness_mean)))
     _emit({"command": "compare", "out": args.out, "m": table.m})
     return 0
 
@@ -259,7 +299,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors emit JSON and exit code 2."""
 
     def error(self, message):
-        print(jsonout.dumps({"error": "ArgumentError", "message": message}), file=sys.stderr)
+        print(_dumps({"error": "ArgumentError", "message": message}), file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -328,14 +368,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except (ConfigError, CheckpointError, DomainError) as exc:
-        print(jsonout.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except (NumericalError, SamplingError) as exc:
-        print(jsonout.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+    except (ConfigError, CheckpointError, DomainError, NumericalError, SamplingError) as exc:
+        print(_dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 1 if isinstance(exc, (NumericalError, SamplingError)) else 2
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DomainError, check_int, check_ints
+from ..errors import DomainError, check_ints, check_widths
 from .tape import Node
 
 
@@ -63,9 +63,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         check_ints(self, input_dim=1, output_dim=1)
-        for i, h in enumerate(self.hidden):
-            check_int(f"hidden[{i}]", h, 1)
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        check_widths(self, "hidden")
 
     @functools.cached_property
     def layer_shapes(self) -> tuple:

@@ -40,9 +40,9 @@ def check_ints(obj, **minimums) -> None:
 
 def check_widths(obj, *names) -> None:
     """check_int (minimum 1) on each layer width of the named fields of a
-    frozen ``obj``, and store each field as a tuple."""
+    frozen ``obj``, and store each field as a tuple of ints."""
     for name in names:
         widths = tuple(getattr(obj, name))
         for i, width in enumerate(widths):
             check_int(f"{name}[{i}]", width, 1)
-        object.__setattr__(obj, name, widths)
+        object.__setattr__(obj, name, tuple(int(w) for w in widths))

@@ -7,7 +7,6 @@ pass. compare_timing measures both so the scaling shapes can be compared.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -112,9 +111,9 @@ def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
             kick = rng.normal(0.0, cfg.mutation_scale * span)
             child = np.where(mask, child + kick, child)
             children[i] = np.clip(child, DESIGN_LO, DESIGN_HI)
-        child_fitness = _evaluate(env, children, sc) if n_children else np.empty(0)
+        child_fitness = _evaluate(env, children, sc)
         evaluations += n_children
-        pop = np.vstack([elites, children]) if n_children else elites
+        pop = np.vstack([elites, children])
         fitness = np.concatenate([elite_fitness, child_fitness])
         gen_best = int(np.argmax(fitness))
         if fitness[gen_best] > best_fitness:
@@ -135,15 +134,6 @@ class ScalingTable:
     ga_seconds: list
     rl_seconds: list
     ga_fitness_mean: list
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "ga_cumulative_seconds", "rl_cumulative_seconds",
-                             "ga_best_fitness_mean"])
-            for row in zip(self.m, self.ga_seconds, self.rl_seconds, self.ga_fitness_mean):
-                writer.writerow([row[0], repr(float(row[1])), repr(float(row[2])),
-                                 repr(float(row[3]))])
 
 
 def _sample_counts(n: int) -> list:

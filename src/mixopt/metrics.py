@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsonout
 from .diffnet import ParameterSet, forward
 from .errors import DomainError
 from .geometry import CHANNEL, CP_MAX, CP_MIN
@@ -170,17 +169,6 @@ class MixingReport:
     me: float
     sc: float
     design: DesignCandidate
-    note: str = "cp proxies the inlet-outlet pressure drop (outlet p* = 0)"
-
-    def to_json(self) -> str:
-        d = self.design
-        payload = {
-            "mi": self.mi, "cp": self.cp, "mi0": self.mi0, "cp0": self.cp0,
-            "me": self.me, "n": OUTLET_SAMPLES, "sc": self.sc,
-            "design": {"cp1": d.cp1, "cp2": d.cp2, "cp3": d.cp3, "re": d.re},
-            "note": self.note,
-        }
-        return jsonout.dumps(payload)
 
 
 @dataclass(frozen=True)

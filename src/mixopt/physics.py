@@ -28,7 +28,6 @@ from functools import reduce
 
 import numpy as np
 
-from . import jsonout
 from .diffnet import forward, forward_vjp, map_blocks
 from .diffnet import net_apply  # noqa: F401  (unused here; the benchmark tracer wraps physics.net_apply)
 from .diffnet.tape import Node
@@ -186,10 +185,6 @@ class LossReport:
     total: float
     families: dict
     step: int | None = None
-
-    def to_json(self) -> str:
-        payload = {"step": self.step, "total": self.total, **self.families}
-        return jsonout.dumps(payload)
 
 
 def _pde_cotangents(out, jac, residuals, g, re, sc):

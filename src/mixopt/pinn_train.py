@@ -1,8 +1,7 @@
-"""Adam training of the field network on a collocation set, plus field export."""
+"""Adam training of the field network on a collocation set, plus field-grid evaluation."""
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import os
@@ -184,19 +183,6 @@ class FieldTable:
     p: np.ndarray
     c: np.ndarray
     mask: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "u", "v", "speed", "p", "c", "inside"])
-            for iy, yv in enumerate(self.y):
-                for ix, xv in enumerate(self.x):
-                    writer.writerow([
-                        f"{xv:.9g}", f"{yv:.9g}",
-                        f"{self.u[iy, ix]:.9g}", f"{self.v[iy, ix]:.9g}",
-                        f"{self.speed[iy, ix]:.9g}", f"{self.p[iy, ix]:.9g}",
-                        f"{self.c[iy, ix]:.9g}", int(self.mask[iy, ix]),
-                    ])
 
 
 def evaluate_fields(params: ParameterSet, cp, re: float, sc: float, grid=(141, 41)) -> FieldTable:

@@ -9,7 +9,6 @@ environment with a known optimum serves as the test oracle.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -54,12 +53,10 @@ class PPOConfig:
     critic_hidden: tuple = (32, 32)
 
     def __post_init__(self):
-        if not self.clip_eps > 0:
-            raise DomainError("clip_eps must be positive")
         # advantages are standardized per batch, which takes two rows
         check_ints(self, epochs=1, batch_size=2, episodes=0, seed=0)
         check_widths(self, "actor_hidden", "critic_hidden")
-        for name in ("actor_lr", "critic_lr"):
+        for name in ("clip_eps", "actor_lr", "critic_lr"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and positive, got {value!r}")
@@ -112,14 +109,6 @@ class RewardHistory:
         r = np.asarray(self.mean_rewards, dtype=np.float64)
         good = r[-n:][np.isfinite(r[-n:])]
         return float(good.mean()) if good.size else float("nan")
-
-    def to_csv(self, path) -> None:
-        smooth = self.smoothed()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "mean_reward", "smoothed_reward"])
-            for i, (r, s) in enumerate(zip(self.mean_rewards, smooth)):
-                writer.writerow([i, repr(float(r)), repr(float(s))])
 
 
 def _state_norm() -> InputNorm:

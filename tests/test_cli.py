@@ -570,7 +570,7 @@ def test_optimize_rl_requires_an_environment(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     {"batch_size": 1}, {"actor_lr": 0.0}, {"critic_lr": float("nan")},
-    {"entropy_coef": -0.5}, {"entropy_coef": float("inf")},
+    {"entropy_coef": -0.5}, {"entropy_coef": float("inf")}, {"clip_eps": float("inf")},
 ])
 def test_bad_ppo_values_exit_2_before_loading_anything(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {"ppo": bad})
@@ -618,6 +618,32 @@ def test_bad_train_and_ga_values_exit_2_before_running(tmp_path, capsys, section
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(f"config.{section}: ") and next(iter(bad)) in err["message"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"train": {"bounds": 5}}, "config.train.bounds"),
+    ({"train": {"weights": [1, 2]}}, "config.train.weights"),
+    ({"train": {"counts": "x"}}, "config.train.counts"),
+    ({"ppo": 3}, "config.ppo"),
+    ({"train": None}, "config.train"),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate", "optimize-rl"])
+def test_config_sections_that_are_not_objects_exit_2_before_running(tiny_checkpoint, tmp_path,
+                                                                    capsys, payload, where, command):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--out", str(out), "--steps", "0"]
+    elif command == "evaluate":
+        argv = ["evaluate", "--checkpoint", tiny_checkpoint[0], "--cp", "0", "0", "0",
+                "--re", "10", "--sc", "10", "--fields", str(out)]
+    else:
+        argv = ["optimize-rl", "--synthetic", "--episodes", "1", "--out", str(out)]
+    capsys.readouterr()
+    assert main(["--config", cfg, *argv]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ConfigError", "message": f"{where}: expected a JSON object"}
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 

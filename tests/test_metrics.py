@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixopt import metrics
+from mixopt import cli, metrics
 from mixopt.diffnet import InputNorm, NetworkSpec, forward, forward_vjp, init_params, load_params, network
 from mixopt.errors import DomainError
 from mixopt.geometry import CHANNEL, build_spline
@@ -357,7 +357,7 @@ def test_report_is_unity_against_own_baseline():
 def test_report_json_fields():
     params = well_posed_params(seed=12)
     report = compute_mixing_report(params, DesignCandidate(0.1, 0.2, -0.3, 12.0), sc=5.0)
-    payload = json.loads(report.to_json())
+    payload = json.loads(cli._dumps(cli._report_payload(report)))
     assert payload["design"]["cp3"] == -0.3
     assert payload["n"] == 101
     assert set(payload) == {"mi", "cp", "mi0", "cp0", "me", "n", "sc", "design", "note"}
@@ -370,7 +370,7 @@ def test_report_json_writes_non_finite_values_as_null():
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
-    payload = json.loads(report.to_json(), parse_constant=reject)
+    payload = json.loads(cli._dumps(cli._report_payload(report)), parse_constant=reject)
     assert payload["mi"] is None and payload["cp"] is None and payload["me"] is None
     assert payload["mi0"] == 0.5 and payload["design"]["re"] == 12.0
 

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -19,7 +18,6 @@ from mixopt.geometry import CHANNEL, ChannelDims
 from mixopt.physics import (
     FIELD_INDEX,
     RESIDUAL_NAMES,
-    LossReport,
     LossWeights,
     boundary_residuals,
     inlet_speed,
@@ -333,11 +331,6 @@ def test_loss_node_hand_check_two_points():
     assert abs(float(node.value) - want_total) < 1e-15
 
 
-def test_loss_report_json_stable():
-    report = LossReport(total=1.5, families={"pde": 0.5, "wall": 1.0}, step=3)
-    assert report.to_json() == '{"pde": 0.5, "step": 3, "total": 1.5, "wall": 1.0}'
-
-
 def test_stacked_loss_node_matches_per_family_numpy_sums():
     """All five boundary kinds and the slices share one value-only pass;
     each family must still equal its own numpy mean square."""
@@ -444,15 +437,3 @@ def test_total_loss_keeps_no_reverse_caches():
         finally:
             tracemalloc.stop()
     assert peaks["value"] < peaks["tape"] / 4, peaks
-
-
-def reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
-def test_loss_report_json_writes_non_finite_values_as_null():
-    report = LossReport(total=float("nan"), families={"pde": float("inf"), "wall": 1.0}, step=2)
-    text = report.to_json()
-    assert json.loads(text, parse_constant=reject_constant) == {
-        "pde": None, "step": 2, "total": None, "wall": 1.0}
-

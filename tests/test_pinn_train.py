@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mixopt import cli
 from mixopt.diffnet import InputNorm, NetworkSpec, adam_step, init_adam, init_params, param_gradient
 from mixopt.diffnet.tape import leaf
 from mixopt.errors import CheckpointError, DomainError
@@ -189,7 +190,7 @@ def test_field_table_csv_round_trip(tmp_path):
     params, _ = train(tiny_config(steps=1))
     table = evaluate_fields(params, (0.1, -0.2, 0.3), re=12.0, sc=30.0, grid=(9, 5))
     path = tmp_path / "fields.csv"
-    table.to_csv(path)
+    cli._write_fields(path, table)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9 * 5

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mixopt import rl
+from mixopt import cli, rl
 from mixopt.diffnet import (
     NetworkSpec,
     adam_step,
@@ -454,7 +454,7 @@ def test_one_agent_vector_keeps_the_two_optimizer_bits_from_given_networks():
     {"actor_lr": 0.0}, {"critic_lr": -1e-3}, {"actor_lr": float("nan")}, {"critic_lr": float("inf")},
     {"entropy_coef": float("nan")}, {"clip_eps": 0.0},
     {"entropy_coef": -0.01}, {"entropy_coef": float("inf")},
-    {"clip_eps": float("nan")},
+    {"clip_eps": float("nan")}, {"clip_eps": float("inf")},
 ])
 def test_ppo_config_rejects_values_that_would_fail_or_train_wrong(bad):
     with pytest.raises(DomainError, match=next(iter(bad))):
@@ -556,7 +556,7 @@ def test_reward_history_csv(tmp_path):
     for r in [0.1, 0.5, 0.9]:
         h.append(r)
     path = tmp_path / "history.csv"
-    h.to_csv(path)
+    cli._write_rewards(path, h)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "episode,mean_reward,smoothed_reward"
     assert len(lines) == 4
