@@ -135,7 +135,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _report_payload(report) -> dict:
-    """The JSON object of one MixingReport, as --report writes it and stdout prints it."""
+    """The JSON object of one MixingReport, as --report writes it and stdout
+    prints it; ``n`` is the number of outlet samples the mixing index integrates."""
     return {"mi": report.mi, "cp": report.cp, "mi0": report.mi0, "cp0": report.cp0,
             "me": report.me, "n": OUTLET_SAMPLES, "sc": report.sc,
             "design": report.design._asdict(), "note": REPORT_NOTE}

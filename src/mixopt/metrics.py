@@ -25,11 +25,18 @@ RE_MIN, RE_MAX = 5.0, 40.0
 # corners of the (cp1, cp2, cp3, re) design box
 DESIGN_LO = np.array([CP_MIN, CP_MIN, CP_MIN, RE_MIN])
 DESIGN_HI = np.array([CP_MAX, CP_MAX, CP_MAX, RE_MAX])
-# every score samples the outlet line at OUTLET_SAMPLES points and the two
-# inlet mouths at as many each, so each pass fits one diffnet.ROW_BLOCK; the
-# flat-wall baseline grid is BASELINE_GRID x BASELINE_GRID
+# every score samples the outlet line at OUTLET_SAMPLES equispaced points,
+# which resolve a steep mixing layer, and each inlet mouth at the 8
+# Gauss-Legendre nodes, where the pressure is smooth; each pass fits one
+# diffnet.ROW_BLOCK. The flat-wall baseline grid is BASELINE_GRID x BASELINE_GRID
 OUTLET_SAMPLES = 101
 BASELINE_GRID = 8
+# the positive half of the 8-point Gauss-Legendre rule on [-1, 1]: nodes and
+# weights (Abramowitz & Stegun, Table 25.4), symmetric about 0
+_GAUSS_NODES = (0.1834346424956498049394761, 0.5255324099163289858177390,
+                0.7966664774136267395915539, 0.9602898564975362316835609)
+_GAUSS_WEIGHTS = (0.3626837833783619829651504, 0.3137066458778872873379622,
+                  0.2223810344533744705443560, 0.1012285362903762591525314)
 
 
 class DesignCandidate(namedtuple("DesignCandidate", "cp1 cp2 cp3 re")):
@@ -67,32 +74,36 @@ def check_schmidt(sc) -> None:
         raise DomainError(f"Schmidt number {sc!r} must be finite and positive")
 
 
-def _mean(x: np.ndarray) -> float:
-    # np.mean's own sum and divide, without its dispatch
-    return float(np.add.reduce(x, axis=None) / x.size)
+def _weighted_mean(x, w, name: str) -> float:
+    """sum(w x) / sum(w) over finite samples and one weight each.
+
+    ``np.add.reduce`` is numpy's own pairwise sum, so a score's bits do not
+    depend on the BLAS kernel, and unit weights give ``np.mean``'s bits.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if x.size == 0:
+        raise DomainError(f"{name} needs at least one sample")
+    if x.shape != w.shape:
+        raise DomainError(f"{name} needs one weight per sample, got {w.shape} for {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} input must be finite")
+    return float(np.add.reduce(w * x, axis=None) / np.add.reduce(w, axis=None))
 
 
-def mixing_index(c) -> float:
-    """1 - rms deviation of c from the perfect-mix value 0.5, scaled by 0.5."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.size == 0:
-        raise DomainError("mixing_index needs at least one sample")
-    if not np.isfinite(c).all():
-        raise DomainError("mixing_index input must be finite")
-    d = c - 0.5
+def mixing_index(c, weights) -> float:
+    """1 - rms deviation of c from the perfect-mix value 0.5, scaled by 0.5;
+    the mean square weighs each sample by its entry of ``weights``."""
+    d = np.asarray(c, dtype=np.float64) - 0.5
     d /= 0.5
     d *= d
-    return 1.0 - math.sqrt(_mean(d))
+    return 1.0 - math.sqrt(_weighted_mean(d, weights, "mixing_index"))
 
 
-def pressure_cost(p) -> float:
-    """Mean inlet pressure; the outlet boundary pins p* = 0 as the reference."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.size == 0:
-        raise DomainError("pressure_cost needs at least one sample")
-    if not np.isfinite(p).all():
-        raise DomainError("pressure_cost input must be finite")
-    return _mean(p)
+def pressure_cost(p, weights) -> float:
+    """Mean inlet pressure, each sample weighed by its entry of ``weights``;
+    the outlet boundary pins p* = 0 as the reference."""
+    return _weighted_mean(p, weights, "pressure_cost")
 
 
 def _check_guards(cp: float, mi0: float, cp0: float) -> None:
@@ -116,22 +127,35 @@ def _clamp_concentration(c: np.ndarray) -> np.ndarray:
 
 
 def _sample_grids() -> tuple:
-    """Read-only network inputs for the outlet line (OUTLET_SAMPLES rows) and
-    the two inlet mouths (twice that, upper mouth first). The spatial columns
-    are filled in; the five design columns are zero."""
+    """Read-only network inputs and weights for the outlet line and the two
+    inlet mouths (upper mouth first). The spatial columns are filled in; the
+    five design columns are zero.
+
+    The outlet's OUTLET_SAMPLES equispaced rows take the trapezoid rule's
+    weights, half on each end row. Each mouth takes the Gauss-Legendre nodes
+    mapped onto [0, W/H]; their weights, which sum to 2 on [-1, 1], are
+    scaled by 1/4, so each mouth weighs one half. Each set of weights sums
+    to 1.
+    """
     n = OUTLET_SAMPLES
     outlet = np.zeros((n, 7))
     outlet[:, 0] = CHANNEL.L / CHANNEL.H
     outlet[:, 1] = np.linspace(0.0, 1.0, n)
-    inlet = np.zeros((2 * n, 7))
-    inlet[:, 0] = np.tile(np.linspace(0.0, CHANNEL.W / CHANNEL.H, n), 2)
-    inlet[:n, 1] = 1.0
-    for grid in (outlet, inlet):
-        grid.flags.writeable = False
-    return outlet, inlet
+    outlet_w = np.full(n, 1.0 / (n - 1))
+    outlet_w[[0, -1]] *= 0.5
+    t = np.array([-v for v in reversed(_GAUSS_NODES)] + list(_GAUSS_NODES))
+    w = np.array(list(reversed(_GAUSS_WEIGHTS)) + list(_GAUSS_WEIGHTS))
+    m = len(t)
+    inlet = np.zeros((2 * m, 7))
+    inlet[:, 0] = np.tile(0.5 * (CHANNEL.W / CHANNEL.H) * (1.0 + t), 2)
+    inlet[:m, 1] = 1.0
+    inlet_w = np.tile(0.25 * w, 2)
+    for arr in (outlet, outlet_w, inlet, inlet_w):
+        arr.flags.writeable = False
+    return outlet, outlet_w, inlet, inlet_w
 
 
-OUTLET_ROWS, INLET_ROWS = _sample_grids()
+OUTLET_ROWS, OUTLET_WEIGHTS, INLET_ROWS, INLET_WEIGHTS = _sample_grids()
 
 
 def _design_rows(grid: np.ndarray, design, sc: float) -> np.ndarray:
@@ -143,13 +167,13 @@ def _design_rows(grid: np.ndarray, design, sc: float) -> np.ndarray:
 
 
 def outlet_concentration(params: ParameterSet, design: DesignCandidate, sc: float) -> np.ndarray:
-    """c* along the outlet, clamped to [0, 1]."""
+    """c* at the outlet's equispaced rows, clamped to [0, 1]."""
     X = _design_rows(OUTLET_ROWS, design, sc)
     return _clamp_concentration(forward(params, X)[:, FIELD_INDEX["c"]])
 
 
 def inlet_pressure(params: ParameterSet, design: DesignCandidate, sc: float) -> np.ndarray:
-    """p* sampled across both inlet mouths."""
+    """p* at the Gauss-Legendre nodes of both inlet mouths, upper mouth first."""
     X = _design_rows(INLET_ROWS, design, sc)
     return forward(params, X)[:, FIELD_INDEX["p"]]
 
@@ -158,8 +182,8 @@ def inlet_pressure(params: ParameterSet, design: DesignCandidate, sc: float) -> 
 class MixingReport:
     """Metrics for one design next to its flat-wall baseline.
 
-    cp is the mean dimensionless inlet pressure; it stands in for the
-    pressure drop because the outlet pins p* = 0.
+    cp is the mean dimensionless inlet pressure over both mouths; it stands
+    in for the pressure drop because the outlet pins p* = 0.
     """
 
     mi: float
@@ -237,8 +261,8 @@ def _flat_wall(params: ParameterSet, re: float, sc: float):
     not a DesignCandidate.
     """
     flat = (0.0, 0.0, 0.0, re)
-    mi0 = mixing_index(outlet_concentration(params, flat, sc))
-    cp0 = pressure_cost(inlet_pressure(params, flat, sc))
+    mi0 = mixing_index(outlet_concentration(params, flat, sc), OUTLET_WEIGHTS)
+    cp0 = pressure_cost(inlet_pressure(params, flat, sc), INLET_WEIGHTS)
     return mi0, cp0
 
 
@@ -251,12 +275,12 @@ def compute_mixing_report(params: ParameterSet, design: DesignCandidate, sc: flo
     non-positive pressure cost is rejected without its outlet pass.
     """
     check_schmidt(sc)
-    cp = pressure_cost(inlet_pressure(params, design, sc))
+    cp = pressure_cost(inlet_pressure(params, design, sc), INLET_WEIGHTS)
     if baseline is None:
         mi0, cp0 = _flat_wall(params, design.re, sc)
     else:
         mi0, cp0 = baseline.lookup(design.re, sc)
     _check_guards(cp, mi0, cp0)
-    mi = mixing_index(outlet_concentration(params, design, sc))
+    mi = mixing_index(outlet_concentration(params, design, sc), OUTLET_WEIGHTS)
     me = mixing_efficiency(mi, cp, mi0, cp0)
     return MixingReport(mi=mi, cp=cp, mi0=mi0, cp0=cp0, me=me, sc=sc, design=design)

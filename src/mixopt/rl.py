@@ -189,11 +189,6 @@ def scale_action(raw) -> DesignCandidate:
     return _scale_row(raw.tolist())
 
 
-def normalize_design(design: DesignCandidate) -> np.ndarray:
-    """Inverse of scale_action's affine map, back to [-1, 1]^4."""
-    return (design.as_array() - _ACTION_CENTER) / _ACTION_HALFSPAN
-
-
 def compute_advantages(rewards, values, eps: float = 1e-8) -> np.ndarray:
     """Standardized one-step advantages r - V."""
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -218,26 +213,6 @@ def _clipped_surrogate(old_logp, new_logp, advantages, clip_eps: float) -> tuple
     unclipped = ratio * advantages
     clipped = np.minimum(np.maximum(ratio, 1.0 - clip_eps), 1.0 + clip_eps) * advantages
     return ratio, np.minimum(unclipped, clipped), advantages * (unclipped <= clipped)
-
-
-def ppo_losses(old_logp, new_logp, advantages, rewards, values, cfg: PPOConfig,
-               log_sigma) -> tuple:
-    """(L_clip, L_vf, entropy, L_total) on plain arrays.
-
-    L_total = L_clip - L_vf + c H is the maximized objective, with H the
-    closed-form entropy of the diagonal Gaussian whose log-stds are log_sigma.
-    L_vf carries no coefficient: the critic shares no parameters with the
-    actor, and Adam's step does not change when a gradient is rescaled.
-    """
-    old_logp = np.asarray(old_logp, dtype=np.float64)
-    new_logp = np.asarray(new_logp, dtype=np.float64)
-    advantages = np.asarray(advantages, dtype=np.float64)
-    _, surrogate, _ = _clipped_surrogate(old_logp, new_logp, advantages, cfg.clip_eps)
-    l_clip = float(np.mean(surrogate))
-    l_vf = float(np.mean((np.asarray(values) - np.asarray(rewards)) ** 2))
-    entropy = float(np.mean(np.sum(0.5 * (1.0 + LOG_2PI) + np.asarray(log_sigma), axis=1)))
-    total = l_clip - l_vf + cfg.entropy_coef * entropy
-    return l_clip, l_vf, entropy, total
 
 
 def gradient(actor: ParameterSet, critic: ParameterSet, batch: Batch, cfg: PPOConfig) -> tuple:
@@ -287,17 +262,12 @@ class QuadraticEnv:
         return (0.6 * math.cos(math.pi * s), 0.6 * math.sin(math.pi * s),
                 0.5 * (2.0 * s - 1.0), 0.5 * math.sin(2.0 * math.pi * s))
 
-    def optimum_normalized(self, sc: float) -> np.ndarray:
-        return np.array(self._optimum(sc))
-
-    def optimum(self, sc: float) -> DesignCandidate:
-        return _scale_row(self._optimum(sc))
-
     def evaluate(self, design: DesignCandidate, sc: float) -> float:
-        """``1 - |normalize_design(design) - optimum_normalized(sc)|^2``,
-        entry by entry in the same operations and operand order. The squared
-        norm stays ``np.dot`` on the 4-vector: a sequential sum rounds
-        differently from the BLAS dot."""
+        """``1 - |a - a*|^2``, with a the design mapped back through
+        scale_action's affine map to [-1, 1]^4 and a* the optimum at sc,
+        entry by entry in the array formula's operations and operand order.
+        The squared norm stays ``np.dot`` on the 4-vector: a sequential sum
+        rounds differently from the BLAS dot."""
         a1, a2, a3, a4 = design
         o1, o2, o3, o4 = self._optimum(sc)
         (c1, c2, c3, c4), (h1, h2, h3, h4) = _ROW_CENTER, _ROW_HALFSPAN

@@ -31,14 +31,13 @@ from mixopt.rl import (
     PPOConfig,
     QuadraticEnv,
     compute_advantages,
-    normalize_design,
-    ppo_losses,
     query_policy,
     train_agent,
 )
 from mixopt.sampling import CollocationCounts, SampleBounds, generate_collocation
 
 from fitting import linear_r2
+from ppo_oracle import normalize_design, ppo_losses, quadratic_optimum_normalized
 from spline_oracle import eval_spline
 
 
@@ -257,9 +256,9 @@ def test_flow_closures_zero_every_residual():
 
 
 def test_mixing_metric_identities_and_scale_law():
-    perfect = mixing_index(np.full(40, 0.5)) == 1.0
-    segregated = mixing_index(np.array([0.0] * 20 + [1.0] * 20)) == 0.0
-    half = mixing_index(np.array([0.25, 0.75])) == 0.5
+    perfect = mixing_index(np.full(40, 0.5), np.ones(40)) == 1.0
+    segregated = mixing_index(np.array([0.0] * 20 + [1.0] * 20), np.ones(40)) == 0.0
+    half = mixing_index(np.array([0.25, 0.75]), np.ones(2)) == 0.5
 
     rng = np.random.default_rng(9)
     worst = 0.0
@@ -331,11 +330,10 @@ def synthetic_policy():
 def test_policy_training_converges_on_synthetic_env(synthetic_policy):
     actor, _, history, seconds = synthetic_policy
     tail = history.tail_mean(20)
-    env = QuadraticEnv()
     errs = []
     for sc in (10.0, 50.0, 90.0):
         a = normalize_design(query_policy(actor, sc))
-        errs.append(float(np.linalg.norm(a - env.optimum_normalized(sc))))
+        errs.append(float(np.linalg.norm(a - quadratic_optimum_normalized(sc))))
     worst = max(errs)
     ok = tail >= 0.95 and worst <= 0.1 and seconds <= 120.0
     _gate("policy convergence on the synthetic landscape",

@@ -42,59 +42,78 @@ def output_layer(flat, spec):
     return flat[-rows * (cols + 1):-rows].reshape(rows, cols), flat[-rows:]
 
 
+def ones(x):
+    """Unit weights, one per sample of x."""
+    return np.ones(np.shape(x))
+
+
 def test_mixing_index_perfectly_mixed():
-    assert mixing_index(np.full(33, 0.5)) == 1.0
+    assert mixing_index(np.full(33, 0.5), np.ones(33)) == 1.0
+    assert mixing_index(np.full(101, 0.5), metrics.OUTLET_WEIGHTS) == 1.0
 
 
 def test_mixing_index_segregated():
     c = np.concatenate([np.zeros(50), np.ones(50)])
-    assert mixing_index(c) == 0.0
+    assert mixing_index(c, ones(c)) == 0.0
+    assert mixing_index(c, np.random.default_rng(2).uniform(0.1, 1.0, 100)) == 0.0
 
 
 def test_mixing_index_quarter_three_quarter():
-    assert mixing_index([0.25, 0.75]) == pytest.approx(0.5, abs=1e-15)
+    assert mixing_index([0.25, 0.75], [1.0, 1.0]) == pytest.approx(0.5, abs=1e-15)
+    assert mixing_index([0.25, 0.75], [0.2, 0.7]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mixing_index_permutation_invariant():
+    # permuting the samples together with their weights leaves the index alone
     rng = np.random.default_rng(3)
     c = rng.uniform(0, 1, 64)
-    assert mixing_index(c) == pytest.approx(mixing_index(c[::-1]), abs=1e-15)
-    assert mixing_index(c) == pytest.approx(mixing_index(rng.permutation(c)), abs=1e-15)
+    w = rng.uniform(0.1, 1.0, 64)
+    assert mixing_index(c, w) == pytest.approx(mixing_index(c[::-1], w[::-1]), abs=1e-15)
+    order = rng.permutation(64)
+    assert mixing_index(c, w) == pytest.approx(mixing_index(c[order], w[order]), abs=1e-15)
 
 
 def test_mixing_index_drops_when_sample_moves_off_center():
     c = np.full(16, 0.5)
-    base = mixing_index(c)
+    base = mixing_index(c, ones(c))
     c[4] = 0.8
-    worse = mixing_index(c)
+    worse = mixing_index(c, ones(c))
     c[4] = 0.95
-    worst = mixing_index(c)
+    worst = mixing_index(c, ones(c))
     assert base > worse > worst
 
 
 def test_mixing_index_rejects_empty_and_nonfinite():
-    with pytest.raises(DomainError):
-        mixing_index([])
-    with pytest.raises(DomainError):
-        mixing_index([0.5, np.nan])
+    with pytest.raises(DomainError, match="at least one sample"):
+        mixing_index([], [])
+    with pytest.raises(DomainError, match="finite"):
+        mixing_index([0.5, np.nan], [1.0, 1.0])
+    with pytest.raises(DomainError, match="one weight per sample"):
+        mixing_index([0.5, 0.5], [1.0])
 
 
 def test_pressure_cost_means():
-    assert pressure_cost(np.full(7, 2.0)) == 2.0
-    assert pressure_cost([1.0, 3.0]) == 2.0
-    assert pressure_cost([-1.5, 1.5]) == 0.0
-    with pytest.raises(DomainError):
-        pressure_cost([])
+    # the weighted mean sum(w p) / sum(w)
+    assert pressure_cost(np.full(7, 2.0), np.ones(7)) == 2.0
+    assert pressure_cost([1.0, 3.0], [1.0, 1.0]) == 2.0
+    assert pressure_cost([1.0, 3.0], [3.0, 1.0]) == 1.5
+    assert pressure_cost([-1.5, 1.5], [0.25, 0.25]) == 0.0
+    assert pressure_cost(np.full(16, 0.75), metrics.INLET_WEIGHTS) == pytest.approx(0.75, rel=1e-15)
+    with pytest.raises(DomainError, match="at least one sample"):
+        pressure_cost([], [])
+    with pytest.raises(DomainError, match="one weight per sample"):
+        pressure_cost(np.ones(16), metrics.OUTLET_WEIGHTS)
 
 
 def test_reductions_keep_numpy_mean_bits():
-    # the scores' reductions are np.mean's sum and divide, written out
+    # the scores' reductions are numpy's pairwise sums, so unit weights give
+    # np.mean's sum and divide
     rng = np.random.default_rng(3)
     for shape in [(101,), (202,), (7, 13), (1,)]:
         c = rng.uniform(-0.2, 1.2, shape)
-        assert mixing_index(c) == float(1.0 - np.sqrt(np.mean(((c - 0.5) / 0.5) ** 2)))
+        assert mixing_index(c, ones(c)) == float(1.0 - np.sqrt(np.mean(((c - 0.5) / 0.5) ** 2)))
         p = rng.normal(0.05, 0.2, shape)
-        assert pressure_cost(p) == float(np.mean(p))
+        assert pressure_cost(p, ones(p)) == float(np.mean(p))
 
 
 def test_mixing_efficiency_identities():
@@ -194,7 +213,7 @@ def test_inlet_pressure_covers_both_mouths():
     params = make_params(seed=6)
     d = DesignCandidate(0.0, 0.0, 0.0, 10.0)
     p = inlet_pressure(params, d, sc=10.0)
-    assert p.shape == (202,)
+    assert p.shape == (16,)
     assert np.all(np.isfinite(p))
 
 
@@ -319,8 +338,10 @@ def test_pinned_surrogate_baseline_keeps_the_flat_design_candidates_bits():
     for i, re in enumerate(table.re_values.tolist()):
         for j, sc in enumerate(table.sc_values.tolist()):
             flat = DesignCandidate(0.0, 0.0, 0.0, re)
-            assert table.mi0[i, j] == mixing_index(outlet_concentration(params, flat, sc))
-            assert table.cp0[i, j] == pressure_cost(inlet_pressure(params, flat, sc))
+            assert table.mi0[i, j] == mixing_index(outlet_concentration(params, flat, sc),
+                                                   metrics.OUTLET_WEIGHTS)
+            assert table.cp0[i, j] == pressure_cost(inlet_pressure(params, flat, sc),
+                                                    metrics.INLET_WEIGHTS)
             report = compute_mixing_report(params, flat, sc)
             assert (report.mi0, report.cp0) == (table.mi0[i, j], table.cp0[i, j])
 
@@ -377,9 +398,19 @@ def test_report_json_writes_non_finite_values_as_null():
 
 # Reference scoring built the way the rows were first assembled: fresh
 # column_stack rows per design, evaluated through the tape path's forward.
+# The outlet takes 101 equispaced rows and the trapezoid rule's weights,
+# built here; each inlet mouth takes the Gauss-Legendre rule, whose nodes and
+# weights tests/test_quadrature.py checks, and weighs one half. How close
+# the rules come to the integrals is checked there, against the dense
+# scorer of tests/score_oracle.py.
+OUTLET_N = 101
+TRAPEZOID = np.full(OUTLET_N, 1.0 / (OUTLET_N - 1))
+TRAPEZOID[[0, -1]] /= 2.0
+GAUSS_X = metrics.INLET_ROWS[:8, 0].copy()
+GAUSS_W = metrics.INLET_WEIGHTS[:8].copy()
 
 
-def reference_outlet(params, design, sc, n):
+def reference_outlet(params, design, sc, n=OUTLET_N):
     X = np.column_stack([
         np.full(n, CHANNEL.L / CHANNEL.H), np.linspace(0.0, 1.0, n),
         np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
@@ -388,8 +419,9 @@ def reference_outlet(params, design, sc, n):
     return np.clip(forward_vjp(params, X)[0][:, 6], 0.0, 1.0)
 
 
-def reference_inlet(params, design, sc, n):
-    x = np.linspace(0.0, CHANNEL.W / CHANNEL.H, n)
+def reference_inlet(params, design, sc):
+    x = GAUSS_X
+    n = len(x)
     X = np.vstack([np.column_stack([
         x, np.full(n, y), np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
         np.full(n, design.re), np.full(n, sc),
@@ -397,9 +429,9 @@ def reference_inlet(params, design, sc, n):
     return forward_vjp(params, X)[0][:, 2]
 
 
-def reference_scores(params, design, sc, n):
-    return (mixing_index(reference_outlet(params, design, sc, n)),
-            pressure_cost(reference_inlet(params, design, sc, n)))
+def reference_scores(params, design, sc):
+    return (mixing_index(reference_outlet(params, design, sc), TRAPEZOID),
+            pressure_cost(reference_inlet(params, design, sc), np.concatenate([GAUSS_W, GAUSS_W])))
 
 
 def assert_table_matches_reference(params, table):
@@ -408,7 +440,7 @@ def assert_table_matches_reference(params, table):
     for i, re in enumerate(table.re_values):
         for j, sc in enumerate(table.sc_values):
             flat = SimpleNamespace(cp1=0.0, cp2=0.0, cp3=0.0, re=re)
-            mi0, cp0 = reference_scores(params, flat, sc, 101)
+            mi0, cp0 = reference_scores(params, flat, sc)
             assert np.array_equal(table.mi0[i, j], mi0)
             assert np.array_equal(table.cp0[i, j], cp0)
 
@@ -432,8 +464,8 @@ def test_scoring_is_bit_identical_to_reference_rows():
         cps = rng.uniform(-0.5, 0.5, 3)
         design = DesignCandidate(cps[0], cps[1], cps[2], rng.uniform(5.0, 40.0))
         sc = rng.uniform(1.0, 100.0)
-        mi, cp = reference_scores(params, design, sc, 101)
-        mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, design.re), sc, 101)
+        mi, cp = reference_scores(params, design, sc)
+        mi0, cp0 = reference_scores(params, DesignCandidate(0.0, 0.0, 0.0, design.re), sc)
         report = compute_mixing_report(params, design, sc)
         assert np.array_equal(report.me, mixing_efficiency(mi, cp, mi0, cp0))
 
@@ -462,16 +494,16 @@ def test_rejected_design_skips_the_outlet_pass(monkeypatch):
     calls = counting_forward(monkeypatch)
     report = compute_mixing_report(good, design, 30.0, baseline=table)
     assert np.isfinite(report.me) and report.cp > 0
-    assert calls == [202, 101]  # inlet, then outlet
+    assert calls == [16, 101]  # inlet, then outlet
     calls.clear()
     with pytest.raises(DomainError, match="pressure costs"):
         compute_mixing_report(bad, design, 30.0, baseline=table)
-    assert calls == [202]
+    assert calls == [16]
     calls.clear()
     bad_baseline = BaselineTable(table.re_values, table.sc_values, table.mi0, -table.cp0)
     with pytest.raises(DomainError, match="pressure costs"):
         compute_mixing_report(good, design, 30.0, baseline=bad_baseline)
-    assert calls == [202]
+    assert calls == [16]
 
 
 @pytest.mark.parametrize("sc", [np.nan, -5.0, 0.0, np.inf, -np.inf])
@@ -498,9 +530,12 @@ def test_second_score_leaves_first_results_and_grid_alone():
     for kept, before in zip((metrics.OUTLET_ROWS, metrics.INLET_ROWS), grids):
         assert np.array_equal(kept, before)
         assert not kept.flags.writeable
-    assert np.array_equal(c1, reference_outlet(params, first, 20.0, 101))
+    assert np.array_equal(c1, reference_outlet(params, first, 20.0))
 
 
 def test_each_score_pass_is_one_row_block():
-    # the inlet pass (two mouths) is the larger one
-    assert 2 * metrics.OUTLET_SAMPLES <= network.ROW_BLOCK
+    # each pass's rows come with one weight each, and fit one block
+    for rows, weights in ((metrics.OUTLET_ROWS, metrics.OUTLET_WEIGHTS),
+                          (metrics.INLET_ROWS, metrics.INLET_WEIGHTS)):
+        assert weights.shape == (len(rows),) and not weights.flags.writeable
+        assert len(rows) <= network.ROW_BLOCK

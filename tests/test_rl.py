@@ -36,15 +36,15 @@ from mixopt.rl import (
     gaussian_logp,
     init_actor,
     init_critic,
-    normalize_design,
     policy_forward,
-    ppo_losses,
     query_policy,
     rollout,
     sample_actions,
     scale_action,
     train_agent,
 )
+
+from ppo_oracle import normalize_design, ppo_losses, quadratic_optimum, quadratic_optimum_normalized
 
 
 def small_cfg(**kw):
@@ -566,9 +566,9 @@ def test_reward_history_csv(tmp_path):
 def test_quadratic_env_optimum_scores_one():
     env = QuadraticEnv()
     for sc in np.linspace(1, 100, 13):
-        d = env.optimum(float(sc))
+        d = quadratic_optimum(float(sc))
         assert env.evaluate(d, float(sc)) == pytest.approx(1.0, abs=1e-12)
-        a = env.optimum_normalized(float(sc))
+        a = quadratic_optimum_normalized(float(sc))
         assert np.all(np.abs(a) <= 0.6 + 1e-12)
 
 
@@ -761,7 +761,8 @@ def test_query_policy_returns_the_former_querys_bits(trained_default, trained):
 
 
 def former_optimum(sc):
-    """``QuadraticEnv.optimum_normalized`` before its float glue, as an oracle."""
+    """QuadraticEnv's optimum in normalized coordinates before its float
+    glue, as an oracle."""
     s = (sc - SC_LO) / (SC_HI - SC_LO)
     return np.array([
         0.6 * np.cos(np.pi * s),
@@ -792,9 +793,9 @@ def test_quadratic_reward_returns_the_former_formulas_bits():
     got = np.array([env.evaluate(d, sc) for d, sc in pairs])
     assert got.tobytes() == np.array([former_quadratic_reward(d, sc) for d, sc in pairs]).tobytes()
     sc_values += ends
-    got = np.array([env.optimum_normalized(sc) for sc in sc_values])
+    got = np.array([quadratic_optimum_normalized(sc) for sc in sc_values])
     assert got.tobytes() == np.array([former_optimum(sc) for sc in sc_values]).tobytes()
-    assert (design_bytes([env.optimum(sc) for sc in sc_values])
+    assert (design_bytes([quadratic_optimum(sc) for sc in sc_values])
             == design_bytes([scale_action(former_optimum(sc)) for sc in sc_values]))
 
 
@@ -885,8 +886,8 @@ def test_default_run_converges(trained_default):
 
 
 def test_trained_policy_tracks_optimum(trained_default):
-    env, actor, _ = trained_default
+    _, actor, _ = trained_default
     for sc in (10.0, 50.0, 90.0):
         d = query_policy(actor, sc)
-        err = np.linalg.norm(normalize_design(d) - env.optimum_normalized(sc))
+        err = np.linalg.norm(normalize_design(d) - quadratic_optimum_normalized(sc))
         assert err <= 0.1, f"sc={sc}: {err}"
