@@ -410,7 +410,8 @@ GAUSS_X = metrics.INLET_ROWS[:8, 0].copy()
 GAUSS_W = metrics.INLET_WEIGHTS[:8].copy()
 
 
-def reference_outlet(params, design, sc, n=OUTLET_N):
+def reference_outlet(params, design, sc):
+    n = OUTLET_N
     X = np.column_stack([
         np.full(n, CHANNEL.L / CHANNEL.H), np.linspace(0.0, 1.0, n),
         np.tile([design.cp1, design.cp2, design.cp3], (n, 1)),
