@@ -190,7 +190,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         "command": "train",
         "checkpoint": args.out,
         "initial_total": history.initial.total,
-        "final_total": history.final.total if history.final else None,
+        "final_total": history.final.total,
         "aborted_at": history.aborted_at,
     }
     _emit(summary)
@@ -201,9 +201,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     _check_sc(args.sc, "--sc")
     design = DesignCandidate(args.cp[0], args.cp[1], args.cp[2], args.re)
     params = load_checkpoint(args.checkpoint)
-    table = evaluate_fields(params, args.cp, design.re, args.sc)
-    _write_fields(args.fields, table)
+    # scored first: a design the guards reject leaves no fields file behind
     report = _report_payload(compute_mixing_report(params, design, args.sc))
+    _write_fields(args.fields, evaluate_fields(params, args.cp, design.re, args.sc))
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(_dumps(report) + "\n")
@@ -369,7 +369,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except (ConfigError, CheckpointError, DomainError, NumericalError, SamplingError) as exc:
+    except (ConfigError, CheckpointError, DomainError, NumericalError, SamplingError,
+            OSError) as exc:
+        # an OSError is an output path that cannot be written: an argument error
         print(_dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1 if isinstance(exc, (NumericalError, SamplingError)) else 2
 

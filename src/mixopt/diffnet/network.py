@@ -15,9 +15,10 @@ Every pass reads one table per set (``ParameterSet.table``): each layer's W
 and b as views of ``flat`` and a read-only, row-major copy of W^T. The
 forward passes multiply by that copy: ``h @ W.T`` on the transposed view
 runs the BLAS NT kernel, the row-major copy runs NN, which under OpenBLAS's
-SkylakeX kernel is about 1.4x faster at a design score's shapes
-(202 x 64 x 64) and about equal under its Haswell kernel. The two products
-need not agree: under the SkylakeX kernel they differ in the last bits at
+SkylakeX kernel is about 1.4x faster at a design score's hidden-layer
+products (16 x 64 @ 64 x 64 and 101 x 64 @ 64 x 64, one BLAS thread on a
+2-vCPU AVX-512 Xeon) and about equal under its Haswell kernel. The two
+products need not agree: under the SkylakeX kernel they differ in the last bits at
 narrow output layers (64 x 32 @ 32 x 8, 202 x 64 @ 64 x 9) and agree at
 208 x 64 x 64 and 64 x 32 x 32. The passes agree with one another because
 every forward pass, the tape's included, multiplies by the same W^T copy.
@@ -36,10 +37,10 @@ loop, with the same bits.
 ``forward`` keeps no per-layer arrays at all.
 ``forward`` alone adds each bias from a copy tiled to ``ROW_BLOCK`` rows
 (``ParameterSet.bias_tiles``); the tape and ``forward_vjp`` keep the
-broadcast add. A one-row ``forward`` (a policy query) runs the layers on
-1-D vectors instead, with the same bits: per-call overhead, not arithmetic,
-is its cost, and 1-D arrays carry less of it; a one-input network with a
-hidden layer forms its first layer as one scalar times a vector.
+broadcast add. A one-row ``forward`` of a one-input network with a hidden
+layer (a policy query) runs the layers on 1-D vectors instead, with the
+same bits: per-call overhead, not arithmetic, is its cost, and 1-D arrays
+carry less of it; its first layer is one scalar times a vector.
 """
 
 from __future__ import annotations
@@ -179,8 +180,11 @@ class ParameterSet:
     def bias_tiles(self) -> tuple:
         """Each layer's bias tiled to ``ROW_BLOCK`` rows, for ``forward`` only.
 
-        Adding a bias from a row-tiled copy is about twice as fast as numpy's
-        broadcast add at a design score's 101 and 202 rows, with equal bits.
+        Adding a bias from a row-tiled copy gives the broadcast add's bits
+        and a faster whole pass on the pinned surrogate at a design score's
+        rows (one BLAS thread, 40 alternating rounds): 35.4 us against
+        39.3 us at 16 rows (tiles faster in 38 of 40 rounds), 141 us against
+        162 us at 101 rows (34 of 40).
         Built on the first call: a set that only trains never pays for it.
         """
         if self._tiles is None:
@@ -215,9 +219,10 @@ ROW_BLOCK = 208
 
 A block's 64-wide float64 layer array is 104 KiB: it and its tangents stay
 in a 2 MiB L2, and it is under glibc's 128 KiB mmap threshold, so per-layer
-arrays come from the heap rather than from freshly faulted pages. It is at
-least 202 rows, so a design score's passes (101 outlet rows, 202 inlet rows)
-and PPO batches are each one block.
+arrays come from the heap rather than from freshly faulted pages. A design
+score's passes (16 inlet rows, then 101 outlet rows) and PPO batches are
+each one block. The training loss sums its blocks' gradients in block
+order, so the block size is part of a seeded checkpoint's bits.
 """
 
 
@@ -256,14 +261,6 @@ class _Cache:
             self.ztan.append(zd)
             self.tin.append([d1 * t for t in zd])
         return f
-
-
-def _stack(pairs):
-    """The whole pass's (out, jac) from each row block's, in row order."""
-    if len(pairs) == 1:
-        return pairs[0]
-    outs, jacs = zip(*pairs)
-    return np.concatenate(outs), None if jacs[0] is None else np.concatenate(jacs)
 
 
 def _checked(pset: ParameterSet, X) -> np.ndarray:
@@ -390,27 +387,22 @@ def forward(params: ParameterSet, X) -> np.ndarray:
     """Plain evaluation: (batch, input_dim) -> (batch, output_dim).
 
     Returns the tape path's bits, keeps no per-layer arrays and does not
-    modify X. Zero or several rows run the tape path's layer loop over the
-    same row blocks, adding each bias from ``bias_tiles()``. One row runs
-    the layers on 1-D vectors (``h.dot(Wt)``, then the bias add and tanh in
-    place), which carry less per-call overhead; numpy runs a one-row 2-D
-    product as the same vector-matrix product, so the bits agree. A
-    one-input network with a hidden layer (a policy query) forms its first
-    layer as the normalized scalar times W^T's one row: a length-1 dot adds
-    that product to 0.0, which can only turn a -0.0 into 0.0, and the next
-    layer's dot drops a zero's sign.
+    modify X. The rows run the tape path's layer loop over the same row
+    blocks, adding each bias from ``bias_tiles()``, except one row of a
+    one-input network with a hidden layer (a policy query). That row runs
+    the layers on 1-D vectors, which carry less per-call overhead: its first
+    layer is the normalized scalar times W^T's one row, and each later layer
+    the bias add and tanh in place, then ``z.dot(Wt)``. numpy runs a one-row
+    2-D product as the same vector-matrix product, and the 2-D path's
+    length-1 first-layer dot adds the scalar product to 0.0, which can only
+    turn a -0.0 into 0.0, a sign the next layer's dot drops: the bits agree.
     """
     X = _checked(params, X)
-    if len(X) == 1:
-        norm, table = params.norm, params.table()
+    if len(X) == 1 and params.spec.input_dim == 1 and params.spec.hidden:
+        table = params.table()
         _, Wt, b = table[0]
-        if params.spec.input_dim == 1 and len(table) > 1:
-            (c,), (s,) = norm._floats
-            z = Wt[0] * ((X.item() - c) * s)
-        else:
-            h = X[0] - norm.center
-            h *= norm.inv_halfspan
-            z = h.dot(Wt)
+        (c,), (s,) = params.norm._floats
+        z = Wt[0] * ((X.item() - c) * s)
         for _, Wt, next_b in table[1:]:
             z += b
             np.tanh(z, out=z)
@@ -451,7 +443,8 @@ def forward_vjp(params: ParameterSet, X, need_jac: bool = False):
         return cache.out, cache.jac, vjp
 
     blocks = map_blocks(params, X, need_jac, lambda *block: block)
-    out, jac = _stack([(block_out, block_jac) for _, block_out, block_jac, _ in blocks])
+    out = np.concatenate([block_out for _, block_out, _, _ in blocks])
+    jac = np.concatenate([block_jac for _, _, block_jac, _ in blocks]) if need_jac else None
 
     def vjp(gy, gjac=None):
         if gy is None:

@@ -17,6 +17,9 @@ from .errors import DomainError, check_ints
 from .metrics import DESIGN_HI, DESIGN_LO, DesignCandidate, check_schmidt
 from .rl import query_policy
 
+TOURNAMENT = 3  # contenders drawn per parent selection
+BLEND_ALPHA = 0.5  # BLX-alpha: a child may land this fraction of the parents' gap outside it
+
 
 @dataclass(frozen=True)
 class GAConfig:
@@ -24,26 +27,22 @@ class GAConfig:
 
     population: int = 32
     generations: int = 60
-    tournament: int = 3
     crossover_rate: float = 0.9
-    blend_alpha: float = 0.5
     mutation_rate: float = 0.2
     mutation_scale: float = 0.1
     elitism: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        check_ints(self, population=2, generations=0, tournament=1, elitism=0, seed=0)
+        check_ints(self, population=2, generations=0, elitism=0, seed=0)
         if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
             raise DomainError("rates must lie in [0, 1]")
         # elitism == population is allowed: it freezes the population, which
         # is the degenerate fixed-point configuration
         if self.elitism > self.population:
             raise DomainError("elitism must lie in [0, population]")
-        for name in ("mutation_scale", "blend_alpha"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+        if not 0.0 <= self.mutation_scale < math.inf:
+            raise DomainError(f"mutation_scale must be finite and >= 0, got {self.mutation_scale!r}")
 
 
 @dataclass
@@ -68,16 +67,16 @@ def _evaluate(env, genomes: np.ndarray, sc: float) -> np.ndarray:
     return out
 
 
-def _tournament(fitness: np.ndarray, k: int, rng) -> int:
-    contenders = rng.integers(0, len(fitness), size=k)
+def _tournament(fitness: np.ndarray, rng) -> int:
+    contenders = rng.integers(0, len(fitness), size=TOURNAMENT)
     return int(contenders[np.argmax(fitness[contenders])])
 
 
-def _blend(p1: np.ndarray, p2: np.ndarray, alpha: float, rng) -> np.ndarray:
+def _blend(p1: np.ndarray, p2: np.ndarray, rng) -> np.ndarray:
     lo = np.minimum(p1, p2)
     hi = np.maximum(p1, p2)
     d = hi - lo
-    return rng.uniform(lo - alpha * d, hi + alpha * d)
+    return rng.uniform(lo - BLEND_ALPHA * d, hi + BLEND_ALPHA * d)
 
 
 def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
@@ -101,10 +100,10 @@ def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
         n_children = cfg.population - cfg.elitism
         children = np.empty((n_children, 4))
         for i in range(n_children):
-            p1 = pop[_tournament(fitness, cfg.tournament, rng)]
+            p1 = pop[_tournament(fitness, rng)]
             if rng.random() < cfg.crossover_rate:
-                p2 = pop[_tournament(fitness, cfg.tournament, rng)]
-                child = _blend(p1, p2, cfg.blend_alpha, rng)
+                p2 = pop[_tournament(fitness, rng)]
+                child = _blend(p1, p2, rng)
             else:
                 child = p1.copy()
             mask = rng.random(4) < cfg.mutation_rate

@@ -88,7 +88,6 @@ class ChannelDims:
 
     L: float = field(default=2.1, init=False)
     L0: float = field(default=0.9, init=False)
-    L1: float = field(default=1.3, init=False)
     H: float = field(default=0.3, init=False)
     W: float = field(default=0.3, init=False)
     d: float = field(default=0.15, init=False)
@@ -118,21 +117,15 @@ def wall_heights(coeffs: np.ndarray, x_mm: np.ndarray):
 
 
 def contains(coeffs: np.ndarray, x, y):
-    """True where (x, y) in mm lies in the fluid of the design coeffs (4, 4).
+    """True where (x, y) in mm lies in the solved region of the design coeffs (4, 4).
 
-    The fluid is the channel minus its baffles, which carve cavities where the
-    control heights are negative, plus the inlet arms of length ``CHANNEL.L1``
-    above and below x in [0, W]; ``SEGMENTS`` bounds only the arms' mouths.
+    The solved region, which ``SEGMENTS`` bounds and the field network is
+    trained on, is the channel minus its baffles, which carve cavities where
+    the control heights are negative; the inlet arms end at their mouths.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    d = CHANNEL
     lower, upper = (wall.reshape(x.shape) for wall in wall_heights(coeffs[None], x.reshape(1, -1)))
-    in_channel = (x >= 0.0) & (x <= d.L) & (y >= lower) & (y <= upper)
-    in_arms = (x >= 0.0) & (x <= d.W) & (
-        ((y >= d.H) & (y <= d.H + d.L1))
-        | ((y >= -d.L1) & (y <= 0.0))
-    )
-    result = in_channel | in_arms
+    result = (x >= 0.0) & (x <= CHANNEL.L) & (y >= lower) & (y <= upper)
     return result if result.shape else bool(result)
 
 

@@ -64,9 +64,6 @@ class DesignCandidate(namedtuple("DesignCandidate", "cp1 cp2 cp3 re")):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
-
 
 def check_schmidt(sc) -> None:
     """Raise DomainError unless the Schmidt number is finite and positive."""

@@ -77,7 +77,7 @@ class TrainHistory:
 
     initial: LossReport
     reports: list
-    final: LossReport | None = None
+    final: LossReport
     aborted_at: int | None = None
 
 
@@ -100,7 +100,8 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
 
     initial = total_loss(colloc, params, cfg.weights)
     initial.step = 0
-    history = TrainHistory(initial=initial, reports=[])
+    reports = []
+    aborted_at = None
 
     rng = np.random.default_rng(ss_batch)
     n = len(colloc.interior)
@@ -120,44 +121,38 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
                                  slices=colloc.slices)
         else:
             sub = colloc
-        report, grad = _loss_and_gradient(sub, params, cfg.weights)
+        # loss_node forms the gradient as it streams the row blocks;
+        # param_gradient reads it back from the one-node graph
+        param_leaf = leaf(params.flat)
+        node, report = loss_node(sub, param_leaf, params, cfg.weights)
         report.step = step
-        if grad is None:
-            history.aborted_at = step
+        if not np.isfinite(report.total):
+            aborted_at = step
             params = last_finite
             break
+        grad = param_gradient(node, param_leaf)
+        # freed before the Adam step: glibc then trims the heap between steps,
+        # the state perfbench's in-process train gauge is calibrated in
+        # (ROADMAP item 9); a graph kept into the next step reads 18-22% slower
+        del node, param_leaf
         last_finite = params
         try:
             params, state = adam_step(params, grad, state)
         except NumericalError:
-            history.aborted_at = step
+            aborted_at = step
             params = last_finite
             break
         if step % cfg.log_interval == 0 or step == cfg.steps:
-            history.reports.append(report)
+            reports.append(report)
         if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             save_checkpoint(params, os.path.join(cfg.checkpoint_dir, f"step_{step:07d}.ckpt"),
                             seed=cfg.seed)
 
     final = total_loss(colloc, params, cfg.weights)
-    final.step = history.aborted_at if history.aborted_at is not None else cfg.steps
-    history.final = final
+    final.step = aborted_at if aborted_at is not None else cfg.steps
     if cfg.checkpoint_dir:
         save_checkpoint(params, os.path.join(cfg.checkpoint_dir, "final.ckpt"), seed=cfg.seed)
-    return params, history
-
-
-def _loss_and_gradient(sub: CollocationSet, params: ParameterSet, weights: LossWeights):
-    """One step's loss report and parameter gradient (None for a non-finite loss).
-
-    ``loss_node`` forms the gradient as it streams the row blocks;
-    ``param_gradient`` reads it back from the one-node graph.
-    """
-    param_leaf = leaf(params.flat)
-    node, report = loss_node(sub, param_leaf, params, weights)
-    if not np.isfinite(report.total):
-        return report, None
-    return report, param_gradient(node, param_leaf)
+    return params, TrainHistory(initial=initial, reports=reports, final=final, aborted_at=aborted_at)
 
 
 def save_checkpoint(params: ParameterSet, path, seed=None) -> None:

@@ -181,14 +181,6 @@ def _scale_row(means) -> DesignCandidate:
                            c4 + h4 * (1.0 if m4 > 1.0 else -1.0 if m4 < -1.0 else m4))
 
 
-def scale_action(raw) -> DesignCandidate:
-    """Clip to [-1, 1], then map affinely onto the physical bounds."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (ACTION_DIM,):
-        raise DomainError(f"expected a {ACTION_DIM}-vector, got shape {raw.shape}")
-    return _scale_row(raw.tolist())
-
-
 def compute_advantages(rewards, values, eps: float = 1e-8) -> np.ndarray:
     """Standardized one-step advantages r - V."""
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -264,7 +256,7 @@ class QuadraticEnv:
 
     def evaluate(self, design: DesignCandidate, sc: float) -> float:
         """``1 - |a - a*|^2``, with a the design mapped back through
-        scale_action's affine map to [-1, 1]^4 and a* the optimum at sc,
+        ``_scale_row``'s affine map to [-1, 1]^4 and a* the optimum at sc,
         entry by entry in the array formula's operations and operand order.
         The squared norm stays ``np.dot`` on the 4-vector: a sequential sum
         rounds differently from the BLAS dot."""
@@ -339,18 +331,15 @@ def rollout(env, actor: ParameterSet, critic: ParameterSet, cfg: PPOConfig, rng)
     return Batch(states=states, actions=actions, logp=logp, rewards=rewards, advantages=advantages)
 
 
-def train_agent(env, cfg: PPOConfig, actor: ParameterSet | None = None,
-                critic: ParameterSet | None = None):
+def train_agent(env, cfg: PPOConfig):
     """Run E one-step episodes of PPO; returns (actor, critic, history).
 
     An episode whose rewards come back non-finite is skipped and recorded as
     nan in the history; training continues with the next episode.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.episodes)
-    if actor is None:
-        actor = init_actor(cfg, seed=seeds[0])
-    if critic is None:
-        critic = init_critic(cfg, seed=seeds[1])
+    actor = init_actor(cfg, seed=seeds[0])
+    critic = init_critic(cfg, seed=seeds[1])
     # one agent vector theta = actor.flat ‖ critic.flat and one Adam state
     # whose learning rate is actor_lr on the actor's entries and critic_lr
     # on the critic's; Adam is elementwise, so this steps each network with

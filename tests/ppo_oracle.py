@@ -3,7 +3,7 @@
 The package never evaluates these itself. ``rl.gradient`` forms the PPO
 objective's cotangents in closed form, and ``ppo_losses`` is that objective,
 the oracle the gradient is checked against. ``normalize_design`` inverts
-``rl.scale_action``, and ``quadratic_optimum`` and
+the affine map of ``rl._scale_row``, and ``quadratic_optimum`` and
 ``quadratic_optimum_normalized`` give ``rl.QuadraticEnv``'s known optimum as
 a design and in normalized action coordinates. Each uses the package's own
 constants and row helpers, so it carries the bits the package would.
@@ -24,8 +24,8 @@ from mixopt.rl import (
 
 
 def normalize_design(design: DesignCandidate) -> np.ndarray:
-    """Inverse of scale_action's affine map, back to [-1, 1]^4."""
-    return (design.as_array() - _ACTION_CENTER) / _ACTION_HALFSPAN
+    """Inverse of ``rl._scale_row``'s affine map, back to [-1, 1]^4."""
+    return (np.array(design) - _ACTION_CENTER) / _ACTION_HALFSPAN
 
 
 def quadratic_optimum_normalized(sc: float) -> np.ndarray:

@@ -369,7 +369,7 @@ def test_direct_search_reaches_synthetic_optimum():
         b = run_ga(env, 37.0, GAConfig(seed=seed))
         results[seed] = a
         monotone = monotone and bool(np.all(np.diff(a.best_per_generation) >= 0.0))
-        assert np.array_equal(a.best.as_array(), b.best.as_array())
+        assert np.array_equal(np.array(a.best), np.array(b.best))
         assert a.best_fitness == b.best_fitness
         assert a.best_per_generation == b.best_per_generation
     best = results[0].best_fitness
@@ -429,7 +429,7 @@ def test_every_pipeline_stage_bit_reproducible(tmp_path):
 
     g1 = run_ga(QuadraticEnv(), 42.0, GAConfig(seed=5, population=12, generations=8))
     g2 = run_ga(QuadraticEnv(), 42.0, GAConfig(seed=5, population=12, generations=8))
-    ga_ok = (np.array_equal(g1.best.as_array(), g2.best.as_array())
+    ga_ok = (np.array_equal(np.array(g1.best), np.array(g2.best))
              and g1.best_fitness == g2.best_fitness and g1.evaluations == g2.evaluations)
 
     ok = colloc_ok and train_ok and ckpt_ok and ppo_ok and ga_ok

@@ -591,8 +591,8 @@ def test_bad_ppo_values_exit_2_before_loading_anything(tmp_path, capsys, bad):
     ("train", {"learning_rate": -1e-3}, "train"),
     ("train", {"checkpoint_interval": 5}, "train"),
     ("train", {"checkpoint_interval": 1, "checkpoint_dir": None}, "train"),
-    ("ga", {"blend_alpha": float("nan")}, "compare"),
-    ("ga", {"blend_alpha": float("inf")}, "compare"),
+    ("ga", {"mutation_scale": -0.1}, "compare"),
+    ("ga", {"elitism": 33}, "compare"),
     ("ga", {"mutation_scale": float("nan")}, "compare"),
     ("ga", {"mutation_scale": float("inf")}, "compare"),
     ("train", {"checkpoint_dir": 5}, "train"),
@@ -715,7 +715,7 @@ def test_bad_seeds_and_counts_exit_2_before_running(tmp_path, capsys, config, ar
     (CollocationCounts, "per_slice", 2),
     (PPOConfig, "epochs", 1), (PPOConfig, "batch_size", 2), (PPOConfig, "episodes", 0),
     (PPOConfig, "seed", 0),
-    (GAConfig, "population", 2), (GAConfig, "generations", 0), (GAConfig, "tournament", 1),
+    (GAConfig, "population", 2), (GAConfig, "generations", 0),
     (GAConfig, "elitism", 0), (GAConfig, "seed", 0),
 ])
 def test_seed_and_count_fields_take_integers_from_their_minimum(cls, name, least):
@@ -771,6 +771,11 @@ def test_removed_config_keys_exit_2(tmp_path, capsys):
         ({"train": {"beta1": 0.9}}, "config.train.beta1"),
         ({"train": {"beta2": 0.999}}, "config.train.beta2"),
         ({"train": {"eps": 1e-8}}, "config.train.eps"),
+        ({"ga": {"tournament": 3}}, "config.ga.tournament"),
+        ({"ga": {"tournament": 0}}, "config.ga.tournament"),
+        ({"ga": {"blend_alpha": 0.5}}, "config.ga.blend_alpha"),
+        ({"ga": {"blend_alpha": float("nan")}}, "config.ga.blend_alpha"),
+        ({"ga": {"blend_alpha": float("inf")}}, "config.ga.blend_alpha"),
     ]:
         rc = main(["--config", write_config(tmp_path, payload), "geometry",
                    "--cp", "0", "0", "0", "--out", str(tmp_path / "g.csv")])
@@ -823,3 +828,58 @@ def test_console_module_invocation(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
     assert json.loads(proc.stdout.strip())["command"] == "geometry"
+
+
+def _unwritable_argv(command, blocked, tiny_checkpoint, tiny_actor):
+    """``command``'s arguments with every output under ``blocked``, a path
+    whose parent is a plain file, so no directory can be made for it."""
+    actor, cfg = tiny_actor
+    if command == "geometry":
+        return ["geometry", "--cp", "0", "0", "0", "--out", blocked]
+    if command == "train":
+        return ["--config", tiny_checkpoint[1], "train", "--steps", "0", "--out", blocked]
+    if command == "evaluate":
+        return ["evaluate", "--checkpoint", tiny_checkpoint[0], "--cp", "0", "0", "0",
+                "--re", "10", "--sc", "10", "--fields", blocked]
+    if command == "optimize-rl":
+        return ["--config", cfg, "optimize-rl", "--synthetic", "--episodes", "1", "--out", blocked]
+    if command == "query":
+        return ["query", "--policy", actor, "--sc", "10,50", "--out", blocked]
+    return ["--config", cfg, "compare", "--synthetic", "--policy", actor, "--sc", "10",
+            "--repeats", "1", "--out", blocked]
+
+
+@pytest.mark.parametrize("command", ["geometry", "train", "evaluate", "optimize-rl", "query",
+                                     "compare"])
+def test_an_output_path_that_cannot_be_written_exits_2_with_one_json_error(
+        tiny_checkpoint, tiny_actor, tmp_path, capsys, command):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv = _unwritable_argv(command, str(plain / "out"), tiny_checkpoint, tiny_actor)
+    capsys.readouterr()
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"}
+    assert err["error"] in ("FileNotFoundError", "FileExistsError", "NotADirectoryError")
+    assert str(plain) in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+
+def test_a_failed_evaluate_writes_no_file(tmp_path, capsys):
+    """A design whose inlet pressure cost on the pinned surrogate is
+    -7.2e-4: the guard rejects it, and no fields or report file is left."""
+    surrogate = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "data", "field_surrogate.ckpt")
+    rc = main(["evaluate", "--checkpoint", surrogate,
+               "--cp", "0.01606858554787871", "-0.3841343875292297", "0.12348975553750041",
+               "--re", "32.183909001980425", "--sc", "61.68732680425101",
+               "--fields", str(tmp_path / "fields.csv"), "--report", str(tmp_path / "report.json")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err.strip())
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith("pressure costs must be finite and positive, got cp=-0.000723")
+    assert list(tmp_path.iterdir()) == []

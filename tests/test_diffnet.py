@@ -370,7 +370,7 @@ ONE_ROW_NETS = {
     "actor": (NetworkSpec(input_dim=1, output_dim=8, hidden=(32, 32)), [(1.0, 100.0)]),
     "critic": (NetworkSpec(input_dim=1, output_dim=1, hidden=(32, 32)), [(1.0, 100.0)]),
     # one input whose center and half-span are neither 0 nor 1; the linear
-    # net has no hidden layer, so its one-row pass keeps the length-1 dot
+    # net has no hidden layer, so its one row runs as a 2-D block
     "shifted": (NetworkSpec(input_dim=1, output_dim=3, hidden=(16,)), [(-3.7, 0.9)]),
     "linear": (NetworkSpec(input_dim=1, output_dim=3, hidden=()), [(-3.7, 0.9)]),
 }
@@ -378,9 +378,10 @@ ONE_ROW_NETS = {
 
 @pytest.mark.parametrize("net", sorted(ONE_ROW_NETS))
 def test_one_row_forward_returns_the_two_d_passes_bits(net):
-    # forward runs a single row on 1-D vectors, a one-input net's first
-    # layer as a scalar times a vector; every other pass, and the
-    # broadcast-bias reference, runs it as a 2-D one-row block
+    # forward runs a single row of a one-input net with a hidden layer on
+    # 1-D vectors, its first layer as a scalar times a vector; the field and
+    # linear nets' rows, every other pass, and the broadcast-bias reference
+    # run it as a 2-D one-row block
     spec, bounds = ONE_ROW_NETS[net]
     params = init_params(spec, norm=InputNorm.from_bounds(bounds), seed=len(net))
     if net == "linear":  # -0.0 biases, whose sign a zero product added to 0.0 would lose
@@ -406,7 +407,8 @@ def test_one_row_forward_returns_the_two_d_passes_bits(net):
         assert out.tobytes() == forward_vjp(params, X)[0].tobytes()
         if net == "field":  # the spatial tangents need (x, y) inputs
             assert np.array_equal(out, forward_vjp(params, X, need_jac=True)[0])
-    assert params._tiles is None  # a one-row pass tiles no biases
+    if spec.input_dim == 1 and spec.hidden:  # a one-row pass on 1-D vectors tiles no biases
+        assert params._tiles is None
 
 
 @pytest.mark.parametrize("bad", [np.zeros(7), np.zeros((1, 6)), np.zeros((1, 8)), np.zeros((2, 6)),

@@ -66,12 +66,9 @@ def test_config_validation():
         GAConfig(mutation_rate=-0.1)
     with pytest.raises(DomainError):
         GAConfig(elitism=33, population=32)
-    with pytest.raises(DomainError):
-        GAConfig(tournament=0)
-    for name in ("mutation_scale", "blend_alpha"):
-        for value in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(DomainError, match=name):
-                GAConfig(**{name: value})
+    for value in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="mutation_scale"):
+            GAConfig(mutation_scale=value)
     GAConfig(elitism=32, population=32)  # degenerate all-elite config is legal
 
 
@@ -90,7 +87,7 @@ def test_every_candidate_within_bounds():
     run_ga(env, 50.0, small_cfg(generations=10, mutation_rate=0.8, mutation_scale=0.5))
     assert len(env.seen) > 8
     for d in env.seen:
-        g = d.as_array()
+        g = np.array(d)
         assert np.all(g >= DESIGN_LO) and np.all(g <= DESIGN_HI)
 
 

@@ -311,15 +311,14 @@ def test_negative_heights_carve_cavities():
 def test_contains_basic_regions():
     coeffs = build_spline((0.3, 0.4, 0.2))
     assert contains(coeffs, 1.8, 0.15) is True
-    assert contains(coeffs, 0.15, 0.45)  # upper arm
-    assert contains(coeffs, 0.15, -0.45)  # lower arm
     assert contains(coeffs, -0.01, 0.15) is False
     assert not contains(coeffs, 2.2, 0.15)
-    assert not contains(coeffs, 0.5, 0.45)  # above wall, outside arm square
-    assert not contains(coeffs, 0.15, 1.8)  # beyond arm end
+    assert not contains(coeffs, 0.5, 0.45)  # above the wall
+    # the inlet arms beyond their mouths lie outside the solved region
+    assert not contains(coeffs, 0.15, 0.45) and not contains(coeffs, 0.15, -0.45)
     pts = np.array([[1.0, 0.1], [0.1, 0.5], [3.0, 0.1]])
     inside = contains(build_spline((0.2, -0.2, 0.2)), pts[:, 0], pts[:, 1])
-    assert inside.tolist() == [True, True, False]
+    assert inside.tolist() == [True, False, False]
     # a grid keeps its shape, and a scalar y broadcasts against it
     grid = np.linspace(0.0, 2.1, 12).reshape(3, 4)
     assert contains(coeffs, grid, 0.15).shape == (3, 4)
@@ -349,7 +348,7 @@ def test_zero_polygon_baffle_segments_coincide_with_walls():
 def test_segment_points_on_wall():
     coeffs = build_spline((0.25, 0.45, -0.15))
     eps = 1e-6 * 0.3
-    for kind, name, piece in SEGMENTS:
+    for _, name, piece in SEGMENTS:
         pts, nrm = segment_points(piece, np.linspace(0.0, 1.0, 17), coeffs, BAFFLE_SAMPLES)
         assert np.allclose(np.hypot(nrm[:, 0], nrm[:, 1]), 1.0, atol=1e-12)
         lower, upper = walls_of(coeffs, pts[:, 0])
@@ -357,12 +356,10 @@ def test_segment_points_on_wall():
             assert np.max(np.abs(pts[:, 1] - upper)) < 1e-10 * 0.3
         if name == "baffle_lower":
             assert np.max(np.abs(pts[:, 1] - lower)) < 1e-10 * 0.3
-        # normals point out of the fluid; an inlet mouth opens onto its arm,
-        # which also counts as fluid
+        # normals point out of the solved region, at the inlet mouths too
         inner = pts[1:-1]
         assert np.all(contains(coeffs, *(inner - eps * nrm[1:-1]).T))
-        if not kind.startswith("inlet"):
-            assert not np.any(contains(coeffs, *(inner + eps * nrm[1:-1]).T))
+        assert not np.any(contains(coeffs, *(inner + eps * nrm[1:-1]).T))
 
 
 def test_segment_arclength_straight_channel():

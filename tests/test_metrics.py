@@ -191,14 +191,14 @@ def test_design_candidate_bounds():
     assert twin == design and twin is not design and hash(twin) == hash(design)
     assert design != DesignCandidate(0.1, -0.2, 0.3, 25.5)
     assert len({design, twin, d}) == 2
-    assert design.as_array().tobytes() == np.array([0.1, -0.2, 0.3, 25.0]).tobytes()
+    assert np.array(design).tobytes() == np.array([0.1, -0.2, 0.3, 25.0]).tobytes()
 
 
 def test_design_candidate_array_and_polygon():
     d = DesignCandidate(0.1, -0.2, 0.3, 25.0)
-    assert np.array_equal(d.as_array(), [0.1, -0.2, 0.3, 25.0])
+    assert np.array_equal(np.array(d), [0.1, -0.2, 0.3, 25.0])
     # the control polygon is the first three entries, as build_spline takes them
-    assert np.array_equal(build_spline(d.as_array()[:3]), build_spline((d.cp1, d.cp2, d.cp3)))
+    assert np.array_equal(build_spline(np.array(d)[:3]), build_spline((d.cp1, d.cp2, d.cp3)))
 
 
 def test_outlet_concentration_clamped_unit_interval():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixopt import cli
+from mixopt import cli, pinn_train
 from mixopt.diffnet import InputNorm, NetworkSpec, adam_step, init_adam, init_params, param_gradient
 from mixopt.diffnet.tape import leaf
 from mixopt.errors import CheckpointError, DomainError
@@ -41,6 +41,23 @@ def test_zero_steps_returns_init():
     assert history.initial.total == history.final.total
     assert history.reports == []
     assert np.all(np.isfinite(params.flat))
+
+
+def test_each_step_calls_the_traced_names_once(monkeypatch):
+    # the traced benchmark wraps these module names and divides their span
+    # totals by the step count
+    calls = {}
+    for name in ("loss_node", "param_gradient", "adam_step"):
+        original = getattr(pinn_train, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pinn_train, name, counting)
+    _, history = train(tiny_config(steps=3))
+    assert history.aborted_at is None and history.final.step == 3
+    assert calls == {"loss_node": 3, "param_gradient": 3, "adam_step": 3}
 
 
 def test_training_reduces_minibatch_loss():

@@ -40,7 +40,6 @@ from mixopt.rl import (
     query_policy,
     rollout,
     sample_actions,
-    scale_action,
     train_agent,
 )
 
@@ -181,15 +180,15 @@ def test_sample_actions_moments():
 
 
 def test_scale_action_midpoint_and_endpoints():
-    d = scale_action(np.zeros(4))
+    d = rl._scale_row([0.0, 0.0, 0.0, 0.0])
     assert (d.cp1, d.cp2, d.cp3, d.re) == (0.0, 0.0, 0.0, 22.5)
-    assert scale_action(np.array([0, 0, 0, 1.0])).re == 40.0
-    assert scale_action(np.array([0, 0, 0, -1.0])).re == 5.0
-    assert scale_action(np.array([1.0, -1.0, 1.0, 0])).cp1 == 0.5
+    assert rl._scale_row([0.0, 0.0, 0.0, 1.0]).re == 40.0
+    assert rl._scale_row([0.0, 0.0, 0.0, -1.0]).re == 5.0
+    assert rl._scale_row([1.0, -1.0, 1.0, 0.0]).cp1 == 0.5
 
 
 def test_scale_action_clips_before_mapping():
-    d = scale_action(np.array([3.0, -7.0, 0.0, 100.0]))
+    d = rl._scale_row([3.0, -7.0, 0.0, 100.0])
     assert (d.cp1, d.cp2, d.re) == (0.5, -0.5, 40.0)
     # the clip is np.clip's, bit for bit, signed zeros and nan included
     raw = np.concatenate([np.random.default_rng(4).normal(scale=2.0, size=(50, 4)),
@@ -202,7 +201,7 @@ def test_scale_action_clips_before_mapping():
 
 def test_normalize_design_inverts_scale():
     raw = np.array([0.3, -0.8, 0.55, 0.1])
-    assert np.allclose(normalize_design(scale_action(raw)), raw, atol=1e-14)
+    assert np.allclose(normalize_design(rl._scale_row(raw.tolist())), raw, atol=1e-14)
 
 
 def test_advantages_zero_when_rewards_match_values():
@@ -404,12 +403,12 @@ def test_train_agent_updates_equal_the_tape_oracle(monkeypatch):
     assert got[2].mean_rewards == want[2].mean_rewards
 
 
-def two_optimizer_loop(env, cfg, actor=None, critic=None):
+def two_optimizer_loop(env, cfg):
     """The update loop with one Adam state per network: the reference whose
     bits ``train_agent``'s one agent vector and one Adam step must keep."""
     seeds = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.episodes)
-    actor = actor or init_actor(cfg, seed=seeds[0])
-    critic = critic or init_critic(cfg, seed=seeds[1])
+    actor = init_actor(cfg, seed=seeds[0])
+    critic = init_critic(cfg, seed=seeds[1])
     actor_opt = init_adam(actor.flat.size, lr=cfg.actor_lr)
     critic_opt = init_adam(critic.flat.size, lr=cfg.critic_lr)
     history = RewardHistory()
@@ -436,15 +435,8 @@ def assert_same_training(got, want):
 @pytest.mark.parametrize("lrs", [(3e-4, 1e-3), (1e-2, 1e-4)], ids=["default_lr", "other_lr"])
 def test_one_agent_vector_keeps_the_two_optimizer_bits(seed, lrs):
     cfg = PPOConfig(episodes=5, epochs=4, seed=seed, actor_lr=lrs[0], critic_lr=lrs[1])
-    assert_same_training(train_agent(QuadraticEnv(), cfg), two_optimizer_loop(QuadraticEnv(), cfg))
-
-
-def test_one_agent_vector_keeps_the_two_optimizer_bits_from_given_networks():
-    cfg = small_cfg(episodes=4, epochs=3, seed=11, actor_lr=5e-3, critic_lr=2e-3)
-    actor = _moved(init_actor(cfg, seed=12), 0.1, seed=13)
-    critic = _moved(init_critic(cfg, seed=14), 0.1, seed=15)
-    got = train_agent(QuadraticEnv(), cfg, actor=actor, critic=critic)
-    assert_same_training(got, two_optimizer_loop(QuadraticEnv(), cfg, actor=actor, critic=critic))
+    got = train_agent(QuadraticEnv(), cfg)
+    assert_same_training(got, two_optimizer_loop(QuadraticEnv(), cfg))
     for net in got[:2]:
         assert not net.flat.flags.writeable
 
@@ -477,7 +469,7 @@ def test_rollout_designs_respect_bounds():
             return super().evaluate(design, sc)
 
     _, _, batch = make_batch(cfg, seed=40, env=Recording())
-    assert seen == [scale_action(a) for a in batch.actions]
+    assert seen == [rl._scale_row(a) for a in batch.actions.tolist()]
     for d in seen:
         assert -0.5 <= d.cp1 <= 0.5 and -0.5 <= d.cp2 <= 0.5 and -0.5 <= d.cp3 <= 0.5
         assert 5.0 <= d.re <= 40.0
@@ -721,7 +713,7 @@ def test_query_policy_calls_forward_once_with_one_row(monkeypatch):
 
     monkeypatch.setattr(rl, "forward", recording_forward)
     for sc in (0.5, 1.0, 33.0, 150.0):  # extrapolated Schmidt numbers included
-        want = scale_action(forward(actor, [[sc]])[0, :ACTION_DIM])
+        want = rl._scale_row(forward(actor, [[sc]])[0, :ACTION_DIM].tolist())
         assert query_policy(actor, sc) == want
         assert calls == [(True, (1, 1))]
         calls.clear()
@@ -796,7 +788,7 @@ def test_quadratic_reward_returns_the_former_formulas_bits():
     got = np.array([quadratic_optimum_normalized(sc) for sc in sc_values])
     assert got.tobytes() == np.array([former_optimum(sc) for sc in sc_values]).tobytes()
     assert (design_bytes([quadratic_optimum(sc) for sc in sc_values])
-            == design_bytes([scale_action(former_optimum(sc)) for sc in sc_values]))
+            == design_bytes([rl._scale_row(former_optimum(sc).tolist()) for sc in sc_values]))
 
 
 def test_synthetic_training_returns_the_former_formulas_bits():
@@ -833,13 +825,13 @@ def test_row_squash_returns_the_array_squashs_bits(monkeypatch):
         if np.isnan(want).any():
             with pytest.raises(DomainError) as former:
                 DesignCandidate(*want.tolist())
-            for squash in (lambda: query_policy(actor, 10.0), lambda: scale_action(out[0, :ACTION_DIM])):
+            for squash in (lambda: query_policy(actor, 10.0), lambda: rl._scale_row(out[0, :ACTION_DIM].tolist())):
                 with pytest.raises(DomainError) as got:
                     squash()
                 assert str(got.value) == str(former.value)
         else:
             assert design_bytes([query_policy(actor, 10.0)]) == want.tobytes()
-            assert design_bytes([scale_action(out[0, :ACTION_DIM])]) == want.tobytes()
+            assert design_bytes([rl._scale_row(out[0, :ACTION_DIM].tolist())]) == want.tobytes()
 
 
 @pytest.mark.parametrize("net", [
