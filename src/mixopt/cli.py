@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .ga import GAConfig, compare_timing
 from .geometry import build_spline, polyline_rows
-from .metrics import OUTLET_SAMPLES, DesignCandidate, baseline_table, compute_mixing_report
+from .metrics import OUTLET_SAMPLES, DesignCandidate, baseline_table, check_schmidt, compute_mixing_report
 from .diffnet import load_params, save_params
 from .pinn_train import TrainConfig, evaluate_fields, load_checkpoint, save_checkpoint, train
 from .rl import SC_HI, SC_LO, PinnEnv, PPOConfig, QuadraticEnv, query_policy, train_agent
@@ -248,13 +249,22 @@ def _parse_sc_list(raw) -> list:
     if not values:
         raise ConfigError("Schmidt-number list is empty")
     for v in values:
-        _check_sc(v, raw)
+        _check_sc(v, f"--sc {raw}")
     return values
 
 
 def _check_sc(value: float, where: str) -> None:
-    if not 0.0 < value < float("inf"):
-        raise ConfigError(f"Schmidt number {value!r} in {where!r} must be finite and positive")
+    try:
+        check_schmidt(value)
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path in a missing directory before any work, so nothing is written."""
+    for path in filter(None, (getattr(args, name) for name in args.outputs)):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"the directory of output {path!r} does not exist")
 
 
 def cmd_query(args, cfg: RunConfig) -> int:
@@ -313,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cp", nargs=3, type=float, required=True, metavar=("CP1", "CP2", "CP3"))
     p.add_argument("--out", required=True)
     p.add_argument("--points", type=int, default=64, help="points per boundary segment")
-    p.set_defaults(func=cmd_geometry)
+    p.set_defaults(func=cmd_geometry, outputs=("out",))
 
     p = sub.add_parser("train", help="train the field network and write a checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--history", help="loss history CSV")
     p.add_argument("--steps", type=int, help="override config step count")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, outputs=("out", "history"))
 
     p = sub.add_parser("evaluate", help="evaluate one design: field CSV plus metrics JSON")
     p.add_argument("--checkpoint", required=True)
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sc", type=float, required=True)
     p.add_argument("--fields", required=True, help="field grid CSV path")
     p.add_argument("--report", help="metrics JSON path")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, outputs=("fields", "report"))
 
     p = sub.add_parser("optimize-rl", help="train the PPO agent against an environment")
     p.add_argument("--checkpoint", help="field checkpoint backing the environment")
@@ -340,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", help="reward history CSV")
     p.add_argument("--seed", type=int, help="override config seed")
     p.add_argument("--episodes", type=int, help="override config episode count")
-    p.set_defaults(func=cmd_optimize_rl)
+    p.set_defaults(func=cmd_optimize_rl, outputs=("out", "critic_out", "history"))
 
     p = sub.add_parser("query", help="ask the trained policy for designs")
     p.add_argument("--policy", required=True, help="actor checkpoint")
     p.add_argument("--sc", required=True, help="comma-separated Schmidt numbers")
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint", help="field checkpoint for the relative-ME column")
-    p.set_defaults(func=cmd_query)
+    p.set_defaults(func=cmd_query, outputs=("out",))
 
     p = sub.add_parser("compare", help="GA-vs-policy timing table")
     p.add_argument("--policy", required=True, help="actor checkpoint")
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="field checkpoint backing the environment")
     p.add_argument("--synthetic", action="store_true")
     p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, outputs=("out",))
     return parser
 
 
@@ -368,6 +378,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config)
+        _check_outputs(args)
         return args.func(args, cfg)
     except (ConfigError, CheckpointError, DomainError, NumericalError, SamplingError,
             OSError) as exc:

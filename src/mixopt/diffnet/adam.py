@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, NumericalError
+from ..errors import DomainError, NumericalError, check_int, check_real
 from .network import ParameterSet
 
 
@@ -27,13 +27,12 @@ class AdamState:
 
 
 def init_adam(n: int, lr: float | np.ndarray = 1e-3) -> AdamState:
-    """Zero moments for n parameters; ``lr`` is a positive float or a
-    positive, finite vector of length n (a read-only copy is kept)."""
-    if n < 1:
-        raise DomainError("parameter count must be >= 1")
+    """Zero moments for n parameters; ``lr`` is a positive, finite float or
+    a positive, finite vector of length n (a read-only copy is kept)."""
+    check_int("parameter count", n, 1)
     if np.ndim(lr) == 0:
-        if not lr > 0:
-            raise DomainError("Adam learning rate must be positive")
+        # lr[()] reads a 0-d array as the numpy scalar check_real accepts
+        check_real("Adam learning rate", lr[()] if isinstance(lr, np.ndarray) else lr, 0.0, above=True)
     else:
         lr = np.array(lr, dtype=np.float64)
         if lr.shape != (n,):

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer-field check."""
+"""Exception types shared across the package, and the integer and real field checks."""
 
+import math
 import numbers
 
 
@@ -30,6 +31,22 @@ def check_int(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf, above: bool = False) -> float:
+    """``value`` as a float; raise DomainError unless it is a finite real number
+    (a bool is not one) in [low, high], or in (low, high] with ``above``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer too large for a float
+        x = math.inf
+    # NaN fails every comparison, so the range test also rejects it
+    if not ((low < x if above else low <= x) and x <= high and math.isfinite(x)):
+        raise DomainError(f"{name} must lie within {'(' if above else '['}{low:.6g}, {high:.6g}"
+                          f"{')' if high == math.inf else ']'}, got {value!r}")
+    return x
 
 
 def check_ints(obj, **minimums) -> None:

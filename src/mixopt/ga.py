@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, check_ints
+from .errors import DomainError, check_int, check_ints, check_real
 from .metrics import DESIGN_HI, DESIGN_LO, DesignCandidate, check_schmidt
 from .rl import query_policy
 
@@ -35,14 +35,13 @@ class GAConfig:
 
     def __post_init__(self):
         check_ints(self, population=2, generations=0, elitism=0, seed=0)
-        if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
-            raise DomainError("rates must lie in [0, 1]")
+        check_real("crossover_rate", self.crossover_rate, 0.0, 1.0)
+        check_real("mutation_rate", self.mutation_rate, 0.0, 1.0)
+        check_real("mutation_scale", self.mutation_scale, 0.0)
         # elitism == population is allowed: it freezes the population, which
         # is the degenerate fixed-point configuration
         if self.elitism > self.population:
             raise DomainError("elitism must lie in [0, population]")
-        if not 0.0 <= self.mutation_scale < math.inf:
-            raise DomainError(f"mutation_scale must be finite and >= 0, got {self.mutation_scale!r}")
 
 
 @dataclass
@@ -158,8 +157,7 @@ def compare_timing(env, sc_values, cfg: GAConfig, actor, repeats: int = 3) -> Sc
     sc_values = [float(s) for s in sc_values]
     if not sc_values:
         raise DomainError("need at least one Schmidt number")
-    if repeats < 1:
-        raise DomainError(f"repeats={repeats} must be at least 1")
+    check_int("repeats", repeats, 1)
     for sc in sc_values[:2]:
         query_policy(actor, sc)  # warmup, which also refuses a wrong-shape actor before any GA run
     durations = [[] for _ in sc_values]

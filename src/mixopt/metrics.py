@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffnet import ParameterSet, forward
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .geometry import CHANNEL, CP_MAX, CP_MIN
 from .physics import FIELD_INDEX
 from .sampling import DIM_NAMES
@@ -67,8 +67,7 @@ class DesignCandidate(namedtuple("DesignCandidate", "cp1 cp2 cp3 re")):
 
 def check_schmidt(sc) -> None:
     """Raise DomainError unless the Schmidt number is finite and positive."""
-    if not 0.0 < sc < math.inf:
-        raise DomainError(f"Schmidt number {sc!r} must be finite and positive")
+    check_real("Schmidt number", sc, 0.0, above=True)
 
 
 def _weighted_mean(x, w, name: str) -> float:

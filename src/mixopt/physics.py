@@ -31,7 +31,7 @@ import numpy as np
 from .diffnet import forward, forward_vjp, map_blocks
 from .diffnet import net_apply  # noqa: F401  (unused here; the benchmark tracer wraps physics.net_apply)
 from .diffnet.tape import Node
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .geometry import CHANNEL
 from .sampling import DIM_NAMES, CollocationSet
 
@@ -169,8 +169,7 @@ class LossWeights:
     def __post_init__(self):
         vals = self.as_dict()
         for name, v in vals.items():
-            if not np.isfinite(v) or v < 0:
-                raise DomainError(f"loss weight {name} must be finite and >= 0")
+            check_real(f"loss weight {name}", v, 0.0)
         if all(v == 0.0 for v in vals.values()):
             raise DomainError("at least one loss weight must be positive")
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -22,7 +20,7 @@ from .diffnet import (
 )
 from .diffnet.adam import adam_step
 from .diffnet.tape import leaf
-from .errors import DomainError, NumericalError, check_ints, check_widths
+from .errors import DomainError, NumericalError, check_int, check_ints, check_real, check_widths
 from .geometry import CHANNEL, build_spline, contains
 from .physics import FIELD_INDEX, LossReport, LossWeights, loss_node, total_loss
 from .sampling import CollocationCounts, CollocationSet, SampleBounds, generate_collocation
@@ -47,9 +45,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_ints(self, steps=0, batch_size=0, seed=0, log_interval=1, checkpoint_interval=0)
-        # NaN fails every comparison, so this test also rejects it
-        if not 0.0 < self.learning_rate < math.inf:
-            raise DomainError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
+        check_real("learning_rate", self.learning_rate, 0.0, above=True)
         if self.slice_stations is not None:
             object.__setattr__(self, "slice_stations", _check_stations(self.slice_stations))
         if not (self.checkpoint_dir is None or isinstance(self.checkpoint_dir, str)):
@@ -61,14 +57,10 @@ class TrainConfig:
 
 def _check_stations(values) -> tuple:
     """Penalty-slice stations as a tuple of floats; each must be a real number in [0, L/H]."""
-    top = CHANNEL.L / CHANNEL.H
     if isinstance(values, str) or not hasattr(values, "__iter__"):
         raise DomainError(f"slice_stations must be a list of numbers, got {values!r}")
-    values = tuple(values)
-    for v in values:  # NaN fails both comparisons
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= top:
-            raise DomainError(f"slice_stations must hold numbers in [0, {top:.6g}], got {v!r}")
-    return tuple(float(v) for v in values)
+    return tuple(check_real(f"slice_stations[{i}]", v, 0.0, CHANNEL.L / CHANNEL.H)
+                 for i, v in enumerate(values))
 
 
 @dataclass
@@ -109,6 +101,8 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
     perm = rng.permutation(n)
     cursor = 0
     last_finite = params
+    if cfg.checkpoint_dir:
+        os.makedirs(cfg.checkpoint_dir, exist_ok=True)
 
     for step in range(1, cfg.steps + 1):
         if batch < n:
@@ -156,7 +150,7 @@ def train(cfg: TrainConfig, colloc: CollocationSet | None = None):
 
 
 def save_checkpoint(params: ParameterSet, path, seed=None) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    """A field-network checkpoint at ``path``, whose directory must exist."""
     save_params(params, path, role="field", seed=seed)
 
 
@@ -183,12 +177,12 @@ class FieldTable:
 def evaluate_fields(params: ParameterSet, cp, re: float, sc: float, grid=(141, 41)) -> FieldTable:
     """Evaluate the trained fields on a regular grid over the channel; cp is
     any sequence of the three control heights."""
-    if not (0.0 < re < np.inf and 0.0 < sc < np.inf):
-        raise DomainError("re and sc must be finite and positive")
+    check_real("re", re, 0.0, above=True)
+    check_real("sc", sc, 0.0, above=True)
     coeffs = build_spline(cp)
     nx, ny = grid
-    if nx < 2 or ny < 2:
-        raise DomainError("grid must be at least 2x2")
+    check_int("grid[0]", nx, 2)
+    check_int("grid[1]", ny, 2)
     H = CHANNEL.H
     x = np.linspace(0.0, CHANNEL.L / H, nx)
     y = np.linspace(0.0, 1.0, ny)

@@ -25,7 +25,7 @@ from .diffnet import (
     init_adam,
     init_params,
 )
-from .errors import DomainError, check_ints, check_widths
+from .errors import DomainError, check_int, check_ints, check_real, check_widths
 from .metrics import DESIGN_HI, DESIGN_LO, BaselineTable, DesignCandidate, check_schmidt, compute_mixing_report
 
 SC_LO, SC_HI = 1.0, 100.0
@@ -57,12 +57,8 @@ class PPOConfig:
         check_ints(self, epochs=1, batch_size=2, episodes=0, seed=0)
         check_widths(self, "actor_hidden", "critic_hidden")
         for name in ("clip_eps", "actor_lr", "critic_lr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and positive, got {value!r}")
-        value = self.entropy_coef
-        if not (math.isfinite(value) and value >= 0):
-            raise DomainError(f"entropy_coef must be finite and non-negative, got {value!r}")
+            check_real(name, getattr(self, name), 0.0, above=True)
+        check_real("entropy_coef", self.entropy_coef, 0.0)
 
 
 @dataclass
@@ -76,12 +72,6 @@ class Batch:
     advantages: np.ndarray
 
 
-def _check_window(name: str, value: int) -> None:
-    # r[-0:] is all of r, and a window of 0 averages nothing
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value!r}")
-
-
 @dataclass
 class RewardHistory:
     """Per-episode mean rewards; aborted episodes hold nan."""
@@ -93,7 +83,7 @@ class RewardHistory:
 
     def smoothed(self, window: int = 50) -> np.ndarray:
         """Trailing arithmetic mean, window truncated at the start, nan-aware."""
-        _check_window("window", window)
+        check_int("window", window, 1)  # a window of 0 averages nothing
         r = np.asarray(self.mean_rewards, dtype=np.float64)
         out = np.full(r.size, np.nan)
         for i in range(r.size):
@@ -105,7 +95,7 @@ class RewardHistory:
 
     def tail_mean(self, n: int = 20) -> float:
         """Mean of the finite rewards among the last n episodes (nan if none)."""
-        _check_window("n", n)
+        check_int("n", n, 1)  # r[-0:] is all of r
         r = np.asarray(self.mean_rewards, dtype=np.float64)
         good = r[-n:][np.isfinite(r[-n:])]
         return float(good.mean()) if good.size else float("nan")

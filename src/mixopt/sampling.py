@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SamplingError, check_ints
+from .errors import DomainError, SamplingError, check_int, check_ints, check_real
 from .geometry import (
     BAFFLES,
     CHANNEL,
@@ -29,6 +29,10 @@ from .geometry import (
 )
 
 DIM_NAMES = ("x", "y", "cp1", "cp2", "cp3", "re", "sc")
+# (low, high, above): both ends of a dimension's bounds lie in [low, high], or (low, high]
+_LIMITS = dict(x=(0.0, CHANNEL.L / CHANNEL.H, False), y=(0.0, 1.0, False),
+               cp1=(CP_MIN, CP_MAX, False), cp2=(CP_MIN, CP_MAX, False), cp3=(CP_MIN, CP_MAX, False),
+               re=(0.0, np.inf, True), sc=(0.0, np.inf, True))
 
 
 @dataclass(frozen=True)
@@ -45,20 +49,9 @@ class SampleBounds:
 
     def __post_init__(self):
         for name in DIM_NAMES:
-            lo, hi = getattr(self, name)
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
+            lo, hi = (check_real(f"bounds for {name}", v, *_LIMITS[name]) for v in getattr(self, name))
+            if lo > hi:
                 raise DomainError(f"bounds for {name} must satisfy lo <= hi, got ({lo}, {hi})")
-        limits = {"x": (0.0, CHANNEL.L / CHANNEL.H), "y": (0.0, 1.0),
-                  "cp1": (CP_MIN, CP_MAX), "cp2": (CP_MIN, CP_MAX), "cp3": (CP_MIN, CP_MAX)}
-        for name, (low, high) in limits.items():
-            lo, hi = getattr(self, name)
-            if lo < low or hi > high:
-                raise DomainError(f"bounds for {name} must lie within [{low:.6g}, {high:.6g}], "
-                                  f"got ({lo}, {hi})")
-        for name in ("re", "sc"):
-            lo, _ = getattr(self, name)
-            if lo <= 0:
-                raise DomainError(f"{name} must be positive")
 
     def lows(self) -> np.ndarray:
         return np.array([getattr(self, n)[0] for n in DIM_NAMES])
@@ -164,8 +157,7 @@ def slice_points(cps: np.ndarray, x_mm, n: int):
     linear in the control heights, peaks at a corner of the control box at
     0.65.
     """
-    if n < 2:
-        raise DomainError("a quadrature slice needs at least 2 points")
+    check_int("points per slice", n, 2)
     x_mm = np.asarray(x_mm, dtype=float)
     outside = np.flatnonzero(~((x_mm >= 0.0) & (x_mm <= CHANNEL.L)))
     if outside.size:

@@ -182,7 +182,7 @@ def test_evaluate_rejects_bad_schmidt_number_before_loading(tmp_path, capsys, ba
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
-    assert f"Schmidt number {float(bad)!r}" in err["message"]
+    assert err["message"] == f"--sc: Schmidt number must lie within (0, inf), got {float(bad)!r}"
     assert not fields.exists()
 
 
@@ -512,7 +512,8 @@ def test_query_and_compare_reject_bad_schmidt_numbers(tiny_actor, tmp_path, caps
     assert main(argv) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
-    assert f"Schmidt number {float(bad)!r}" in err["message"]
+    assert err["message"] == (f"--sc 10,{bad}: Schmidt number must lie within (0, inf), "
+                              f"got {float(bad)!r}")
     assert not out.exists()
 
 
@@ -582,6 +583,44 @@ def test_bad_ppo_values_exit_2_before_loading_anything(tmp_path, capsys, bad):
     assert err["error"] == "ConfigError"
     assert err["message"].startswith("config.ppo: ") and next(iter(bad)) in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"train": {"learning_rate": True}},
+     "config.train: learning_rate must be a real number, got True"),
+    ({"train": {"weights": {"pde": True}}},
+     "config.train.weights: loss weight pde must be a real number, got True"),
+    ({"train": {"bounds": {"y": [0.0, True]}}},
+     "config.train.bounds: bounds for y must be a real number, got True"),
+    ({"ppo": {"clip_eps": True}}, "config.ppo: clip_eps must be a real number, got True"),
+    ({"ppo": {"actor_lr": True}}, "config.ppo: actor_lr must be a real number, got True"),
+    ({"ppo": {"critic_lr": True}}, "config.ppo: critic_lr must be a real number, got True"),
+    ({"ppo": {"entropy_coef": True}}, "config.ppo: entropy_coef must be a real number, got True"),
+    ({"ga": {"crossover_rate": True}},
+     "config.ga: crossover_rate must be a real number, got True"),
+    ({"ga": {"mutation_rate": True}}, "config.ga: mutation_rate must be a real number, got True"),
+    ({"ga": {"mutation_scale": True}},
+     "config.ga: mutation_scale must be a real number, got True"),
+], ids=["train.learning_rate", "train.weights.pde", "train.bounds.y", "ppo.clip_eps",
+        "ppo.actor_lr", "ppo.critic_lr", "ppo.entropy_coef", "ga.crossover_rate",
+        "ga.mutation_rate", "ga.mutation_scale"])
+def test_a_real_valued_key_set_to_true_exits_2_before_running(tmp_path, capsys, payload, message):
+    # JSON true is not the number 1: a learning rate of true would train at 1.0
+    cfg = write_config(tmp_path, payload)
+    out = str(tmp_path / "out")
+    section = next(iter(payload))
+    if section == "train":
+        argv = ["train", "--steps", "0", "--out", out]
+    elif section == "ppo":
+        argv = ["optimize-rl", "--synthetic", "--episodes", "0", "--out", out]
+    else:
+        argv = ["compare", "--policy", str(tmp_path / "missing.ckpt"), "--sc", "10",
+                "--synthetic", "--out", out]
+    assert main(["--config", cfg, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ConfigError", "message": message}
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 @pytest.mark.parametrize("section, bad, command", [
@@ -862,9 +901,55 @@ def test_an_output_path_that_cannot_be_written_exits_2_with_one_json_error(
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert set(err) == {"error", "message"}
-    assert err["error"] in ("FileNotFoundError", "FileExistsError", "NotADirectoryError")
-    assert str(plain) in err["message"]
+    assert err == {"error": "FileNotFoundError",
+                   "message": f"the directory of output {str(plain / 'out')!r} does not exist"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "optimize-rl"])
+def test_an_output_in_a_missing_directory_exits_2_before_any_file_is_written(
+        tiny_checkpoint, tmp_path, capsys, command):
+    # the first output could be written; the missing directory of a later
+    # one is found before any work, so the first is not left behind
+    missing = tmp_path / "missing"
+    if command == "train":
+        path = missing / "t.ckpt"
+        argv = ["train", "--steps", "0", "--out", str(path)]
+    elif command == "evaluate":
+        path = missing / "r.json"
+        argv = ["evaluate", "--checkpoint", tiny_checkpoint[0], "--cp", "0", "0", "0",
+                "--re", "10", "--sc", "10", "--fields", str(tmp_path / "f.csv"),
+                "--report", str(path)]
+    else:
+        path = missing / "h.csv"
+        argv = ["optimize-rl", "--synthetic", "--episodes", "1", "--out", str(tmp_path / "a.ckpt"),
+                "--history", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "FileNotFoundError",
+        "message": f"the directory of output {str(path)!r} does not exist"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_the_directory_check_cannot_see_still_exits_2_with_one_json_error(tmp_path, capsys):
+    # the directory of the output exists, but the output itself is a directory
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["geometry", "--cp", "0", "0", "0", "--out", str(target)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IsADirectoryError" and str(target) in err["message"]
+    assert list(target.iterdir()) == []
+
+
+def test_train_creates_a_checkpoint_dir_that_does_not_exist_yet(tmp_path, capsys):
+    checkpoints = tmp_path / "new" / "sub"
+    cfg = write_config(tmp_path, {"train": {**tiny_train_section(), "checkpoint_interval": 2,
+                                            "checkpoint_dir": str(checkpoints)}})
+    assert main(["--config", cfg, "train", "--out", str(tmp_path / "t.ckpt")]) == 0
+    assert sorted(p.name for p in checkpoints.iterdir()) == ["final.ckpt", "step_0000002.ckpt"]
 
 
 def test_a_failed_evaluate_writes_no_file(tmp_path, capsys):

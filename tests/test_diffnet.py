@@ -738,6 +738,12 @@ def test_adam_learning_rate_vector_is_a_read_only_copy():
     assert init_adam(10, lr=0.5).lr == 0.5
 
 
+def test_adam_accepts_a_zero_dimensional_learning_rate_and_refuses_a_bool():
+    assert init_adam(10, lr=np.array(0.5)).lr == 0.5
+    with pytest.raises(DomainError, match=r"^Adam learning rate must be a real number, got True$"):
+        init_adam(10, lr=True)
+
+
 def test_adam_per_entry_learning_rates_step_each_part_with_its_own_bits():
     """One state over a ‖ b with rates (ra, rb) gives the bits of two states."""
     rng = np.random.default_rng(9)

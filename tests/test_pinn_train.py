@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -170,6 +171,13 @@ def test_checkpoint_wrappers_round_trip(tmp_path):
         load_checkpoint(bad)
 
 
+def test_save_checkpoint_makes_no_directory(tmp_path):
+    params, _ = train(tiny_config(steps=0))
+    with pytest.raises(FileNotFoundError):
+        save_checkpoint(params, tmp_path / "missing" / "field.ckpt")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_periodic_checkpoints_written(tmp_path):
     cfg = tiny_config(steps=10, checkpoint_interval=4, checkpoint_dir=str(tmp_path))
     train(cfg)
@@ -198,9 +206,12 @@ def test_evaluate_fields_validation():
         evaluate_fields(params, (0.0, 0.0, 0.0), re=-1.0, sc=10.0)
     with pytest.raises(DomainError):
         evaluate_fields(params, (0.9, 0.0, 0.0), re=10.0, sc=10.0)
-    for re, sc in ((np.inf, 10.0), (np.nan, 10.0), (10.0, np.inf), (10.0, np.nan)):
-        with pytest.raises(DomainError, match="finite and positive"):
-            evaluate_fields(params, (0.0, 0.0, 0.0), re=re, sc=sc)
+    for bad_re, bad_sc, message in ((np.inf, 10.0, "re must lie within (0, inf), got inf"),
+                                    (np.nan, 10.0, "re must lie within (0, inf), got nan"),
+                                    (10.0, np.inf, "sc must lie within (0, inf), got inf"),
+                                    (10.0, np.nan, "sc must lie within (0, inf), got nan")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            evaluate_fields(params, (0.0, 0.0, 0.0), re=bad_re, sc=bad_sc)
 
 
 def test_field_table_csv_round_trip(tmp_path):
