@@ -56,9 +56,9 @@ class GAResult:
     best_per_generation: list = field(default_factory=list)
 
 
-def _evaluate(env, genomes: np.ndarray, sc: float) -> np.ndarray:
+def _evaluate(env, genomes: list, sc: float) -> np.ndarray:
     out = np.empty(len(genomes))
-    for i, g in enumerate(genomes.tolist()):
+    for i, g in enumerate(genomes):
         r = env.evaluate(DesignCandidate(*g), sc)
         if not math.isfinite(r):
             r = -math.inf  # a failed score ranks below every finite one
@@ -66,26 +66,53 @@ def _evaluate(env, genomes: np.ndarray, sc: float) -> np.ndarray:
     return out
 
 
-def _tournament(fitness: np.ndarray, rng) -> int:
-    contenders = rng.integers(0, len(fitness), size=TOURNAMENT)
-    return int(contenders[np.argmax(fitness[contenders])])
+def _tournament(fitness: list, rng) -> int:
+    """The fittest of TOURNAMENT uniform draws; the first drawn wins a tie,
+    as with ``np.argmax``."""
+    best, *rest = rng.integers(0, len(fitness), size=TOURNAMENT).tolist()
+    for i in rest:
+        if fitness[i] > fitness[best]:
+            best = i
+    return best
 
 
-def _blend(p1: np.ndarray, p2: np.ndarray, rng) -> np.ndarray:
-    lo = np.minimum(p1, p2)
-    hi = np.maximum(p1, p2)
-    d = hi - lo
-    return rng.uniform(lo - BLEND_ALPHA * d, hi + BLEND_ALPHA * d)
+def _blend(p1: list, p2: list, rng) -> list:
+    """BLX-alpha: each gene uniform on its parents' range widened by
+    BLEND_ALPHA of their gap at both ends.
+
+    ``low + (high - low) * u`` is ``rng.uniform(low, high)``'s own
+    arithmetic, and the tie rule is that of ``np.minimum`` and
+    ``np.maximum``, which return the second operand on a tie, so a signed
+    zero comes out as it would from the array form.
+    """
+    child = []
+    for a, b, u in zip(p1, p2, rng.random(4).tolist()):
+        lo = a if a < b else b
+        hi = a if a > b else b
+        d = hi - lo
+        low = lo - BLEND_ALPHA * d
+        high = hi + BLEND_ALPHA * d
+        child.append(low + (high - low) * u)
+    return child
 
 
 def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
-    """Tournament selection, blend crossover, Gaussian mutation, elitism."""
+    """Tournament selection, blend crossover, Gaussian mutation, elitism.
+
+    Each child is formed on Python floats from scalar-parameter draws: a
+    crossover test ``rng.random()``, ``rng.random(4)`` for the blend,
+    ``rng.random(4)`` for the mutation mask and ``rng.standard_normal(4)``
+    for the kick, whose Gaussian is ``0.0 + scale * z``, the arithmetic of
+    ``rng.normal(0.0, scale)``. A seed fixes every proposed design to the bit.
+    """
     check_schmidt(sc)
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    span = DESIGN_HI - DESIGN_LO
+    lows, highs = DESIGN_LO.tolist(), DESIGN_HI.tolist()
+    scales = (cfg.mutation_scale * (DESIGN_HI - DESIGN_LO)).tolist()
+    rate = cfg.mutation_rate
     pop = rng.uniform(DESIGN_LO, DESIGN_HI, size=(cfg.population, 4))
-    fitness = _evaluate(env, pop, sc)
+    fitness = _evaluate(env, pop.tolist(), sc)
     evaluations = cfg.population
     best_idx = int(np.argmax(fitness))
     best_genome = pop[best_idx].copy()
@@ -96,22 +123,27 @@ def run_ga(env, sc: float, cfg: GAConfig) -> GAResult:
         order = np.argsort(-fitness)
         elites = pop[order[:cfg.elitism]].copy()
         elite_fitness = fitness[order[:cfg.elitism]].copy()
+        parents, scores = pop.tolist(), fitness.tolist()
         n_children = cfg.population - cfg.elitism
-        children = np.empty((n_children, 4))
-        for i in range(n_children):
-            p1 = pop[_tournament(fitness, rng)]
+        children = []
+        for _ in range(n_children):
+            p1 = parents[_tournament(scores, rng)]
             if rng.random() < cfg.crossover_rate:
-                p2 = pop[_tournament(fitness, rng)]
-                child = _blend(p1, p2, rng)
+                child = _blend(p1, parents[_tournament(scores, rng)], rng)
             else:
-                child = p1.copy()
-            mask = rng.random(4) < cfg.mutation_rate
-            kick = rng.normal(0.0, cfg.mutation_scale * span)
-            child = np.where(mask, child + kick, child)
-            children[i] = np.clip(child, DESIGN_LO, DESIGN_HI)
+                child = p1
+            mask = rng.random(4).tolist()
+            z = rng.standard_normal(4).tolist()
+            genes = []
+            for x, m, s, g, lo, hi in zip(child, mask, scales, z, lows, highs):
+                if m < rate:
+                    x = x + (0.0 + s * g)
+                genes.append(lo if x < lo else hi if x > hi else x)
+            children.append(genes)
         child_fitness = _evaluate(env, children, sc)
         evaluations += n_children
-        pop = np.vstack([elites, children])
+        # the reshape keeps an empty brood (elitism == population) two-dimensional
+        pop = np.vstack([elites, np.reshape(children, (n_children, 4))])
         fitness = np.concatenate([elite_fitness, child_fitness])
         gen_best = int(np.argmax(fitness))
         if fitness[gen_best] > best_fitness:

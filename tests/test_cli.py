@@ -133,6 +133,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "nonsense" in err["message"]
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    out = tmp_path / "g.csv"
+    rc = main(["--config", str(bad), "geometry", "--cp", "0.1", "0.1", "0.1", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert "UTF-8" in err["message"]
+    assert not out.exists()
+
+
 def test_geometry_straight_channel(tmp_path, capsys):
     out = tmp_path / "boundary.csv"
     rc = main(["geometry", "--cp", "0", "0", "0", "--out", str(out)])

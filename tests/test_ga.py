@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -15,6 +16,7 @@ from mixopt.ga import (
 from mixopt.metrics import DESIGN_HI, DESIGN_LO, baseline_table, compute_mixing_report
 from mixopt.rl import PinnEnv, PPOConfig, QuadraticEnv, init_actor
 
+import ga_oracle
 from fitting import linear_r2
 
 
@@ -228,3 +230,86 @@ def test_memoized_scores_give_the_direct_scorers_ga_run_bit_for_bit(monkeypatch)
     # a fresh score of the reported best carries its bits
     rescored = compute_mixing_report(params, got.best, sc, baseline=table).me
     assert np.float64(rescored).tobytes() == np.float64(got.best_fitness).tobytes()
+
+
+@pytest.fixture(scope="module")
+def surrogate():
+    params, _ = load_params(SURROGATE)
+    return params, baseline_table(params)
+
+
+# population 17 draws tournament indices from a range that is not a power of
+# two; mutation_scale 3.0 kicks most mutated genes past both box bounds
+ORACLE_CONFIGS = [
+    dict(population=p, elitism=e * p, crossover_rate=c, mutation_rate=m, mutation_scale=3.0)
+    for p, e, c, m in itertools.product((2, 17), (0, 1), (0.0, 1.0), (0.0, 1.0))
+] + [{}]
+
+
+@pytest.mark.parametrize("env_name", ["quadratic", "surrogate", "surrogate_no_table"])
+@pytest.mark.parametrize("k", range(len(ORACLE_CONFIGS)))
+def test_run_ga_proposes_the_oracle_loops_designs_bit_for_bit(env_name, k, surrogate):
+    params, table = surrogate
+    make = {"quadratic": QuadraticEnv,
+            "surrogate": lambda: PinnEnv(params, table),
+            "surrogate_no_table": lambda: PinnEnv(params, None)}[env_name]
+    cfg = GAConfig(generations=6, seed=31 + k, **ORACLE_CONFIGS[k])
+    got_env, want_env = RecordingEnv(make()), RecordingEnv(make())
+    got, want = run_ga(got_env, 23.0, cfg), ga_oracle.run_ga(want_env, 23.0, cfg)
+    assert [np.array(d).tobytes() for d in got_env.seen] == [np.array(d).tobytes() for d in want_env.seen]
+    assert np.array(got.best).tobytes() == np.array(want.best).tobytes()
+    assert np.float64(got.best_fitness).tobytes() == np.float64(want.best_fitness).tobytes()
+    assert np.array(got.best_per_generation).tobytes() == np.array(want.best_per_generation).tobytes()
+    assert got.evaluations == want.evaluations == len(got_env.seen)
+
+
+def test_oracle_configs_clip_at_both_box_bounds():
+    kick = dict(population=17, elitism=0, crossover_rate=1.0, mutation_rate=1.0, mutation_scale=3.0)
+    assert kick in ORACLE_CONFIGS
+    env = RecordingEnv(QuadraticEnv())
+    run_ga(env, 23.0, GAConfig(generations=6, seed=0, **kick))
+    g = np.array(env.seen)
+    assert np.all((g == DESIGN_LO).any(axis=0)) and np.all((g == DESIGN_HI).any(axis=0))
+
+
+# ga.run_ga draws scalars where the oracle loop drew with array parameters;
+# each identity below is numpy's own arithmetic for the array draw, and a
+# numpy release that changes one fails the test that names it
+
+def _draw_pair(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def test_numpy_uniform_is_low_plus_range_times_random():
+    box = np.random.default_rng(7)
+    for seed in range(1000):
+        low = box.uniform(-60.0, 60.0, 4)
+        high = low + box.uniform(0.0, 70.0, 4)
+        array_rng, scalar_rng = _draw_pair(seed)
+        want = array_rng.uniform(low, high)
+        got = [lo + (hi - lo) * u
+               for lo, hi, u in zip(low.tolist(), high.tolist(), scalar_rng.random(4).tolist())]
+        assert np.array(got).tobytes() == want.tobytes()
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_numpy_normal_is_zero_plus_scale_times_standard_normal():
+    box = np.random.default_rng(8)
+    for seed in range(1000):
+        scale = box.uniform(0.0, 40.0, 4) * (box.random(4) < 0.9)  # zero scales too
+        array_rng, scalar_rng = _draw_pair(seed)
+        want = array_rng.normal(0.0, scale)
+        got = [0.0 + s * z for s, z in zip(scale.tolist(), scalar_rng.standard_normal(4).tolist())]
+        assert np.array(got).tobytes() == want.tobytes()
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_numpy_minimum_and_maximum_return_the_second_operand_on_a_tie():
+    box = np.random.default_rng(9)
+    values = np.array([0.0, -0.0, 0.25, -0.5])
+    for _ in range(1000):
+        a, b = box.choice(values, 4), box.choice(values, 4)
+        lo = [x if x < y else y for x, y in zip(a.tolist(), b.tolist())]
+        hi = [x if x > y else y for x, y in zip(a.tolist(), b.tolist())]
+        assert np.array(lo).tobytes() == np.minimum(a, b).tobytes()
+        assert np.array(hi).tobytes() == np.maximum(a, b).tobytes()
